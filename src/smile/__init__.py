@@ -12,13 +12,12 @@ from .diffusion import (DiffusionSchedule, NoiseModel, build_schedule,
 from .envs import (DemoStore, EnvSpec, ExpertController, Trajectory,
                    default_expert, env_reset, env_step, expert_act,
                    generate_demos, load_demos, make_env_spec, save_demos,
-                   trajectory_return, undiscounted_return)
+                   undiscounted_return)
 from .expertise import (FilterConfig, FilterReport, filter_dataset,
-                        predict_diffusion_step, q_value)
+                        q_curve_matrix, score_dataset)
 from .mathcore import (EmaTracker, FeedForwardNet, OptimizerState, SeededRng,
-                       derive_seed, ema_update, gaussian_sample,
-                       net_forward, net_gradients, optimizer_step)
-from .policy import BcBaseline, GeneratorPolicy, bc_loss, policy_act, policy_loss
+                       derive_seed, ema_update, optimizer_step)
+from .policy import BcBaseline, GeneratorPolicy, bc_loss, policy_loss
 from .trainer import (MetricsLog, TrainConfig, TrainResult, audit_bins,
                       bench_reverse, evaluate, train, train_bc)
 

@@ -28,7 +28,7 @@ def _resolve(cfg: ExperimentConfig, path: str) -> str:
     return path if os.path.isabs(path) else os.path.join(cfg.output_dir, path)
 
 
-def _load_actor(path: str, use_ema: bool = True):
+def _load_actor(path: str):
     payload = load_checkpoint(path)
     role = payload.get("role")
     if role == "denoiser":
@@ -39,9 +39,7 @@ def _load_actor(path: str, use_ema: bool = True):
         actor = BcBaseline.from_arch(payload["arch"])
     else:
         raise InvalidInputError(f"checkpoint {path} has unknown role {role!r}")
-    params = payload.get("ema") if use_ema and payload.get("ema") else \
-        payload["params"]
-    actor.set_params(params)
+    actor.set_params(payload.get("ema") or payload["params"])
     return actor
 
 
@@ -74,7 +72,7 @@ def cmd_gen_data(args) -> int:
     for level in cfg.data.noise_levels:
         rets = [tr.ret for tr in store.trajectories
                 if tr.noise_level == level]
-        print(f"{level!r},{len(rets)},{np.mean(rets)!r}")
+        print(f"{level!r},{len(rets)},{float(np.mean(rets))!r}")
     return 0
 
 
@@ -130,15 +128,16 @@ def cmd_audit(args) -> int:
     if hi <= lo:
         hi = lo + width
     edges = np.arange(lo, hi + width / 2, width)
-    rows = audit_bins(store, model, policy, sched, edges)
+    # One scoring pass feeds both the bin table and the per-trajectory
+    # report (filter-report format); the store is left untouched.
+    records, kept = score_dataset(store, model, policy, cfg.train.filter,
+                                  sched)
+    rows = audit_bins(store, records, edges)
     print("bin_lo,bin_hi,count,mean_step")
     for row in rows:
         print(f"{row['bin_lo']!r},{row['bin_hi']!r},{row['count']},"
               f"{row['mean_step']!r}")
 
-    # Per-trajectory report in the filter-report format; store untouched.
-    records, kept = score_dataset(store, model, policy, cfg.train.filter,
-                                  sched)
     report = FilterReport(records=records, n_before=len(records),
                           n_kept=len(kept), n_dropped=len(records) - len(kept),
                           stop_filtering=len(kept) < cfg.train.filter.min_demos)

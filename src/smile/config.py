@@ -26,15 +26,6 @@ class DataConfig:
     per_level: int = 10
     demo_file: str = "demos.jsonl"
 
-    def validate(self) -> None:
-        if self.per_level < 1:
-            raise ConfigError(
-                f"data.per_level must be >= 1, got {self.per_level} "
-                "(an empty store cannot be generated)")
-        if any(lv < 0 for lv in self.noise_levels):
-            raise ConfigError(
-                f"data.noise_levels must be >= 0: {self.noise_levels}")
-
 
 @dataclass
 class ExperimentConfig:
@@ -55,15 +46,25 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in raw.split(",") if x.strip())
+def _parse_levels(raw: str) -> tuple[float, ...]:
+    levels = tuple(float(x) for x in raw.split(",") if x.strip())
+    if not levels or min(levels) < 0:
+        raise ValueError("need one or more noise levels, all >= 0")
+    return levels
+
+
+def _parse_count(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
 
 
 # section -> key -> parser
 _SCHEMA = {
     "experiment": {"run_id": str, "output_dir": str, "seed": int},
     "env": {"name": str, "horizon": int},
-    "data": {"noise_levels": _parse_float_list, "per_level": int,
+    "data": {"noise_levels": _parse_levels, "per_level": _parse_count,
              "demo_file": str},
     "schedule": {"steps": int, "beta_min": float, "beta_max": float},
     "train": {"batch_size": int, "learning_rate": float,
@@ -126,7 +127,6 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
     data = DataConfig(**values["data"])
-    data.validate()
 
     fil = FilterConfig(**values["filter"])
     tr_kw = dict(values["train"])

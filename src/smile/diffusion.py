@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError
 from .mathcore import FeedForwardNet, SeededRng
 
-DEFAULT_STEPS = 10
 DEFAULT_BETA_MIN = 0.05
 DEFAULT_BETA_MAX = 0.6
 
@@ -31,14 +30,6 @@ class DiffusionSchedule:
     T: int
     betas: np.ndarray   # shape (T,), betas[t-1] is beta_t
     sigmas: np.ndarray  # shape (T+1,), sigmas[t] is sigma_t, sigmas[0] == 0
-
-    def beta(self, t: int) -> float:
-        if not 1 <= t <= self.T:
-            raise InvalidInputError(f"beta index {t} outside 1..{self.T}")
-        return float(self.betas[t - 1])
-
-    def sigma(self, t) -> float | np.ndarray:
-        return self.sigmas[t]
 
 
 def build_schedule(T: int, beta_min: float = DEFAULT_BETA_MIN,
@@ -239,7 +230,6 @@ def naive_reverse_sample(model, s: np.ndarray, sched: DiffusionSchedule,
     fresh noise lands in the returned action.
     """
     a_t = np.asarray(a_t_init, dtype=np.float64).copy()
-    sig_sq = sched.sigmas ** 2
     for t in range(sched.T, 0, -1):
         eps_hat = model.predict(s, a_t, t)
         a0_hat = a_t - sched.sigmas[t] * eps_hat
@@ -247,15 +237,7 @@ def naive_reverse_sample(model, s: np.ndarray, sched: DiffusionSchedule,
             # sigma_0 = 0 collapses the posterior mean onto a0_hat; the
             # final step is noiseless by design
             return a0_hat
-        beta_sq = sched.betas[t - 1] ** 2
-        mean = (sig_sq[t - 1] * a_t + beta_sq * a0_hat) / sig_sq[t]
-        std = np.sqrt(sig_sq[t - 1] * beta_sq / sig_sq[t])
-        a_t = mean + std * rng.standard_normal(a_t.shape)
+        std = np.sqrt(posterior_var(t, sched))
+        a_t = (posterior_mean(a_t, a0_hat, t, sched)
+               + std * rng.standard_normal(a_t.shape))
     return a_t
-
-
-def gaussian_prior_init(sched: DiffusionSchedule, dim: int,
-                        rng: SeededRng) -> np.ndarray:
-    """N(0, sigma_T^2 I) fallback start for the naive reverse sampler; useful
-    for reproducing its failure when the diffused prior is mismatched."""
-    return sched.sigmas[sched.T] * rng.standard_normal(dim)

@@ -168,27 +168,12 @@ class Trajectory:
         return len(self.states)
 
 
-def trajectory_return(traj: Trajectory, gamma: float) -> float:
-    """Discounted return sum_{n=1..N} gamma^n r_n (the exponent starts at 1,
-    so gamma = 0 kills every term)."""
-    if traj.rewards is None:
-        raise InvalidInputError(
-            f"trajectory {traj.traj_id} has no rewards stored")
-    n = np.arange(1, len(traj.rewards) + 1, dtype=np.float64)
-    return float(np.sum(gamma ** n * traj.rewards))
-
-
 def undiscounted_return(traj: Trajectory) -> float:
     """Plain reward sum (the gamma = 1 reporting convention)."""
     if traj.rewards is None:
         raise InvalidInputError(
             f"trajectory {traj.traj_id} has no rewards stored")
     return float(np.sum(traj.rewards))
-
-
-def sort_by_return(trajectories: list[Trajectory]) -> list[Trajectory]:
-    """Stable total order by cached return (the expertise partial order)."""
-    return sorted(trajectories, key=lambda tr: (tr.ret is None, tr.ret))
 
 
 class DemoStore:
@@ -209,7 +194,6 @@ class DemoStore:
         if len(set(ids)) != len(ids):
             raise InvalidInputError("trajectory ids must be unique")
         self.trajectories = list(trajectories)
-        self._by_id = {tr.traj_id: tr for tr in self.trajectories}
         if self.trajectories:
             self._states = np.concatenate(
                 [tr.states for tr in self.trajectories])
@@ -230,9 +214,6 @@ class DemoStore:
     def transition_count(self) -> int:
         return len(self._states)
 
-    def by_id(self, traj_id: int) -> Trajectory:
-        return self._by_id[traj_id]
-
     def sample(self, rng: SeededRng, batch_size: int):
         if self.transition_count == 0:
             raise InvalidInputError("cannot sample from an empty store")
@@ -247,8 +228,7 @@ class DemoStore:
 # Rollouts and demo generation
 # ---------------------------------------------------------------------------
 
-def rollout_episode(spec: EnvSpec, act_fn, rng: SeededRng,
-                    record_rewards: bool = True) -> Trajectory:
+def rollout_episode(spec: EnvSpec, act_fn, rng: SeededRng) -> Trajectory:
     """Roll one episode; act_fn maps an observation to a (pre-clip) action."""
     state = env_reset(spec, rng)
     states, actions, rewards, terminals = [], [], [], []
@@ -265,7 +245,7 @@ def rollout_episode(spec: EnvSpec, act_fn, rng: SeededRng,
     traj = Trajectory(
         traj_id=0,
         states=np.asarray(states), actions=np.asarray(actions),
-        rewards=rewards if record_rewards else None,
+        rewards=rewards,
         terminals=np.asarray(terminals, dtype=bool))
     traj.ret = float(rewards.sum())
     return traj
@@ -356,13 +336,25 @@ def save_demos(store: DemoStore, path: str, seed: int | None = None) -> None:
 
 def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
     """Read a demo file. ``include_rewards=False`` strips rewards so training
-    paths cannot touch them even by accident."""
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    paths cannot touch them even by accident.
+
+    Malformed JSON, a missing field, a state or action of the wrong width
+    and a non-finite number each raise InvalidInputError naming path:line
+    (a width error names the first line of its trajectory).
+    """
+    try:
+        with open(path) as fh:
+            lines = [(no, ln) for no, ln in
+                     enumerate(fh.read().splitlines(), 1) if ln.strip()]
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read demo file {path}: {exc}") from exc
     if not lines:
         raise InvalidInputError(f"demo file {path} is empty")
-    header = json.loads(lines[0])
-    if header.get("kind") != "header":
+    try:
+        header = json.loads(lines[0][1])
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{path}:{lines[0][0]}: {exc}") from exc
+    if not isinstance(header, dict) or header.get("kind") != "header":
         raise InvalidInputError(f"demo file {path} is missing its header")
     if header.get("format_version") != DEMO_FORMAT_VERSION:
         raise InvalidInputError(
@@ -371,28 +363,45 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
     env = None
     if header.get("env"):
         env = make_env_spec(header["env"], horizon=header.get("horizon"))
-    rows: dict[int, list[dict]] = {}
-    order: list[int] = []
-    for ln in lines[1:]:
-        rec = json.loads(ln)
-        tid = rec["traj_id"]
-        if tid not in rows:
-            rows[tid] = []
-            order.append(tid)
-        rows[tid].append(rec)
+    rows: dict[int, list[tuple]] = {}
+    for no, ln in lines[1:]:
+        try:
+            rec = json.loads(ln)
+            rows.setdefault(rec["traj_id"], []).append(
+                (rec["step"], no, rec["s"], rec["a"], rec["r"],
+                 rec["terminal"], rec["noise_level"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(
+                f"{path}:{no}: bad demo record: {exc!r}") from exc
+    dims = ((header.get("state_dim"),), (header.get("action_dim"),))
     trajectories = []
-    for tid in order:
-        recs = sorted(rows[tid], key=lambda r: r["step"])
-        rewards = [r["r"] for r in recs]
+    for tid, recs in rows.items():
+        recs.sort(key=lambda rec: rec[0])
+        _, nos, states, actions, rewards, terminals, levels = zip(*recs)
         has_rewards = include_rewards and all(r is not None for r in rewards)
+        try:
+            states = np.asarray(states, dtype=np.float64)
+            actions = np.asarray(actions, dtype=np.float64)
+            rewards = np.asarray([0.0 if r is None else r for r in rewards],
+                                 dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(
+                f"{path}:{nos[0]}: bad values in trajectory {tid}: {exc}"
+            ) from exc
+        if (states.shape[1:], actions.shape[1:]) != dims:
+            raise InvalidInputError(
+                f"{path}:{nos[0]}: trajectory {tid} has states {states.shape}, "
+                f"actions {actions.shape}; header widths {dims}")
+        finite = (np.isfinite(states).all(axis=1)
+                  & np.isfinite(actions).all(axis=1) & np.isfinite(rewards))
+        if not finite.all():
+            raise InvalidInputError(f"{path}:{nos[np.argmin(finite)]}: "
+                                    f"non-finite value in trajectory {tid}")
         traj = Trajectory(
-            traj_id=tid,
-            states=np.asarray([r["s"] for r in recs], dtype=np.float64),
-            actions=np.asarray([r["a"] for r in recs], dtype=np.float64),
-            rewards=(np.asarray(rewards, dtype=np.float64)
-                     if has_rewards else None),
-            terminals=np.asarray([r["terminal"] for r in recs], dtype=bool),
-            noise_level=recs[0]["noise_level"])
+            traj_id=tid, states=states, actions=actions,
+            rewards=rewards if has_rewards else None,
+            terminals=np.asarray(terminals, dtype=bool),
+            noise_level=levels[0])
         if has_rewards:
             traj.ret = undiscounted_return(traj)
         trajectories.append(traj)

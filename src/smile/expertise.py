@@ -3,21 +3,23 @@
 The conditioned Q-function measures how likely a reference action denoises to
 a target action in exactly t steps: Q_t(a | a_ref, s) =
 -||a - (a_ref - sigma_t * eps(s, a_ref, t))||^2 (the 1/2 sigma^2 prefactor is
-dropped so small-t values are not blown up). Averaging over a trajectory and
+dropped so small-t values are not blown up). Averaging over a segment and
 taking the argmax over t in 0..T yields the predicted diffusion step between
-the current policy and the trajectory's behavior policy: 0 means the policy
-is at least as good, larger means the trajectory is cleaner by that many
-steps.
+the current policy and the segment's behavior policy: 0 means the policy is
+at least as good, larger means the segment is cleaner by that many steps.
 
-Filtering segments the store at terminals or max_demo_len, drops segments at
-or below the step threshold, and refuses to act at all (setting
-stop_filtering) whenever dropping would leave fewer than min_demos segments.
+score_dataset is the one scoring path: it segments the store at terminals or
+max_demo_len and returns one record per segment, with its mean Q curve and
+predicted step. The filter drops segments at or below the step threshold and
+refuses to act at all (setting stop_filtering) whenever dropping would leave
+fewer than min_demos segments; the return-bin audit (trainer.audit_bins)
+reads the same records.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,21 +89,6 @@ def save_filter_report(report: FilterReport, path: str) -> None:
 # Q scoring
 # ---------------------------------------------------------------------------
 
-def q_value(model, s: np.ndarray, a_target: np.ndarray, a_ref: np.ndarray,
-            t: int, sched: DiffusionSchedule) -> float:
-    """Negative squared distance between the target and the t-step denoised
-    reference; at t = 0 the noise term vanishes (sigma_0 = 0)."""
-    if not 0 <= t <= sched.T:
-        raise InvalidInputError(f"diffusion step {t} outside 0..{sched.T}")
-    a_target = np.asarray(a_target, dtype=np.float64)
-    a_ref = np.asarray(a_ref, dtype=np.float64)
-    if t == 0:
-        denoised = a_ref
-    else:
-        denoised = a_ref - sched.sigmas[t] * model.predict(s, a_ref, t)
-    return float(-((a_target - denoised) ** 2).sum())
-
-
 def q_curve_matrix(model, states: np.ndarray, targets: np.ndarray,
                    refs: np.ndarray, sched: DiffusionSchedule) -> np.ndarray:
     """Per-transition Q values for every t' in 0..T, shape (T+1, n).
@@ -116,24 +103,6 @@ def q_curve_matrix(model, states: np.ndarray, targets: np.ndarray,
         denoised = refs - sched.sigmas[t] * model.predict(states, refs, t)
         out[t] = -((targets - denoised) ** 2).sum(axis=1)
     return out
-
-
-def predict_diffusion_step(model, policy, traj: Trajectory,
-                           sched: DiffusionSchedule) -> int:
-    """argmax over t' of the trajectory-averaged Q between dataset actions
-    and current-policy actions; ties break toward the smallest t'."""
-    step, _ = predict_diffusion_step_curve(model, policy, traj, sched)
-    return step
-
-
-def predict_diffusion_step_curve(model, policy, traj: Trajectory,
-                                 sched: DiffusionSchedule):
-    if len(traj) == 0:
-        raise InvalidInputError("cannot score an empty trajectory")
-    refs = np.atleast_2d(policy.act(traj.states))
-    curve = q_curve_matrix(model, traj.states, traj.actions, refs,
-                           sched).mean(axis=1)
-    return int(np.argmax(curve)), curve
 
 
 # ---------------------------------------------------------------------------
@@ -178,29 +147,32 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig,
 
     Returns (records, kept_segments): per-segment reports with keep/drop
     verdicts against cfg.step_threshold, and the segments that would remain.
-    All transitions are scored in one batched pass; the policy action per
-    state is computed once and reused across every t'.
+    This is the only place that turns (model, policy, store) into predicted
+    steps. The policy is called once over ``store.sample_all()`` and its
+    actions are reused across every t'; each segment's Q curve is then
+    computed on that segment's own slice, because a denoiser batch of one
+    segment is faster than one batch of the whole store. A segment's
+    predicted step is the argmax of its mean Q curve over t' (ties break
+    toward the smallest t').
     """
     cfg.validate(sched.T)
     if store.num_trajectories == 0:
         raise InvalidInputError("cannot filter an empty store")
+    if any(len(tr) == 0 for tr in store.trajectories):
+        raise InvalidInputError("cannot score an empty trajectory")
     segments = segment_trajectories(store.trajectories, cfg.max_demo_len)
 
     states, targets = store.sample_all()
     refs = np.atleast_2d(policy.act(states))
-    q = q_curve_matrix(model, states, targets, refs, sched)
-
-    offsets = {}
-    pos = 0
-    for tr in store.trajectories:
-        offsets[tr.traj_id] = pos
-        pos += len(tr)
 
     records = []
     kept_segments = []
+    lo = 0  # segments tile the store's flat arrays in order
     for seg_id, (parent, start, stop) in enumerate(segments):
-        lo = offsets[parent.traj_id] + start
-        curve = q[:, lo:offsets[parent.traj_id] + stop].mean(axis=1)
+        hi = lo + stop - start
+        curve = q_curve_matrix(model, states[lo:hi], targets[lo:hi],
+                               refs[lo:hi], sched).mean(axis=1)
+        lo = hi
         step = int(np.argmax(curve))
         seg = _segment_trajectory(parent, start, stop, seg_id)
         keep = step > cfg.step_threshold

@@ -71,13 +71,6 @@ class SeededRng:
         self.gen.bit_generator.state = payload["state"]
 
 
-def gaussian_sample(rng: SeededRng, dim: int) -> np.ndarray:
-    """Draw a standard-normal vector of length ``dim``."""
-    if dim < 1:
-        raise InvalidInputError(f"gaussian_sample needs dim >= 1, got {dim}")
-    return rng.standard_normal(dim)
-
-
 # ---------------------------------------------------------------------------
 # Feed-forward networks
 # ---------------------------------------------------------------------------
@@ -110,10 +103,6 @@ class FeedForwardNet:
     def in_dim(self) -> int:
         return self.widths[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.widths[-1]
-
     def params(self) -> list[np.ndarray]:
         """Live parameter arrays, ordered [W0, b0, W1, b1, ...]."""
         out = []
@@ -131,9 +120,6 @@ class FeedForwardNet:
                 raise InvalidInputError(
                     f"parameter shape mismatch {dst.shape} vs {src.shape}")
             dst[...] = src
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params())
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -188,16 +174,6 @@ class FeedForwardNet:
                 # tanh'(z) expressed through the cached post-activation
                 delta = delta * (1.0 - acts[i] ** 2)
         return grads, delta
-
-
-def net_forward(net: FeedForwardNet, x: np.ndarray) -> np.ndarray:
-    return net.forward(x)
-
-
-def net_gradients(net: FeedForwardNet, x: np.ndarray, upstream: np.ndarray):
-    """Gradient of (upstream . net(x)) w.r.t. every parameter (and the input)."""
-    _, acts = net.forward_cached(x)
-    return net.backward(acts, upstream)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +247,6 @@ class EmaTracker:
                    warmup: int = 100) -> "EmaTracker":
         return EmaTracker(shadow=[p.copy() for p in params], decay=decay,
                           warmup=warmup)
-
-    def snapshot(self) -> list[np.ndarray]:
-        """Atomic read-only copy of the shadow parameters."""
-        return [p.copy() for p in self.shadow]
 
 
 def ema_update(tracker: EmaTracker, params: list[np.ndarray]) -> EmaTracker:
@@ -358,9 +330,3 @@ def load_checkpoint(path: str) -> dict:
         opt["m"] = _lists_to_arrays(opt["m"])
         opt["v"] = _lists_to_arrays(opt["v"])
     return payload
-
-
-def optimizer_from_payload(payload: dict) -> OptimizerState:
-    return OptimizerState(lr=payload["lr"], beta1=payload["beta1"],
-                          beta2=payload["beta2"], eps=payload["eps"],
-                          step=payload["step"], m=payload["m"], v=payload["v"])

@@ -74,14 +74,6 @@ class BcBaseline(_Actor):
     role = "bc"
 
 
-def policy_act(policy: GeneratorPolicy, s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape[-1] != policy.state_dim:
-        raise InvalidInputError(
-            f"state dim {s.shape[-1]} != policy state dim {policy.state_dim}")
-    return policy.act(s)
-
-
 def policy_loss(policy: GeneratorPolicy, model: NoiseModel,
                 states: np.ndarray, actions: np.ndarray,
                 sched: DiffusionSchedule, rng: SeededRng):

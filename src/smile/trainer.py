@@ -1,6 +1,8 @@
-"""Training loop: interleaved denoiser/generator optimization with gradient
-accumulation, EMA tracking, periodic self-motivated filtering, evaluation,
-metrics, the return-bin audit, and the one-step vs multi-step benchmark.
+"""Training: one iteration loop shared by SMILE (interleaved denoiser and
+generator optimization with gradient accumulation) and the behavior-cloning
+baseline, with EMA tracking, periodic self-motivated filtering, evaluation
+and metrics; plus the return-bin audit and the one-step vs multi-step
+benchmark.
 
 Cadence is 1-based: iteration idx fires a periodic task when
 idx % period == 0, so nothing runs on untrained models at idx 0. Each
@@ -11,13 +13,18 @@ the same with ``policy_optimize_every``. Accumulation is vectorized by
 tiling the batch, which is the same averaged gradient by linearity.
 
 Filtering and evaluation always read EMA snapshots, never live parameters.
+The audit scores nothing itself: it groups the segment records of
+expertise.score_dataset by trajectory.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -25,8 +32,8 @@ from .diffusion import (DiffusionSchedule, NoiseModel, build_schedule,
                         denoiser_loss, naive_reverse_sample)
 from .envs import DemoStore, EnvSpec, env_reset, rollout_batch_returns
 from .errors import ConfigError, InvalidInputError, TrainingError
-from .expertise import (FilterConfig, FilterReport, filter_dataset,
-                        q_curve_matrix, save_filter_report)
+from .expertise import (FilterConfig, FilterReport, SegmentRecord,
+                        filter_dataset, save_filter_report)
 from .mathcore import (EmaTracker, OptimizerState, SeededRng, ema_update,
                        optimizer_step, save_checkpoint)
 from .policy import BcBaseline, GeneratorPolicy, bc_loss, policy_loss
@@ -58,10 +65,6 @@ class TrainConfig:
     loss_norm: str = "l1"
     hidden: tuple[int, ...] = (256, 256, 256)
     embed_dim: int = 32
-
-    @property
-    def filter_dataset_every(self) -> int:
-        return self.filter.filter_every
 
     @property
     def num_iterations(self) -> int:
@@ -122,11 +125,6 @@ class MetricsLog:
         for row in self.rows:
             yield self.format_row(row)
 
-    def save_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            for line in self.csv_lines():
-                fh.write(line + "\n")
-
 
 @dataclass
 class TrainResult:
@@ -167,22 +165,149 @@ def _tile(arr: np.ndarray, k: int) -> np.ndarray:
     return arr if k == 1 else np.tile(arr, (k, 1))
 
 
-class _Phase:
-    """Accumulates wall-clock seconds per named training phase."""
+@contextmanager
+def _timed(clock: dict, name: str):
+    """Adds the wall-clock seconds of the block to clock[name]."""
+    t0 = time.perf_counter()
+    yield
+    clock[name] = clock.get(name, 0.0) + time.perf_counter() - t0
 
-    def __init__(self, clock: dict):
-        self.clock = clock
 
-    def __call__(self, name: str):
-        self.name = name
-        return self
+def _check_run(cfg: TrainConfig, store: DemoStore):
+    """Validate a run; return (state_dim, action_dim, action bounds)."""
+    cfg.validate()
+    if store.transition_count == 0:
+        raise InvalidInputError("cannot train on an empty store")
+    s_all, a_all = store.sample_all()
+    env = store.env
+    bounds = ((env.action_low, env.action_high) if env else (-1.0, 1.0))
+    return s_all.shape[1], a_all.shape[1], bounds
 
-    def __enter__(self):
-        self.t0 = time.perf_counter()
 
-    def __exit__(self, *exc):
-        self.clock[self.name] = (self.clock.get(self.name, 0.0)
-                                 + time.perf_counter() - self.t0)
+@dataclass
+class _Part:
+    """One trained network: its loss, optimizer state and EMA shadow.
+
+    ``name`` labels its phase, CSV loss column and counters, ``role`` its
+    checkpoint. Each iteration ``loss(states, actions)`` runs on the batch
+    tiled ``accumulate`` times and one optimizer step follows.
+    """
+
+    role: str
+    name: str
+    net: object
+    loss: Callable
+    accumulate: int
+    opt: OptimizerState
+    ema: EmaTracker
+
+    @staticmethod
+    def of(cfg: TrainConfig, role: str, name: str, net, loss,
+           accumulate: int = 1) -> "_Part":
+        warmup = max(1, cfg.ema_warmup_steps // cfg.update_ema_every)
+        return _Part(role, name, net, loss, accumulate,
+                     OptimizerState.for_params(net.params(), lr=cfg.lr),
+                     EmaTracker.for_params(net.params(), decay=cfg.ema_decay,
+                                           warmup=warmup))
+
+    def shadow_copy(self):
+        """A fresh network holding the EMA shadow parameters."""
+        snapshot = (snapshot_noise_model if self.role == "denoiser"
+                    else snapshot_policy)
+        return snapshot(self.net, self.ema.shadow)
+
+    def save(self, path: str, **extra) -> None:
+        save_checkpoint(path, self.role, self.net.arch(), self.net.params(),
+                        optimizer=self.opt, ema=self.ema.shadow, **extra)
+
+
+def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
+         parts: list[_Part], out_dir: str | None,
+         sched: DiffusionSchedule | None = None):
+    """The iteration loop of train and train_bc; returns (metrics, reports).
+
+    Per iteration: sample a batch; update each part in order; check the
+    losses for finiteness; advance every part's EMA; filter (given a sched
+    and cfg.filtering; parts[0] is the denoiser, parts[1] the generator), so
+    a pass reads this iteration's shadow; log the row, evaluating parts[-1]
+    when due.
+    """
+    env = store.env
+    counters = {f"{part.name}_{what}": 0 for part in parts
+                for what in ("grad_evals", "optimizer_steps")}
+    counters.update(ema_updates=0, filter_passes=0, transitions_consumed=0)
+    metrics = MetricsLog(counters=counters)
+    phase = partial(_timed, metrics.wall_clock)
+    reports: list[FilterReport] = []
+    filtering = cfg.filtering and sched is not None
+    csv_fh = None
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        csv_fh = open(os.path.join(out_dir, "metrics.csv"), "w")
+        csv_fh.write(",".join(CSV_COLUMNS) + "\n")
+
+    n_iters = cfg.num_iterations
+    try:
+        for idx in range(1, n_iters + 1):
+            states, actions = store.sample(rngs["batch"], cfg.batch_size)
+            losses = {}
+            for part in parts:
+                # grads stays bound until the next loss returns: freeing it
+                # earlier made glibc trim and re-fault the heap every BC
+                # step (9x the page faults, 35-60% slower)
+                k = part.accumulate
+                with phase(part.name):
+                    loss, grads = part.loss(_tile(states, k),
+                                            _tile(actions, k))
+                    optimizer_step(part.opt, part.net.params(), grads)
+                counters[f"{part.name}_grad_evals"] += k
+                counters[f"{part.name}_optimizer_steps"] += 1
+                losses[f"{part.name}_loss"] = loss
+
+            if not all(np.isfinite(v) for v in losses.values()):
+                if out_dir is not None:
+                    for part in parts:
+                        part.save(os.path.join(
+                            out_dir, f"diagnostic_{part.role}.json"))
+                raise TrainingError(
+                    f"non-finite loss at iteration {idx}: " + " ".join(
+                        f"{k}={v}" for k, v in losses.items()))
+
+            if idx % cfg.update_ema_every == 0:
+                with phase("ema"):
+                    for part in parts:
+                        ema_update(part.ema, part.net.params())
+                counters["ema_updates"] += 1
+
+            if filtering and idx % cfg.filter.filter_every == 0:
+                with phase("filter"):
+                    report = filter_dataset(
+                        store, parts[0].shadow_copy(), parts[1].shadow_copy(),
+                        cfg.filter, sched, iteration=idx)
+                reports.append(report)
+                counters["filter_passes"] += 1
+                metrics.filter_summaries.append(report.summary())
+                filtering = not report.stop_filtering
+                if out_dir is not None:
+                    save_filter_report(report, os.path.join(
+                        out_dir, f"filter_report_{idx:06d}.json"))
+
+            row = {"iteration": idx, "transitions": idx * cfg.batch_size,
+                   **losses, "store_size": store.transition_count}
+            if env is not None and cfg.eval_every > 0 and (
+                    idx % cfg.eval_every == 0 or idx == n_iters):
+                with phase("eval"):
+                    mean, std = evaluate(parts[-1].shadow_copy(), env,
+                                         cfg.eval_episodes, rngs["eval"])
+                row["eval_mean"], row["eval_std"] = mean, std
+            metrics.add_row(**row)
+            if csv_fh is not None:
+                csv_fh.write(MetricsLog.format_row(row) + "\n")
+        counters["transitions_consumed"] = n_iters * cfg.batch_size
+    finally:
+        if csv_fh is not None:
+            csv_fh.close()
+    return metrics, reports
 
 
 def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
@@ -196,207 +321,67 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     ablation: batches come uniformly from the untouched store for the whole
     run.
     """
-    cfg.validate()
-    if store.transition_count == 0:
-        raise InvalidInputError("cannot train on an empty store")
-    env = store.env
+    state_dim, action_dim, bounds = _check_run(cfg, store)
     sched = build_schedule(cfg.diffusion_steps, cfg.beta_min, cfg.beta_max)
-    s_all, a_all = store.sample_all()
-    state_dim, action_dim = s_all.shape[1], a_all.shape[1]
-
-    model = NoiseModel(state_dim, action_dim, sched.T, rng.spawn("init-denoiser"),
-                       hidden=cfg.hidden, embed_dim=cfg.embed_dim,
-                       norm=cfg.loss_norm)
-    bounds = ((env.action_low, env.action_high) if env else (-1.0, 1.0))
+    model = NoiseModel(state_dim, action_dim, sched.T,
+                       rng.spawn("init-denoiser"), hidden=cfg.hidden,
+                       embed_dim=cfg.embed_dim, norm=cfg.loss_norm)
     policy = GeneratorPolicy(state_dim, action_dim, rng.spawn("init-policy"),
                              hidden=cfg.hidden, action_low=bounds[0],
                              action_high=bounds[1])
-    opt_model = OptimizerState.for_params(model.params(), lr=cfg.lr)
-    opt_policy = OptimizerState.for_params(policy.params(), lr=cfg.lr)
-    ema_warmup = max(1, cfg.ema_warmup_steps // cfg.update_ema_every)
-    ema_model = EmaTracker.for_params(model.params(), decay=cfg.ema_decay,
-                                      warmup=ema_warmup)
-    ema_policy = EmaTracker.for_params(policy.params(), decay=cfg.ema_decay,
-                                       warmup=ema_warmup)
+    rngs = {tag: rng.spawn(tag)
+            for tag in ("batch", "denoiser-noise", "policy-noise", "eval")}
+    # the loss functions are looked up at call time, so hooks and test
+    # patches on this module's globals apply
+    den = _Part.of(cfg, "denoiser", "denoiser", model,
+                   lambda s, a: denoiser_loss(model, s, a, sched,
+                                              rngs["denoiser-noise"]),
+                   cfg.denoiser_optimize_every)
+    gen = _Part.of(cfg, "generator", "policy", policy,
+                   lambda s, a: policy_loss(policy, model, s, a, sched,
+                                            rngs["policy-noise"]),
+                   cfg.policy_optimize_every)
 
-    rng_batch = rng.spawn("batch")
-    rng_den = rng.spawn("denoiser-noise")
-    rng_pol = rng.spawn("policy-noise")
-    rng_eval = rng.spawn("eval")
-
-    metrics = MetricsLog(counters={
-        "denoiser_grad_evals": 0, "denoiser_optimizer_steps": 0,
-        "policy_grad_evals": 0, "policy_optimizer_steps": 0,
-        "ema_updates": 0, "filter_passes": 0, "transitions_consumed": 0})
-    phase = _Phase(metrics.wall_clock)
-    reports: list[FilterReport] = []
-    stop_filtering = False
-    csv_fh = None
+    metrics, reports = _run(cfg, store, rngs, [den, gen], out_dir, sched)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        csv_fh = open(os.path.join(out_dir, "metrics.csv"), "w")
-        csv_fh.write(",".join(CSV_COLUMNS) + "\n")
-
-    def emit(row: dict) -> None:
-        if csv_fh is not None:
-            csv_fh.write(MetricsLog.format_row(row) + "\n")
-
-    def diagnostic_dump() -> None:
-        if out_dir is None:
-            return
-        save_checkpoint(os.path.join(out_dir, "diagnostic_denoiser.json"),
-                        "denoiser", model.arch(), model.params(),
-                        optimizer=opt_model, ema=ema_model.shadow)
-        save_checkpoint(os.path.join(out_dir, "diagnostic_generator.json"),
-                        "generator", policy.arch(), policy.params(),
-                        optimizer=opt_policy, ema=ema_policy.shadow)
-
-    n_iters = cfg.num_iterations
-    try:
-        for idx in range(1, n_iters + 1):
-            states, actions = store.sample(rng_batch, cfg.batch_size)
-
-            with phase("denoiser"):
-                k = cfg.denoiser_optimize_every
-                d_loss, grads = denoiser_loss(
-                    model, _tile(states, k), _tile(actions, k), sched, rng_den)
-                optimizer_step(opt_model, model.params(), grads)
-            metrics.counters["denoiser_grad_evals"] += k
-            metrics.counters["denoiser_optimizer_steps"] += 1
-
-            with phase("policy"):
-                m = cfg.policy_optimize_every
-                p_loss, grads = policy_loss(
-                    policy, model, _tile(states, m), _tile(actions, m),
-                    sched, rng_pol)
-                optimizer_step(opt_policy, policy.params(), grads)
-            metrics.counters["policy_grad_evals"] += m
-            metrics.counters["policy_optimizer_steps"] += 1
-
-            if not np.isfinite(d_loss) or not np.isfinite(p_loss):
-                diagnostic_dump()
-                raise TrainingError(
-                    f"non-finite loss at iteration {idx}: "
-                    f"denoiser={d_loss} policy={p_loss}")
-
-            if idx % cfg.update_ema_every == 0:
-                with phase("ema"):
-                    ema_update(ema_model, model.params())
-                    ema_update(ema_policy, policy.params())
-                metrics.counters["ema_updates"] += 1
-
-            if (cfg.filtering and not stop_filtering
-                    and idx % cfg.filter.filter_every == 0):
-                with phase("filter"):
-                    report = filter_dataset(
-                        store, snapshot_noise_model(model, ema_model.shadow),
-                        snapshot_policy(policy, ema_policy.shadow),
-                        cfg.filter, sched, iteration=idx)
-                reports.append(report)
-                metrics.counters["filter_passes"] += 1
-                metrics.filter_summaries.append(report.summary())
-                stop_filtering = report.stop_filtering
-                if out_dir is not None:
-                    save_filter_report(report, os.path.join(
-                        out_dir, f"filter_report_{idx:06d}.json"))
-
-            row = {"iteration": idx, "transitions": idx * cfg.batch_size,
-                   "denoiser_loss": d_loss, "policy_loss": p_loss,
-                   "store_size": store.transition_count}
-            if env is not None and cfg.eval_every > 0 and (
-                    idx % cfg.eval_every == 0 or idx == n_iters):
-                with phase("eval"):
-                    snap = snapshot_policy(policy, ema_policy.shadow)
-                    mean, std = evaluate(snap, env, cfg.eval_episodes,
-                                         rng_eval)
-                row["eval_mean"], row["eval_std"] = mean, std
-            metrics.add_row(**row)
-            emit(row)
-        metrics.counters["transitions_consumed"] = n_iters * cfg.batch_size
-    finally:
-        if csv_fh is not None:
-            csv_fh.close()
-
-    if out_dir is not None:
-        rng_states = {"root": rng.get_state(), "batch": rng_batch.get_state(),
-                      "denoiser-noise": rng_den.get_state(),
-                      "policy-noise": rng_pol.get_state(),
-                      "eval": rng_eval.get_state()}
-        save_checkpoint(os.path.join(out_dir, "denoiser.json"), "denoiser",
-                        model.arch(), model.params(), optimizer=opt_model,
-                        ema=ema_model.shadow, rng_states=rng_states)
-        save_checkpoint(os.path.join(out_dir, "generator.json"), "generator",
-                        policy.arch(), policy.params(), optimizer=opt_policy,
-                        ema=ema_policy.shadow, rng_states=rng_states)
+        rng_states = {"root": rng.get_state(),
+                      **{tag: r.get_state() for tag, r in rngs.items()}}
+        for part in (den, gen):
+            part.save(os.path.join(out_dir, f"{part.role}.json"),
+                      rng_states=rng_states)
 
     return TrainResult(
         noise_model=model, policy=policy,
-        ema_noise_model=snapshot_noise_model(model, ema_model.shadow),
-        ema_policy=snapshot_policy(policy, ema_policy.shadow),
+        ema_noise_model=den.shadow_copy(), ema_policy=gen.shadow_copy(),
         metrics=metrics, store=store, sched=sched, filter_reports=reports)
 
 
 def train_bc(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
              out_dir: str | None = None):
-    """Behavior-cloning baseline over the full store, same budget and cadence."""
-    cfg.validate()
-    if store.transition_count == 0:
-        raise InvalidInputError("cannot train on an empty store")
-    env = store.env
-    s_all, a_all = store.sample_all()
-    bounds = ((env.action_low, env.action_high) if env else (-1.0, 1.0))
-    baseline = BcBaseline(s_all.shape[1], a_all.shape[1],
-                          rng.spawn("init-bc"), hidden=cfg.hidden,
-                          action_low=bounds[0], action_high=bounds[1])
-    opt = OptimizerState.for_params(baseline.params(), lr=cfg.lr)
-    ema_warmup = max(1, cfg.ema_warmup_steps // cfg.update_ema_every)
-    ema = EmaTracker.for_params(baseline.params(), decay=cfg.ema_decay,
-                                warmup=ema_warmup)
-    rng_batch = rng.spawn("batch")
-    rng_eval = rng.spawn("eval")
-    metrics = MetricsLog(counters={"transitions_consumed": 0})
-    csv_fh = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        csv_fh = open(os.path.join(out_dir, "metrics.csv"), "w")
-        csv_fh.write(",".join(CSV_COLUMNS) + "\n")
-    n_iters = cfg.num_iterations
-    try:
-        for idx in range(1, n_iters + 1):
-            states, actions = store.sample(rng_batch, cfg.batch_size)
-            loss, grads = bc_loss(baseline, states, actions)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite BC loss at iteration {idx}")
-            optimizer_step(opt, baseline.params(), grads)
-            if idx % cfg.update_ema_every == 0:
-                ema_update(ema, baseline.params())
-            row = {"iteration": idx, "transitions": idx * cfg.batch_size,
-                   "policy_loss": loss, "store_size": store.transition_count}
-            if env is not None and cfg.eval_every > 0 and (
-                    idx % cfg.eval_every == 0 or idx == n_iters):
-                snap = snapshot_policy(baseline, ema.shadow)
-                mean, std = evaluate(snap, env, cfg.eval_episodes, rng_eval)
-                row["eval_mean"], row["eval_std"] = mean, std
-            metrics.add_row(**row)
-            if csv_fh is not None:
-                csv_fh.write(MetricsLog.format_row(row) + "\n")
-        metrics.counters["transitions_consumed"] = n_iters * cfg.batch_size
-    finally:
-        if csv_fh is not None:
-            csv_fh.close()
-    return snapshot_policy(baseline, ema.shadow), baseline, metrics
+    """Behavior-cloning baseline over the full store: train's loop, budget
+    and cadence with one BC part in place of the denoiser and generator, and
+    no filter. Returns (EMA snapshot, live baseline, metrics)."""
+    state_dim, action_dim, bounds = _check_run(cfg, store)
+    baseline = BcBaseline(state_dim, action_dim, rng.spawn("init-bc"),
+                          hidden=cfg.hidden, action_low=bounds[0],
+                          action_high=bounds[1])
+    part = _Part.of(cfg, "bc", "policy", baseline,
+                    lambda s, a: bc_loss(baseline, s, a))
+    rngs = {tag: rng.spawn(tag) for tag in ("batch", "eval")}
+    metrics, _ = _run(cfg, store, rngs, [part], out_dir)
+    return part.shadow_copy(), baseline, metrics
 
 
-def audit_bins(store: DemoStore, model, policy, sched: DiffusionSchedule,
+def audit_bins(store: DemoStore, records: list[SegmentRecord],
                bin_edges) -> list[dict]:
     """Group trajectories by return bin; report count and mean predicted
     diffusion step per non-empty bin (empty bins are simply absent).
 
-    The policy is called once over the whole store, as in score_dataset, so
-    the bin table and the per-trajectory report score against the same
-    policy actions. Each trajectory's Q curve is then computed on its own
-    slice of states, actions and reference actions, and its predicted step
-    is the argmax over t' (ties break toward the smallest t').
+    Nothing is scored here: ``records`` are the segment records
+    score_dataset returned for this store. A trajectory's Q curve is the
+    length-weighted mean of its segments' mean_q, which is the mean over all
+    its transitions, and its predicted step is that curve's argmax over t'
+    (ties break toward the smallest t').
     """
     if store.num_trajectories == 0:
         raise InvalidInputError("cannot audit an empty store")
@@ -407,20 +392,15 @@ def audit_bins(store: DemoStore, model, policy, sched: DiffusionSchedule,
         if tr.ret is None:
             raise InvalidInputError(
                 f"trajectory {tr.traj_id} carries no return")
-        if len(tr) == 0:
-            raise InvalidInputError("cannot score an empty trajectory")
-    states, targets = store.sample_all()
-    refs = np.atleast_2d(policy.act(states))
-    steps = []
-    start = 0
-    for tr in store.trajectories:
-        stop = start + len(tr)
-        curve = q_curve_matrix(model, states[start:stop],
-                               targets[start:stop], refs[start:stop],
-                               sched).mean(axis=1)
-        steps.append(int(np.argmax(curve)))
-        start = stop
-    steps = np.asarray(steps)
+    q_sums, lengths = {}, {}
+    for rec in records:
+        n = rec.stop - rec.start
+        q_sums[rec.parent_id] = (q_sums.get(rec.parent_id, 0.0)
+                                 + n * np.asarray(rec.mean_q))
+        lengths[rec.parent_id] = lengths.get(rec.parent_id, 0) + n
+    steps = np.asarray([int(np.argmax(q_sums[tr.traj_id]
+                                      / lengths[tr.traj_id]))
+                        for tr in store.trajectories])
     rets = np.asarray([tr.ret for tr in store.trajectories])
     rows = []
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -83,8 +83,8 @@ class TablePolicy:
 
     It accepts exactly two calls: one batched call over the whole batch it
     was built from (for a store, ``store.sample_all()`` states, which is how
-    score_dataset and audit_bins call the policy), or a single state. Any
-    other batch is a contract violation and fails the assertion.
+    score_dataset calls the policy), or a single state. Any other batch is a
+    contract violation and fails the assertion.
     """
 
     def __init__(self, states: np.ndarray, actions: np.ndarray):

@@ -1,0 +1,121 @@
+import json
+import os
+
+import pytest
+
+import smile.cli as cli
+from smile.policy import GeneratorPolicy
+
+
+def write_config(path, out_dir, data="per_level = 2"):
+    path.write_text(f"""\
+[experiment]
+output_dir = {out_dir}
+seed = 3
+
+[data]
+{data}
+
+[train]
+batch_size = 32
+transition_budget = 640
+eval_every = 20
+eval_episodes = 4
+
+[filter]
+filter_every = 10
+min_demos = 1
+""")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    """A tiny gen-data then train run: (config path, output dir)."""
+    out = tmp_path_factory.mktemp("run")
+    cfg = write_config(out / "cfg.ini", out)
+    assert cli.main(["gen-data", "--config", cfg]) == 0
+    assert cli.main(["train", "--config", cfg]) == 0
+    return cfg, out
+
+
+def audit_argv(cfg, out, demos=None):
+    return ["audit", "--config", cfg, "--denoiser", str(out / "denoiser.json"),
+            "--generator", str(out / "generator.json"),
+            "--demos", demos or str(out / "demos.jsonl"),
+            "--out", str(out / "audit.json")]
+
+
+def test_gen_data_train_audit(run, capsys):
+    cfg, out = run
+    assert cli.main(["gen-data", "--config", cfg]) == 0
+    gen = capsys.readouterr().out.splitlines()
+    assert gen[1] == "noise_level,episodes,mean_return"
+    for line in gen[2:]:
+        level, episodes, mean = line.split(",")
+        assert episodes == "2" and float(mean) < 0  # a plain float repr
+    rows = open(out / "metrics.csv").read().splitlines()
+    assert len(rows) == 1 + 20 and rows[-1].startswith("20,640,")
+    assert cli.main(audit_argv(cfg, out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    table = lines[lines.index("bin_lo,bin_hi,count,mean_step") + 1:-1]
+    assert sum(int(row.split(",")[2]) for row in table) == 10
+    report = json.load(open(out / "audit.json"))
+    assert len(report["records"]) == report["n_before"] == 10
+
+
+def test_audit_scores_once(run, monkeypatch):
+    cfg, out = run
+    scored, acted = [], []
+    real_score, real_act = cli.score_dataset, GeneratorPolicy.act
+
+    def score(*args, **kwargs):
+        scored.append(1)
+        return real_score(*args, **kwargs)
+
+    def act(self, s):
+        acted.append(len(s))
+        return real_act(self, s)
+
+    monkeypatch.setattr(cli, "score_dataset", score)
+    monkeypatch.setattr(GeneratorPolicy, "act", act)
+    assert cli.main(audit_argv(cfg, out)) == 0
+    assert scored == [1]
+    assert acted == [1000]  # one policy call over all 10 x 100 transitions
+
+
+def corrupt_demos(out, tmp_path, edit):
+    """Copy the run's demo file with line 3 (a record) passed through
+    ``edit``; return the copy's path."""
+    lines = open(out / "demos.jsonl").read().splitlines()
+    lines[2] = edit(lines[2])
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ln: ln[:len(ln) // 2],                       # truncated JSON
+    lambda ln: json.dumps({**json.loads(ln), "s": [float("nan")] * 4}),
+], ids=["truncated", "nan"])
+def test_bad_demo_line_exits_1(run, tmp_path, capsys, edit):
+    cfg, out = run
+    bad = corrupt_demos(out, tmp_path, edit)
+    for argv in (["train", "--config", cfg, "--demos", bad],
+                 audit_argv(cfg, out, demos=bad)):
+        assert cli.main(argv) == 1
+        assert f"{bad}:3:" in capsys.readouterr().err
+
+
+def test_missing_demos_exits_1(run, tmp_path, capsys):
+    cfg, _ = run
+    missing = str(tmp_path / "nowhere.jsonl")
+    assert cli.main(["train", "--config", cfg, "--demos", missing]) == 1
+    assert missing in capsys.readouterr().err
+
+
+def test_empty_noise_levels_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.ini", tmp_path, data="noise_levels =")
+    assert cli.main(["gen-data", "--config", cfg]) == 1
+    assert f"{cfg}:6:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "demos.jsonl")

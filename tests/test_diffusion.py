@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smile.diffusion import (NoiseModel, build_schedule, denoiser_loss,
-                             diffuse, gaussian_prior_init,
-                             naive_reverse_sample, posterior_mean,
+                             diffuse, naive_reverse_sample, posterior_mean,
                              posterior_var)
 from smile.errors import ConfigError, InvalidInputError
 from smile.mathcore import SeededRng
@@ -292,9 +291,3 @@ class TestNaiveReverse:
             out = naive_reverse_sample(oracle, states[i], sched, rng, a_T)
             errs.append(np.abs(out - mu[i]).mean())
         assert np.mean(errs) < sigma_d / 2
-
-    def test_gaussian_prior_init_scale(self, sched):
-        rng = SeededRng(3)
-        draws = np.array([gaussian_prior_init(sched, 4, rng)
-                          for _ in range(2000)])
-        assert draws.std() == pytest.approx(sched.sigmas[sched.T], rel=0.05)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from smile.envs import (DemoStore, EnvState, Trajectory, default_expert,
                         env_reset, env_step, expert_act, generate_demos,
                         load_demos, make_env_spec, rollout_batch_returns,
-                        rollout_episode, save_demos, sort_by_return,
-                        trajectory_return, undiscounted_return)
+                        rollout_episode, save_demos, undiscounted_return)
 from smile.errors import ConfigError, EnvironmentFault, InvalidInputError
 from smile.mathcore import SeededRng
 
@@ -207,38 +206,17 @@ class TestReturns:
                           terminals=np.r_[np.zeros(n - 1, bool), True])
 
     def test_zero_rewards(self):
-        assert trajectory_return(self._traj([0.0, 0.0]), 0.99) == 0.0
-
-    def test_gamma_zero_kills_everything(self):
-        # every term carries gamma^n with n >= 1
-        assert trajectory_return(self._traj([5.0, 7.0]), 0.0) == 0.0
-
-    def test_three_term_arithmetic(self):
-        got = trajectory_return(self._traj([1.0, 1.0, 1.0]), 0.99)
-        assert got == pytest.approx(0.99 + 0.9801 + 0.970299, abs=1e-12)
+        assert undiscounted_return(self._traj([0.0, 0.0])) == 0.0
 
     def test_undiscounted_is_plain_sum(self):
         traj = self._traj([1.0, -2.0, 0.5])
         assert undiscounted_return(traj) == pytest.approx(-0.5)
-        assert trajectory_return(traj, 1.0) == pytest.approx(-0.5)
 
     def test_missing_rewards(self):
         traj = self._traj([1.0])
         traj.rewards = None
         with pytest.raises(InvalidInputError):
-            trajectory_return(traj, 0.99)
-
-    def test_sort_by_return_stable_total(self):
-        trajs = []
-        for i, r in enumerate([3.0, -1.0, 3.0, 0.0]):
-            t = self._traj([r])
-            t.traj_id = i
-            t.ret = r
-            trajs.append(t)
-        ordered = sort_by_return(trajs)
-        assert [t.ret for t in ordered] == [-1.0, 0.0, 3.0, 3.0]
-        # stability: equal returns keep original relative order
-        assert [t.traj_id for t in ordered] == [1, 3, 0, 2]
+            undiscounted_return(traj)
 
 
 class TestDemoStore:

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from smile.diffusion import diffuse
 from smile.envs import DemoStore, Trajectory
 from smile.errors import ConfigError, InvalidInputError
-from smile.expertise import (FilterConfig, filter_dataset,
-                             predict_diffusion_step,
-                             predict_diffusion_step_curve, q_value,
+from smile.expertise import (FilterConfig, filter_dataset, q_curve_matrix,
                              save_filter_report, score_dataset,
                              segment_trajectories)
 from smile.mathcore import SeededRng
@@ -28,35 +26,48 @@ def make_traj(states, actions, tid=0, noise_level=None):
 
 
 class _OffsetModel:
-    """Stub predictor: claims the noise is a fixed per-row vector over
+    """Stub predictor: claims the noise at each state is a fixed vector over
     sigma_T, so denoising t steps walks the reference linearly and lands on
-    target-plus-nothing exactly at t = T."""
+    target-plus-nothing exactly at t = T. Like TablePolicy it looks rows up
+    by state, so it answers any batch of the states it was built from."""
 
-    def __init__(self, vecs, sched):
+    def __init__(self, states, vecs, sched):
+        self.states = np.atleast_2d(states)
         self.vecs = np.atleast_2d(vecs)
         self.sched = sched
 
     def predict(self, s, a_ref, t):
-        rows = len(np.atleast_2d(a_ref))
-        if len(self.vecs) == 1:
-            return np.repeat(self.vecs, rows, axis=0) / self.sched.sigmas[-1]
-        return self.vecs / self.sched.sigmas[-1]
+        idx = [int(np.flatnonzero((self.states == row).all(axis=1))[0])
+               for row in np.atleast_2d(s)]
+        return self.vecs[idx] / self.sched.sigmas[-1]
+
+
+def predicted_step(model, policy, traj, sched):
+    """(predicted step, mean-Q curve) of one trajectory, scored by
+    score_dataset as a store of one unsplit segment."""
+    cfg = FilterConfig(min_demos=1, max_demo_len=10 ** 6)
+    records, _ = score_dataset(DemoStore([traj]), model, policy, cfg, sched)
+    (rec,) = records
+    return rec.predicted_step, np.asarray(rec.mean_q)
 
 
 class TestQValue:
     def test_t0_equal_actions_is_max(self, sched):
-        got = q_value(None, np.zeros(2), np.ones(2), np.ones(2), 0, sched)
-        assert got == 0.0
+        ones = np.ones((1, 2))
+        model = _OffsetModel(np.zeros((1, 2)), np.ones((1, 2)), sched)
+        q = q_curve_matrix(model, np.zeros((1, 2)), ones, ones, sched)
+        assert q[0, 0] == 0.0
+        assert q.shape == (sched.T + 1, 1) and np.all(q <= 0.0)
 
     def test_exact_denoise_gives_zero(self, sched, rng):
         task = GaussianTask(seed=1, action_dim=2)
         oracle = OracleDenoiser(task, sched)
-        s = task.sample_states(rng, 1)[0]
-        a_ref = rng.standard_normal(2)
+        s = task.sample_states(rng, 1)
+        a_ref = rng.standard_normal((1, 2))
         t = 4
         target = a_ref - sched.sigmas[t] * oracle.predict(s, a_ref, t)
-        assert q_value(oracle, s, target, a_ref, t, sched) == pytest.approx(
-            0.0, abs=1e-20)
+        q = q_curve_matrix(oracle, s, target, a_ref, sched)
+        assert q[t, 0] == pytest.approx(0.0, abs=1e-20)
 
     def test_frozen_hand_value(self, sched):
         from smile.diffusion import NoiseModel
@@ -67,14 +78,8 @@ class TestQValue:
         t = 6
         denoised = a_ref - sched.sigmas[t] * model.predict(s, a_ref, t)
         expected = -float(((a_target - denoised) ** 2).sum())
-        assert q_value(model, s, a_target, a_ref, t, sched) == pytest.approx(
-            expected, rel=1e-12)
-
-    def test_t_out_of_range(self, sched):
-        with pytest.raises(InvalidInputError):
-            q_value(None, np.zeros(2), np.zeros(2), np.zeros(2), 11, sched)
-        with pytest.raises(InvalidInputError):
-            q_value(None, np.zeros(2), np.zeros(2), np.zeros(2), -1, sched)
+        q = q_curve_matrix(model, s[None], a_target[None], a_ref[None], sched)
+        assert q[t, 0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestPredictStep:
@@ -85,7 +90,7 @@ class TestPredictStep:
         actions = task.mu(states)
         traj = make_traj(states, actions)
         policy = TablePolicy(states, actions)
-        assert predict_diffusion_step(oracle, policy, traj, sched) == 0
+        assert predicted_step(oracle, policy, traj, sched)[0] == 0
 
     @pytest.mark.parametrize("t", [3, 5, 7])
     def test_diffused_reference_recovers_step(self, sched, t):
@@ -101,8 +106,7 @@ class TestPredictStep:
             refs = diffuse(a0, t, sched, rng.standard_normal(a0.shape))
             traj = make_traj(states, a0)
             policy = TablePolicy(states, refs)
-            step, curve = predict_diffusion_step_curve(oracle, policy, traj,
-                                                       sched)
+            step, curve = predicted_step(oracle, policy, traj, sched)
             assert len(curve) == sched.T + 1
             hits += step == t
         assert hits >= 9
@@ -120,7 +124,7 @@ class TestPredictStep:
             noisy = diffuse(a0, 2, sched, rng.standard_normal(a0.shape))
             traj = make_traj(states, noisy)
             policy = TablePolicy(states, a0)
-            zeros += predict_diffusion_step(oracle, policy, traj, sched) == 0
+            zeros += predicted_step(oracle, policy, traj, sched)[0] == 0
         assert zeros >= 9
 
     def test_noisier_reference_keep_direction(self, sched, rng):
@@ -132,24 +136,60 @@ class TestPredictStep:
         a0 = task.sample_actions(rng, states)
         refs = diffuse(a0, 6, sched, rng.standard_normal(a0.shape))
         traj = make_traj(states, a0)
-        assert predict_diffusion_step(oracle, TablePolicy(states, refs),
-                                      traj, sched) > 0
+        step, _ = predicted_step(oracle, TablePolicy(states, refs), traj,
+                                 sched)
+        assert step > 0
 
     def test_empty_trajectory_rejected(self, sched):
         traj = Trajectory(traj_id=0, states=np.zeros((0, 2)),
                           actions=np.zeros((0, 2)), rewards=None,
                           terminals=np.zeros(0, dtype=bool))
         with pytest.raises(InvalidInputError):
-            predict_diffusion_step(None, None, traj, sched)
+            predicted_step(None, None, traj, sched)
 
     def test_tie_breaks_toward_smallest(self, sched, rng):
         # zero offset makes the whole curve flat: argmax must return 0
         states = rng.standard_normal((5, 2))
         actions = rng.standard_normal((5, 2))
         traj = make_traj(states, actions)
-        model = _OffsetModel(np.zeros(2), sched)
+        model = _OffsetModel(states, np.zeros((5, 2)), sched)
         policy = TablePolicy(states, actions)
-        assert predict_diffusion_step(model, policy, traj, sched) == 0
+        assert predicted_step(model, policy, traj, sched)[0] == 0
+
+
+class TestScoreDataset:
+    def test_one_policy_call_one_segment_per_denoiser_batch(self, sched):
+        # 6 trajectories of 10 transitions, cut into segments of 4, 4 and 2
+        task = GaussianTask(seed=20, action_dim=2)
+        trajs = []
+        for tid in range(6):
+            rng = SeededRng(21 + tid)
+            states = task.sample_states(rng, 10)
+            trajs.append(make_traj(states, task.sample_actions(rng, states),
+                                   tid=tid))
+        store = DemoStore(trajs)
+        states, actions = store.sample_all()
+        oracle, table = OracleDenoiser(task, sched), TablePolicy(states,
+                                                                 actions)
+        policy_rows, denoiser_rows = [], []
+
+        class CountingPolicy:
+            def act(self, s):
+                policy_rows.append(len(s))
+                return table.act(s)
+
+        class CountingModel:
+            def predict(self, s, a_t, t):
+                denoiser_rows.append(len(s))
+                return oracle.predict(s, a_t, t)
+
+        cfg = FilterConfig(min_demos=1, max_demo_len=4)
+        records, _ = score_dataset(store, CountingModel(), CountingPolicy(),
+                                   cfg, sched)
+        assert policy_rows == [store.transition_count]
+        assert [r.stop - r.start for r in records] == [4, 4, 2] * 6
+        assert denoiser_rows == [n for n in [4, 4, 2] * 6
+                                 for _ in range(sched.T)]
 
 
 class TestSegmentation:
@@ -184,9 +224,9 @@ def _offset_store(offsets, sched, n=4, dim=2, seed=0):
         refs.append(actions + off)
         vecs.append(np.full((n, dim), off))
     store = DemoStore(trajs)
-    policy = TablePolicy(np.concatenate([t.states for t in trajs]),
-                         np.concatenate(refs))
-    model = _OffsetModel(np.concatenate(vecs), sched)
+    all_states = np.concatenate([t.states for t in trajs])
+    policy = TablePolicy(all_states, np.concatenate(refs))
+    model = _OffsetModel(all_states, np.concatenate(vecs), sched)
     return store, policy, model
 
 
@@ -255,7 +295,7 @@ class TestFilterDataset:
                          noise_level=0.25)
         store = DemoStore([traj])
         policy = TablePolicy(traj.states, traj.actions + 0.5)
-        model = _OffsetModel(np.full((6, 2), 0.5), sched)
+        model = _OffsetModel(traj.states, np.full((6, 2), 0.5), sched)
         cfg = FilterConfig(min_demos=1, step_threshold=1, max_demo_len=3)
         report = filter_dataset(store, model, policy, cfg, sched)
         assert report.n_before == 2

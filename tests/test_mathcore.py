@@ -9,8 +9,7 @@ from smile.errors import (CheckpointVersionError, InvalidInputError,
                           TrainingError)
 from smile.mathcore import (EmaTracker, FeedForwardNet, OptimizerState,
                             SeededRng, derive_seed, ema_update,
-                            gaussian_sample, load_checkpoint, net_forward,
-                            net_gradients, optimizer_step, save_checkpoint)
+                            load_checkpoint, optimizer_step, save_checkpoint)
 
 from conftest import finite_difference_grads, relative_error, small_net
 
@@ -21,7 +20,7 @@ class TestNetForward:
         for w in net.weights:
             w[...] = 0.0
         net.biases[-1][...] = [0.7, -0.3]
-        out = net_forward(net, np.array([1.0, -2.0, 0.5]))
+        out = net.forward(np.array([1.0, -2.0, 0.5]))
         assert np.allclose(out, [0.7, -0.3])
 
     def test_single_identity_layer(self):
@@ -29,7 +28,7 @@ class TestNetForward:
         net.weights[0][...] = np.eye(3)
         net.biases[0][...] = 0.0
         x = np.array([0.3, -1.1, 2.0])
-        assert np.allclose(net_forward(net, x), x)
+        assert np.allclose(net.forward(x), x)
 
     def test_hand_evaluated_221(self):
         net = small_net([2, 2, 1])
@@ -41,39 +40,45 @@ class TestNetForward:
         h1 = math.tanh(1.0 * 0.5 + 0.0 * 0.25 + 0.1)
         h2 = math.tanh(1.0 * -1.0 + 0.0 * 0.75 - 0.2)
         expected = 2.0 * h1 - 0.5 * h2 + 0.3
-        out = net_forward(net, np.array([1.0, 0.0]))
+        out = net.forward(np.array([1.0, 0.0]))
         assert out.shape == (1,)
         assert out[0] == pytest.approx(expected, abs=1e-14)
 
     def test_dim_mismatch_raises(self):
         net = small_net([3, 2])
         with pytest.raises(InvalidInputError):
-            net_forward(net, np.zeros(4))
+            net.forward(np.zeros(4))
 
     def test_batch_matches_single(self):
         net = small_net([3, 5, 2], seed=3)
         xs = SeededRng(4).standard_normal((6, 3))
-        batch = net_forward(net, xs)
+        batch = net.forward(xs)
         for i in range(6):
-            assert np.allclose(batch[i], net_forward(net, xs[i]))
+            assert np.allclose(batch[i], net.forward(xs[i]))
 
     def test_deterministic(self):
         net = small_net([3, 5, 2], seed=5)
         x = np.array([0.1, 0.2, 0.3])
-        assert np.array_equal(net_forward(net, x), net_forward(net, x))
+        assert np.array_equal(net.forward(x), net.forward(x))
 
 
 class TestNetGradients:
+    @staticmethod
+    def net_gradients(net, x, upstream):
+        """Gradient of (upstream . net(x)) w.r.t. every parameter and x."""
+        _, acts = net.forward_cached(x)
+        return net.backward(acts, upstream)
+
     def test_zero_upstream_zero_grads(self):
         net = small_net([3, 4, 2])
-        grads, _ = net_gradients(net, np.ones(3), np.zeros(2))
+        grads, _ = self.net_gradients(net, np.ones(3), np.zeros(2))
         assert all(np.all(g == 0) for g in grads)
 
     def test_linear_layer_outer_product(self):
         net = small_net([3, 2])
         x = np.array([1.0, -2.0, 0.5])
         up = np.array([0.3, -0.7])
-        grads, _ = net_gradients(net, x, up)
+        grads, _ = self.net_gradients(net, x, up)
         assert np.allclose(grads[0], np.outer(x, up))
         assert np.allclose(grads[1], up)
 
@@ -83,7 +88,7 @@ class TestNetGradients:
         rng = SeededRng(17)
         x = rng.standard_normal(widths[0])
         up = rng.standard_normal(widths[-1])
-        analytic, _ = net_gradients(net, x, up)
+        analytic, _ = self.net_gradients(net, x, up)
         numeric = finite_difference_grads(net, x, up)
         for a, n in zip(analytic, numeric):
             assert relative_error(a, n).max() < 1e-4
@@ -93,7 +98,7 @@ class TestNetGradients:
         rng = SeededRng(21)
         x = rng.standard_normal(3)
         up = rng.standard_normal(2)
-        _, input_grad = net_gradients(net, x, up)
+        _, input_grad = self.net_gradients(net, x, up)
         h = 1e-5
         for i in range(3):
             xp, xm = x.copy(), x.copy()
@@ -106,7 +111,7 @@ class TestNetGradients:
     def test_upstream_shape_mismatch(self):
         net = small_net([3, 2])
         with pytest.raises(InvalidInputError):
-            net_gradients(net, np.ones(3), np.zeros(4))
+            self.net_gradients(net, np.ones(3), np.zeros(4))
 
 
 class TestOptimizer:
@@ -199,23 +204,19 @@ class TestEma:
 
 class TestRng:
     def test_same_seed_identical(self):
-        a = gaussian_sample(SeededRng(42), 16)
-        b = gaussian_sample(SeededRng(42), 16)
+        a = SeededRng(42).standard_normal(16)
+        b = SeededRng(42).standard_normal(16)
         assert np.array_equal(a, b)
 
     def test_distinct_seeds_differ(self):
-        a = gaussian_sample(SeededRng(1), 16)
-        b = gaussian_sample(SeededRng(2), 16)
+        a = SeededRng(1).standard_normal(16)
+        b = SeededRng(2).standard_normal(16)
         assert not np.array_equal(a, b)
 
     def test_monte_carlo_moments(self):
         draws = SeededRng(7).standard_normal((10 ** 6, 2))
         assert np.abs(draws.mean(axis=0)).max() < 0.01
         assert np.abs(draws.var(axis=0) - 1.0).max() < 0.02
-
-    def test_bad_dim(self):
-        with pytest.raises(InvalidInputError):
-            gaussian_sample(SeededRng(0), 0)
 
     def test_derive_seed_stable_and_tag_sensitive(self):
         assert derive_seed(7, "data") == derive_seed(7, "data")

@@ -4,8 +4,7 @@ import pytest
 from smile.diffusion import NoiseModel, diffuse, posterior_mean
 from smile.errors import InvalidInputError
 from smile.mathcore import SeededRng
-from smile.policy import (BcBaseline, GeneratorPolicy, bc_loss, policy_act,
-                          policy_loss)
+from smile.policy import BcBaseline, GeneratorPolicy, bc_loss, policy_loss
 
 from gauss_task import GaussianTask, OracleDenoiser
 
@@ -27,17 +26,17 @@ class TestPolicyAct:
             w[...] = 0.0
         p.net.biases[-1][...] = [0.4, -0.6]
         for s in (np.zeros(2), np.array([3.0, -1.0])):
-            assert np.allclose(policy_act(p, s), [0.4, -0.6])
+            assert np.allclose(p.act(s), [0.4, -0.6])
 
     def test_deterministic(self):
         p = tiny_policy(seed=3)
         s = np.array([0.5, -0.25])
-        assert np.array_equal(policy_act(p, s), policy_act(p, s))
+        assert np.array_equal(p.act(s), p.act(s))
 
     def test_dim_mismatch(self):
         p = tiny_policy()
         with pytest.raises(InvalidInputError):
-            policy_act(p, np.zeros(5))
+            p.act(np.zeros(5))
 
     def test_clipping_only_at_execution(self):
         p = tiny_policy()
@@ -45,7 +44,7 @@ class TestPolicyAct:
             w[...] = 0.0
         p.net.biases[-1][...] = [5.0, -5.0]
         s = np.zeros(2)
-        assert np.allclose(policy_act(p, s), [5.0, -5.0])  # raw is unclipped
+        assert np.allclose(p.act(s), [5.0, -5.0])  # raw is unclipped
         assert np.allclose(p.act_clipped(s), [1.0, -1.0])
 
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import smile.trainer as trainer_mod
-from smile.diffusion import NoiseModel, build_schedule
+from smile.diffusion import NoiseModel, build_schedule, diffuse
 from smile.envs import default_expert, expert_act, make_env_spec, \
     rollout_batch_returns
 from smile.errors import ConfigError, InvalidInputError, TrainingError
-from smile.expertise import FilterConfig, FilterReport
+from smile.expertise import FilterConfig, q_curve_matrix, score_dataset
 from smile.mathcore import SeededRng
 from smile.policy import GeneratorPolicy
 from smile.trainer import (MetricsLog, TrainConfig, audit_bins, bench_reverse,
@@ -207,66 +207,70 @@ class TestEvaluate:
 
 
 class TestAuditBins:
-    def _setup(self, sched):
+    def _setup(self, sched, max_demo_len=100, refs=None):
+        """Store with returns 0, 10, ..., 50 and score_dataset's records of
+        it under an oracle denoiser and a table policy (default: the store's
+        own actions)."""
         task = GaussianTask(seed=20, action_dim=2)
         rng = SeededRng(21)
         store = make_store(task, rng, n_traj=6, traj_len=10)
         for i, tr in enumerate(store.trajectories):
             tr.ret = float(i * 10)
-        oracle = OracleDenoiser(task, sched)
-        states = np.concatenate([tr.states for tr in store.trajectories])
-        actions = np.concatenate([tr.actions for tr in store.trajectories])
-        return store, oracle, TablePolicy(states, actions)
+        states, actions = store.sample_all()
+        policy = TablePolicy(states, actions if refs is None else refs)
+        records, _ = score_dataset(
+            store, OracleDenoiser(task, sched), policy,
+            FilterConfig(min_demos=1, max_demo_len=max_demo_len), sched)
+        return store, records
 
     def test_single_bin_covers_all(self, sched):
-        store, model, policy = self._setup(sched)
-        rows = audit_bins(store, model, policy, sched, [-1.0, 100.0])
+        store, records = self._setup(sched)
+        rows = audit_bins(store, records, [-1.0, 100.0])
         assert len(rows) == 1
         assert rows[0]["count"] == 6
 
     def test_empty_bins_absent(self, sched):
-        store, model, policy = self._setup(sched)
-        rows = audit_bins(store, model, policy, sched,
-                          [-100.0, -50.0, 0.0, 50.0, 100.0])
+        store, records = self._setup(sched)
+        rows = audit_bins(store, records, [-100.0, -50.0, 0.0, 50.0, 100.0])
         # no returns in [-100, -50) or [-50, 0): those rows are absent
         assert [(r["bin_lo"], r["count"]) for r in rows] == [
             (0.0, 5), (50.0, 1)]
 
-    def test_one_policy_call_per_trajectory_denoiser_batches(self, sched):
-        store, model, policy = self._setup(sched)
-        policy_rows, denoiser_rows = [], []
-
-        class CountingPolicy:
-            def act(self, s):
-                policy_rows.append(len(s))
-                return policy.act(s)
-
-        class CountingModel:
-            def predict(self, s, a_t, t):
-                denoiser_rows.append(len(s))
-                return model.predict(s, a_t, t)
-
-        audit_bins(store, CountingModel(), CountingPolicy(), sched,
-                   [-1.0, 100.0])
-        assert policy_rows == [store.transition_count]
-        assert set(denoiser_rows) == {10}  # one trajectory per batch
-        assert len(denoiser_rows) == store.num_trajectories * sched.T
+    def test_split_trajectory_scores_as_a_whole(self, sched):
+        # segments of 3, 3, 3 and 1 transitions: the length-weighted mean of
+        # their curves is the whole trajectory's mean-Q curve. References
+        # are the actions diffused 0..5 steps, so the steps differ.
+        _, actions = self._setup(sched)[0].sample_all()
+        t_rows = np.repeat(np.arange(6), 10)
+        refs = diffuse(actions, t_rows, sched,
+                       SeededRng(22).standard_normal(actions.shape))
+        store, records = self._setup(sched, max_demo_len=3, refs=refs)
+        assert len(records) == 4 * store.num_trajectories
+        oracle = OracleDenoiser(GaussianTask(seed=20, action_dim=2), sched)
+        # one bin per trajectory, so each row's mean step is one step
+        rows = audit_bins(store, records, np.arange(-5.0, 60.0, 10.0))
+        steps = [int(np.argmax(q_curve_matrix(
+                     oracle, tr.states, tr.actions, refs[10 * i:10 * i + 10],
+                     sched).mean(axis=1)))
+                 for i, tr in enumerate(store.trajectories)]
+        assert [row["mean_step"] for row in rows] == steps
+        assert len(set(steps)) > 1
 
     def test_empty_store_rejected(self, sched):
         from smile.envs import DemoStore
         with pytest.raises(InvalidInputError):
-            audit_bins(DemoStore([]), None, None, sched, [0, 1])
+            audit_bins(DemoStore([]), [], [0, 1])
 
     def test_missing_returns_rejected(self, sched):
-        store, model, policy = self._setup(sched)
+        store, records = self._setup(sched)
         store.trajectories[0].ret = None
         with pytest.raises(InvalidInputError):
-            audit_bins(store, model, policy, sched, [-1.0, 100.0])
+            audit_bins(store, records, [-1.0, 100.0])
 
     def test_bad_edges_rejected(self, sched):
-        store, model, policy = self._setup(sched)
+        store, records = self._setup(sched)
         with pytest.raises(InvalidInputError):
-            audit_bins(store, model, policy, sched, [1.0, 1.0])
+            audit_bins(store, records, [1.0, 1.0])
 
 
 class TestBench:
