@@ -29,17 +29,19 @@ def _resolve(cfg: ExperimentConfig, path: str) -> str:
 
 
 def _load_actor(path: str):
+    """The network a checkpoint describes, holding its EMA parameters."""
     payload = load_checkpoint(path)
     role = payload.get("role")
-    if role == "denoiser":
-        actor = NoiseModel.from_arch(payload["arch"])
-    elif role == "generator":
-        actor = GeneratorPolicy.from_arch(payload["arch"])
-    elif role == "bc":
-        actor = BcBaseline.from_arch(payload["arch"])
-    else:
+    cls = {"denoiser": NoiseModel, "generator": GeneratorPolicy,
+           "bc": BcBaseline}.get(role)
+    if cls is None:
         raise InvalidInputError(f"checkpoint {path} has unknown role {role!r}")
-    actor.set_params(payload.get("ema") or payload["params"])
+    try:
+        actor = cls.from_arch(payload["arch"])
+        actor.set_params(payload["ema"])
+    except (InvalidInputError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(
+            f"checkpoint {path} does not fit its arch: {exc!r}") from exc
     return actor
 
 

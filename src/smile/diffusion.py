@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .mathcore import FeedForwardNet, SeededRng
+from .mathcore import FeedForwardNet, FlatParams, SeededRng
 
 DEFAULT_BETA_MIN = 0.05
 DEFAULT_BETA_MAX = 0.6
@@ -106,14 +106,14 @@ def posterior_var(t: int, sched: DiffusionSchedule) -> float:
                  / sched.sigmas[t] ** 2)
 
 
-class NoiseModel:
+class NoiseModel(FlatParams):
     """Noise predictor eps(s, a_t, t) -> action-dim vector.
 
     The diffusion step is conditioned through a learned embedding table with
     T+1 rows (width ``embed_dim``) concatenated to (s, a_t); with T this
     small a table is simpler and exact compared to sinusoidal features. The
     training-loss norm is selectable: "l1" (default, works better in
-    practice) or "l2".
+    practice) or "l2". ``flat`` holds the embedding table, then the MLP.
     """
 
     def __init__(self, state_dim: int, action_dim: int, T: int,
@@ -126,19 +126,14 @@ class NoiseModel:
         self.T = T
         self.embed_dim = embed_dim
         self.norm = norm
-        self.embed = 0.2 * rng.standard_normal((T + 1, embed_dim))
-        self.net = FeedForwardNet(
-            [state_dim + action_dim + embed_dim, *hidden, action_dim], rng,
-            zero_output=True)
-
-    def params(self) -> list[np.ndarray]:
-        return [self.embed] + self.net.params()
-
-    def set_params(self, params: list[np.ndarray]) -> None:
-        if params[0].shape != self.embed.shape:
-            raise InvalidInputError("embedding table shape mismatch")
-        self.embed[...] = params[0]
-        self.net.set_params(params[1:])
+        widths = [state_dim + action_dim + embed_dim, *hidden, action_dim]
+        n_embed = (T + 1) * embed_dim
+        self.flat = np.zeros(n_embed + FeedForwardNet.size(widths))
+        self.embed = self.flat[:n_embed].reshape(T + 1, embed_dim)
+        self.embed[...] = 0.2 * rng.standard_normal(self.embed.shape)
+        self.net = FeedForwardNet(widths, rng, zero_output=True,
+                                  flat=self.flat[n_embed:])
+        self._views = [self.embed] + self.net.params()
 
     def arch(self) -> dict:
         return {"state_dim": self.state_dim, "action_dim": self.action_dim,
@@ -178,14 +173,14 @@ class NoiseModel:
         out, acts = self.net.forward_cached(self._inputs(s, a_t, t_arr))
         return out, (acts, t_arr)
 
-    def backward(self, cache, upstream: np.ndarray) -> list[np.ndarray]:
-        """Parameter gradients aligned with params(): embedding table first."""
+    def backward(self, cache, upstream: np.ndarray) -> np.ndarray:
+        """Parameter gradients as one vector laid out like ``flat``."""
         acts, t_arr = cache
         net_grads, input_grad = self.net.backward(acts, upstream)
         embed_grad = np.zeros_like(self.embed)
         np.add.at(embed_grad, t_arr,
                   input_grad[:, self.state_dim + self.action_dim:])
-        return [embed_grad] + net_grads
+        return np.concatenate([embed_grad.reshape(-1), net_grads])
 
 
 def denoiser_loss(model: NoiseModel, states: np.ndarray, actions: np.ndarray,
@@ -195,7 +190,7 @@ def denoiser_loss(model: NoiseModel, states: np.ndarray, actions: np.ndarray,
     Per example: t ~ Uniform{1..T}, eps ~ N(0, I), a_t = a_0 + sigma_t eps,
     loss = ||eps - model(s, a_t, t)|| under the configured norm (l1 sums
     absolute entries, l2 sums squared entries), averaged over the batch.
-    Returns (loss, parameter gradients).
+    Returns (loss, gradient vector laid out like ``model.flat``).
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))

@@ -3,9 +3,10 @@ gradients, an adaptive-moment optimizer, EMA tracking, and checkpoint I/O.
 
 Everything is float64 numpy. Networks are plain MLPs (tanh hidden layers,
 identity output); gradients are computed by hand-rolled backprop, so the
-whole stack is deterministic given seeds. Parameter sets travel as
-``list[np.ndarray]`` throughout, which keeps the optimizer and EMA tracker
-agnostic of what the parameters belong to.
+whole stack is deterministic given seeds. A network keeps its parameters
+in one float64 vector ``flat`` (``params()`` lists its per-tensor views);
+gradients, Adam moments and EMA shadows are vectors laid out like it, which
+keeps the optimizer and EMA tracker agnostic of what they belong to.
 
 Training is single-writer: parameter mutation happens on one logical thread,
 and read-only snapshots (EMA shadows, checkpoints) are full copies.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +42,9 @@ def derive_seed(root: int, tag: str) -> int:
 
 
 class SeededRng:
-    """PCG64 generator that remembers its seed and exposes its counter state.
+    """PCG64 generator that remembers its seed.
 
-    Identical seed + identical call sequence gives an identical stream. The
-    full bit-generator state round-trips through checkpoints.
+    Identical seed + identical call sequence gives an identical stream.
     """
 
     def __init__(self, seed: int):
@@ -63,69 +63,81 @@ class SeededRng:
     def integers(self, low, high, size=None) -> np.ndarray:
         return self.gen.integers(low, high, size=size)
 
-    def get_state(self) -> dict:
-        return {"seed": self.seed, "state": self.gen.bit_generator.state}
-
-    def set_state(self, payload: dict) -> None:
-        self.seed = int(payload["seed"])
-        self.gen.bit_generator.state = payload["state"]
-
 
 # ---------------------------------------------------------------------------
 # Feed-forward networks
 # ---------------------------------------------------------------------------
 
-class FeedForwardNet:
+def reshape_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of the vector ``flat``, one per shape, from its
+    start; the callers' shapes tile it exactly."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + int(np.prod(shape))
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
+class FlatParams:
+    """A network whose parameters are views into its vector ``flat``.
+
+    ``params()`` lists the views (``_views``) in checkpoint order;
+    ``set_params`` copies a per-tensor list into them.
+    """
+
+    def params(self) -> list[np.ndarray]:
+        return list(self._views)
+
+    def set_params(self, params: list[np.ndarray]) -> None:
+        if len(self._views) != len(params):
+            raise InvalidInputError("parameter list length mismatch")
+        for dst, src in zip(self._views, params):
+            if dst.shape != np.shape(src):
+                raise InvalidInputError(
+                    f"parameter shape mismatch {dst.shape} vs {np.shape(src)}")
+            dst[...] = src
+
+
+class FeedForwardNet(FlatParams):
     """MLP with tanh hidden activations and an identity output layer.
 
     ``widths`` lists layer sizes input-first, e.g. ``[4, 256, 256, 256, 2]``.
     Weights are Glorot-normal initialized from the supplied rng. The forward
-    pass accepts a single vector or a (batch, in) matrix.
+    pass accepts a single vector or a (batch, in) matrix. The parameters
+    [W0, b0, W1, b1, ...] tile ``flat`` in that order; ``flat`` is a fresh
+    zero vector unless the caller passes a zeroed one of ``size(widths)``.
     """
 
     def __init__(self, widths: list[int], rng: SeededRng,
-                 zero_output: bool = False):
+                 zero_output: bool = False, flat: np.ndarray | None = None):
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise InvalidInputError(f"bad layer widths {widths}")
         self.widths = list(widths)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for n_in, n_out in zip(widths[:-1], widths[1:]):
-            scale = np.sqrt(2.0 / (n_in + n_out))
-            self.weights.append(scale * rng.standard_normal((n_in, n_out)))
-            self.biases.append(np.zeros(n_out))
+        self.flat = np.zeros(self.size(widths)) if flat is None else flat
+        shapes = [shape for n_in, n_out in zip(widths[:-1], widths[1:])
+                  for shape in ((n_in, n_out), (n_out,))]
+        self._views = reshape_views(self.flat, shapes)
+        self.weights = self._views[0::2]
+        self.biases = self._views[1::2]
+        for w in self.weights:
+            n_in, n_out = w.shape
+            w[...] = np.sqrt(2.0 / (n_in + n_out)) * rng.standard_normal(
+                w.shape)
         if zero_output:
             # start at the zero function: sensible prior for noise
             # predictors and centered-action policies, faster early fit
             self.weights[-1][...] = 0.0
 
-    @property
-    def in_dim(self) -> int:
-        return self.widths[0]
-
-    def params(self) -> list[np.ndarray]:
-        """Live parameter arrays, ordered [W0, b0, W1, b1, ...]."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def set_params(self, params: list[np.ndarray]) -> None:
-        own = self.params()
-        if len(own) != len(params):
-            raise InvalidInputError("parameter list length mismatch")
-        for dst, src in zip(own, params):
-            if dst.shape != src.shape:
-                raise InvalidInputError(
-                    f"parameter shape mismatch {dst.shape} vs {src.shape}")
-            dst[...] = src
+    @staticmethod
+    def size(widths: list[int]) -> int:
+        return sum((a + 1) * b for a, b in zip(widths[:-1], widths[1:]))
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.in_dim:
-            raise InvalidInputError(
-                f"input dim {x.shape[-1]} != first layer width {self.in_dim}")
+        if x.shape[-1] != self.widths[0]:
+            raise InvalidInputError(f"input dim {x.shape[-1]} != first "
+                                    f"layer width {self.widths[0]}")
         return x
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -156,8 +168,8 @@ class FeedForwardNet:
     def backward(self, acts: list[np.ndarray], upstream: np.ndarray):
         """Backprop of (upstream . output) through the cached forward pass.
 
-        Returns (param_grads, input_grad) with param_grads aligned with
-        ``params()``. ``upstream`` must match the cached batch shape.
+        Returns (param_grads, input_grad), param_grads one vector laid out
+        like ``flat``. ``upstream`` must match the cached batch shape.
         """
         delta = np.asarray(upstream, dtype=np.float64)
         if delta.ndim == 1:
@@ -165,10 +177,11 @@ class FeedForwardNet:
         if delta.shape != acts[-1].shape:
             raise InvalidInputError(
                 f"upstream shape {delta.shape} != output shape {acts[-1].shape}")
-        grads: list[np.ndarray | None] = [None] * (2 * len(self.weights))
+        grads = np.empty_like(self.flat)
+        views = reshape_views(grads, [p.shape for p in self._views])
         for i in range(len(self.weights) - 1, -1, -1):
-            grads[2 * i] = acts[i].T @ delta
-            grads[2 * i + 1] = delta.sum(axis=0)
+            np.matmul(acts[i].T, delta, out=views[2 * i])
+            delta.sum(axis=0, out=views[2 * i + 1])
             delta = delta @ self.weights[i].T
             if i > 0:
                 # tanh'(z) expressed through the cached post-activation
@@ -182,46 +195,41 @@ class FeedForwardNet:
 
 @dataclass
 class OptimizerState:
-    """Adam accumulator state for one parameter list."""
+    """Adam accumulator state for one parameter vector."""
 
+    m: np.ndarray
+    v: np.ndarray
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
 
     @staticmethod
-    def for_params(params: list[np.ndarray], lr: float = 1e-3) -> "OptimizerState":
-        return OptimizerState(
-            lr=lr,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
+    def for_params(flat: np.ndarray, lr: float = 1e-3) -> "OptimizerState":
+        return OptimizerState(m=np.zeros_like(flat), v=np.zeros_like(flat),
+                              lr=lr)
 
 
-def optimizer_step(state: OptimizerState, params: list[np.ndarray],
-                   grads: list[np.ndarray]) -> list[np.ndarray]:
-    """One bias-corrected adaptive-moment update, in place."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise InvalidInputError("params/grads/moments length mismatch")
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient at parameter index {i}")
-        if g.shape != params[i].shape:
-            raise InvalidInputError(
-                f"gradient shape {g.shape} != param shape {params[i].shape} at {i}")
+def optimizer_step(state: OptimizerState, flat: np.ndarray,
+                   grads: np.ndarray) -> np.ndarray:
+    """One bias-corrected adaptive-moment update of ``flat``, in place."""
+    if not grads.shape == state.m.shape == flat.shape:
+        raise InvalidInputError(f"gradient {grads.shape}, moment "
+                                f"{state.m.shape}, parameter {flat.shape}")
+    if not np.all(np.isfinite(grads)):
+        index = int(np.argmin(np.isfinite(grads)))
+        raise TrainingError(f"non-finite gradient at parameter index {index}")
     state.step += 1
     b1c = 1.0 - state.beta1 ** state.step
     b2c = 1.0 - state.beta2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
-    return params
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grads
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grads * grads
+    flat -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -230,41 +238,35 @@ def optimizer_step(state: OptimizerState, params: list[np.ndarray],
 
 @dataclass
 class EmaTracker:
-    """Shadow copy of a parameter list, EMA-updated after a warmup period.
+    """Shadow copy of a parameter vector, EMA-updated after a warmup period.
 
     ``warmup`` counts update() calls: until then the shadow is a direct copy
     of the live parameters (callers that update every k training iterations
     should divide their intended warmup-in-iterations by k).
     """
 
-    shadow: list[np.ndarray]
+    shadow: np.ndarray
     decay: float = 0.995
     warmup: int = 100
     updates: int = 0
 
     @staticmethod
-    def for_params(params: list[np.ndarray], decay: float = 0.995,
+    def for_params(flat: np.ndarray, decay: float = 0.995,
                    warmup: int = 100) -> "EmaTracker":
-        return EmaTracker(shadow=[p.copy() for p in params], decay=decay,
-                          warmup=warmup)
+        return EmaTracker(shadow=flat.copy(), decay=decay, warmup=warmup)
 
 
-def ema_update(tracker: EmaTracker, params: list[np.ndarray]) -> EmaTracker:
-    if len(tracker.shadow) != len(params):
-        raise InvalidInputError("shadow/params length mismatch")
-    for s, p in zip(tracker.shadow, params):
-        if s.shape != p.shape:
-            raise InvalidInputError(
-                f"shadow shape {s.shape} != param shape {p.shape}")
+def ema_update(tracker: EmaTracker, flat: np.ndarray) -> EmaTracker:
+    if tracker.shadow.shape != flat.shape:
+        raise InvalidInputError(
+            f"shadow shape {tracker.shadow.shape} != {flat.shape}")
     tracker.updates += 1
     if tracker.updates <= tracker.warmup:
-        for s, p in zip(tracker.shadow, params):
-            s[...] = p
+        tracker.shadow[...] = flat
     else:
         d = tracker.decay
-        for s, p in zip(tracker.shadow, params):
-            s *= d
-            s += (1.0 - d) * p
+        tracker.shadow *= d
+        tracker.shadow += (1.0 - d) * flat
     return tracker
 
 
@@ -272,41 +274,22 @@ def ema_update(tracker: EmaTracker, params: list[np.ndarray]) -> EmaTracker:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def _arrays_to_lists(arrays: list[np.ndarray]) -> list:
-    return [a.tolist() for a in arrays]
-
-
-def _lists_to_arrays(lists: list) -> list[np.ndarray]:
-    return [np.asarray(a, dtype=np.float64) for a in lists]
-
-
-def save_checkpoint(path: str, role: str, arch: dict,
-                    params: list[np.ndarray],
-                    optimizer: OptimizerState | None = None,
-                    ema: list[np.ndarray] | None = None,
-                    rng_states: dict | None = None) -> None:
-    """Write a self-describing JSON checkpoint.
+def save_checkpoint(path: str, role: str, net, ema: np.ndarray) -> None:
+    """Write a self-describing JSON checkpoint of a network's ``arch()`` and
+    parameters and of ``ema``, a vector laid out like ``net.flat``; both
+    parameter sets are stored as per-tensor lists.
 
     Floats are serialized via repr so 64-bit values round-trip exactly.
     """
+    params = net.params()
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "role": role,
-        "arch": arch,
-        "params": _arrays_to_lists(params),
+        "arch": net.arch(),
+        "params": [a.tolist() for a in params],
+        "ema": [a.tolist() for a in
+                reshape_views(ema, [a.shape for a in params])],
     }
-    if optimizer is not None:
-        payload["optimizer"] = {
-            "lr": optimizer.lr, "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2, "eps": optimizer.eps,
-            "step": optimizer.step,
-            "m": _arrays_to_lists(optimizer.m),
-            "v": _arrays_to_lists(optimizer.v),
-        }
-    if ema is not None:
-        payload["ema"] = _arrays_to_lists(ema)
-    if rng_states is not None:
-        payload["rng"] = rng_states
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(payload, fh)
@@ -314,19 +297,36 @@ def save_checkpoint(path: str, role: str, arch: dict,
 
 
 def load_checkpoint(path: str) -> dict:
-    """Read a checkpoint; params/ema come back as float64 arrays."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    """Read a checkpoint; params/ema come back as lists of float64 arrays.
+
+    An unreadable or non-UTF-8 file, malformed JSON (named as path:line) and
+    missing, non-numeric or non-finite parameters each raise
+    InvalidInputError naming the path.
+    """
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read checkpoint {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{path}:{exc.lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"checkpoint {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InvalidInputError(f"checkpoint {path} is not a JSON object")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
             f"checkpoint {path} has format_version {version}, "
             f"expected {CHECKPOINT_VERSION}")
-    payload["params"] = _lists_to_arrays(payload["params"])
-    if "ema" in payload:
-        payload["ema"] = _lists_to_arrays(payload["ema"])
-    if "optimizer" in payload:
-        opt = payload["optimizer"]
-        opt["m"] = _lists_to_arrays(opt["m"])
-        opt["v"] = _lists_to_arrays(opt["v"])
+    for key in ("params", "ema"):
+        try:
+            arrays = [np.asarray(a, dtype=np.float64) for a in payload[key]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(
+                f"checkpoint {path}: missing or bad {key!r}: {exc!r}") from exc
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise InvalidInputError(
+                f"checkpoint {path}: non-finite value in {key!r}")
+        payload[key] = arrays
     return payload

@@ -18,11 +18,12 @@ import numpy as np
 
 from .diffusion import DiffusionSchedule, NoiseModel, diffuse
 from .errors import InvalidInputError
-from .mathcore import FeedForwardNet, SeededRng
+from .mathcore import FeedForwardNet, FlatParams, SeededRng
 
 
-class _Actor:
-    """Deterministic state -> action net with execution-time clipping bounds."""
+class _Actor(FlatParams):
+    """Deterministic state -> action net with execution-time clipping bounds;
+    its parameters are the net's."""
 
     role = "actor"
 
@@ -35,6 +36,8 @@ class _Actor:
         self.action_high = action_high
         self.net = FeedForwardNet([state_dim, *hidden, action_dim], rng,
                                   zero_output=True)
+        self.flat = self.net.flat
+        self._views = self.net.params()
 
     def act(self, s: np.ndarray) -> np.ndarray:
         """Raw (unclipped) action for a state or a batch of states."""
@@ -42,12 +45,6 @@ class _Actor:
 
     def act_clipped(self, s: np.ndarray) -> np.ndarray:
         return np.clip(self.act(s), self.action_low, self.action_high)
-
-    def params(self) -> list[np.ndarray]:
-        return self.net.params()
-
-    def set_params(self, params: list[np.ndarray]) -> None:
-        self.net.set_params(params)
 
     def arch(self) -> dict:
         return {"state_dim": self.state_dim, "action_dim": self.action_dim,

@@ -138,17 +138,19 @@ class TrainResult:
     filter_reports: list[FilterReport] = field(default_factory=list)
 
 
-def snapshot_noise_model(model: NoiseModel,
-                         params: list[np.ndarray]) -> NoiseModel:
-    copy = NoiseModel.from_arch(model.arch())
-    copy.set_params(params)
+def snapshot_policy(net, flat: np.ndarray):
+    """A fresh network of ``net``'s type and architecture (a policy or a
+    noise model) holding the parameter vector ``flat``."""
+    copy = type(net).from_arch(net.arch())
+    if flat.shape != copy.flat.shape:
+        raise InvalidInputError(
+            f"parameter vector shape {flat.shape} != {copy.flat.shape}")
+    copy.flat[...] = flat
     return copy
 
 
-def snapshot_policy(policy, params: list[np.ndarray]):
-    copy = type(policy).from_arch(policy.arch())
-    copy.set_params(params)
-    return copy
+# the name perfbench/tracer.py hooks for noise-model snapshots
+snapshot_noise_model = snapshot_policy
 
 
 def evaluate(policy_like, spec: EnvSpec, episodes: int,
@@ -206,19 +208,16 @@ class _Part:
            accumulate: int = 1) -> "_Part":
         warmup = max(1, cfg.ema_warmup_steps // cfg.update_ema_every)
         return _Part(role, name, net, loss, accumulate,
-                     OptimizerState.for_params(net.params(), lr=cfg.lr),
-                     EmaTracker.for_params(net.params(), decay=cfg.ema_decay,
+                     OptimizerState.for_params(net.flat, lr=cfg.lr),
+                     EmaTracker.for_params(net.flat, decay=cfg.ema_decay,
                                            warmup=warmup))
 
     def shadow_copy(self):
         """A fresh network holding the EMA shadow parameters."""
-        snapshot = (snapshot_noise_model if self.role == "denoiser"
-                    else snapshot_policy)
-        return snapshot(self.net, self.ema.shadow)
+        return snapshot_policy(self.net, self.ema.shadow)
 
-    def save(self, path: str, **extra) -> None:
-        save_checkpoint(path, self.role, self.net.arch(), self.net.params(),
-                        optimizer=self.opt, ema=self.ema.shadow, **extra)
+    def save(self, path: str) -> None:
+        save_checkpoint(path, self.role, self.net, self.ema.shadow)
 
 
 def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
@@ -246,6 +245,10 @@ def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
         csv_fh = open(os.path.join(out_dir, "metrics.csv"), "w")
         csv_fh.write(",".join(CSV_COLUMNS) + "\n")
 
+    # freeing one block larger than any step's temporaries lifts glibc's
+    # dynamic mmap and trim thresholds above them, so the heap keeps them
+    # between steps instead of trimming and re-faulting them every step
+    np.empty(2 ** 21)  # 16 MiB
     n_iters = cfg.num_iterations
     try:
         for idx in range(1, n_iters + 1):
@@ -259,7 +262,7 @@ def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
                 with phase(part.name):
                     loss, grads = part.loss(_tile(states, k),
                                             _tile(actions, k))
-                    optimizer_step(part.opt, part.net.params(), grads)
+                    optimizer_step(part.opt, part.net.flat, grads)
                 counters[f"{part.name}_grad_evals"] += k
                 counters[f"{part.name}_optimizer_steps"] += 1
                 losses[f"{part.name}_loss"] = loss
@@ -276,7 +279,7 @@ def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
             if idx % cfg.update_ema_every == 0:
                 with phase("ema"):
                     for part in parts:
-                        ema_update(part.ema, part.net.params())
+                        ema_update(part.ema, part.net.flat)
                 counters["ema_updates"] += 1
 
             if filtering and idx % cfg.filter.filter_every == 0:
@@ -344,11 +347,8 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
 
     metrics, reports = _run(cfg, store, rngs, [den, gen], out_dir, sched)
     if out_dir is not None:
-        rng_states = {"root": rng.get_state(),
-                      **{tag: r.get_state() for tag, r in rngs.items()}}
         for part in (den, gen):
-            part.save(os.path.join(out_dir, f"{part.role}.json"),
-                      rng_states=rng_states)
+            part.save(os.path.join(out_dir, f"{part.role}.json"))
 
     return TrainResult(
         noise_model=model, policy=policy,

@@ -20,21 +20,17 @@ def small_net(widths, seed=0):
 
 
 def finite_difference_grads(net, x, upstream, h=1e-5):
-    """Central-difference gradient of (upstream . net(x)) per parameter."""
-    grads = []
-    for p in net.params():
-        g = np.zeros_like(p)
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            up = float(np.sum(upstream * net.forward(x)))
-            flat_p[i] = orig - h
-            down = float(np.sum(upstream * net.forward(x)))
-            flat_p[i] = orig
-            flat_g[i] = (up - down) / (2 * h)
-        grads.append(g)
+    """Central-difference gradient of (upstream . net(x)), one entry per
+    element of ``net.flat``."""
+    grads = np.zeros_like(net.flat)
+    for i in range(net.flat.size):
+        orig = net.flat[i]
+        net.flat[i] = orig + h
+        up = float(np.sum(upstream * net.forward(x)))
+        net.flat[i] = orig - h
+        down = float(np.sum(upstream * net.forward(x)))
+        net.flat[i] = orig
+        grads[i] = (up - down) / (2 * h)
     return grads
 
 

@@ -106,13 +106,13 @@ def train_denoiser(task: GaussianTask, sched, iters: int, seed: int,
     rng = SeededRng(seed)
     model = NoiseModel(task.state_dim, task.action_dim, sched.T,
                        rng.spawn("init"), hidden=hidden, norm=norm)
-    opt = OptimizerState.for_params(model.params(), lr=1e-3)
+    opt = OptimizerState.for_params(model.flat, lr=1e-3)
     data_rng, noise_rng = rng.spawn("data"), rng.spawn("noise")
     for _ in range(iters):
         states = task.sample_states(data_rng, rows_per_iter)
         actions = task.sample_actions(data_rng, states)
         _, grads = denoiser_loss(model, states, actions, sched, noise_rng)
-        optimizer_step(opt, model.params(), grads)
+        optimizer_step(opt, model.flat, grads)
     return model
 
 
@@ -122,14 +122,14 @@ def train_generator(task: GaussianTask, model, sched, iters: int, seed: int,
     rng = SeededRng(seed)
     policy = GeneratorPolicy(task.state_dim, task.action_dim,
                              rng.spawn("init"), hidden=hidden)
-    opt = OptimizerState.for_params(policy.params(), lr=1e-3)
+    opt = OptimizerState.for_params(policy.flat, lr=1e-3)
     data_rng, noise_rng = rng.spawn("data"), rng.spawn("noise")
     for _ in range(iters):
         states = task.sample_states(data_rng, rows_per_iter)
         actions = task.sample_actions(data_rng, states)
         _, grads = policy_loss(policy, model, states, actions, sched,
                                noise_rng)
-        optimizer_step(opt, policy.params(), grads)
+        optimizer_step(opt, policy.flat, grads)
     return policy
 
 

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smile.cli as cli
+from smile.config import load_config
+from smile.diffusion import NoiseModel
+from smile.mathcore import SeededRng, save_checkpoint
 from smile.policy import GeneratorPolicy
 
 
@@ -119,3 +126,108 @@ def test_empty_noise_levels_exits_1(tmp_path, capsys):
     assert cli.main(["gen-data", "--config", cfg]) == 1
     assert f"{cfg}:6:" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "demos.jsonl")
+
+
+def bench_argv(cfg, denoiser, generator):
+    return ["bench", "--config", cfg, "--denoiser", str(denoiser),
+            "--generator", str(generator), "--trials", "2"]
+
+
+def rewrite_checkpoint(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with its payload passed through
+    ``edit``; return the copy's path."""
+    payload = json.load(open(src))
+    edit(payload)
+    dst.write_text(json.dumps(payload))
+    return str(dst)
+
+
+def drop_params(payload):
+    del payload["params"]
+
+
+def wrong_shape(payload):
+    payload["ema"][1] = payload["ema"][1][:-1]
+
+
+def nan_in_ema(payload):
+    payload["ema"][1][0] = float("nan")
+
+
+@pytest.mark.parametrize("fault", ["missing", "truncated", "not_utf8",
+                                   "no_params", "wrong_shape", "nan_in_ema"])
+def test_bad_checkpoint_exits_1(run, tmp_path, capsys, fault):
+    cfg, out = run
+    good = out / "generator.json"
+    bad = tmp_path / "bad.json"
+    if fault == "missing":
+        where = str(bad)
+    elif fault == "truncated":
+        bad.write_bytes(good.read_bytes()[:35])
+        where = f"{bad}:1:"
+    elif fault == "not_utf8":
+        data = good.read_bytes()
+        bad.write_bytes(data[:40] + b"\xff" + data[41:])
+        where = str(bad)
+    else:
+        edit = {"no_params": drop_params, "wrong_shape": wrong_shape,
+                "nan_in_ema": nan_in_ema}[fault]
+        rewrite_checkpoint(good, bad, edit)
+        where = str(bad)
+    assert cli.main(bench_argv(cfg, out / "denoiser.json", bad)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and where in err
+
+
+@pytest.fixture(scope="module")
+def small_run(run, tmp_path_factory):
+    """Small-network checkpoints for the run's env and a copy of its demo
+    file: (config path, denoiser, generator, demo bytes, scratch dir)."""
+    cfg, out = run
+    env = load_config(cfg).env
+    tmp = tmp_path_factory.mktemp("small")
+    nets = {"denoiser": NoiseModel(env.state_dim, env.action_dim, 10,
+                                   SeededRng(1), hidden=(4,), embed_dim=2),
+            "generator": GeneratorPolicy(env.state_dim, env.action_dim,
+                                         SeededRng(2), hidden=(4,))}
+    paths = {}
+    for role, net in nets.items():
+        paths[role] = tmp / f"{role}.json"
+        save_checkpoint(str(paths[role]), role, net, net.flat)
+    assert cli.main(bench_argv(cfg, paths["denoiser"],
+                               paths["generator"])) == 0
+    return (cfg, paths["denoiser"], paths["generator"],
+            (out / "demos.jsonl").read_bytes(), tmp)
+
+
+def quiet_main(argv):
+    """cli.main's exit code and what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(frac=st.floats(0.0, 1.0, exclude_max=True))
+def test_cut_checkpoint_exits_1(small_run, frac):
+    cfg, denoiser, generator, _, tmp = small_run
+    data = generator.read_bytes()
+    cut = tmp / "cut.json"
+    cut.write_bytes(data[:int(frac * len(data))])
+    code, _, err = quiet_main(bench_argv(cfg, denoiser, cut))
+    assert code == 1
+    assert err.startswith("error:") and str(cut) in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(frac=st.floats(0.0, 1.0))
+def test_cut_demo_file_never_raises(small_run, frac):
+    cfg, denoiser, generator, demos, tmp = small_run
+    cut = tmp / "cut.jsonl"
+    cut.write_bytes(demos[:int(frac * len(demos))])
+    code, _, err = quiet_main(["audit", "--config", cfg, "--denoiser",
+                               str(denoiser), "--generator", str(generator),
+                               "--demos", str(cut)])
+    assert code in (0, 1)
+    assert code == 0 or err.startswith("error:")

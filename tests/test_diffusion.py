@@ -9,7 +9,7 @@ from smile.diffusion import (NoiseModel, build_schedule, denoiser_loss,
                              diffuse, naive_reverse_sample, posterior_mean,
                              posterior_var)
 from smile.errors import ConfigError, InvalidInputError
-from smile.mathcore import SeededRng
+from smile.mathcore import SeededRng, reshape_views
 
 from gauss_task import GaussianTask, OracleDenoiser, denoiser_loss_floor
 
@@ -210,6 +210,8 @@ class TestDenoiserLoss:
         states = rng_batch.standard_normal((4, 2))
         actions = rng_batch.standard_normal((4, 2))
         _, grads = denoiser_loss(model, states, actions, sched, SeededRng(11))
+        assert grads.shape == model.flat.shape
+        grads = reshape_views(grads, [p.shape for p in model.params()])
         h = 1e-6
         for pi, p in enumerate(model.params()):
             flat = p.reshape(-1)

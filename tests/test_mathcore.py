@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,9 +8,12 @@ from hypothesis import strategies as st
 
 from smile.errors import (CheckpointVersionError, InvalidInputError,
                           TrainingError)
+from smile.diffusion import NoiseModel
 from smile.mathcore import (EmaTracker, FeedForwardNet, OptimizerState,
                             SeededRng, derive_seed, ema_update,
-                            load_checkpoint, optimizer_step, save_checkpoint)
+                            load_checkpoint, optimizer_step, reshape_views,
+                            save_checkpoint)
+from smile.policy import GeneratorPolicy
 
 from conftest import finite_difference_grads, relative_error, small_net
 
@@ -72,15 +76,17 @@ class TestNetGradients:
     def test_zero_upstream_zero_grads(self):
         net = small_net([3, 4, 2])
         grads, _ = self.net_gradients(net, np.ones(3), np.zeros(2))
-        assert all(np.all(g == 0) for g in grads)
+        assert grads.shape == net.flat.shape
+        assert np.all(grads == 0)
 
     def test_linear_layer_outer_product(self):
         net = small_net([3, 2])
         x = np.array([1.0, -2.0, 0.5])
         up = np.array([0.3, -0.7])
         grads, _ = self.net_gradients(net, x, up)
-        assert np.allclose(grads[0], np.outer(x, up))
-        assert np.allclose(grads[1], up)
+        w_grad, b_grad = reshape_views(grads, [(3, 2), (2,)])
+        assert np.allclose(w_grad, np.outer(x, up))
+        assert np.allclose(b_grad, up)
 
     @pytest.mark.parametrize("widths", [[3, 8, 2], [2, 5, 5, 1], [4, 6, 3]])
     def test_finite_difference_agreement(self, widths):
@@ -90,8 +96,7 @@ class TestNetGradients:
         up = rng.standard_normal(widths[-1])
         analytic, _ = self.net_gradients(net, x, up)
         numeric = finite_difference_grads(net, x, up)
-        for a, n in zip(analytic, numeric):
-            assert relative_error(a, n).max() < 1e-4
+        assert relative_error(analytic, numeric).max() < 1e-4
 
     def test_input_gradient_finite_difference(self):
         net = small_net([3, 6, 2], seed=9)
@@ -116,90 +121,113 @@ class TestNetGradients:
 
 class TestOptimizer:
     def test_zero_gradient_keeps_params(self):
-        params = [np.array([1.0, 2.0]), np.array([[3.0]])]
+        params = np.array([1.0, 2.0, 3.0])
         state = OptimizerState.for_params(params)
-        before = [p.copy() for p in params]
-        optimizer_step(state, params, [np.zeros(2), np.zeros((1, 1))])
+        before = params.copy()
+        optimizer_step(state, params, np.zeros(3))
         assert state.step == 1
-        assert all(np.array_equal(a, b) for a, b in zip(params, before))
+        assert np.array_equal(params, before)
 
     def test_single_step_quadratic_hand_value(self):
         # loss (x - 3)^2 at x0 = 0: gradient -6; by hand the bias-corrected
         # update is lr * 6 / (sqrt(36) + eps)
         x = np.array([0.0])
-        state = OptimizerState.for_params([x], lr=1e-3)
-        optimizer_step(state, [x], [np.array([-6.0])])
+        state = OptimizerState.for_params(x, lr=1e-3)
+        optimizer_step(state, x, np.array([-6.0]))
         expected = 1e-3 * 6.0 / (6.0 + 1e-8)
         assert x[0] == pytest.approx(expected, rel=1e-12)
 
     def test_quadratic_descent_100_steps(self):
         x = np.array([0.0])
-        state = OptimizerState.for_params([x], lr=1e-3)
+        state = OptimizerState.for_params(x, lr=1e-3)
         losses = []
         for _ in range(100):
             losses.append((x[0] - 3.0) ** 2)
-            optimizer_step(state, [x], [np.array([2.0 * (x[0] - 3.0)])])
+            optimizer_step(state, x, np.array([2.0 * (x[0] - 3.0)]))
         losses.append((x[0] - 3.0) ** 2)
         assert all(b < a for a, b in zip(losses, losses[1:]))
         assert state.step == 100
 
     def test_non_finite_gradient_names_index(self):
-        params = [np.zeros(2), np.zeros(3)]
+        params = np.zeros(5)
         state = OptimizerState.for_params(params)
-        with pytest.raises(TrainingError, match="index 1"):
+        with pytest.raises(TrainingError, match="index 3"):
             optimizer_step(state, params,
-                           [np.zeros(2), np.array([0.0, np.nan, 0.0])])
+                           np.array([0.0, 0.0, 0.0, np.nan, np.inf]))
+        assert state.step == 0 and np.all(params == 0.0)
 
     def test_step_count_strictly_increases(self):
         x = np.array([0.0])
-        state = OptimizerState.for_params([x])
+        state = OptimizerState.for_params(x)
         seen = []
         for _ in range(5):
-            optimizer_step(state, [x], [np.array([0.1])])
+            optimizer_step(state, x, np.array([0.1]))
             seen.append(state.step)
         assert seen == [1, 2, 3, 4, 5]
+
+    def test_gradient_shape_mismatch_raises(self):
+        params = np.zeros(3)
+        state = OptimizerState.for_params(params)
+        with pytest.raises(InvalidInputError):
+            optimizer_step(state, params, np.zeros(4))
+
+    def test_flat_step_matches_per_tensor_loop(self):
+        # the update is elementwise, so one step on the whole vector equals
+        # the same step applied to every tensor on its own, bit for bit
+        net = FeedForwardNet([3, 5, 2], SeededRng(2))
+        rng = SeededRng(3)
+        state = OptimizerState.for_params(net.flat)
+        tensors = [p.reshape(-1).copy() for p in net.params()]
+        states = [OptimizerState.for_params(t) for t in tensors]
+        for _ in range(3):
+            grads = rng.standard_normal(net.flat.shape)
+            optimizer_step(state, net.flat, grads)
+            pieces = reshape_views(grads, [t.shape for t in tensors])
+            for t, tensor_state, g in zip(tensors, states, pieces):
+                optimizer_step(tensor_state, t, g)
+        assert np.array_equal(np.concatenate(tensors), net.flat)
 
 
 class TestEma:
     def test_decay_one_keeps_shadow(self):
-        tracker = EmaTracker(shadow=[np.array([1.0])], decay=1.0, warmup=0)
-        ema_update(tracker, [np.array([5.0])])
-        assert tracker.shadow[0][0] == 1.0
+        tracker = EmaTracker(shadow=np.array([1.0]), decay=1.0, warmup=0)
+        ema_update(tracker, np.array([5.0]))
+        assert tracker.shadow[0] == 1.0
 
     def test_decay_zero_copies_params(self):
-        tracker = EmaTracker(shadow=[np.array([1.0])], decay=0.0, warmup=0)
-        ema_update(tracker, [np.array([5.0])])
-        assert tracker.shadow[0][0] == 5.0
+        tracker = EmaTracker(shadow=np.array([1.0]), decay=0.0, warmup=0)
+        ema_update(tracker, np.array([5.0]))
+        assert tracker.shadow[0] == 5.0
 
     def test_single_update_after_warmup(self):
-        tracker = EmaTracker(shadow=[np.array([1.0])], decay=0.995, warmup=0)
-        ema_update(tracker, [np.array([0.0])])
-        assert tracker.shadow[0][0] == pytest.approx(0.995, abs=1e-15)
+        tracker = EmaTracker(shadow=np.array([1.0]), decay=0.995, warmup=0)
+        ema_update(tracker, np.array([0.0]))
+        assert tracker.shadow[0] == pytest.approx(0.995, abs=1e-15)
 
     def test_warmup_copies_directly(self):
-        tracker = EmaTracker(shadow=[np.array([0.0])], decay=0.995, warmup=2)
-        ema_update(tracker, [np.array([7.0])])
-        assert tracker.shadow[0][0] == 7.0
-        ema_update(tracker, [np.array([9.0])])
-        assert tracker.shadow[0][0] == 9.0
-        ema_update(tracker, [np.array([0.0])])  # past warmup: EMA now
-        assert tracker.shadow[0][0] == pytest.approx(9.0 * 0.995, abs=1e-15)
+        tracker = EmaTracker(shadow=np.array([0.0]), decay=0.995, warmup=2)
+        ema_update(tracker, np.array([7.0]))
+        assert tracker.shadow[0] == 7.0
+        ema_update(tracker, np.array([9.0]))
+        assert tracker.shadow[0] == 9.0
+        ema_update(tracker, np.array([0.0]))  # past warmup: EMA now
+        assert tracker.shadow[0] == pytest.approx(9.0 * 0.995, abs=1e-15)
 
     @settings(max_examples=50, deadline=None)
     @given(decay=st.floats(0.0, 1.0), k=st.integers(1, 40),
            shadow0=st.floats(-5, 5), p=st.floats(-5, 5))
     def test_contraction_property(self, decay, k, shadow0, p):
-        tracker = EmaTracker(shadow=[np.array([shadow0])], decay=decay,
+        tracker = EmaTracker(shadow=np.array([shadow0]), decay=decay,
                              warmup=0)
         for _ in range(k):
-            ema_update(tracker, [np.array([p])])
+            ema_update(tracker, np.array([p]))
         gap0 = abs(shadow0 - p)
-        assert abs(tracker.shadow[0][0] - p) <= decay ** k * gap0 + 1e-9
+        assert abs(tracker.shadow[0] - p) <= decay ** k * gap0 + 1e-9
 
     def test_shape_mismatch_raises(self):
-        tracker = EmaTracker(shadow=[np.zeros(2)], decay=0.9, warmup=0)
+        tracker = EmaTracker(shadow=np.zeros(2), decay=0.9, warmup=0)
         with pytest.raises(InvalidInputError):
-            ema_update(tracker, [np.zeros(3)])
+            ema_update(tracker, np.zeros(3))
 
 
 class TestRng:
@@ -223,37 +251,57 @@ class TestRng:
         assert derive_seed(7, "data") != derive_seed(7, "train")
         assert derive_seed(7, "data") != derive_seed(8, "data")
 
-    def test_state_roundtrip(self):
-        rng = SeededRng(3)
-        rng.standard_normal(5)
-        saved = rng.get_state()
-        expected = rng.standard_normal(4)
-        rng2 = SeededRng(0)
-        rng2.set_state(saved)
-        assert np.array_equal(rng2.standard_normal(4), expected)
+
+@pytest.mark.parametrize("make, forward", [
+    (lambda: FeedForwardNet([3, 4, 2], SeededRng(1)),
+     lambda net: net.forward(np.ones((2, 3)))),
+    (lambda: NoiseModel(2, 2, 4, SeededRng(2), hidden=(5, 3), embed_dim=3),
+     lambda net: net.predict(np.ones((2, 2)), np.ones((2, 2)),
+                             np.array([1, 4]))),
+    (lambda: GeneratorPolicy(3, 2, SeededRng(3), hidden=(6,)),
+     lambda net: net.act(np.ones((2, 3)))),
+], ids=["FeedForwardNet", "NoiseModel", "GeneratorPolicy"])
+def test_params_are_views_tiling_flat(make, forward):
+    net = make()
+    params = net.params()
+    assert net.flat.dtype == np.float64 and net.flat.flags.c_contiguous
+    assert all(np.shares_memory(p, net.flat) for p in params)
+    # the views tile flat exactly: sizes add up and no element is shared
+    assert sum(p.size for p in params) == net.flat.size
+    for i, p in enumerate(params):
+        for q in params[i + 1:]:
+            assert not np.shares_memory(p, q)
+    # one optimizer step on flat moves the network's output
+    out = forward(net)
+    state = OptimizerState.for_params(net.flat)
+    optimizer_step(state, net.flat, np.ones_like(net.flat))
+    assert np.all(forward(net) != out)
 
 
 class TestCheckpoint:
     def test_roundtrip_exact(self, tmp_path):
         rng = SeededRng(11)
-        net = FeedForwardNet([3, 4, 2], rng)
-        opt = OptimizerState.for_params(net.params(), lr=1e-3)
-        grads = [rng.standard_normal(p.shape) for p in net.params()]
-        optimizer_step(opt, net.params(), grads)
-        ema = EmaTracker.for_params(net.params())
+        model = NoiseModel(2, 2, 4, rng, hidden=(5, 3), embed_dim=3)
+        opt = OptimizerState.for_params(model.flat, lr=1e-3)
+        optimizer_step(opt, model.flat, rng.standard_normal(model.flat.shape))
+        ema = EmaTracker.for_params(model.flat, warmup=0)
+        optimizer_step(opt, model.flat, rng.standard_normal(model.flat.shape))
+        ema_update(ema, model.flat)
+        shapes = [p.shape for p in model.params()]
         path = str(tmp_path / "ckpt.json")
-        save_checkpoint(path, "generator", {"widths": net.widths},
-                        net.params(), optimizer=opt, ema=ema.shadow,
-                        rng_states={"root": rng.get_state()})
+        save_checkpoint(path, "denoiser", model, ema.shadow)
+        with open(path) as fh:
+            assert set(json.load(fh)) == {"format_version", "role", "arch",
+                                          "params", "ema"}
         loaded = load_checkpoint(path)
-        assert loaded["role"] == "generator"
-        assert loaded["arch"]["widths"] == net.widths
-        for a, b in zip(loaded["params"], net.params()):
-            assert np.array_equal(a, b)
-        for a, b in zip(loaded["ema"], ema.shadow):
-            assert np.array_equal(a, b)
-        assert loaded["optimizer"]["step"] == 1
-        assert np.array_equal(loaded["optimizer"]["m"][0], opt.m[0])
+        assert loaded["role"] == "denoiser"
+        assert loaded["arch"] == model.arch()
+        for key, want in (("params", model.flat), ("ema", ema.shadow)):
+            got = loaded[key]
+            assert [a.shape for a in got] == shapes
+            assert all(a.dtype == np.float64 for a in got)
+            assert np.concatenate([a.reshape(-1) for a in got]).tobytes() \
+                == want.tobytes()
 
     def test_version_error(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -3,7 +3,7 @@ import pytest
 
 from smile.diffusion import NoiseModel, diffuse, posterior_mean
 from smile.errors import InvalidInputError
-from smile.mathcore import SeededRng
+from smile.mathcore import SeededRng, reshape_views
 from smile.policy import BcBaseline, GeneratorPolicy, bc_loss, policy_loss
 
 from gauss_task import GaussianTask, OracleDenoiser
@@ -114,9 +114,7 @@ class TestPolicyLoss:
         actions = rng.standard_normal((8, 2))
         loss, grads = policy_loss(p, model, states, actions, sched, rng)
         # gradients align with policy parameters only; theta untouched
-        assert len(grads) == len(p.params())
-        for g, q in zip(grads, p.params()):
-            assert g.shape == q.shape
+        assert grads.shape == p.flat.shape
         for before, after in zip(theta_before, model.params()):
             assert np.array_equal(before, after)
 
@@ -151,6 +149,7 @@ class TestPolicyLoss:
         states = rng.standard_normal((4, 2))
         actions = rng.standard_normal((4, 2))
         _, grads = policy_loss(p, model, states, actions, sched, SeededRng(6))
+        grads = reshape_views(grads, [q.shape for q in p.params()])
         h = 1e-6
         for pi, q in enumerate(p.params()):
             flat = q.reshape(-1)

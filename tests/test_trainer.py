@@ -123,8 +123,7 @@ class TestTrainLoop:
     def test_non_finite_loss_aborts_with_diagnostics(self, gauss_store,
                                                      tmp_path, monkeypatch):
         def bad_loss(model, s, a, sched, rng):
-            grads = [np.zeros_like(p) for p in model.params()]
-            return float("nan"), grads
+            return float("nan"), np.zeros_like(model.flat)
 
         monkeypatch.setattr(trainer_mod, "denoiser_loss", bad_loss)
         out = str(tmp_path / "run")
@@ -331,7 +330,7 @@ class TestMetricsLog:
 
     def test_snapshot_policy_is_independent_copy(self):
         p = GeneratorPolicy(3, 2, SeededRng(1), hidden=(8,))
-        snap = snapshot_policy(p, [q + 1.0 for q in p.params()])
+        snap = snapshot_policy(p, p.flat + 1.0)
         for a, b in zip(snap.params(), p.params()):
             assert np.allclose(a, b + 1.0)
         p.params()[0][...] = 99.0
