@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .mathcore import FeedForwardNet, FlatParams, SeededRng
+from .mathcore import FeedForwardNet, FlatParams, SeededRng, arch_dtype
 
 DEFAULT_BETA_MIN = 0.05
 DEFAULT_BETA_MAX = 0.6
@@ -113,12 +113,13 @@ class NoiseModel(FlatParams):
     T+1 rows (width ``embed_dim``) concatenated to (s, a_t); with T this
     small a table is simpler and exact compared to sinusoidal features. The
     training-loss norm is selectable: "l1" (default, works better in
-    practice) or "l2". ``flat`` holds the embedding table, then the MLP.
+    practice) or "l2". ``flat`` holds the embedding table, then the MLP,
+    all in ``dtype``.
     """
 
     def __init__(self, state_dim: int, action_dim: int, T: int,
                  rng: SeededRng, hidden: tuple[int, ...] = (256, 256, 256),
-                 embed_dim: int = 32, norm: str = "l1"):
+                 embed_dim: int = 32, norm: str = "l1", dtype=np.float64):
         if norm not in ("l1", "l2"):
             raise InvalidInputError(f"unknown loss norm {norm!r}")
         self.state_dim = state_dim
@@ -128,7 +129,8 @@ class NoiseModel(FlatParams):
         self.norm = norm
         widths = [state_dim + action_dim + embed_dim, *hidden, action_dim]
         n_embed = (T + 1) * embed_dim
-        self.flat = np.zeros(n_embed + FeedForwardNet.size(widths))
+        self.flat = np.zeros(n_embed + FeedForwardNet.size(widths),
+                             dtype=dtype)
         self.embed = self.flat[:n_embed].reshape(T + 1, embed_dim)
         self.embed[...] = 0.2 * rng.standard_normal(self.embed.shape)
         self.net = FeedForwardNet(widths, rng, zero_output=True,
@@ -138,23 +140,26 @@ class NoiseModel(FlatParams):
     def arch(self) -> dict:
         return {"state_dim": self.state_dim, "action_dim": self.action_dim,
                 "T": self.T, "embed_dim": self.embed_dim,
-                "widths": self.net.widths, "norm": self.norm}
+                "widths": self.net.widths, "norm": self.norm,
+                "dtype": self.flat.dtype.name}
 
     @staticmethod
     def from_arch(arch: dict) -> "NoiseModel":
         hidden = tuple(arch["widths"][1:-1])
         return NoiseModel(arch["state_dim"], arch["action_dim"], arch["T"],
                           SeededRng(0), hidden=hidden,
-                          embed_dim=arch["embed_dim"], norm=arch["norm"])
+                          embed_dim=arch["embed_dim"], norm=arch["norm"],
+                          dtype=arch_dtype(arch))
 
     def _inputs(self, s: np.ndarray, a_t: np.ndarray, t) -> np.ndarray:
-        s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        a_t = np.atleast_2d(np.asarray(a_t, dtype=np.float64))
+        """The net's input rows [s, a_t, embed[t]], cast once to its dtype."""
+        s = np.atleast_2d(s)
+        a_t = np.atleast_2d(a_t)
         t_arr = _check_t(t, self.T)
         if t_arr.ndim == 0:
             t_arr = np.full(len(s), int(t_arr))
         emb = self.embed[t_arr]
-        return np.concatenate([s, a_t, emb], axis=1)
+        return np.concatenate([s, a_t, emb], axis=1, dtype=self.flat.dtype)
 
     def predict(self, s: np.ndarray, a_t: np.ndarray, t) -> np.ndarray:
         """Predicted noise; squeezes back to a vector for single inputs."""
@@ -163,7 +168,8 @@ class NoiseModel(FlatParams):
             if not 0 <= t <= self.T:
                 raise InvalidInputError(
                     f"diffusion step {t} outside 0..{self.T}")
-            row = np.concatenate([s, a_t, self.embed[t]])
+            row = np.concatenate([s, a_t, self.embed[t]],
+                                 dtype=self.flat.dtype)
             return self.net.forward(row)
         single = np.asarray(s).ndim == 1
         out = self.net.forward(self._inputs(s, a_t, t))
@@ -177,10 +183,14 @@ class NoiseModel(FlatParams):
         """Parameter gradients as one vector laid out like ``flat``."""
         acts, t_arr = cache
         net_grads, input_grad = self.net.backward(acts, upstream)
-        embed_grad = np.zeros_like(self.embed)
-        np.add.at(embed_grad, t_arr,
-                  input_grad[:, self.state_dim + self.action_dim:])
-        return np.concatenate([embed_grad.reshape(-1), net_grads])
+        # scatter-add each row's embedding gradient onto its step's row,
+        # one bincount per embedding column (np.add.at is ~3x slower)
+        embed_grad = np.stack([
+            np.bincount(t_arr, weights=col, minlength=self.T + 1)
+            for col in input_grad[:, self.state_dim + self.action_dim:].T],
+            axis=1)
+        return np.concatenate([embed_grad.reshape(-1), net_grads],
+                              dtype=self.flat.dtype)
 
 
 def denoiser_loss(model: NoiseModel, states: np.ndarray, actions: np.ndarray,

@@ -338,16 +338,24 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
     """Read a demo file. ``include_rewards=False`` strips rewards so training
     paths cannot touch them even by accident.
 
-    Malformed JSON, a missing field, a state or action of the wrong width
-    and a non-finite number each raise InvalidInputError naming path:line
-    (a width error names the first line of its trajectory).
+    A byte that is not UTF-8, malformed JSON, a missing field, a state or
+    action of the wrong width and a non-finite number each raise
+    InvalidInputError naming path:line (a width error names the first line
+    of its trajectory).
     """
     try:
-        with open(path) as fh:
-            lines = [(no, ln) for no, ln in
-                     enumerate(fh.read().splitlines(), 1) if ln.strip()]
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InvalidInputError(f"cannot read demo file {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        no = data.count(b"\n", 0, exc.start) + 1
+        raise InvalidInputError(
+            f"{path}:{no}: not UTF-8: {exc.reason}") from exc
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
     if not lines:
         raise InvalidInputError(f"demo file {path} is empty")
     try:

@@ -1,12 +1,18 @@
 """Minimal numerical substrate: seeded RNG, feed-forward nets with analytic
 gradients, an adaptive-moment optimizer, EMA tracking, and checkpoint I/O.
 
-Everything is float64 numpy. Networks are plain MLPs (tanh hidden layers,
-identity output); gradients are computed by hand-rolled backprop, so the
-whole stack is deterministic given seeds. A network keeps its parameters
-in one float64 vector ``flat`` (``params()`` lists its per-tensor views);
-gradients, Adam moments and EMA shadows are vectors laid out like it, which
-keeps the optimizer and EMA tracker agnostic of what they belong to.
+Networks are plain MLPs (tanh hidden layers, identity output); gradients are
+computed by hand-rolled backprop, so the whole stack is deterministic given
+seeds. A network keeps its parameters in one vector ``flat`` (``params()``
+lists its per-tensor views); gradients, Adam moments and EMA shadows are
+vectors laid out like it, which keeps the optimizer and EMA tracker agnostic
+of what they belong to; all of them share ``flat``'s dtype.
+
+The dtype of ``flat`` is part of a network's architecture: float64 by
+default, float32 for the networks the trainer builds (their matmuls run
+about twice as fast). A network casts its inputs and upstream gradients to
+that dtype once, at the boundary, so no matmul mixes dtypes; everything
+else (RNG draws, losses, schedules, environments) is float64.
 
 Training is single-writer: parameter mutation happens on one logical thread,
 and read-only snapshots (EMA shadows, checkpoints) are full copies.
@@ -24,6 +30,8 @@ import numpy as np
 from .errors import CheckpointVersionError, InvalidInputError, TrainingError
 
 CHECKPOINT_VERSION = 1
+# the parameter dtypes an arch() may name
+DTYPES = ("float32", "float64")
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +87,16 @@ def reshape_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
+def arch_dtype(arch: dict) -> np.dtype:
+    """The parameter dtype an ``arch()`` names; float64 when the key is
+    absent, as in checkpoints written before it existed."""
+    name = arch.get("dtype", "float64")
+    if not isinstance(name, str) or name not in DTYPES:
+        raise InvalidInputError(
+            f"parameter dtype {name!r} is not one of {DTYPES}")
+    return np.dtype(name)
+
+
 class FlatParams:
     """A network whose parameters are views into its vector ``flat``.
 
@@ -104,17 +122,20 @@ class FeedForwardNet(FlatParams):
 
     ``widths`` lists layer sizes input-first, e.g. ``[4, 256, 256, 256, 2]``.
     Weights are Glorot-normal initialized from the supplied rng. The forward
-    pass accepts a single vector or a (batch, in) matrix. The parameters
-    [W0, b0, W1, b1, ...] tile ``flat`` in that order; ``flat`` is a fresh
-    zero vector unless the caller passes a zeroed one of ``size(widths)``.
+    pass accepts a single vector or a (batch, in) matrix and computes in
+    ``dtype``. The parameters [W0, b0, W1, b1, ...] tile ``flat`` in that
+    order; ``flat`` is a fresh zero vector of ``dtype`` unless the caller
+    passes a zeroed one of ``size(widths)``, whose dtype then rules.
     """
 
     def __init__(self, widths: list[int], rng: SeededRng,
-                 zero_output: bool = False, flat: np.ndarray | None = None):
+                 zero_output: bool = False, flat: np.ndarray | None = None,
+                 dtype=np.float64):
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise InvalidInputError(f"bad layer widths {widths}")
         self.widths = list(widths)
-        self.flat = np.zeros(self.size(widths)) if flat is None else flat
+        self.flat = (np.zeros(self.size(widths), dtype=dtype) if flat is None
+                     else flat)
         shapes = [shape for n_in, n_out in zip(widths[:-1], widths[1:])
                   for shape in ((n_in, n_out), (n_out,))]
         self._views = reshape_views(self.flat, shapes)
@@ -134,7 +155,7 @@ class FeedForwardNet(FlatParams):
         return sum((a + 1) * b for a, b in zip(widths[:-1], widths[1:]))
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.flat.dtype)
         if x.shape[-1] != self.widths[0]:
             raise InvalidInputError(f"input dim {x.shape[-1]} != first "
                                     f"layer width {self.widths[0]}")
@@ -169,9 +190,10 @@ class FeedForwardNet(FlatParams):
         """Backprop of (upstream . output) through the cached forward pass.
 
         Returns (param_grads, input_grad), param_grads one vector laid out
-        like ``flat``. ``upstream`` must match the cached batch shape.
+        like ``flat``. ``upstream`` must match the cached batch shape; it is
+        cast to the network's dtype.
         """
-        delta = np.asarray(upstream, dtype=np.float64)
+        delta = np.asarray(upstream, dtype=self.flat.dtype)
         if delta.ndim == 1:
             delta = delta[None, :]
         if delta.shape != acts[-1].shape:
@@ -279,7 +301,9 @@ def save_checkpoint(path: str, role: str, net, ema: np.ndarray) -> None:
     parameters and of ``ema``, a vector laid out like ``net.flat``; both
     parameter sets are stored as per-tensor lists.
 
-    Floats are serialized via repr so 64-bit values round-trip exactly.
+    Floats are serialized via repr so the values round-trip exactly. The
+    payload is encoded in one ``json.dumps`` call (the C encoder) and
+    written at once; ``json.dump`` streams it through the pure-Python one.
     """
     params = net.params()
     payload = {
@@ -291,17 +315,20 @@ def save_checkpoint(path: str, role: str, net, ema: np.ndarray) -> None:
                 reshape_views(ema, [a.shape for a in params])],
     }
     tmp = path + ".tmp"
+    text = json.dumps(payload)
     with open(tmp, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(text)
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str) -> dict:
-    """Read a checkpoint; params/ema come back as lists of float64 arrays.
+    """Read a checkpoint; params/ema come back as lists of arrays of the
+    dtype its ``arch`` names (``arch_dtype``).
 
-    An unreadable or non-UTF-8 file, malformed JSON (named as path:line) and
-    missing, non-numeric or non-finite parameters each raise
-    InvalidInputError naming the path.
+    An unreadable or non-UTF-8 file, malformed JSON (named as path:line), a
+    missing ``arch`` or an unknown dtype in it, and missing, non-numeric or
+    non-finite parameters (a value beyond the dtype's range included) each
+    raise InvalidInputError naming the path.
     """
     try:
         with open(path) as fh:
@@ -319,9 +346,18 @@ def load_checkpoint(path: str) -> dict:
         raise CheckpointVersionError(
             f"checkpoint {path} has format_version {version}, "
             f"expected {CHECKPOINT_VERSION}")
+    arch = payload.get("arch")
+    if not isinstance(arch, dict):
+        raise InvalidInputError(f"checkpoint {path}: missing or bad 'arch'")
+    try:
+        dtype = arch_dtype(arch)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"checkpoint {path}: {exc}") from exc
     for key in ("params", "ema"):
         try:
-            arrays = [np.asarray(a, dtype=np.float64) for a in payload[key]]
+            # an overflow becomes inf, which the finiteness check rejects
+            with np.errstate(over="ignore"):
+                arrays = [np.asarray(a, dtype=dtype) for a in payload[key]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(
                 f"checkpoint {path}: missing or bad {key!r}: {exc!r}") from exc

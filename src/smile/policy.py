@@ -18,24 +18,25 @@ import numpy as np
 
 from .diffusion import DiffusionSchedule, NoiseModel, diffuse
 from .errors import InvalidInputError
-from .mathcore import FeedForwardNet, FlatParams, SeededRng
+from .mathcore import FeedForwardNet, FlatParams, SeededRng, arch_dtype
 
 
 class _Actor(FlatParams):
     """Deterministic state -> action net with execution-time clipping bounds;
-    its parameters are the net's."""
+    its parameters are the net's, in ``dtype``."""
 
     role = "actor"
 
     def __init__(self, state_dim: int, action_dim: int, rng: SeededRng,
                  hidden: tuple[int, ...] = (256, 256, 256),
-                 action_low: float = -1.0, action_high: float = 1.0):
+                 action_low: float = -1.0, action_high: float = 1.0,
+                 dtype=np.float64):
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.action_low = action_low
         self.action_high = action_high
         self.net = FeedForwardNet([state_dim, *hidden, action_dim], rng,
-                                  zero_output=True)
+                                  zero_output=True, dtype=dtype)
         self.flat = self.net.flat
         self._views = self.net.params()
 
@@ -49,14 +50,15 @@ class _Actor(FlatParams):
     def arch(self) -> dict:
         return {"state_dim": self.state_dim, "action_dim": self.action_dim,
                 "widths": self.net.widths, "action_low": self.action_low,
-                "action_high": self.action_high}
+                "action_high": self.action_high,
+                "dtype": self.flat.dtype.name}
 
     @classmethod
     def from_arch(cls, arch: dict):
         hidden = tuple(arch["widths"][1:-1])
         return cls(arch["state_dim"], arch["action_dim"], SeededRng(0),
                    hidden=hidden, action_low=arch["action_low"],
-                   action_high=arch["action_high"])
+                   action_high=arch["action_high"], dtype=arch_dtype(arch))
 
 
 class GeneratorPolicy(_Actor):

@@ -38,6 +38,11 @@ from .mathcore import (EmaTracker, OptimizerState, SeededRng, ema_update,
                        optimizer_step, save_checkpoint)
 from .policy import BcBaseline, GeneratorPolicy, bc_loss, policy_loss
 
+# the parameter dtype of every network training builds: float32 matmuls run
+# about twice as fast as float64 ones at these widths, and the final returns
+# move far less than a change of training seed moves them (see CHANGES.md)
+NET_DTYPE = np.float32
+
 CSV_COLUMNS = ("iteration", "transitions", "denoiser_loss", "policy_loss",
                "eval_mean", "eval_std", "store_size")
 
@@ -328,10 +333,11 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     sched = build_schedule(cfg.diffusion_steps, cfg.beta_min, cfg.beta_max)
     model = NoiseModel(state_dim, action_dim, sched.T,
                        rng.spawn("init-denoiser"), hidden=cfg.hidden,
-                       embed_dim=cfg.embed_dim, norm=cfg.loss_norm)
+                       embed_dim=cfg.embed_dim, norm=cfg.loss_norm,
+                       dtype=NET_DTYPE)
     policy = GeneratorPolicy(state_dim, action_dim, rng.spawn("init-policy"),
                              hidden=cfg.hidden, action_low=bounds[0],
-                             action_high=bounds[1])
+                             action_high=bounds[1], dtype=NET_DTYPE)
     rngs = {tag: rng.spawn(tag)
             for tag in ("batch", "denoiser-noise", "policy-noise", "eval")}
     # the loss functions are looked up at call time, so hooks and test
@@ -364,7 +370,7 @@ def train_bc(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     state_dim, action_dim, bounds = _check_run(cfg, store)
     baseline = BcBaseline(state_dim, action_dim, rng.spawn("init-bc"),
                           hidden=cfg.hidden, action_low=bounds[0],
-                          action_high=bounds[1])
+                          action_high=bounds[1], dtype=NET_DTYPE)
     part = _Part.of(cfg, "bc", "policy", baseline,
                     lambda s, a: bc_loss(baseline, s, a))
     rngs = {tag: rng.spawn(tag) for tag in ("batch", "eval")}

@@ -36,3 +36,25 @@ def finite_difference_grads(net, x, upstream, h=1e-5):
 
 def relative_error(a, b, floor=1e-8):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+
+
+def float32_rounding_bound(stage_lengths) -> float:
+    """First-order worst-case relative error of a float32 computation made
+    of rounding stages in sequence: the sum over stages of Higham's
+    gamma_n = n u / (1 - n u), with u = 2**-24 the float32 unit roundoff and
+    n the number of roundings a stage chains (a dot product of n terms
+    chains n; a cast or elementwise operation chains 1)."""
+    u = np.finfo(np.float32).eps / 2
+    return sum(n * u / (1 - n * u) for n in stage_lengths)
+
+
+def backward_stage_lengths(widths, batch: int) -> list[int]:
+    """The float32 rounding stages a first-layer weight gradient of
+    ``FeedForwardNet(widths)`` passes through: the input cast (1); per layer
+    the forward matmul (n_in terms), bias add and tanh (n_in + 2); per
+    hidden layer on the way back the delta matmul (n_out terms) and the
+    three roundings of delta * (1 - a**2) (n_out + 3); and the sum over the
+    batch that forms the gradient (batch)."""
+    forward = [n_in + 2 for n_in in widths[:-1]]
+    backward = [n_out + 3 for n_out in widths[2:]]
+    return [1, *forward, *backward, batch]

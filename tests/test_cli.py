@@ -114,6 +114,17 @@ def test_bad_demo_line_exits_1(run, tmp_path, capsys, edit):
         assert f"{bad}:3:" in capsys.readouterr().err
 
 
+def test_non_utf8_demo_exits_1(run, tmp_path, capsys):
+    cfg, out = run
+    lines = (out / "demos.jsonl").read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2][:20] + b"\xff" + lines[2][21:]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"".join(lines))
+    argv = ["train", "--config", cfg, "--demos", str(bad), "--bc-baseline"]
+    assert cli.main(argv) == 1
+    assert f"{bad}:3:" in capsys.readouterr().err
+
+
 def test_missing_demos_exits_1(run, tmp_path, capsys):
     cfg, _ = run
     missing = str(tmp_path / "nowhere.jsonl")
@@ -154,8 +165,27 @@ def nan_in_ema(payload):
     payload["ema"][1][0] = float("nan")
 
 
+def float32_overflow(payload):
+    # finite in JSON, inf in the float32 network the arch names
+    payload["ema"][1][0] = 1e39
+
+
+def bad_arch(payload):
+    payload["arch"] = "generator"
+
+
+def unknown_dtype(payload):
+    payload["arch"]["dtype"] = "float16"
+
+
+def non_string_dtype(payload):
+    payload["arch"]["dtype"] = ["float32"]
+
+
 @pytest.mark.parametrize("fault", ["missing", "truncated", "not_utf8",
-                                   "no_params", "wrong_shape", "nan_in_ema"])
+                                   "no_params", "wrong_shape", "nan_in_ema",
+                                   "float32_overflow", "bad_arch",
+                                   "unknown_dtype", "non_string_dtype"])
 def test_bad_checkpoint_exits_1(run, tmp_path, capsys, fault):
     cfg, out = run
     good = out / "generator.json"
@@ -171,7 +201,9 @@ def test_bad_checkpoint_exits_1(run, tmp_path, capsys, fault):
         where = str(bad)
     else:
         edit = {"no_params": drop_params, "wrong_shape": wrong_shape,
-                "nan_in_ema": nan_in_ema}[fault]
+                "nan_in_ema": nan_in_ema, "float32_overflow": float32_overflow,
+                "bad_arch": bad_arch, "unknown_dtype": unknown_dtype,
+                "non_string_dtype": non_string_dtype}[fault]
         rewrite_checkpoint(good, bad, edit)
         where = str(bad)
     assert cli.main(bench_argv(cfg, out / "denoiser.json", bad)) == 1

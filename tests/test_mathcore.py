@@ -15,7 +15,8 @@ from smile.mathcore import (EmaTracker, FeedForwardNet, OptimizerState,
                             save_checkpoint)
 from smile.policy import GeneratorPolicy
 
-from conftest import finite_difference_grads, relative_error, small_net
+from conftest import (backward_stage_lengths, finite_difference_grads,
+                      float32_rounding_bound, relative_error, small_net)
 
 
 class TestNetForward:
@@ -117,6 +118,28 @@ class TestNetGradients:
         net = small_net([3, 2])
         with pytest.raises(InvalidInputError):
             self.net_gradients(net, np.ones(3), np.zeros(4))
+
+    def test_float32_matches_float64(self):
+        # the same weights, batch and upstream (all float32-representable)
+        # through a float32 and a float64 net: the float32 gradients are
+        # float32 and within the first-order worst-case rounding bound of
+        # their stages (measured: 2-4 u, against a bound of 181 u here;
+        # the input gradient ends in a 32-term matmul, not the batch sum)
+        widths, batch = [5, 32, 32, 3], 64
+        net32 = FeedForwardNet(widths, SeededRng(1), dtype=np.float32)
+        net64 = FeedForwardNet(widths, SeededRng(1))
+        net64.flat[...] = net32.flat
+        rng = SeededRng(2)
+        x = rng.standard_normal((batch, 5)).astype(np.float32)
+        up = rng.standard_normal((batch, 3)).astype(np.float32)
+        g32, in32 = self.net_gradients(net32, x.astype(np.float64),
+                                       up.astype(np.float64))
+        g64, in64 = self.net_gradients(net64, x, up)
+        assert g32.dtype == in32.dtype == np.float32
+        bound = float32_rounding_bound(backward_stage_lengths(widths, batch))
+        for got, want in ((g32, g64), (in32, in64)):
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert err <= bound
 
 
 class TestOptimizer:
@@ -278,10 +301,36 @@ def test_params_are_views_tiling_flat(make, forward):
     assert np.all(forward(net) != out)
 
 
+@pytest.mark.parametrize("make, forward", [
+    (lambda dtype: FeedForwardNet([3, 4, 2], SeededRng(1), dtype=dtype),
+     [lambda net: net.forward(np.ones((2, 3))),
+      lambda net: net.forward(np.ones(3))]),
+    (lambda dtype: NoiseModel(2, 2, 4, SeededRng(2), hidden=(5,),
+                              embed_dim=3, dtype=dtype),
+     [lambda net: net.predict(np.ones((2, 2)), np.ones((2, 2)),
+                              np.array([1, 4])),
+      lambda net: net.predict(np.ones(2), np.ones(2), 3)]),
+    (lambda dtype: GeneratorPolicy(3, 2, SeededRng(3), hidden=(6,),
+                                   dtype=dtype),
+     [lambda net: net.act(np.ones((2, 3))),
+      lambda net: net.act_clipped(np.ones(3))]),
+], ids=["FeedForwardNet", "NoiseModel", "GeneratorPolicy"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_float64_input_gives_net_dtype(make, forward, dtype):
+    net = make(dtype)
+    assert net.flat.dtype == dtype
+    for call in forward:
+        assert call(net).dtype == dtype
+
+
 class TestCheckpoint:
-    def test_roundtrip_exact(self, tmp_path):
+    @staticmethod
+    def roundtrip(tmp_path, dtype):
+        """Save a trained-looking NoiseModel of ``dtype`` and check that
+        its params and EMA shadow load back bit-exactly in that dtype."""
         rng = SeededRng(11)
-        model = NoiseModel(2, 2, 4, rng, hidden=(5, 3), embed_dim=3)
+        model = NoiseModel(2, 2, 4, rng, hidden=(5, 3), embed_dim=3,
+                           dtype=dtype)
         opt = OptimizerState.for_params(model.flat, lr=1e-3)
         optimizer_step(opt, model.flat, rng.standard_normal(model.flat.shape))
         ema = EmaTracker.for_params(model.flat, warmup=0)
@@ -299,9 +348,35 @@ class TestCheckpoint:
         for key, want in (("params", model.flat), ("ema", ema.shadow)):
             got = loaded[key]
             assert [a.shape for a in got] == shapes
-            assert all(a.dtype == np.float64 for a in got)
+            assert all(a.dtype == dtype for a in got)
             assert np.concatenate([a.reshape(-1) for a in got]).tobytes() \
                 == want.tobytes()
+        return path, model
+
+    def test_roundtrip_exact(self, tmp_path):
+        self.roundtrip(tmp_path, np.float64)
+
+    def test_float32_roundtrip_exact(self, tmp_path):
+        path, model = self.roundtrip(tmp_path, np.float32)
+        loaded = load_checkpoint(path)
+        copy = NoiseModel.from_arch(loaded["arch"])
+        copy.set_params(loaded["params"])
+        assert copy.flat.dtype == np.float32
+        assert copy.flat.tobytes() == model.flat.tobytes()
+
+    def test_missing_dtype_loads_float64(self, tmp_path):
+        # checkpoints written before arch carried a dtype hold float64 nets
+        path, model = self.roundtrip(tmp_path, np.float64)
+        payload = json.load(open(path))
+        del payload["arch"]["dtype"]
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        loaded = load_checkpoint(path)
+        assert all(a.dtype == np.float64 for a in loaded["params"])
+        copy = NoiseModel.from_arch(loaded["arch"])
+        copy.set_params(loaded["params"])
+        assert copy.flat.dtype == np.float64
+        assert copy.flat.tobytes() == model.flat.tobytes()
 
     def test_version_error(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -312,6 +312,15 @@ class TestBc:
         assert np.mean(losses[-50:]) < 0.5 * np.mean(losses[:50])
 
 
+def test_trained_networks_are_float32(gauss_store):
+    result = train(tiny_cfg(), gauss_store, SeededRng(33))
+    snap, live, _ = train_bc(tiny_cfg(), gauss_store, SeededRng(34))
+    for net in (result.noise_model, result.policy, result.ema_noise_model,
+                result.ema_policy, snap, live):
+        assert net.flat.dtype == np.float32
+        assert net.arch()["dtype"] == "float32"
+
+
 class TestMetricsLog:
     def test_csv_format_and_monotone_iterations(self):
         log = MetricsLog()
