@@ -88,10 +88,15 @@ def _line_of(lines: list[str], pattern: str) -> int | None:
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        no = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{no}: not UTF-8: {exc.reason}") from exc
     lines = text.splitlines()
     parser = configparser.ConfigParser(interpolation=None)
     try:

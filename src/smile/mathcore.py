@@ -20,16 +20,19 @@ and read-only snapshots (EMA shadows, checkpoints) are full copies.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
 import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CheckpointVersionError, InvalidInputError, TrainingError
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # the parameter dtypes an arch() may name
 DTYPES = ("float32", "float64")
 
@@ -89,7 +92,7 @@ def reshape_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
 
 def arch_dtype(arch: dict) -> np.dtype:
     """The parameter dtype an ``arch()`` names; float64 when the key is
-    absent, as in checkpoints written before it existed."""
+    absent."""
     name = arch.get("dtype", "float64")
     if not isinstance(name, str) or name not in DTYPES:
         raise InvalidInputError(
@@ -296,24 +299,34 @@ def ema_update(tracker: EmaTracker, flat: np.ndarray) -> EmaTracker:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+def _checkpoint_crc(payload: dict) -> int:
+    """CRC-32 of the canonical JSON of every key of ``payload`` but
+    ``crc32``."""
+    body = {k: v for k, v in payload.items() if k != "crc32"}
+    return zlib.crc32(json.dumps(body, sort_keys=True).encode())
+
+
 def save_checkpoint(path: str, role: str, net, ema: np.ndarray) -> None:
     """Write a self-describing JSON checkpoint of a network's ``arch()`` and
-    parameters and of ``ema``, a vector laid out like ``net.flat``; both
-    parameter sets are stored as per-tensor lists.
+    ``flat`` vector and of ``ema``, a vector laid out like ``net.flat``.
 
-    Floats are serialized via repr so the values round-trip exactly. The
-    payload is encoded in one ``json.dumps`` call (the C encoder) and
-    written at once; ``json.dump`` streams it through the pure-Python one.
+    Both vectors are stored as base64 strings of their raw little-endian
+    bytes in the arch's dtype, so they round-trip bit-exactly; ``shapes``
+    lists the per-tensor shapes of ``params()`` and ``crc32`` guards every
+    other key. The file's text is encoded in one ``json.dumps`` call and
+    written at once, through a temporary file that replaces ``path``.
     """
-    params = net.params()
+    dtype = net.flat.dtype.newbyteorder("<")
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "role": role,
         "arch": net.arch(),
-        "params": [a.tolist() for a in params],
-        "ema": [a.tolist() for a in
-                reshape_views(ema, [a.shape for a in params])],
+        "shapes": [list(p.shape) for p in net.params()],
     }
+    for key, vec in (("params", net.flat), ("ema", ema)):
+        raw = np.asarray(vec, dtype=dtype).tobytes()
+        payload[key] = base64.b64encode(raw).decode("ascii")
+    payload["crc32"] = _checkpoint_crc(payload)
     tmp = path + ".tmp"
     text = json.dumps(payload)
     with open(tmp, "w") as fh:
@@ -322,17 +335,20 @@ def save_checkpoint(path: str, role: str, net, ema: np.ndarray) -> None:
 
 
 def load_checkpoint(path: str) -> dict:
-    """Read a checkpoint; params/ema come back as lists of arrays of the
-    dtype its ``arch`` names (``arch_dtype``).
+    """Read a checkpoint; params/ema come back as lists of read-only
+    per-tensor views (``reshape_views``) of vectors of the dtype its ``arch``
+    names (``arch_dtype``), shaped as its ``shapes`` say.
 
-    An unreadable or non-UTF-8 file, malformed JSON (named as path:line), a
-    missing ``arch`` or an unknown dtype in it, and missing, non-numeric or
-    non-finite parameters (a value beyond the dtype's range included) each
-    raise InvalidInputError naming the path.
+    A format_version other than ``CHECKPOINT_VERSION`` raises
+    CheckpointVersionError. An unreadable or non-UTF-8 file, malformed JSON
+    (named as path:line), a missing ``arch`` or an unknown dtype in it, bad
+    ``shapes``, a missing or non-base64 vector, a byte count that does not
+    fit ``shapes``, a CRC mismatch and a non-finite value each raise
+    InvalidInputError. Every message names the path.
     """
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
+        with open(path, "rb") as fh:
+            payload = json.loads(fh.read())
     except OSError as exc:
         raise InvalidInputError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -350,19 +366,33 @@ def load_checkpoint(path: str) -> dict:
     if not isinstance(arch, dict):
         raise InvalidInputError(f"checkpoint {path}: missing or bad 'arch'")
     try:
-        dtype = arch_dtype(arch)
+        dtype = arch_dtype(arch).newbyteorder("<")
     except InvalidInputError as exc:
         raise InvalidInputError(f"checkpoint {path}: {exc}") from exc
+    shapes = payload.get("shapes")
+    if not (isinstance(shapes, list) and all(
+            isinstance(shape, list) and all(
+                type(n) is int and n > 0 for n in shape)
+            for shape in shapes)):
+        raise InvalidInputError(f"checkpoint {path}: missing or bad 'shapes'")
+    size = sum(math.prod(shape) for shape in shapes)
+    vectors = {}
     for key in ("params", "ema"):
         try:
-            # an overflow becomes inf, which the finiteness check rejects
-            with np.errstate(over="ignore"):
-                arrays = [np.asarray(a, dtype=dtype) for a in payload[key]]
+            raw = base64.b64decode(payload[key], validate=True)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(
                 f"checkpoint {path}: missing or bad {key!r}: {exc!r}") from exc
-        if not all(np.isfinite(a).all() for a in arrays):
+        if len(raw) != size * dtype.itemsize:
+            raise InvalidInputError(
+                f"checkpoint {path}: {key!r} holds {len(raw)} bytes, its "
+                f"shapes need {size} x {dtype.itemsize}")
+        vectors[key] = np.frombuffer(raw, dtype=dtype)
+    if payload.get("crc32") != _checkpoint_crc(payload):
+        raise InvalidInputError(f"checkpoint {path}: CRC mismatch")
+    for key, vec in vectors.items():
+        if not np.isfinite(vec).all():
             raise InvalidInputError(
                 f"checkpoint {path}: non-finite value in {key!r}")
-        payload[key] = arrays
+        payload[key] = reshape_views(vec, shapes)
     return payload

@@ -125,11 +125,6 @@ class MetricsLog:
                 cells.append(str(v))
         return ",".join(cells)
 
-    def csv_lines(self):
-        yield ",".join(CSV_COLUMNS)
-        for row in self.rows:
-            yield self.format_row(row)
-
 
 @dataclass
 class TrainResult:

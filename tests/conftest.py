@@ -1,3 +1,6 @@
+import json
+import zlib
+
 import numpy as np
 import pytest
 
@@ -58,3 +61,11 @@ def backward_stage_lengths(widths, batch: int) -> list[int]:
     forward = [n_in + 2 for n_in in widths[:-1]]
     backward = [n_out + 3 for n_out in widths[2:]]
     return [1, *forward, *backward, batch]
+
+
+def seal_checkpoint(payload: dict) -> dict:
+    """Set a checkpoint payload's ``crc32`` to the CRC-32 of the canonical
+    JSON (sorted keys) of its other keys, as the format defines it."""
+    body = {k: v for k, v in payload.items() if k != "crc32"}
+    payload["crc32"] = zlib.crc32(json.dumps(body, sort_keys=True).encode())
+    return payload

@@ -1,8 +1,11 @@
+import base64
 import contextlib
 import io
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +13,12 @@ from hypothesis import strategies as st
 import smile.cli as cli
 from smile.config import load_config
 from smile.diffusion import NoiseModel
-from smile.mathcore import SeededRng, save_checkpoint
+from smile.errors import ValidationError
+from smile.mathcore import (SeededRng, load_checkpoint, reshape_views,
+                            save_checkpoint)
 from smile.policy import GeneratorPolicy
+
+from conftest import seal_checkpoint
 
 
 def write_config(path, out_dir, data="per_level = 2"):
@@ -125,6 +132,16 @@ def test_non_utf8_demo_exits_1(run, tmp_path, capsys):
     assert f"{bad}:3:" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path / "bad.ini", tmp_path)
+    data = bytearray(open(cfg, "rb").read())
+    data[data.index(b"seed") + 1] = 0x84  # on line 3
+    open(cfg, "wb").write(data)
+    assert cli.main(["gen-data", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:3:")
+    assert not os.path.exists(tmp_path / "demos.jsonl")
+
+
 def test_missing_demos_exits_1(run, tmp_path, capsys):
     cfg, _ = run
     missing = str(tmp_path / "nowhere.jsonl")
@@ -144,13 +161,31 @@ def bench_argv(cfg, denoiser, generator):
             "--generator", str(generator), "--trials", "2"]
 
 
-def rewrite_checkpoint(src, dst, edit):
+def rewrite_checkpoint(src, dst, edit, seal=True):
     """Copy checkpoint ``src`` to ``dst`` with its payload passed through
-    ``edit``; return the copy's path."""
+    ``edit`` and, with ``seal``, its CRC made to fit; return the copy's
+    path."""
     payload = json.load(open(src))
     edit(payload)
-    dst.write_text(json.dumps(payload))
+    dst.write_text(json.dumps(seal_checkpoint(payload) if seal else payload))
     return str(dst)
+
+
+def vector(payload, key):
+    """A checkpoint's ``key`` vector, decoded in the dtype its arch names."""
+    dtype = np.dtype(payload["arch"]["dtype"]).newbyteorder("<")
+    return np.frombuffer(base64.b64decode(payload[key]), dtype=dtype)
+
+
+def set_vector(payload, key, vec):
+    payload[key] = base64.b64encode(vec.tobytes()).decode("ascii")
+
+
+def set_ema_value(payload, value):
+    # the first value of the second tensor, as written in the arch's dtype
+    ema = vector(payload, "ema").copy()
+    ema[math.prod(payload["shapes"][0])] = value
+    set_vector(payload, "ema", ema)
 
 
 def drop_params(payload):
@@ -158,16 +193,20 @@ def drop_params(payload):
 
 
 def wrong_shape(payload):
-    payload["ema"][1] = payload["ema"][1][:-1]
+    # the second tensor of ema one value short
+    ema = vector(payload, "ema")
+    end = math.prod(payload["shapes"][0]) + math.prod(payload["shapes"][1])
+    set_vector(payload, "ema", np.concatenate([ema[:end - 1], ema[end:]]))
 
 
 def nan_in_ema(payload):
-    payload["ema"][1][0] = float("nan")
+    set_ema_value(payload, np.nan)
 
 
 def float32_overflow(payload):
-    # finite in JSON, inf in the float32 network the arch names
-    payload["ema"][1][0] = 1e39
+    # the float32 bit pattern of +inf, to which a decimal 1e39 would round
+    assert payload["arch"]["dtype"] == "float32"
+    set_ema_value(payload, np.float32(np.inf))
 
 
 def bad_arch(payload):
@@ -182,10 +221,24 @@ def non_string_dtype(payload):
     payload["arch"]["dtype"] = ["float32"]
 
 
+def version_1(payload):
+    # the previous format: per-tensor decimal lists, no shapes or crc32
+    for key in ("params", "ema"):
+        payload[key] = [a.tolist() for a in reshape_views(
+            vector(payload, key), payload["shapes"])]
+    payload["format_version"] = 1
+    del payload["shapes"], payload["crc32"]
+
+
+def bad_crc(payload):
+    payload["crc32"] ^= 1
+
+
 @pytest.mark.parametrize("fault", ["missing", "truncated", "not_utf8",
                                    "no_params", "wrong_shape", "nan_in_ema",
                                    "float32_overflow", "bad_arch",
-                                   "unknown_dtype", "non_string_dtype"])
+                                   "unknown_dtype", "non_string_dtype",
+                                   "version_1", "bad_crc"])
 def test_bad_checkpoint_exits_1(run, tmp_path, capsys, fault):
     cfg, out = run
     good = out / "generator.json"
@@ -203,9 +256,12 @@ def test_bad_checkpoint_exits_1(run, tmp_path, capsys, fault):
         edit = {"no_params": drop_params, "wrong_shape": wrong_shape,
                 "nan_in_ema": nan_in_ema, "float32_overflow": float32_overflow,
                 "bad_arch": bad_arch, "unknown_dtype": unknown_dtype,
-                "non_string_dtype": non_string_dtype}[fault]
-        rewrite_checkpoint(good, bad, edit)
-        where = str(bad)
+                "non_string_dtype": non_string_dtype, "version_1": version_1,
+                "bad_crc": bad_crc}[fault]
+        rewrite_checkpoint(good, bad, edit,
+                           seal=fault not in ("version_1", "bad_crc"))
+        where = {"version_1": f"{bad} has format_version 1",
+                 "bad_crc": f"{bad}: CRC mismatch"}.get(fault, str(bad))
     assert cli.main(bench_argv(cfg, out / "denoiser.json", bad)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and where in err
@@ -261,5 +317,52 @@ def test_cut_demo_file_never_raises(small_run, frac):
     code, _, err = quiet_main(["audit", "--config", cfg, "--denoiser",
                                str(denoiser), "--generator", str(generator),
                                "--demos", str(cut)])
+    assert code in (0, 1)
+    assert code == 0 or err.startswith("error:")
+
+
+def flip_byte(data: bytes, frac: float, delta: int) -> bytes:
+    """``data`` with the byte at fraction ``frac`` of its length changed by
+    adding ``delta`` (1 to 255) modulo 256."""
+    flipped = bytearray(data)
+    at = int(frac * len(data))
+    flipped[at] = (flipped[at] + delta) % 256
+    return bytes(flipped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(role=st.sampled_from(["denoiser", "generator"]),
+       frac=st.floats(0.0, 1.0, exclude_max=True),
+       delta=st.integers(1, 255))
+def test_flipped_checkpoint_byte_is_caught(small_run, role, frac, delta):
+    _, denoiser, generator, _, tmp = small_run
+    good = {"denoiser": denoiser, "generator": generator}[role]
+    flipped = tmp / "flipped.json"
+    flipped.write_bytes(flip_byte(good.read_bytes(), frac, delta))
+    try:
+        got = load_checkpoint(str(flipped))
+    except ValidationError as exc:
+        assert str(flipped) in str(exc)
+        return
+    # a change that leaves the JSON's meaning intact, such as other whitespace
+    want = load_checkpoint(str(good))
+    assert (got["role"], got["arch"]) == (want["role"], want["arch"])
+    for key in ("params", "ema"):
+        assert [a.tobytes() for a in got[key]] == \
+            [a.tobytes() for a in want[key]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(frac=st.floats(0.0, 1.0, exclude_max=True),
+       delta=st.integers(1, 255))
+def test_flipped_config_byte_never_raises(small_run, frac, delta):
+    cfg, denoiser, generator, demos, tmp = small_run
+    flipped = tmp / "flipped.ini"
+    flipped.write_bytes(flip_byte(open(cfg, "rb").read(), frac, delta))
+    demo_path = tmp / "demos.jsonl"
+    demo_path.write_bytes(demos)
+    code, _, err = quiet_main(["audit", "--config", str(flipped),
+                               "--denoiser", str(denoiser), "--generator",
+                               str(generator), "--demos", str(demo_path)])
     assert code in (0, 1)
     assert code == 0 or err.startswith("error:")

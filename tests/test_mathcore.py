@@ -16,7 +16,8 @@ from smile.mathcore import (EmaTracker, FeedForwardNet, OptimizerState,
 from smile.policy import GeneratorPolicy
 
 from conftest import (backward_stage_lengths, finite_difference_grads,
-                      float32_rounding_bound, relative_error, small_net)
+                      float32_rounding_bound, relative_error,
+                      seal_checkpoint, small_net)
 
 
 class TestNetForward:
@@ -341,7 +342,8 @@ class TestCheckpoint:
         save_checkpoint(path, "denoiser", model, ema.shadow)
         with open(path) as fh:
             assert set(json.load(fh)) == {"format_version", "role", "arch",
-                                          "params", "ema"}
+                                          "shapes", "params", "ema",
+                                          "crc32"}
         loaded = load_checkpoint(path)
         assert loaded["role"] == "denoiser"
         assert loaded["arch"] == model.arch()
@@ -370,7 +372,7 @@ class TestCheckpoint:
         payload = json.load(open(path))
         del payload["arch"]["dtype"]
         with open(path, "w") as fh:
-            json.dump(payload, fh)
+            json.dump(seal_checkpoint(payload), fh)
         loaded = load_checkpoint(path)
         assert all(a.dtype == np.float64 for a in loaded["params"])
         copy = NoiseModel.from_arch(loaded["arch"])

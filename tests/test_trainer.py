@@ -11,8 +11,9 @@ from smile.errors import ConfigError, InvalidInputError, TrainingError
 from smile.expertise import FilterConfig, q_curve_matrix, score_dataset
 from smile.mathcore import SeededRng
 from smile.policy import GeneratorPolicy
-from smile.trainer import (MetricsLog, TrainConfig, audit_bins, bench_reverse,
-                           evaluate, snapshot_policy, train, train_bc)
+from smile.trainer import (CSV_COLUMNS, MetricsLog, TrainConfig, audit_bins,
+                           bench_reverse, evaluate, snapshot_policy, train,
+                           train_bc)
 
 from gauss_task import (GaussianTask, OracleDenoiser, TablePolicy,
                         denoiser_loss_floor, make_store)
@@ -52,12 +53,13 @@ class TestTrainLoop:
 
     def test_identical_seed_identical_metrics(self, tmp_path):
         task = GaussianTask(seed=6, state_dim=3, action_dim=2)
-        lines = []
+        csv = []
         for run in range(2):
             store = make_store(task, SeededRng(7), n_traj=8, traj_len=20)
-            result = train(tiny_cfg(), store, SeededRng(8))
-            lines.append(list(result.metrics.csv_lines()))
-        assert lines[0] == lines[1]
+            out = str(tmp_path / f"run{run}")
+            train(tiny_cfg(), store, SeededRng(8), out_dir=out)
+            csv.append(open(os.path.join(out, "metrics.csv"), "rb").read())
+        assert csv[0] == csv[1]
 
     def test_transition_accounting_crosses_budget_once(self, gauss_store):
         cfg = tiny_cfg(batch_size=32, transition_budget=1000)
@@ -139,7 +141,8 @@ class TestTrainLoop:
         assert os.path.exists(os.path.join(out, "denoiser.json"))
         assert os.path.exists(os.path.join(out, "generator.json"))
         on_disk = open(os.path.join(out, "metrics.csv")).read().splitlines()
-        assert on_disk == list(result.metrics.csv_lines())
+        assert on_disk == [",".join(CSV_COLUMNS)] + [
+            MetricsLog.format_row(row) for row in result.metrics.rows]
 
     def test_empty_store_rejected(self):
         from smile.envs import DemoStore
@@ -329,7 +332,8 @@ class TestMetricsLog:
         log.add_row(iteration=2, transitions=256, denoiser_loss=0.4,
                     policy_loss=0.2, eval_mean=-20.0, eval_std=1.5,
                     store_size=1000)
-        lines = list(log.csv_lines())
+        lines = [",".join(CSV_COLUMNS)] + [log.format_row(row)
+                                           for row in log.rows]
         assert lines[0] == ("iteration,transitions,denoiser_loss,policy_loss,"
                             "eval_mean,eval_std,store_size")
         assert lines[1] == "1,128,0.5,0.25,,,1000"
