@@ -169,9 +169,12 @@ class FeedForwardNet(FlatParams):
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            # one array per layer: the matmul's result, biased and
+            # squashed in place
+            h = h @ w
+            h += b
             if i != last:
-                h = np.tanh(h)
+                np.tanh(h, out=h)
         return h
 
     def forward_cached(self, x: np.ndarray):
@@ -183,9 +186,10 @@ class FeedForwardNet(FlatParams):
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = h @ w
+            h += b
             if i != last:
-                h = np.tanh(h)
+                np.tanh(h, out=h)
             acts.append(h)
         return h, acts
 
@@ -209,8 +213,11 @@ class FeedForwardNet(FlatParams):
             delta.sum(axis=0, out=views[2 * i + 1])
             delta = delta @ self.weights[i].T
             if i > 0:
-                # tanh'(z) expressed through the cached post-activation
-                delta = delta * (1.0 - acts[i] ** 2)
+                # tanh'(z) = 1 - a**2 through the cached post-activation,
+                # in one temporary; acts stay untouched
+                d = np.square(acts[i])
+                np.subtract(1.0, d, out=d)
+                delta *= d
         return grads, delta
 
 
@@ -249,11 +256,22 @@ def optimizer_step(state: OptimizerState, flat: np.ndarray,
     b1c = 1.0 - state.beta1 ** state.step
     b2c = 1.0 - state.beta2 ** state.step
     m, v = state.m, state.v
+    # flat -= lr * (m / b1c) / (sqrt(v / b2c) + eps), in the same order of
+    # operations but through two scratch vectors a and b
+    a = np.multiply(grads, 1.0 - state.beta1)
     m *= state.beta1
-    m += (1.0 - state.beta1) * grads
+    m += a
+    np.multiply(grads, 1.0 - state.beta2, out=a)
+    a *= grads
     v *= state.beta2
-    v += (1.0 - state.beta2) * grads * grads
-    flat -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+    v += a
+    np.divide(m, b1c, out=a)
+    a *= state.lr
+    b = np.divide(v, b2c)
+    np.sqrt(b, out=b)
+    b += state.eps
+    a /= b
+    flat -= a
     return flat
 
 

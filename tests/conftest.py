@@ -63,6 +63,48 @@ def backward_stage_lengths(widths, batch: int) -> list[int]:
     return [1, *forward, *backward, batch]
 
 
+def reference_forward(net, x):
+    """The forward pass as first written, one fresh array per operation:
+    h = h @ w + b, then h = tanh(h) on hidden layers. Returns (output,
+    post-activations input-first); a vector ``x`` stays a vector."""
+    h = np.asarray(x, dtype=net.flat.dtype)
+    acts = [h]
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w + b
+        if i != last:
+            h = np.tanh(h)
+        acts.append(h)
+    return h, acts
+
+
+def reference_backward(net, acts, upstream):
+    """Backprop as first written: tanh' as delta * (1.0 - a ** 2) in fresh
+    arrays. Returns (gradient vector laid out like ``net.flat``, input
+    gradient)."""
+    delta = np.atleast_2d(np.asarray(upstream, dtype=net.flat.dtype))
+    grads = []
+    for i in range(len(net.weights) - 1, -1, -1):
+        grads[:0] = [(acts[i].T @ delta).reshape(-1), delta.sum(axis=0)]
+        delta = delta @ net.weights[i].T
+        if i > 0:
+            delta = delta * (1.0 - acts[i] ** 2)
+    return np.concatenate(grads), delta
+
+
+def reference_optimizer_step(state, flat, grads):
+    """The Adam update as first written, one temporary per operation."""
+    state.step += 1
+    b1c = 1.0 - state.beta1 ** state.step
+    b2c = 1.0 - state.beta2 ** state.step
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grads
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * grads * grads
+    flat -= state.lr * (state.m / b1c) / (np.sqrt(state.v / b2c) + state.eps)
+    return flat
+
+
 def seal_checkpoint(payload: dict) -> dict:
     """Set a checkpoint payload's ``crc32`` to the CRC-32 of the canonical
     JSON (sorted keys) of its other keys, as the format defines it."""

@@ -16,8 +16,9 @@ from smile.mathcore import (EmaTracker, FeedForwardNet, OptimizerState,
 from smile.policy import GeneratorPolicy
 
 from conftest import (backward_stage_lengths, finite_difference_grads,
-                      float32_rounding_bound, relative_error,
-                      seal_checkpoint, small_net)
+                      float32_rounding_bound, reference_backward,
+                      reference_forward, reference_optimizer_step,
+                      relative_error, seal_checkpoint, small_net)
 
 
 class TestNetForward:
@@ -210,6 +211,65 @@ class TestOptimizer:
             for t, tensor_state, g in zip(tensors, states, pieces):
                 optimizer_step(tensor_state, t, g)
         assert np.array_equal(np.concatenate(tensors), net.flat)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestKernelsMatchReference:
+    """The in-place kernels compute the same IEEE operations in the same
+    order as the reference expressions in conftest, so their bytes agree."""
+
+    widths = [5, 16, 16, 3]
+
+    def make(self, dtype, batch=7):
+        net = FeedForwardNet(self.widths, SeededRng(31), dtype=dtype)
+        rng = SeededRng(32)
+        return (net, rng.standard_normal((batch, self.widths[0])),
+                rng.standard_normal((batch, self.widths[-1])))
+
+    def test_forward(self, dtype):
+        net, x, _ = self.make(dtype)
+        for rows in (x, x[0]):
+            want, _ = reference_forward(net, rows)
+            assert net.forward(rows).tobytes() == want.tobytes()
+
+    def test_forward_cached(self, dtype):
+        net, x, _ = self.make(dtype)
+        out, acts = net.forward_cached(x)
+        want, want_acts = reference_forward(net, x)
+        assert out.tobytes() == want.tobytes()
+        assert len(acts) == len(want_acts)
+        for got, ref in zip(acts, want_acts):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_backward(self, dtype):
+        net, x, up = self.make(dtype)
+        _, acts = net.forward_cached(x)
+        grads, input_grad = net.backward(acts, up)
+        want, want_input = reference_backward(net, acts, up)
+        assert grads.tobytes() == want.tobytes()
+        assert input_grad.tobytes() == want_input.tobytes()
+
+    def test_backward_leaves_cache_unchanged(self, dtype):
+        net, x, up = self.make(dtype)
+        _, acts = net.forward_cached(x)
+        before = [a.tobytes() for a in acts]
+        net.backward(acts, up)
+        assert [a.tobytes() for a in acts] == before
+
+    def test_optimizer_step(self, dtype):
+        net, _, _ = self.make(dtype)
+        rng = SeededRng(33)
+        flat, ref_flat = net.flat.copy(), net.flat.copy()
+        state = OptimizerState.for_params(flat, lr=3e-3)
+        ref_state = OptimizerState.for_params(ref_flat, lr=3e-3)
+        for _ in range(4):
+            grads = rng.standard_normal(flat.shape).astype(dtype)
+            optimizer_step(state, flat, grads)
+            reference_optimizer_step(ref_state, ref_flat, grads)
+            for got, want in ((flat, ref_flat), (state.m, ref_state.m),
+                              (state.v, ref_state.v)):
+                assert got.dtype == dtype
+                assert got.tobytes() == want.tobytes()
 
 
 class TestEma:
