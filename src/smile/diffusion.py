@@ -115,6 +115,12 @@ class NoiseModel(FlatParams):
     training-loss norm is selectable: "l1" (default, works better in
     practice) or "l2". ``flat`` holds the embedding table, then the MLP,
     all in ``dtype``.
+
+    The embedding enters the MLP only through its first layer, as
+    embed[t] @ W0[k:] with k = state_dim + action_dim. So the net is fed
+    [s, a_t] alone, and each row's step arrives as a row of the table
+    embed @ W0[k:] + b0, built once per call and passed as the first
+    layer's bias; its gradient flows back through the same table.
     """
 
     def __init__(self, state_dim: int, action_dim: int, T: int,
@@ -136,6 +142,9 @@ class NoiseModel(FlatParams):
         self.net = FeedForwardNet(widths, rng, zero_output=True,
                                   flat=self.flat[n_embed:])
         self._views = [self.embed] + self.net.params()
+        # W0's rows for the embedding columns, and b0
+        self._w_e = self.net.weights[0][state_dim + action_dim:]
+        self._b0 = self.net.biases[0]
 
     def arch(self) -> dict:
         return {"state_dim": self.state_dim, "action_dim": self.action_dim,
@@ -151,46 +160,62 @@ class NoiseModel(FlatParams):
                           embed_dim=arch["embed_dim"], norm=arch["norm"],
                           dtype=arch_dtype(arch))
 
-    def _inputs(self, s: np.ndarray, a_t: np.ndarray, t) -> np.ndarray:
-        """The net's input rows [s, a_t, embed[t]], cast once to its dtype."""
-        s = np.atleast_2d(s)
-        a_t = np.atleast_2d(a_t)
-        t_arr = _check_t(t, self.T)
-        if t_arr.ndim == 0:
-            t_arr = np.full(len(s), int(t_arr))
-        emb = self.embed[t_arr]
-        return np.concatenate([s, a_t, emb], axis=1, dtype=self.flat.dtype)
-
-    def predict(self, s: np.ndarray, a_t: np.ndarray, t) -> np.ndarray:
-        """Predicted noise; squeezes back to a vector for single inputs."""
-        if isinstance(t, int) and np.ndim(s) == 1:
-            # low-overhead path for one decision at a time
+    def _inputs(self, s: np.ndarray, a_t: np.ndarray, t):
+        """The net's input [s, a_t], cast once to its dtype, and the first
+        layer's bias for step ``t``: embed[t] @ W0[k:] + b0 with
+        k = state_dim + action_dim, one row for a scalar ``t`` or a row of
+        the (T+1)-row table per entry of a ``t`` array. The input is a
+        vector for a single state at a scalar ``t``, else a matrix."""
+        if isinstance(t, int):
+            # the per-step calls of scoring and of the reverse sampler;
+            # checked without numpy's per-call overhead
             if not 0 <= t <= self.T:
                 raise InvalidInputError(
                     f"diffusion step {t} outside 0..{self.T}")
-            row = np.concatenate([s, a_t, self.embed[t]],
-                                 dtype=self.flat.dtype)
-            return self.net.forward(row)
-        single = np.asarray(s).ndim == 1
-        out = self.net.forward(self._inputs(s, a_t, t))
-        return out[0] if single else out
+            scalar = True
+        else:
+            t = _check_t(t, self.T)
+            scalar = t.ndim == 0
+        if scalar and getattr(s, "ndim", None) == 1:
+            x = np.concatenate([s, a_t], dtype=self.flat.dtype)
+        else:
+            x = np.concatenate([np.atleast_2d(s), np.atleast_2d(a_t)],
+                               axis=1, dtype=self.flat.dtype)
+        k = self.state_dim + self.action_dim
+        if x.shape[-1] != k:
+            raise InvalidInputError(f"state and action columns number "
+                                    f"{x.shape[-1]}, the model takes {k}")
+        bias = np.dot(self.embed[t] if scalar else self.embed, self._w_e)
+        bias += self._b0
+        return x, bias if scalar else bias[t]
+
+    def predict(self, s: np.ndarray, a_t: np.ndarray, t) -> np.ndarray:
+        """Predicted noise; a vector for a single state."""
+        out = self.net.forward(*self._inputs(s, a_t, t))
+        return out[0] if out.ndim == 2 and np.ndim(s) == 1 else out
 
     def forward_cached(self, s: np.ndarray, a_t: np.ndarray, t_arr: np.ndarray):
-        out, acts = self.net.forward_cached(self._inputs(s, a_t, t_arr))
+        out, acts = self.net.forward_cached(*self._inputs(s, a_t, t_arr))
         return out, (acts, t_arr)
 
     def backward(self, cache, upstream: np.ndarray) -> np.ndarray:
-        """Parameter gradients as one vector laid out like ``flat``."""
+        """Parameter gradients as one vector laid out like ``flat``.
+
+        With G = onehot(t)^T delta0, the gradient of the first-layer bias
+        table, the step's rows of W0 get embed^T G and the embedding gets
+        G W0[k:]^T.
+        """
         acts, t_arr = cache
-        net_grads, input_grad = self.net.backward(acts, upstream)
-        # scatter-add each row's embedding gradient onto its step's row,
-        # one bincount per embedding column (np.add.at is ~3x slower)
-        embed_grad = np.stack([
-            np.bincount(t_arr, weights=col, minlength=self.T + 1)
-            for col in input_grad[:, self.state_dim + self.action_dim:].T],
-            axis=1)
-        return np.concatenate([embed_grad.reshape(-1), net_grads],
-                              dtype=self.flat.dtype)
+        net_grads, delta0 = self.net.backward(acts, upstream)
+        onehot = np.zeros((self.T + 1, len(t_arr)), dtype=self.flat.dtype)
+        onehot[t_arr, np.arange(len(t_arr))] = 1.0
+        table_grad = onehot @ delta0
+        k = self.state_dim + self.action_dim
+        w0_grad = net_grads[:self.net.weights[0].size].reshape(
+            self.net.weights[0].shape)
+        np.matmul(self.embed.T, table_grad, out=w0_grad[k:])
+        embed_grad = table_grad @ self._w_e.T
+        return np.concatenate([embed_grad.reshape(-1), net_grads])
 
 
 def denoiser_loss(model: NoiseModel, states: np.ndarray, actions: np.ndarray,
@@ -234,7 +259,7 @@ def naive_reverse_sample(model, s: np.ndarray, sched: DiffusionSchedule,
     forward posterior; the final t = 1 step returns the posterior mean so no
     fresh noise lands in the returned action.
     """
-    a_t = np.asarray(a_t_init, dtype=np.float64).copy()
+    a_t = np.asarray(a_t_init, dtype=np.float64)
     for t in range(sched.T, 0, -1):
         eps_hat = model.predict(s, a_t, t)
         a0_hat = a_t - sched.sigmas[t] * eps_hat

@@ -14,6 +14,11 @@ about twice as fast). A network casts its inputs and upstream gradients to
 that dtype once, at the boundary, so no matmul mixes dtypes; everything
 else (RNG draws, losses, schedules, environments) is float64.
 
+Outside the matmuls the kernels work in place: a layer's matmul result is
+biased and squashed where it lies, tanh' takes one temporary, and the Adam
+update runs through two scratch vectors. Each keeps the order of
+operations of the plain expressions, so the results are the same bits.
+
 Training is single-writer: parameter mutation happens on one logical thread,
 and read-only snapshots (EMA shadows, checkpoints) are full copies.
 """
@@ -126,9 +131,13 @@ class FeedForwardNet(FlatParams):
     ``widths`` lists layer sizes input-first, e.g. ``[4, 256, 256, 256, 2]``.
     Weights are Glorot-normal initialized from the supplied rng. The forward
     pass accepts a single vector or a (batch, in) matrix and computes in
-    ``dtype``. The parameters [W0, b0, W1, b1, ...] tile ``flat`` in that
-    order; ``flat`` is a fresh zero vector of ``dtype`` unless the caller
-    passes a zeroed one of ``size(widths)``, whose dtype then rules.
+    ``dtype``. A caller whose trailing inputs take few distinct values can
+    fold their part of the first layer into a per-row bias (``first_bias``)
+    and pass the leading inputs alone; ``backward`` returns the first
+    layer's pre-activation gradient, from which it gets theirs. The
+    parameters [W0, b0, W1, b1, ...] tile ``flat`` in that order; ``flat``
+    is a fresh zero vector of ``dtype`` unless the caller passes a zeroed
+    one of ``size(widths)``, whose dtype then rules.
     """
 
     def __init__(self, widths: list[int], rng: SeededRng,
@@ -144,6 +153,9 @@ class FeedForwardNet(FlatParams):
         self._views = reshape_views(self.flat, shapes)
         self.weights = self._views[0::2]
         self.biases = self._views[1::2]
+        # (weight, bias) of every layer after the first, paired once here
+        # and not on every call: a single-state act is a few microseconds
+        self._rest = list(zip(self.weights[1:], self.biases[1:]))
         for w in self.weights:
             n_in, n_out = w.shape
             w[...] = np.sqrt(2.0 / (n_in + n_out)) * rng.standard_normal(
@@ -157,48 +169,66 @@ class FeedForwardNet(FlatParams):
     def size(widths: list[int]) -> int:
         return sum((a + 1) * b for a, b in zip(widths[:-1], widths[1:]))
 
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=self.flat.dtype)
-        if x.shape[-1] != self.widths[0]:
-            raise InvalidInputError(f"input dim {x.shape[-1]} != first "
-                                    f"layer width {self.widths[0]}")
-        return x
+    def _first_layer(self, x: np.ndarray, first_bias):
+        """``x`` in the net's dtype and the first layer's (weight, bias).
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            # one array per layer: the matmul's result, biased and
-            # squashed in place
+        That is (W0, b0), or with ``first_bias`` given, (W0[:m], first_bias)
+        for an ``x`` of m < widths[0] columns: the caller has folded the
+        other inputs' rows of W0, and b0, into ``first_bias`` (one row for
+        every row of ``x``, or one row for all of them).
+        """
+        x = np.asarray(x, dtype=self.flat.dtype)
+        m = x.shape[-1]
+        if first_bias is None:
+            if m == self.widths[0]:
+                return x, self.weights[0], self.biases[0]
+        elif m < self.widths[0]:
+            return x, self.weights[0][:m], first_bias
+        raise InvalidInputError(
+            f"input dim {m} does not fit first layer width {self.widths[0]}"
+            + ("" if first_bias is None else " with a first_bias"))
+
+    def forward(self, x: np.ndarray, first_bias=None) -> np.ndarray:
+        """The output for a vector or a (batch, in) matrix ``x``; see
+        ``_first_layer`` for ``first_bias``."""
+        x, w0, b0 = self._first_layer(x, first_bias)
+        # one array per layer: the matmul's result, biased and squashed in
+        # place
+        h = x @ w0
+        h += b0
+        for w, b in self._rest:
+            np.tanh(h, out=h)
             h = h @ w
             h += b
-            if i != last:
-                np.tanh(h, out=h)
         return h
 
-    def forward_cached(self, x: np.ndarray):
-        """Forward pass keeping the post-activation of every layer for backprop."""
-        x = self._check_input(x)
+    def forward_cached(self, x: np.ndarray, first_bias=None):
+        """Forward pass keeping the input and the post-activation of every
+        layer for backprop."""
+        x, w0, b0 = self._first_layer(x, first_bias)
         if x.ndim == 1:
             x = x[None, :]
         acts = [x]
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        h = x @ w0
+        h += b0
+        for w, b in self._rest:
+            np.tanh(h, out=h)
+            acts.append(h)
             h = h @ w
             h += b
-            if i != last:
-                np.tanh(h, out=h)
-            acts.append(h)
+        acts.append(h)
         return h, acts
 
     def backward(self, acts: list[np.ndarray], upstream: np.ndarray):
         """Backprop of (upstream . output) through the cached forward pass.
 
-        Returns (param_grads, input_grad), param_grads one vector laid out
-        like ``flat``. ``upstream`` must match the cached batch shape; it is
-        cast to the network's dtype.
+        Returns (param_grads, delta0): param_grads is one vector laid out
+        like ``flat``, delta0 the gradient with respect to the first layer's
+        pre-activation (the input gradient is ``delta0 @ W0.T``). Rows of
+        W0's gradient past the cached input's width are zero; a caller that
+        folded those inputs into a ``first_bias`` fills them. ``upstream``
+        must match the cached batch shape; it is cast to the network's
+        dtype.
         """
         delta = np.asarray(upstream, dtype=self.flat.dtype)
         if delta.ndim == 1:
@@ -208,16 +238,19 @@ class FeedForwardNet(FlatParams):
                 f"upstream shape {delta.shape} != output shape {acts[-1].shape}")
         grads = np.empty_like(self.flat)
         views = reshape_views(grads, [p.shape for p in self._views])
-        for i in range(len(self.weights) - 1, -1, -1):
+        for i in range(len(self.weights) - 1, 0, -1):
             np.matmul(acts[i].T, delta, out=views[2 * i])
             delta.sum(axis=0, out=views[2 * i + 1])
             delta = delta @ self.weights[i].T
-            if i > 0:
-                # tanh'(z) = 1 - a**2 through the cached post-activation,
-                # in one temporary; acts stay untouched
-                d = np.square(acts[i])
-                np.subtract(1.0, d, out=d)
-                delta *= d
+            # tanh'(z) = 1 - a**2 through the cached post-activation, in one
+            # temporary; acts stay untouched
+            d = np.square(acts[i])
+            np.subtract(1.0, d, out=d)
+            delta *= d
+        n_in = acts[0].shape[1]
+        np.matmul(acts[0].T, delta, out=views[0][:n_in])
+        views[0][n_in:] = 0.0
+        delta.sum(axis=0, out=views[1])
         return grads, delta
 
 

@@ -51,16 +51,29 @@ def float32_rounding_bound(stage_lengths) -> float:
     return sum(n * u / (1 - n * u) for n in stage_lengths)
 
 
-def backward_stage_lengths(widths, batch: int) -> list[int]:
+def backward_stage_lengths(widths, batch: int, table_rows=None) -> list[int]:
     """The float32 rounding stages a first-layer weight gradient of
     ``FeedForwardNet(widths)`` passes through: the input cast (1); per layer
     the forward matmul (n_in terms), bias add and tanh (n_in + 2); per
     hidden layer on the way back the delta matmul (n_out terms) and the
     three roundings of delta * (1 - a**2) (n_out + 3); and the sum over the
-    batch that forms the gradient (batch)."""
-    forward = [n_in + 2 for n_in in widths[:-1]]
+    batch that forms the gradient (batch).
+
+    ``table_rows`` (T + 1) describes a NoiseModel's net, whose first layer
+    takes the step as a row of the table embed @ W0[k:] + b0. Its
+    pre-activation x @ W0[:k] + table[t] chains the two partial dot
+    products (n_in terms between them), the table's bias add, the gather
+    add and tanh (n_in + 3). The gradients of W0[k:] and of the embedding
+    then take one more matmul after the batch sum G = onehot(t)^T delta0:
+    embed^T G (table_rows terms) or G W0[k:]^T (widths[1] terms), the
+    longer of the two."""
+    first = widths[0] + (2 if table_rows is None else 3)
+    forward = [first, *(n_in + 2 for n_in in widths[1:-1])]
     backward = [n_out + 3 for n_out in widths[2:]]
-    return [1, *forward, *backward, batch]
+    stages = [1, *forward, *backward, batch]
+    if table_rows is not None:
+        stages.append(max(table_rows, widths[1]))
+    return stages
 
 
 def reference_forward(net, x):
@@ -80,14 +93,14 @@ def reference_forward(net, x):
 
 def reference_backward(net, acts, upstream):
     """Backprop as first written: tanh' as delta * (1.0 - a ** 2) in fresh
-    arrays. Returns (gradient vector laid out like ``net.flat``, input
-    gradient)."""
+    arrays. Returns (gradient vector laid out like ``net.flat``, gradient
+    with respect to the first layer's pre-activation)."""
     delta = np.atleast_2d(np.asarray(upstream, dtype=net.flat.dtype))
     grads = []
     for i in range(len(net.weights) - 1, -1, -1):
         grads[:0] = [(acts[i].T @ delta).reshape(-1), delta.sum(axis=0)]
-        delta = delta @ net.weights[i].T
         if i > 0:
+            delta = delta @ net.weights[i].T
             delta = delta * (1.0 - acts[i] ** 2)
     return np.concatenate(grads), delta
 

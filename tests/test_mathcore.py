@@ -72,7 +72,8 @@ class TestNetForward:
 class TestNetGradients:
     @staticmethod
     def net_gradients(net, x, upstream):
-        """Gradient of (upstream . net(x)) w.r.t. every parameter and x."""
+        """Gradient of (upstream . net(x)) w.r.t. every parameter and the
+        first layer's pre-activation."""
         _, acts = net.forward_cached(x)
         return net.backward(acts, upstream)
 
@@ -106,7 +107,8 @@ class TestNetGradients:
         rng = SeededRng(21)
         x = rng.standard_normal(3)
         up = rng.standard_normal(2)
-        _, input_grad = self.net_gradients(net, x, up)
+        _, delta0 = self.net_gradients(net, x, up)
+        input_grad = delta0 @ net.weights[0].T
         h = 1e-5
         for i in range(3):
             xp, xm = x.copy(), x.copy()
@@ -125,8 +127,8 @@ class TestNetGradients:
         # the same weights, batch and upstream (all float32-representable)
         # through a float32 and a float64 net: the float32 gradients are
         # float32 and within the first-order worst-case rounding bound of
-        # their stages (measured: 2-4 u, against a bound of 181 u here;
-        # the input gradient ends in a 32-term matmul, not the batch sum)
+        # their stages (measured: 3 u for the parameters and 2 u for the
+        # first layer's pre-activation gradient, against a bound of 181 u)
         widths, batch = [5, 32, 32, 3], 64
         net32 = FeedForwardNet(widths, SeededRng(1), dtype=np.float32)
         net64 = FeedForwardNet(widths, SeededRng(1))
@@ -244,10 +246,10 @@ class TestKernelsMatchReference:
     def test_backward(self, dtype):
         net, x, up = self.make(dtype)
         _, acts = net.forward_cached(x)
-        grads, input_grad = net.backward(acts, up)
-        want, want_input = reference_backward(net, acts, up)
+        grads, delta0 = net.backward(acts, up)
+        want, want_delta0 = reference_backward(net, acts, up)
         assert grads.tobytes() == want.tobytes()
-        assert input_grad.tobytes() == want_input.tobytes()
+        assert delta0.tobytes() == want_delta0.tobytes()
 
     def test_backward_leaves_cache_unchanged(self, dtype):
         net, x, up = self.make(dtype)
