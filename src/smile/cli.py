@@ -9,6 +9,7 @@ scripting: 0 success, 1 validation error, 2 runtime/numerical error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -112,6 +113,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    width = args.bin_width
+    if not (math.isfinite(width) and width > 0):
+        raise ValidationError(
+            f"--bin-width must be positive and finite, got {width!r}")
     cfg = load_config(args.config)
     store = envs_mod.load_demos(args.demos, include_rewards=True)
     _check_dims(cfg, store)
@@ -124,7 +129,6 @@ def cmd_audit(args) -> int:
                            cfg.train.beta_max)
 
     rets = [tr.ret for tr in store.trajectories]
-    width = args.bin_width
     lo = np.floor(min(rets) / width) * width
     hi = np.ceil(max(rets) / width) * width
     if hi <= lo:
@@ -150,6 +154,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 1:
+        raise ValidationError(f"--trials must be positive, got {args.trials}")
     cfg = load_config(args.config)
     model = _load_actor(args.denoiser)
     policy = _load_actor(args.generator)

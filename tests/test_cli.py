@@ -98,6 +98,22 @@ def test_audit_scores_once(run, monkeypatch):
     assert acted == [1000]  # one policy call over all 10 x 100 transitions
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("audit", "--bin-width", "0"), ("audit", "--bin-width", "-5"),
+    ("audit", "--bin-width", "nan"), ("audit", "--bin-width", "inf"),
+    ("bench", "--trials", "0"), ("bench", "--trials", "-3"),
+])
+def test_bad_flag_value_exits_1(run, capsys, command, flag, value):
+    cfg, out = run
+    argv = [command, "--config", cfg,
+            "--denoiser", str(out / "denoiser.json"),
+            "--generator", str(out / "generator.json")]
+    if command == "audit":
+        argv += ["--demos", str(out / "demos.jsonl")]
+    assert cli.main(argv + [flag, value]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} ")
+
+
 def corrupt_demos(out, tmp_path, edit):
     """Copy the run's demo file with line 3 (a record) passed through
     ``edit``; return the copy's path."""
