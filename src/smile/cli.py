@@ -29,14 +29,16 @@ def _resolve(cfg: ExperimentConfig, path: str) -> str:
     return path if os.path.isabs(path) else os.path.join(cfg.output_dir, path)
 
 
-def _load_actor(path: str):
-    """The network a checkpoint describes, holding its EMA parameters."""
+def _load_actor(path: str, *roles: str):
+    """The network a checkpoint of one of ``roles`` describes, holding its
+    EMA parameters."""
     payload = load_checkpoint(path)
     role = payload.get("role")
+    if role not in roles:
+        raise ValidationError(f"checkpoint {path} holds role {role!r}, "
+                              f"expected {' or '.join(roles)}")
     cls = {"denoiser": NoiseModel, "generator": GeneratorPolicy,
-           "bc": BcBaseline}.get(role)
-    if cls is None:
-        raise InvalidInputError(f"checkpoint {path} has unknown role {role!r}")
+           "bc": BcBaseline}[role]
     try:
         actor = cls.from_arch(payload["arch"])
         actor.set_params(payload["ema"])
@@ -123,8 +125,8 @@ def cmd_audit(args) -> int:
     if any(tr.ret is None for tr in store.trajectories):
         raise ValidationError(
             f"demo file {args.demos} lacks rewards; audit needs returns")
-    model = _load_actor(args.denoiser)
-    policy = _load_actor(args.generator)
+    model = _load_actor(args.denoiser, "denoiser")
+    policy = _load_actor(args.generator, "generator", "bc")
     sched = build_schedule(cfg.train.diffusion_steps, cfg.train.beta_min,
                            cfg.train.beta_max)
 
@@ -157,8 +159,8 @@ def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValidationError(f"--trials must be positive, got {args.trials}")
     cfg = load_config(args.config)
-    model = _load_actor(args.denoiser)
-    policy = _load_actor(args.generator)
+    model = _load_actor(args.denoiser, "denoiser")
+    policy = _load_actor(args.generator, "generator", "bc")
     sched = build_schedule(cfg.train.diffusion_steps, cfg.train.beta_min,
                            cfg.train.beta_max)
     rng = SeededRng(derive_seed(cfg.seed, "bench"))

@@ -143,7 +143,6 @@ def load_config(path: str) -> ExperimentConfig:
         diffusion_steps=sched_kw.get("steps", 10),
         beta_min=sched_kw.get("beta_min", 0.05),
         beta_max=sched_kw.get("beta_max", 0.6),
-        seed=exp.get("seed", 0),
         **tr_kw)
     try:
         train.validate()

@@ -1,12 +1,14 @@
 """Minimal numerical substrate: seeded RNG, feed-forward nets with analytic
 gradients, an adaptive-moment optimizer, EMA tracking, and checkpoint I/O.
 
-Networks are plain MLPs (tanh hidden layers, identity output); gradients are
-computed by hand-rolled backprop, so the whole stack is deterministic given
-seeds. A network keeps its parameters in one vector ``flat`` (``params()``
-lists its per-tensor views); gradients, Adam moments and EMA shadows are
-vectors laid out like it, which keeps the optimizer and EMA tracker agnostic
-of what they belong to; all of them share ``flat``'s dtype.
+Networks are plain MLPs (tanh hidden layers, identity output) on one input
+matrix; a caller that conditions a net on a discrete value, such as the
+diffusion step, feeds it as one-hot columns. Gradients are computed by
+hand-rolled backprop, so the whole stack is deterministic given seeds. A
+network keeps its parameters in one vector ``flat`` (``params()`` lists its
+per-tensor views); gradients, Adam moments and EMA shadows are vectors laid
+out like it, which keeps the optimizer and EMA tracker agnostic of what
+they belong to; all of them share ``flat``'s dtype.
 
 The dtype of ``flat`` is part of a network's architecture: float64 by
 default, float32 for the networks the trainer builds (their matmuls run
@@ -131,23 +133,16 @@ class FeedForwardNet(FlatParams):
     ``widths`` lists layer sizes input-first, e.g. ``[4, 256, 256, 256, 2]``.
     Weights are Glorot-normal initialized from the supplied rng. The forward
     pass accepts a single vector or a (batch, in) matrix and computes in
-    ``dtype``. A caller whose trailing inputs take few distinct values can
-    fold their part of the first layer into a per-row bias (``first_bias``)
-    and pass the leading inputs alone; ``backward`` returns the first
-    layer's pre-activation gradient, from which it gets theirs. The
-    parameters [W0, b0, W1, b1, ...] tile ``flat`` in that order; ``flat``
-    is a fresh zero vector of ``dtype`` unless the caller passes a zeroed
-    one of ``size(widths)``, whose dtype then rules.
+    ``dtype``. The parameters [W0, b0, W1, b1, ...] tile the fresh vector
+    ``flat`` in that order.
     """
 
     def __init__(self, widths: list[int], rng: SeededRng,
-                 zero_output: bool = False, flat: np.ndarray | None = None,
-                 dtype=np.float64):
+                 zero_output: bool = False, dtype=np.float64):
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise InvalidInputError(f"bad layer widths {widths}")
         self.widths = list(widths)
-        self.flat = (np.zeros(self.size(widths), dtype=dtype) if flat is None
-                     else flat)
+        self.flat = np.zeros(self.size(widths), dtype=dtype)
         shapes = [shape for n_in, n_out in zip(widths[:-1], widths[1:])
                   for shape in ((n_in, n_out), (n_out,))]
         self._views = reshape_views(self.flat, shapes)
@@ -169,48 +164,36 @@ class FeedForwardNet(FlatParams):
     def size(widths: list[int]) -> int:
         return sum((a + 1) * b for a, b in zip(widths[:-1], widths[1:]))
 
-    def _first_layer(self, x: np.ndarray, first_bias):
-        """``x`` in the net's dtype and the first layer's (weight, bias).
-
-        That is (W0, b0), or with ``first_bias`` given, (W0[:m], first_bias)
-        for an ``x`` of m < widths[0] columns: the caller has folded the
-        other inputs' rows of W0, and b0, into ``first_bias`` (one row for
-        every row of ``x``, or one row for all of them).
-        """
+    def _input(self, x: np.ndarray) -> np.ndarray:
+        """``x`` in the net's dtype, checked against the first layer's
+        width."""
         x = np.asarray(x, dtype=self.flat.dtype)
-        m = x.shape[-1]
-        if first_bias is None:
-            if m == self.widths[0]:
-                return x, self.weights[0], self.biases[0]
-        elif m < self.widths[0]:
-            return x, self.weights[0][:m], first_bias
-        raise InvalidInputError(
-            f"input dim {m} does not fit first layer width {self.widths[0]}"
-            + ("" if first_bias is None else " with a first_bias"))
+        if x.shape[-1] != self.widths[0]:
+            raise InvalidInputError(f"input dim {x.shape[-1]} does not fit "
+                                    f"first layer width {self.widths[0]}")
+        return x
 
-    def forward(self, x: np.ndarray, first_bias=None) -> np.ndarray:
-        """The output for a vector or a (batch, in) matrix ``x``; see
-        ``_first_layer`` for ``first_bias``."""
-        x, w0, b0 = self._first_layer(x, first_bias)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The output for a vector or a (batch, in) matrix ``x``."""
         # one array per layer: the matmul's result, biased and squashed in
         # place
-        h = x @ w0
-        h += b0
+        h = self._input(x) @ self.weights[0]
+        h += self.biases[0]
         for w, b in self._rest:
             np.tanh(h, out=h)
             h = h @ w
             h += b
         return h
 
-    def forward_cached(self, x: np.ndarray, first_bias=None):
+    def forward_cached(self, x: np.ndarray):
         """Forward pass keeping the input and the post-activation of every
         layer for backprop."""
-        x, w0, b0 = self._first_layer(x, first_bias)
+        x = self._input(x)
         if x.ndim == 1:
             x = x[None, :]
         acts = [x]
-        h = x @ w0
-        h += b0
+        h = x @ self.weights[0]
+        h += self.biases[0]
         for w, b in self._rest:
             np.tanh(h, out=h)
             acts.append(h)
@@ -219,16 +202,13 @@ class FeedForwardNet(FlatParams):
         acts.append(h)
         return h, acts
 
-    def backward(self, acts: list[np.ndarray], upstream: np.ndarray):
+    def backward(self, acts: list[np.ndarray],
+                 upstream: np.ndarray) -> np.ndarray:
         """Backprop of (upstream . output) through the cached forward pass.
 
-        Returns (param_grads, delta0): param_grads is one vector laid out
-        like ``flat``, delta0 the gradient with respect to the first layer's
-        pre-activation (the input gradient is ``delta0 @ W0.T``). Rows of
-        W0's gradient past the cached input's width are zero; a caller that
-        folded those inputs into a ``first_bias`` fills them. ``upstream``
-        must match the cached batch shape; it is cast to the network's
-        dtype.
+        Returns the parameter gradients as one vector laid out like
+        ``flat``. ``upstream`` must match the cached batch shape; it is cast
+        to the network's dtype.
         """
         delta = np.asarray(upstream, dtype=self.flat.dtype)
         if delta.ndim == 1:
@@ -238,20 +218,17 @@ class FeedForwardNet(FlatParams):
                 f"upstream shape {delta.shape} != output shape {acts[-1].shape}")
         grads = np.empty_like(self.flat)
         views = reshape_views(grads, [p.shape for p in self._views])
-        for i in range(len(self.weights) - 1, 0, -1):
+        for i in range(len(self.weights) - 1, -1, -1):
             np.matmul(acts[i].T, delta, out=views[2 * i])
             delta.sum(axis=0, out=views[2 * i + 1])
-            delta = delta @ self.weights[i].T
-            # tanh'(z) = 1 - a**2 through the cached post-activation, in one
-            # temporary; acts stay untouched
-            d = np.square(acts[i])
-            np.subtract(1.0, d, out=d)
-            delta *= d
-        n_in = acts[0].shape[1]
-        np.matmul(acts[0].T, delta, out=views[0][:n_in])
-        views[0][n_in:] = 0.0
-        delta.sum(axis=0, out=views[1])
-        return grads, delta
+            if i > 0:
+                delta = delta @ self.weights[i].T
+                # tanh'(z) = 1 - a**2 through the cached post-activation, in
+                # one temporary; acts stay untouched
+                d = np.square(acts[i])
+                np.subtract(1.0, d, out=d)
+                delta *= d
+        return grads
 
 
 # ---------------------------------------------------------------------------

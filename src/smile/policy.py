@@ -101,8 +101,7 @@ def policy_loss(policy: GeneratorPolicy, model: NoiseModel,
     diff = a_gen - a0_hat
     loss = float((w ** 2 * diff ** 2).sum(axis=1).mean())
     upstream = 2.0 * w ** 2 * diff / n
-    grads, _ = policy.net.backward(acts, upstream)
-    return loss, grads
+    return loss, policy.net.backward(acts, upstream)
 
 
 def bc_loss(baseline: BcBaseline, states: np.ndarray, actions: np.ndarray):
@@ -115,5 +114,4 @@ def bc_loss(baseline: BcBaseline, states: np.ndarray, actions: np.ndarray):
     pred, acts = baseline.net.forward_cached(states)
     diff = pred - actions
     loss = float((diff ** 2).sum(axis=1).mean())
-    grads, _ = baseline.net.backward(acts, 2.0 * diff / n)
-    return loss, grads
+    return loss, baseline.net.backward(acts, 2.0 * diff / n)

@@ -250,14 +250,30 @@ def bad_crc(payload):
     payload["crc32"] ^= 1
 
 
+def step_embedding(payload):
+    # a denoiser saved while the step entered through a learned embedding:
+    # a (T+1) x 32 table first, and W0 taking 32 embedding columns in place
+    # of the T+1 one-hot ones
+    arch = payload["arch"]
+    k = arch["state_dim"] + arch["action_dim"]
+    arch["embed_dim"] = 32
+    arch["widths"][0] = k + 32
+    payload["shapes"][:1] = [[arch["T"] + 1, 32], [k + 32, arch["widths"][1]]]
+    size = sum(math.prod(shape) for shape in payload["shapes"])
+    for key in ("params", "ema"):
+        set_vector(payload, key,
+                   np.zeros(size, dtype=vector(payload, key).dtype))
+
+
 @pytest.mark.parametrize("fault", ["missing", "truncated", "not_utf8",
                                    "no_params", "wrong_shape", "nan_in_ema",
                                    "float32_overflow", "bad_arch",
                                    "unknown_dtype", "non_string_dtype",
-                                   "version_1", "bad_crc"])
+                                   "version_1", "bad_crc", "step_embedding"])
 def test_bad_checkpoint_exits_1(run, tmp_path, capsys, fault):
     cfg, out = run
-    good = out / "generator.json"
+    role = "denoiser" if fault == "step_embedding" else "generator"
+    good = out / f"{role}.json"
     bad = tmp_path / "bad.json"
     if fault == "missing":
         where = str(bad)
@@ -273,14 +289,34 @@ def test_bad_checkpoint_exits_1(run, tmp_path, capsys, fault):
                 "nan_in_ema": nan_in_ema, "float32_overflow": float32_overflow,
                 "bad_arch": bad_arch, "unknown_dtype": unknown_dtype,
                 "non_string_dtype": non_string_dtype, "version_1": version_1,
-                "bad_crc": bad_crc}[fault]
+                "bad_crc": bad_crc, "step_embedding": step_embedding}[fault]
         rewrite_checkpoint(good, bad, edit,
                            seal=fault not in ("version_1", "bad_crc"))
         where = {"version_1": f"{bad} has format_version 1",
                  "bad_crc": f"{bad}: CRC mismatch"}.get(fault, str(bad))
-    assert cli.main(bench_argv(cfg, out / "denoiser.json", bad)) == 1
+    paths = {"denoiser": out / "denoiser.json",
+             "generator": out / "generator.json", role: bad}
+    assert cli.main(bench_argv(cfg, paths["denoiser"], paths["generator"])) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and where in err
+
+
+@pytest.mark.parametrize("command,denoiser,generator", [
+    ("audit", "generator", "denoiser"), ("audit", "denoiser", "denoiser"),
+    ("bench", "generator", "generator"),
+])
+def test_wrong_role_exits_1(run, capsys, command, denoiser, generator):
+    cfg, out = run
+    argv = [command, "--config", cfg,
+            "--denoiser", str(out / f"{denoiser}.json"),
+            "--generator", str(out / f"{generator}.json")]
+    argv += (["--demos", str(out / "demos.jsonl")] if command == "audit"
+             else ["--trials", "2"])
+    assert cli.main(argv) == 1
+    wrong = "generator" if denoiser == "generator" else "denoiser"
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {out / wrong}.json holds role "
+                          f"'{wrong}'")
 
 
 @pytest.fixture(scope="module")
@@ -291,7 +327,7 @@ def small_run(run, tmp_path_factory):
     env = load_config(cfg).env
     tmp = tmp_path_factory.mktemp("small")
     nets = {"denoiser": NoiseModel(env.state_dim, env.action_dim, 10,
-                                   SeededRng(1), hidden=(4,), embed_dim=2),
+                                   SeededRng(1), hidden=(4,)),
             "generator": GeneratorPolicy(env.state_dim, env.action_dim,
                                          SeededRng(2), hidden=(4,))}
     paths = {}

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smile.diffusion import (NoiseModel, build_schedule, denoiser_loss,
-                             diffuse, naive_reverse_sample, posterior_mean,
-                             posterior_var)
+from smile.diffusion import (STEP_INPUT, NoiseModel, build_schedule,
+                             denoiser_loss, diffuse, naive_reverse_sample,
+                             posterior_mean, posterior_var)
 from smile.errors import ConfigError, InvalidInputError
 from smile.mathcore import SeededRng, reshape_views
 
@@ -108,84 +108,112 @@ class TestDiffuse:
 
 
 class TestStepTable:
-    """The step enters the first layer as a row of the table
-    embed @ W0[k:] + b0; the net computes the same function as one fed
-    [s, a_t, embed[t]] whole."""
+    """The step enters as T+1 one-hot input columns, so the step's rows of
+    W0 are the learned step table: predict is the net fed
+    [s, a_t, STEP_INPUT * onehot(t)], bit for bit."""
 
     @staticmethod
-    def concatenated_forward(model, s, a_t, t):
+    def onehot_input(model, s, a_t, t):
         s = np.atleast_2d(s)
-        emb = np.broadcast_to(model.embed[t], (len(s), model.embed_dim))
-        x = np.concatenate([s, np.atleast_2d(a_t), emb], axis=1)
-        return model.net.forward(x)
+        onehot = np.zeros((len(s), model.T + 1))
+        onehot[np.arange(len(s)), t] = STEP_INPUT
+        return np.concatenate([s, np.atleast_2d(a_t), onehot], axis=1)
+
+    @staticmethod
+    def models(sched, seed):
+        for dtype in (np.float32, np.float64):
+            model = NoiseModel(3, 2, sched.T, SeededRng(seed),
+                               hidden=(16, 16), dtype=dtype)
+            # a zero output layer would make every prediction 0
+            w = model.net.weights[-1]
+            w[...] = 0.3 * SeededRng(seed + 1).standard_normal(w.shape)
+            yield model
 
     def test_predict_matches_concatenated_input(self, sched):
-        model = NoiseModel(3, 2, sched.T, SeededRng(40), hidden=(16, 16),
-                           embed_dim=5)
-        model.net.weights[-1][...] = 0.3 * SeededRng(41).standard_normal(
-            model.net.weights[-1].shape)
-        rng = SeededRng(42)
-        s, a_t = rng.standard_normal((9, 3)), rng.standard_normal((9, 2))
-        t_arr = rng.integers(0, sched.T + 1, size=9)
-        want = self.concatenated_forward(model, s, a_t, t_arr)
-        assert np.allclose(model.predict(s, a_t, t_arr), want,
-                           rtol=1e-12, atol=1e-14)
-        out, _ = model.forward_cached(s, a_t, t_arr)
-        assert np.allclose(out, want, rtol=1e-12, atol=1e-14)
-        for i in (0, 4):
-            t = int(t_arr[i])
-            single = model.predict(s[i], a_t[i], t)
-            assert single.shape == (2,)
-            assert np.allclose(single, want[i], rtol=1e-12, atol=1e-14)
-            assert np.allclose(model.predict(s, a_t, t),
-                               self.concatenated_forward(model, s, a_t, t),
-                               rtol=1e-12, atol=1e-14)
+        for model in self.models(sched, 40):
+            assert model.net.widths[0] == 3 + 2 + sched.T + 1
+            rng = SeededRng(42)
+            s, a_t = rng.standard_normal((9, 3)), rng.standard_normal((9, 2))
+            t_arr = rng.integers(0, sched.T + 1, size=9)
+            want = model.net.forward(self.onehot_input(model, s, a_t, t_arr))
+            assert model.predict(s, a_t, t_arr).tobytes() == want.tobytes()
+            for i in (0, 4):
+                t = int(t_arr[i])
+                single = model.predict(s[i], a_t[i], t)
+                assert single.shape == (2,)
+                x = self.onehot_input(model, s[i], a_t[i], t)[0]
+                assert single.tobytes() == model.net.forward(x).tobytes()
+
+    def test_scalar_step_matches_step_array(self, sched):
+        for model in self.models(sched, 43):
+            rng = SeededRng(45)
+            s, a_t = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
+            for t in (0, 4, sched.T):
+                want = model.predict(s, a_t, np.full(6, t)).tobytes()
+                assert model.predict(s, a_t, t).tobytes() == want
+                assert model.predict(s, a_t, np.int64(t)).tobytes() == want
 
     def test_bad_step_and_width_rejected(self, sched):
         model = NoiseModel(3, 2, sched.T, SeededRng(0), hidden=(4,))
         for t in (-1, sched.T + 1, np.array([1, sched.T + 1])):
             with pytest.raises(InvalidInputError):
                 model.predict(np.zeros(3), np.zeros(2), t)
+        for s, a_t, t in ((np.zeros((2, 4)), np.zeros((2, 2)), 1),
+                          # the right total width, split wrongly
+                          (np.zeros((2, 4)), np.zeros((2, 1)), 1),
+                          (np.zeros((2, 3)), np.zeros((3, 2)), 1),
+                          (np.zeros((2, 3)), np.zeros((2, 2)),
+                           np.array([1, 2, 3]))):
+            with pytest.raises(InvalidInputError):
+                model.predict(s, a_t, t)
         with pytest.raises(InvalidInputError):
-            model.predict(np.zeros((2, 4)), np.zeros((2, 2)), 1)
-        with pytest.raises(InvalidInputError):
-            # a first-layer bias needs an input narrower than the layer
-            model.net.forward(np.zeros(model.net.widths[0]),
-                              model.net.biases[0])
+            # [s, a_t] without the step's columns
+            model.net.forward(np.zeros(5))
 
 
-class _ExactEpsPredictor:
-    """Knows the deterministic behavior mu(s), so it can invert the kernel:
-    for a0 = mu(s), the true noise is (a_t - mu(s)) / sigma_t."""
+class _LossStandIn:
+    """Stands in for a NoiseModel inside denoiser_loss: its ``_inputs``
+    hands (s, a_t, t) through to ``net``, whose forward pass returns
+    ``eps(s, a_t, t)`` and whose backward pass no gradient."""
 
-    norm = "l2"
+    def __init__(self, norm):
+        self.norm = norm
+        self.net = self
 
-    def __init__(self, mu_fn, sched):
-        self.mu_fn = mu_fn
-        self.sched = sched
+    def _inputs(self, s, a_t, t):
+        return s, a_t, t
 
-    def forward_cached(self, s, a_t, t_arr):
-        sig = self.sched.sigmas[t_arr][:, None]
-        return (a_t - self.mu_fn(s)) / sig, None
+    def forward_cached(self, x):
+        return self.eps(*x), None
 
-    def backward(self, cache, upstream):
+    def backward(self, acts, upstream):
         return []
 
 
-class _EpsStarModel:
+class _ExactEpsPredictor(_LossStandIn):
+    """Knows the deterministic behavior mu(s), so it can invert the kernel:
+    for a0 = mu(s), the true noise is (a_t - mu(s)) / sigma_t."""
+
+    def __init__(self, mu_fn, sched):
+        super().__init__("l2")
+        self.mu_fn = mu_fn
+        self.sched = sched
+
+    def eps(self, s, a_t, t_arr):
+        return (a_t - self.mu_fn(s)) / self.sched.sigmas[t_arr][:, None]
+
+
+class _EpsStarModel(_LossStandIn):
     """Loss-side stand-in for the closed-form MMSE predictor eps* of a
     Gaussian task, scored under the given norm."""
 
     def __init__(self, task, sched, norm):
+        super().__init__(norm)
         self.task = task
         self.sched = sched
-        self.norm = norm
 
-    def forward_cached(self, s, a_t, t_arr):
-        return self.task.eps_star(s, a_t, t_arr, self.sched), None
-
-    def backward(self, cache, upstream):
-        return []
+    def eps(self, s, a_t, t_arr):
+        return self.task.eps_star(s, a_t, t_arr, self.sched)
 
 
 class TestDenoiserLoss:
@@ -276,49 +304,15 @@ class TestDenoiserLoss:
                 got = grads[pi].reshape(-1)[k]
                 assert got == pytest.approx(fd, rel=1e-3, abs=1e-7)
 
-    def test_embedding_gradient_matches_add_at(self, sched):
-        # the embedding gradient G W0[k:]^T, G = onehot(t)^T delta0, against
-        # the float64 np.add.at scatter of the input gradient delta0 @ W0^T
-        # onto each row's step. Both sum the same n * w products delta0[r, j]
-        # W0[k + c, j] of a row's step t, rows first or columns first: n = 50
-        # batch rows, w = 8 hidden units. Each sum lies within gamma_(n + w)
-        # * (onehot^T |delta0| |W0[k:]|^T) of the exact value (Higham,
-        # Accuracy and Stability, 3.5), so the two lie within twice that of
-        # each other (measured: 22 of 30 entries differ, by at most 0.008
-        # of the bound)
-        n, k = 50, 4
-        model = NoiseModel(2, 2, sched.T, SeededRng(12), hidden=(8,),
-                           embed_dim=3)
-        # a zero output layer would zero delta0 and both sides
-        model.net.weights[-1][...] = 0.3 * SeededRng(14).standard_normal(
-            model.net.weights[-1].shape)
-        rng = SeededRng(13)
-        t_arr = rng.integers(1, sched.T + 1, size=n)
-        _, cache = model.forward_cached(rng.standard_normal((n, 2)),
-                                        rng.standard_normal((n, 2)), t_arr)
-        upstream = rng.standard_normal((n, 2))
-        grads = model.backward(cache, upstream)
-        _, delta0 = model.net.backward(cache[0], upstream)
-        want = np.zeros_like(model.embed)
-        np.add.at(want, t_arr, (delta0 @ model.net.weights[0].T)[:, k:])
-        onehot = np.zeros((sched.T + 1, n))
-        onehot[t_arr, np.arange(n)] = 1.0
-        scale = onehot @ np.abs(delta0) @ np.abs(model.net.weights[0][k:]).T
-        terms = n + 8
-        u = np.finfo(np.float64).eps / 2
-        gamma = terms * u / (1 - terms * u)
-        got = grads[:model.embed.size].reshape(model.embed.shape)
-        assert np.all(np.abs(got - want) <= 2 * gamma * scale)
-
     @pytest.mark.parametrize("norm", ["l1", "l2"])
     def test_float32_gradients_match_float64(self, sched, norm):
         # one float32 model and a float64 copy of its weights, on the same
         # batch and the same t and noise draws: the float32 gradient is
         # float32 and within the worst-case rounding bound of its net's
-        # stages, with the step table's, plus the upstream cast
-        # (measured: 2.3-2.5 u, against a bound of 218 u here)
+        # stages plus the upstream cast (measured: 2.3-2.4 u, against a
+        # bound of 192 u here)
         m32 = NoiseModel(3, 2, sched.T, SeededRng(4), hidden=(32, 32),
-                         embed_dim=4, norm=norm, dtype=np.float32)
+                         norm=norm, dtype=np.float32)
         # a zero output layer would zero every other gradient
         m32.net.weights[-1][...] = 0.3 * SeededRng(5).standard_normal(
             m32.net.weights[-1].shape)
@@ -331,7 +325,7 @@ class TestDenoiserLoss:
         _, g64 = denoiser_loss(m64, states, actions, sched, SeededRng(7))
         assert g32.dtype == np.float32 and g64.dtype == np.float64
         bound = float32_rounding_bound(
-            backward_stage_lengths(m32.net.widths, 64, sched.T + 1) + [1])
+            backward_stage_lengths(m32.net.widths, 64) + [1])
         assert np.linalg.norm(g32 - g64) / np.linalg.norm(g64) <= bound
 
 

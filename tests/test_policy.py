@@ -60,7 +60,7 @@ class TestPolicyLoss:
                 return task.mu(s), None
 
             def backward(self, acts, upstream):
-                return [], None
+                return []
 
         p = tiny_policy()
         p.net = _MuNet()

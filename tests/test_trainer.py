@@ -21,8 +21,7 @@ from gauss_task import (GaussianTask, OracleDenoiser, TablePolicy,
 
 def tiny_cfg(**kw):
     base = dict(batch_size=32, transition_budget=32 * 30, hidden=(16, 16),
-                embed_dim=8, eval_every=0, filtering=False,
-                ema_warmup_steps=20, seed=0)
+                eval_every=0, filtering=False, ema_warmup_steps=20)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -279,8 +278,7 @@ class TestBench:
     def test_single_step_schedule_ratio_near_one(self):
         spec = make_env_spec("pointmass2d")
         sched = build_schedule(1, 0.3, 0.3)
-        model = NoiseModel(4, 2, 1, SeededRng(1), hidden=(16, 16),
-                           embed_dim=4)
+        model = NoiseModel(4, 2, 1, SeededRng(1), hidden=(16, 16))
         policy = GeneratorPolicy(4, 2, SeededRng(2), hidden=(16, 16))
         out = bench_reverse(model, policy, spec, sched, trials=400,
                             rng=SeededRng(3))
@@ -289,8 +287,7 @@ class TestBench:
 
     def test_reports_all_fields(self, sched):
         spec = make_env_spec("pointmass2d")
-        model = NoiseModel(4, 2, sched.T, SeededRng(1), hidden=(8,),
-                           embed_dim=4)
+        model = NoiseModel(4, 2, sched.T, SeededRng(1), hidden=(8,))
         policy = GeneratorPolicy(4, 2, SeededRng(2), hidden=(8,))
         out = bench_reverse(model, policy, spec, sched, trials=50,
                             rng=SeededRng(3))
