@@ -1,7 +1,7 @@
 """Experiment configuration: a flat, sectioned INI file that fully determines
 a run. Unknown sections or keys are rejected with the offending line number,
-as are unparseable values, so a config either loads fully validated or not
-at all.
+as are unparseable and non-finite values, so a config either loads fully
+validated or not at all.
 
 The diffusion schedule lives here as (steps, beta_min, beta_max) — raw sigma
 arrays are never serialized. All randomness in a run flows from the single
@@ -11,6 +11,7 @@ arrays are never serialized. All randomness in a run flows from the single
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -46,8 +47,15 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw.strip()!r}")
+    return value
+
+
 def _parse_levels(raw: str) -> tuple[float, ...]:
-    levels = tuple(float(x) for x in raw.split(",") if x.strip())
+    levels = tuple(_parse_float(x) for x in raw.split(",") if x.strip())
     if not levels or min(levels) < 0:
         raise ValueError("need one or more noise levels, all >= 0")
     return levels
@@ -66,10 +74,11 @@ _SCHEMA = {
     "env": {"name": str, "horizon": int},
     "data": {"noise_levels": _parse_levels, "per_level": _parse_count,
              "demo_file": str},
-    "schedule": {"steps": int, "beta_min": float, "beta_max": float},
-    "train": {"batch_size": int, "learning_rate": float,
+    "schedule": {"steps": int, "beta_min": _parse_float,
+                 "beta_max": _parse_float},
+    "train": {"batch_size": int, "learning_rate": _parse_float,
               "denoiser_optimize_every": int, "policy_optimize_every": int,
-              "update_ema_every": int, "ema_decay": float,
+              "update_ema_every": int, "ema_decay": _parse_float,
               "ema_warmup_steps": int, "transition_budget": int,
               "eval_every": int, "eval_episodes": int,
               "loss_norm": str, "filtering": _parse_bool},

@@ -15,6 +15,7 @@ stacked states.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -339,9 +340,10 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
     paths cannot touch them even by accident.
 
     A byte that is not UTF-8, malformed JSON, a missing field, a state or
-    action of the wrong width and a non-finite number each raise
-    InvalidInputError naming path:line (a width error names the first line
-    of its trajectory).
+    action of the wrong width, a non-finite number, a trajectory whose
+    steps are not 0, 1, 2, ... (a repeat or a gap) and a noise level that
+    varies within a trajectory each raise InvalidInputError naming
+    path:line (a width error names the first line of its trajectory).
     """
     try:
         with open(path, "rb") as fh:
@@ -376,8 +378,8 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
         try:
             rec = json.loads(ln)
             rows.setdefault(rec["traj_id"], []).append(
-                (rec["step"], no, rec["s"], rec["a"], rec["r"],
-                 rec["terminal"], rec["noise_level"]))
+                (operator.index(rec["step"]), no, rec["s"], rec["a"],
+                 rec["r"], rec["terminal"], rec["noise_level"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(
                 f"{path}:{no}: bad demo record: {exc!r}") from exc
@@ -385,7 +387,18 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
     trajectories = []
     for tid, recs in rows.items():
         recs.sort(key=lambda rec: rec[0])
-        _, nos, states, actions, rewards, terminals, levels = zip(*recs)
+        steps, nos, states, actions, rewards, terminals, levels = zip(*recs)
+        misplaced = np.asarray(steps) != np.arange(len(steps))
+        if misplaced.any():
+            i = int(np.argmax(misplaced))
+            raise InvalidInputError(
+                f"{path}:{nos[i]}: trajectory {tid} has step {steps[i]} "
+                f"where step {i} belongs (a repeated or missing step)")
+        if levels.count(levels[0]) != len(levels):
+            i = next(i for i, lv in enumerate(levels) if lv != levels[0])
+            raise InvalidInputError(
+                f"{path}:{nos[i]}: noise_level {levels[i]} differs from "
+                f"{levels[0]} earlier in trajectory {tid}")
         has_rewards = include_rewards and all(r is not None for r in rewards)
         try:
             states = np.asarray(states, dtype=np.float64)

@@ -10,10 +10,12 @@ at least as good, larger means the segment is cleaner by that many steps.
 
 score_dataset is the one scoring path: it segments the store at terminals or
 max_demo_len and returns one record per segment, with its mean Q curve and
-predicted step. The filter drops segments at or below the step threshold and
-refuses to act at all (setting stop_filtering) whenever dropping would leave
-fewer than min_demos segments; the return-bin audit (trainer.audit_bins)
-reads the same records.
+predicted step. A segment's whole curve costs one slice of a single policy
+call and one denoiser forward over T copies of its rows (q_curve_matrix).
+The filter drops segments at or below the step threshold and refuses to act
+at all (setting stop_filtering) whenever dropping would leave fewer than
+min_demos segments; the return-bin audit (trainer.audit_bins) reads the
+same records.
 """
 
 from __future__ import annotations
@@ -93,15 +95,23 @@ def q_curve_matrix(model, states: np.ndarray, targets: np.ndarray,
                    refs: np.ndarray, sched: DiffusionSchedule) -> np.ndarray:
     """Per-transition Q values for every t' in 0..T, shape (T+1, n).
 
-    One batched forward per t'; the reference actions are computed once by
-    the caller and reused across every step, so scoring costs O(n * T).
+    The caller computes the reference actions once. Every step t' >= 1 is
+    scored by one denoiser forward over T * n rows: the states and
+    reference actions tiled T times, with row block t'-1 at step t'. Row
+    t' = 0 is the undenoised distance. Each row goes through the same
+    operations as in a forward over its step alone, so the result can
+    differ from T separate n-row forwards only where BLAS sums a matmul
+    in another order at another row count: by float32 rounding in the
+    noise predictions (with OpenBLAS 0.3.31 on 2 cores, not at all for
+    n = 100).
     """
-    n = len(states)
-    out = np.empty((sched.T + 1, n))
+    n, T = len(states), sched.T
+    eps = model.predict(np.tile(states, (T, 1)), np.tile(refs, (T, 1)),
+                        np.repeat(np.arange(1, T + 1), n))
+    denoised = refs - sched.sigmas[1:, None, None] * eps.reshape(T, n, -1)
+    out = np.empty((T + 1, n))
     out[0] = -((targets - refs) ** 2).sum(axis=1)
-    for t in range(1, sched.T + 1):
-        denoised = refs - sched.sigmas[t] * model.predict(states, refs, t)
-        out[t] = -((targets - denoised) ** 2).sum(axis=1)
+    out[1:] = -((targets - denoised) ** 2).sum(axis=2)
     return out
 
 
@@ -149,11 +159,16 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig,
     verdicts against cfg.step_threshold, and the segments that would remain.
     This is the only place that turns (model, policy, store) into predicted
     steps. The policy is called once over ``store.sample_all()`` and its
-    actions are reused across every t'; each segment's Q curve is then
-    computed on that segment's own slice, because a denoiser batch of one
-    segment is faster than one batch of the whole store. A segment's
-    predicted step is the argmax of its mean Q curve over t' (ties break
-    toward the smallest t').
+    actions are reused across every t'. Each segment's Q curve is then one
+    denoiser forward of T * n rows on that segment's slice: 1,000 rows at
+    the defaults, about 1 MB of float32 activations a layer, which fits in
+    a 2 MiB L2. That is a T-th of the calls of one forward per step, with matmuls
+    large enough to keep two BLAS threads busy; on 2 cores it cut the
+    in-process scoring of a 25,000-transition store from 1.06-1.32 s to
+    0.81-1.12 s. Segments are not merged into larger batches: those were
+    not reliably faster, and BLAS may round differently at other row
+    counts. A segment's predicted step is the argmax of its mean Q curve
+    over t' (ties break toward the smallest t').
     """
     cfg.validate(sched.T)
     if store.num_trajectories == 0:

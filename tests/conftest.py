@@ -51,16 +51,21 @@ def float32_rounding_bound(stage_lengths) -> float:
     return sum(n * u / (1 - n * u) for n in stage_lengths)
 
 
+def forward_stage_lengths(widths) -> list[int]:
+    """The float32 rounding stages an output of ``FeedForwardNet(widths)``
+    passes through: the input cast (1), then per layer the matmul (n_in
+    terms), bias add and tanh (n_in + 2)."""
+    return [1, *(n_in + 2 for n_in in widths[:-1])]
+
+
 def backward_stage_lengths(widths, batch: int) -> list[int]:
     """The float32 rounding stages a first-layer weight gradient of
-    ``FeedForwardNet(widths)`` passes through: the input cast (1); per layer
-    the forward matmul (n_in terms), bias add and tanh (n_in + 2); per
+    ``FeedForwardNet(widths)`` passes through: the forward stages; per
     hidden layer on the way back the delta matmul (n_out terms) and the
     three roundings of delta * (1 - a**2) (n_out + 3); and the sum over the
     batch that forms the gradient (batch)."""
-    forward = [n_in + 2 for n_in in widths[:-1]]
     backward = [n_out + 3 for n_out in widths[2:]]
-    return [1, *forward, *backward, batch]
+    return [*forward_stage_lengths(widths), *backward, batch]
 
 
 def reference_forward(net, x):
@@ -102,6 +107,17 @@ def reference_optimizer_step(state, flat, grads):
     state.v += (1.0 - state.beta2) * grads * grads
     flat -= state.lr * (state.m / b1c) / (np.sqrt(state.v / b2c) + state.eps)
     return flat
+
+
+def reference_q_curve_matrix(model, states, targets, refs, sched):
+    """Q scoring as first written: one ``model.predict`` of n rows per step
+    t' in 1..T. Returns the (T+1, n) Q matrix."""
+    out = np.empty((sched.T + 1, len(states)))
+    out[0] = -((targets - refs) ** 2).sum(axis=1)
+    for t in range(1, sched.T + 1):
+        denoised = refs - sched.sigmas[t] * model.predict(states, refs, t)
+        out[t] = -((targets - denoised) ** 2).sum(axis=1)
+    return out
 
 
 def seal_checkpoint(payload: dict) -> dict:

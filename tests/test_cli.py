@@ -127,7 +127,11 @@ def corrupt_demos(out, tmp_path, edit):
 @pytest.mark.parametrize("edit", [
     lambda ln: ln[:len(ln) // 2],                       # truncated JSON
     lambda ln: json.dumps({**json.loads(ln), "s": [float("nan")] * 4}),
-], ids=["truncated", "nan"])
+    lambda ln: json.dumps({**json.loads(ln), "step": 0}),
+    lambda ln: json.dumps({**json.loads(ln), "step": "1"}),
+    lambda ln: json.dumps({**json.loads(ln), "noise_level": 0.123}),
+], ids=["truncated", "nan", "repeated_step", "string_step",
+        "noise_level_changes"])
 def test_bad_demo_line_exits_1(run, tmp_path, capsys, edit):
     cfg, out = run
     bad = corrupt_demos(out, tmp_path, edit)
@@ -169,6 +173,25 @@ def test_empty_noise_levels_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.ini", tmp_path, data="noise_levels =")
     assert cli.main(["gen-data", "--config", cfg]) == 1
     assert f"{cfg}:6:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "demos.jsonl")
+
+
+@pytest.mark.parametrize("section,line", [
+    ("data", "noise_levels = 0.0, nan"), ("data", "noise_levels = 0.0, inf"),
+    ("train", "learning_rate = nan"), ("train", "ema_decay = -inf"),
+    ("schedule", "beta_min = nan"), ("schedule", "beta_max = inf"),
+])
+def test_non_finite_config_value_exits_1(tmp_path, capsys, section, line):
+    cfg = write_config(tmp_path / "cfg.ini", tmp_path)
+    text = open(cfg).read()
+    if f"[{section}]\n" in text:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    else:
+        text += f"\n[{section}]\n{line}\n"
+    open(cfg, "w").write(text)
+    no = text.splitlines().index(line) + 1
+    assert cli.main(["gen-data", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:{no}:")
     assert not os.path.exists(tmp_path / "demos.jsonl")
 
 

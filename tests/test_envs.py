@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -282,6 +283,26 @@ class TestDemoFile:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         with pytest.raises(InvalidInputError):
+            load_demos(str(path))
+
+    @pytest.mark.parametrize("steps,levels,bad_line", [
+        ([0, 1, 1], [0.5] * 3, 4),           # a repeated record
+        ([0, 2], [0.5] * 2, 3),              # a gap
+        ([1, 2], [0.5] * 2, 2),              # no step 0
+        ([2, 0, 1], [0.5, 0.5, 0.7], 4),     # the level changes at step 1
+    ], ids=["repeat", "gap", "no_step_0", "level_changes"])
+    def test_malformed_trajectory_rejected(self, tmp_path, steps, levels,
+                                           bad_line):
+        header = {"kind": "header", "format_version": 1, "state_dim": 1,
+                  "action_dim": 1}
+        recs = [{"traj_id": 0, "step": step, "s": [0.0], "a": [0.0],
+                 "r": 0.0, "terminal": False, "noise_level": level}
+                for step, level in zip(steps, levels)]
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n"
+                                for r in [header, *recs]))
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"{path}:{bad_line}:")):
             load_demos(str(path))
 
     def test_bad_version_rejected(self, tmp_path):

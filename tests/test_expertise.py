@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smile.diffusion import diffuse
+from smile.diffusion import NoiseModel, diffuse
 from smile.envs import DemoStore, Trajectory
 from smile.errors import ConfigError, InvalidInputError
 from smile.expertise import (FilterConfig, filter_dataset, q_curve_matrix,
@@ -13,6 +13,8 @@ from smile.expertise import (FilterConfig, filter_dataset, q_curve_matrix,
                              segment_trajectories)
 from smile.mathcore import SeededRng
 
+from conftest import (float32_rounding_bound, forward_stage_lengths,
+                      reference_q_curve_matrix)
 from gauss_task import GaussianTask, OracleDenoiser, TablePolicy
 
 
@@ -70,7 +72,6 @@ class TestQValue:
         assert q[t, 0] == pytest.approx(0.0, abs=1e-20)
 
     def test_frozen_hand_value(self, sched):
-        from smile.diffusion import NoiseModel
         model = NoiseModel(2, 2, sched.T, SeededRng(3), hidden=(6,))
         s = np.array([0.1, -0.2])
         a_target = np.array([0.5, 0.5])
@@ -80,6 +81,90 @@ class TestQValue:
         expected = -float(((a_target - denoised) ** 2).sum())
         q = q_curve_matrix(model, s[None], a_target[None], a_ref[None], sched)
         assert q[t, 0] == pytest.approx(expected, rel=1e-12)
+
+
+class _Recorder:
+    """Passes predict calls through to a model and keeps every output."""
+
+    def __init__(self, model):
+        self.model = model
+        self.outputs = []
+
+    def predict(self, s, a_t, t):
+        out = self.model.predict(s, a_t, t)
+        self.outputs.append(out)
+        return out
+
+
+class _Replay:
+    """Answers a scalar step t with block t-1 of fixed (T, n, d) noise
+    predictions, whatever the states."""
+
+    def __init__(self, eps):
+        self.eps = eps
+
+    def predict(self, s, a_t, t):
+        return self.eps[t - 1]
+
+
+class TestQCurveMatchesReference:
+    """q_curve_matrix scores all T steps in one forward; the per-step loop
+    of conftest.reference_q_curve_matrix is the reference."""
+
+    def inputs(self, n, seed):
+        rng = SeededRng(seed)
+        return (rng.uniform(-1.0, 1.0, (n, 4)), rng.standard_normal((n, 2)),
+                rng.standard_normal((n, 2)))
+
+    # the oracle's mu = states @ M takes OpenBLAS's matrix-vector path at
+    # one row, so its rows are independent of the row count only from two
+    @pytest.mark.parametrize("n", [2, 7, 33, 100])
+    def test_oracle_bit_for_bit(self, sched, n):
+        oracle = OracleDenoiser(GaussianTask(seed=30, action_dim=2), sched)
+        states, targets, refs = self.inputs(n, 31 + n)
+        got = q_curve_matrix(oracle, states, targets, refs, sched)
+        want = reference_q_curve_matrix(oracle, states, targets, refs, sched)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 33, 100])
+    def test_offset_model_bit_for_bit(self, sched, n):
+        states, targets, refs = self.inputs(n, 32 + n)
+        model = _OffsetModel(states, SeededRng(33).standard_normal((n, 2)),
+                             sched)
+        got = q_curve_matrix(model, states, targets, refs, sched)
+        want = reference_q_curve_matrix(model, states, targets, refs, sched)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 33, 100])
+    def test_float32_noise_model_within_rounding_bound(self, sched, n):
+        # The one T*n-row forward and the T n-row forwards run the same
+        # operations on the same float32 inputs, but BLAS may sum each
+        # matmul in another order at another row count. Each forward is
+        # within B = sum of gamma over the net's stages (conftest) of the
+        # exact one, so the two are within 2B of each other (here 2B =
+        # 304 u; measured: 0 at 100 rows, 0.14-3.4 u at 33 to 1). All
+        # that follows the forward is elementwise per row, so with the
+        # same noise predictions the Q matrices agree bit for bit.
+        model = NoiseModel(4, 2, sched.T, SeededRng(34), hidden=(64, 64),
+                           dtype=np.float32)
+        # a zero output layer would make every prediction its bias
+        model.net.weights[-1][...] = 0.3 * SeededRng(35).standard_normal(
+            model.net.weights[-1].shape)
+        states, targets, refs = self.inputs(n, 36 + n)
+        batched, looped = _Recorder(model), _Recorder(model)
+        got = q_curve_matrix(batched, states, targets, refs, sched)
+        reference_q_curve_matrix(looped, states, targets, refs, sched)
+        (eps,) = batched.outputs
+        eps = eps.reshape(sched.T, n, 2)
+        eps_ref = np.stack(looped.outputs)
+        assert eps.dtype == eps_ref.dtype == np.float32
+        bound = 2 * float32_rounding_bound(
+            forward_stage_lengths(model.net.widths))
+        diff = np.linalg.norm((eps - eps_ref).astype(np.float64))
+        assert diff <= bound * np.linalg.norm(eps_ref.astype(np.float64))
+        want = reference_q_curve_matrix(_Replay(eps), states, targets, refs,
+                                        sched)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPredictStep:
@@ -171,7 +256,7 @@ class TestScoreDataset:
         states, actions = store.sample_all()
         oracle, table = OracleDenoiser(task, sched), TablePolicy(states,
                                                                  actions)
-        policy_rows, denoiser_rows = [], []
+        policy_rows, denoiser_calls = [], []
 
         class CountingPolicy:
             def act(self, s):
@@ -180,7 +265,7 @@ class TestScoreDataset:
 
         class CountingModel:
             def predict(self, s, a_t, t):
-                denoiser_rows.append(len(s))
+                denoiser_calls.append((s, a_t, t))
                 return oracle.predict(s, a_t, t)
 
         cfg = FilterConfig(min_demos=1, max_demo_len=4)
@@ -188,8 +273,17 @@ class TestScoreDataset:
                                    cfg, sched)
         assert policy_rows == [store.transition_count]
         assert [r.stop - r.start for r in records] == [4, 4, 2] * 6
-        assert denoiser_rows == [n for n in [4, 4, 2] * 6
-                                 for _ in range(sched.T)]
+        # one denoiser call per segment, over its n rows at every step
+        assert [len(s) for s, _, _ in denoiser_calls] == [
+            sched.T * n for n in [4, 4, 2] * 6]
+        lo = 0
+        for (s, a_t, t), rec in zip(denoiser_calls, records):
+            n = rec.stop - rec.start
+            assert np.array_equal(s, np.tile(states[lo:lo + n], (sched.T, 1)))
+            assert np.array_equal(a_t,
+                                  np.tile(actions[lo:lo + n], (sched.T, 1)))
+            assert np.array_equal(t, np.repeat(np.arange(1, sched.T + 1), n))
+            lo += n
 
 
 class TestSegmentation:
