@@ -48,6 +48,19 @@ def _load_actor(path: str, *roles: str):
     return actor
 
 
+def _load_denoiser(cfg: ExperimentConfig, path: str):
+    """The denoiser checkpoint at ``path`` and the config's schedule, which
+    must have as many steps as the denoiser was trained with."""
+    model = _load_actor(path, "denoiser")
+    steps = cfg.train.diffusion_steps
+    if steps != model.T:
+        raise ValidationError(
+            f"checkpoint {path} has a T = {model.T} step denoiser, but the "
+            f"config's [schedule] steps = {steps}")
+    return model, build_schedule(steps, cfg.train.beta_min,
+                                 cfg.train.beta_max)
+
+
 def _check_dims(cfg: ExperimentConfig, store) -> None:
     s, a = store.sample_all()
     env = cfg.env
@@ -125,10 +138,8 @@ def cmd_audit(args) -> int:
     if any(tr.ret is None for tr in store.trajectories):
         raise ValidationError(
             f"demo file {args.demos} lacks rewards; audit needs returns")
-    model = _load_actor(args.denoiser, "denoiser")
+    model, sched = _load_denoiser(cfg, args.denoiser)
     policy = _load_actor(args.generator, "generator", "bc")
-    sched = build_schedule(cfg.train.diffusion_steps, cfg.train.beta_min,
-                           cfg.train.beta_max)
 
     rets = [tr.ret for tr in store.trajectories]
     lo = np.floor(min(rets) / width) * width
@@ -159,10 +170,8 @@ def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValidationError(f"--trials must be positive, got {args.trials}")
     cfg = load_config(args.config)
-    model = _load_actor(args.denoiser, "denoiser")
+    model, sched = _load_denoiser(cfg, args.denoiser)
     policy = _load_actor(args.generator, "generator", "bc")
-    sched = build_schedule(cfg.train.diffusion_steps, cfg.train.beta_min,
-                           cfg.train.beta_max)
     rng = SeededRng(derive_seed(cfg.seed, "bench"))
     result = bench_reverse(model, policy, cfg.env, sched, args.trials, rng)
     print("metric,value")

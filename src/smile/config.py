@@ -31,11 +31,15 @@ class DataConfig:
 @dataclass
 class ExperimentConfig:
     run_id: str = "run"
-    output_dir: str = "runs/run"
+    output_dir: str | None = None  # runs/<run_id> when unset
     seed: int = 0
-    env: EnvSpec = field(default_factory=lambda: make_env_spec("pointmass2d"))
+    env: EnvSpec = field(default_factory=make_env_spec)
     data: DataConfig = field(default_factory=DataConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        if self.output_dir is None:
+            self.output_dir = f"runs/{self.run_id}"
 
 
 def _parse_bool(raw: str) -> bool:
@@ -132,38 +136,21 @@ def load_config(path: str) -> ExperimentConfig:
                     f"{path}:{line}: bad value for {section}.{key}: {exc}"
                 ) from exc
 
-    exp = values["experiment"]
-    env_kw = values["env"]
     try:
-        env = make_env_spec(env_kw.get("name", "pointmass2d"),
-                            horizon=env_kw.get("horizon"))
+        env = make_env_spec(**values["env"])
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-    data = DataConfig(**values["data"])
-
-    fil = FilterConfig(**values["filter"])
-    tr_kw = dict(values["train"])
-    if "learning_rate" in tr_kw:
-        tr_kw["lr"] = tr_kw.pop("learning_rate")
-    sched_kw = values["schedule"]
-    train = TrainConfig(
-        filter=fil,
-        diffusion_steps=sched_kw.get("steps", 10),
-        beta_min=sched_kw.get("beta_min", 0.05),
-        beta_max=sched_kw.get("beta_max", 0.6),
-        **tr_kw)
+    # only the keys the file sets, so the dataclasses hold the defaults
+    renamed = {"learning_rate": "lr", "steps": "diffusion_steps"}
+    train = TrainConfig(filter=FilterConfig(**values["filter"]), **{
+        renamed.get(key, key): value
+        for key, value in {**values["schedule"], **values["train"]}.items()})
     try:
         train.validate()
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-    run_id = exp.get("run_id", "run")
-    return ExperimentConfig(
-        run_id=run_id,
-        output_dir=exp.get("output_dir", f"runs/{run_id}"),
-        seed=exp.get("seed", 0),
-        env=env, data=data, train=train)
+    return ExperimentConfig(**values["experiment"], env=env,
+                            data=DataConfig(**values["data"]), train=train)
 
 
 DEFAULT_CONFIG = """\

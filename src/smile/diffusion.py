@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .mathcore import FeedForwardNet, FlatParams, SeededRng, arch_dtype
+from .mathcore import FeedForwardNet, SeededRng, arch_dtype
 
 DEFAULT_BETA_MIN = 0.05
 DEFAULT_BETA_MAX = 0.6
@@ -112,16 +112,16 @@ def posterior_var(t: int, sched: DiffusionSchedule) -> float:
                  / sched.sigmas[t] ** 2)
 
 
-class NoiseModel(FlatParams):
+class NoiseModel(FeedForwardNet):
     """Noise predictor eps(s, a_t, t) -> action-dim vector.
 
-    A plain FeedForwardNet on [s, a_t, STEP_INPUT * onehot(t)], with T+1
-    one-hot columns for the step, so the step's rows of the first-layer
-    weight are a learned per-step table. With T this small a table is
-    simpler and exact compared to sinusoidal features, and it spans every
-    function a learned step embedding fed through the same layer could
-    give. The training-loss norm is selectable: "l1" (default, works better
-    in practice) or "l2". ``flat`` is the net's, in ``dtype``.
+    A FeedForwardNet on [s, a_t, STEP_INPUT * onehot(t)], with T+1 one-hot
+    columns for the step, so the step's rows of the first-layer weight are
+    a learned per-step table. With T this small a table is simpler and
+    exact compared to sinusoidal features, and it spans every function a
+    learned step embedding fed through the same layer could give. The
+    training-loss norm is selectable: "l1" (default, works better in
+    practice) or "l2". ``flat`` is in ``dtype``.
     """
 
     def __init__(self, state_dim: int, action_dim: int, T: int,
@@ -133,15 +133,12 @@ class NoiseModel(FlatParams):
         self.action_dim = action_dim
         self.T = T
         self.norm = norm
-        self.net = FeedForwardNet(
-            [state_dim + action_dim + T + 1, *hidden, action_dim], rng,
-            zero_output=True, dtype=dtype)
-        self.flat = self.net.flat
-        self._views = self.net.params()
+        super().__init__([state_dim + action_dim + T + 1, *hidden, action_dim],
+                         rng, zero_output=True, dtype=dtype)
 
     def arch(self) -> dict:
         return {"state_dim": self.state_dim, "action_dim": self.action_dim,
-                "T": self.T, "widths": self.net.widths, "norm": self.norm,
+                "T": self.T, "widths": self.widths, "norm": self.norm,
                 "dtype": self.flat.dtype.name}
 
     @staticmethod
@@ -176,7 +173,7 @@ class NoiseModel(FlatParams):
                 f"{np.shape(t)} do not fit the model's {self.state_dim} "
                 f"state and {self.action_dim} action columns")
         k = self.state_dim + self.action_dim
-        x = np.zeros((*rows, self.net.widths[0]), dtype=self.flat.dtype)
+        x = np.zeros((*rows, self.widths[0]), dtype=self.flat.dtype)
         x[..., :self.state_dim] = s
         x[..., self.state_dim:k] = a_t
         if scalar:
@@ -187,7 +184,7 @@ class NoiseModel(FlatParams):
 
     def predict(self, s: np.ndarray, a_t: np.ndarray, t) -> np.ndarray:
         """Predicted noise; a vector for a single state."""
-        out = self.net.forward(self._inputs(s, a_t, t))
+        out = self.forward(self._inputs(s, a_t, t))
         return out[0] if out.ndim == 2 and np.ndim(s) == 1 else out
 
 
@@ -210,7 +207,7 @@ def denoiser_loss(model: NoiseModel, states: np.ndarray, actions: np.ndarray,
     t_arr = rng.integers(1, sched.T + 1, size=n)
     eps = rng.standard_normal(actions.shape)
     a_t = diffuse(actions, t_arr, sched, eps)
-    pred, acts = model.net.forward_cached(model._inputs(states, a_t, t_arr))
+    pred, acts = model.forward_cached(model._inputs(states, a_t, t_arr))
     resid = pred - eps
     if model.norm == "l1":
         loss = float(np.abs(resid).sum(axis=1).mean())
@@ -218,7 +215,7 @@ def denoiser_loss(model: NoiseModel, states: np.ndarray, actions: np.ndarray,
     else:
         loss = float((resid ** 2).sum(axis=1).mean())
         upstream = 2.0 * resid / n
-    return loss, model.net.backward(acts, upstream)
+    return loss, model.backward(acts, upstream)
 
 
 def naive_reverse_sample(model, s: np.ndarray, sched: DiffusionSchedule,

@@ -15,6 +15,7 @@ stacked states.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, replace
 
@@ -71,7 +72,8 @@ _BASE_SPECS = {
 }
 
 
-def make_env_spec(name: str, horizon: int | None = None) -> EnvSpec:
+def make_env_spec(name: str = "pointmass2d",
+                  horizon: int | None = None) -> EnvSpec:
     if name not in _BASE_SPECS:
         raise ConfigError(
             f"unknown environment {name!r}; choices: {sorted(_BASE_SPECS)}")
@@ -131,8 +133,9 @@ class ExpertController:
     kd: float
 
 
-# Gains picked by the coarse grid search in scripts/tune_expert_gains.py;
-# both environments share the dynamics so they share gains.
+# Gains picked by a coarse grid search, which
+# tests/test_envs.py::TestExpert::test_gains_within_5pct_of_grid_best
+# re-runs; both environments share the dynamics so they share gains.
 DEFAULT_EXPERT_GAINS = {"pointmass2d": (9.0, 4.0),
                         "double_integrator_1d": (9.0, 4.0)}
 
@@ -229,40 +232,31 @@ class DemoStore:
 # Rollouts and demo generation
 # ---------------------------------------------------------------------------
 
-def rollout_episode(spec: EnvSpec, act_fn, rng: SeededRng) -> Trajectory:
-    """Roll one episode; act_fn maps an observation to a (pre-clip) action."""
-    state = env_reset(spec, rng)
-    states, actions, rewards, terminals = [], [], [], []
-    done = False
-    while not done:
-        a = np.clip(np.asarray(act_fn(state.obs), dtype=np.float64),
-                    spec.action_low, spec.action_high)
-        states.append(state.obs)
-        actions.append(a)
-        state, r, done = env_step(spec, state, a)
-        rewards.append(r)
-        terminals.append(done)
-    rewards = np.asarray(rewards)
-    traj = Trajectory(
-        traj_id=0,
-        states=np.asarray(states), actions=np.asarray(actions),
-        rewards=rewards,
-        terminals=np.asarray(terminals, dtype=bool))
-    traj.ret = float(rewards.sum())
-    return traj
+def rollout(spec: EnvSpec, act_fn, rng: SeededRng, episodes: int):
+    """Roll ``episodes`` parallel episodes on a shared clock to the horizon.
+
+    ``act_fn`` maps the (episodes, state_dim) observations to pre-clip
+    actions. Returns time-major (states, actions, rewards) of shapes
+    (horizon, episodes, state_dim), (horizon, episodes, action_dim) and
+    (horizon, episodes); ``states[t]`` is observed before ``actions[t]``,
+    which are clipped to bounds, and ``rewards[t]`` follows them.
+    """
+    state = env_reset(spec, rng, batch=episodes)
+    states = np.empty((spec.horizon, episodes, spec.state_dim))
+    actions = np.empty((spec.horizon, episodes, spec.action_dim))
+    rewards = np.empty((spec.horizon, episodes))
+    for t in range(spec.horizon):
+        states[t] = state.obs
+        actions[t] = np.clip(np.asarray(act_fn(state.obs), dtype=np.float64),
+                             spec.action_low, spec.action_high)
+        state, rewards[t], _ = env_step(spec, state, actions[t])
+    return states, actions, rewards
 
 
 def rollout_batch_returns(spec: EnvSpec, act_fn, rng: SeededRng,
                           episodes: int) -> np.ndarray:
     """Undiscounted returns of ``episodes`` parallel rollouts (shared clock)."""
-    state = env_reset(spec, rng, batch=episodes)
-    total = np.zeros(episodes)
-    done = False
-    while not done:
-        a = act_fn(state.obs)
-        state, r, done = env_step(spec, state, a)
-        total += r
-    return total
+    return rollout(spec, act_fn, rng, episodes)[2].sum(axis=0)
 
 
 def generate_demos(spec: EnvSpec, ctrl: ExpertController,
@@ -279,7 +273,6 @@ def generate_demos(spec: EnvSpec, ctrl: ExpertController,
     if any(lv < 0 for lv in noise_levels):
         raise InvalidInputError(f"noise levels must be >= 0: {noise_levels}")
     trajectories = []
-    tid = 0
     for li, level in enumerate(noise_levels):
         for ep in range(per_level):
             spawn_rng = SeededRng(derive_seed(rng.seed, f"demo-spawn:{ep}"))
@@ -292,11 +285,14 @@ def generate_demos(spec: EnvSpec, ctrl: ExpertController,
                     return base
                 return base + level * noise_rng.standard_normal(base.shape)
 
-            traj = rollout_episode(spec, noisy_expert, spawn_rng)
-            traj.traj_id = tid
-            traj.noise_level = float(level)
-            trajectories.append(traj)
-            tid += 1
+            states, actions, rewards = (
+                x[:, 0] for x in rollout(spec, noisy_expert, spawn_rng, 1))
+            terminals = np.zeros(spec.horizon, dtype=bool)
+            terminals[-1] = True
+            trajectories.append(Trajectory(
+                traj_id=len(trajectories), states=states, actions=actions,
+                rewards=rewards, terminals=terminals,
+                noise_level=float(level), ret=float(rewards.sum())))
     return DemoStore(trajectories, env=spec)
 
 
@@ -341,9 +337,10 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
 
     A byte that is not UTF-8, malformed JSON, a missing field, a state or
     action of the wrong width, a non-finite number, a trajectory whose
-    steps are not 0, 1, 2, ... (a repeat or a gap) and a noise level that
-    varies within a trajectory each raise InvalidInputError naming
-    path:line (a width error names the first line of its trajectory).
+    steps are not 0, 1, 2, ... (a repeat or a gap), a noise level that is
+    neither null nor a finite number >= 0 and a noise level that varies
+    within a trajectory each raise InvalidInputError naming path:line (a
+    width error names the first line of its trajectory).
     """
     try:
         with open(path, "rb") as fh:
@@ -377,9 +374,15 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
     for no, ln in lines[1:]:
         try:
             rec = json.loads(ln)
+            level = rec["noise_level"]
+            if level is not None and not (type(level) in (int, float)
+                                          and 0 <= level < math.inf):
+                raise InvalidInputError(
+                    f"{path}:{no}: noise_level {level!r} is neither null "
+                    f"nor a finite number >= 0")
             rows.setdefault(rec["traj_id"], []).append(
                 (operator.index(rec["step"]), no, rec["s"], rec["a"],
-                 rec["r"], rec["terminal"], rec["noise_level"]))
+                 rec["r"], rec["terminal"], level))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(
                 f"{path}:{no}: bad demo record: {exc!r}") from exc

@@ -2,8 +2,9 @@
 gradients, an adaptive-moment optimizer, EMA tracking, and checkpoint I/O.
 
 Networks are plain MLPs (tanh hidden layers, identity output) on one input
-matrix; a caller that conditions a net on a discrete value, such as the
-diffusion step, feeds it as one-hot columns. Gradients are computed by
+matrix. The noise model and the policies subclass FeedForwardNet and call
+its forward/forward_cached/backward on inputs they build; the noise model
+feeds the diffusion step as one-hot columns. Gradients are computed by
 hand-rolled backprop, so the whole stack is deterministic given seeds. A
 network keeps its parameters in one vector ``flat`` (``params()`` lists its
 per-tensor views); gradients, Adam moments and EMA shadows are vectors laid
@@ -107,27 +108,7 @@ def arch_dtype(arch: dict) -> np.dtype:
     return np.dtype(name)
 
 
-class FlatParams:
-    """A network whose parameters are views into its vector ``flat``.
-
-    ``params()`` lists the views (``_views``) in checkpoint order;
-    ``set_params`` copies a per-tensor list into them.
-    """
-
-    def params(self) -> list[np.ndarray]:
-        return list(self._views)
-
-    def set_params(self, params: list[np.ndarray]) -> None:
-        if len(self._views) != len(params):
-            raise InvalidInputError("parameter list length mismatch")
-        for dst, src in zip(self._views, params):
-            if dst.shape != np.shape(src):
-                raise InvalidInputError(
-                    f"parameter shape mismatch {dst.shape} vs {np.shape(src)}")
-            dst[...] = src
-
-
-class FeedForwardNet(FlatParams):
+class FeedForwardNet:
     """MLP with tanh hidden activations and an identity output layer.
 
     ``widths`` lists layer sizes input-first, e.g. ``[4, 256, 256, 256, 2]``.
@@ -163,6 +144,20 @@ class FeedForwardNet(FlatParams):
     @staticmethod
     def size(widths: list[int]) -> int:
         return sum((a + 1) * b for a, b in zip(widths[:-1], widths[1:]))
+
+    def params(self) -> list[np.ndarray]:
+        """The per-tensor views of ``flat``, in checkpoint order."""
+        return list(self._views)
+
+    def set_params(self, params: list[np.ndarray]) -> None:
+        """Copy a per-tensor list into the views of ``flat``."""
+        if len(self._views) != len(params):
+            raise InvalidInputError("parameter list length mismatch")
+        for dst, src in zip(self._views, params):
+            if dst.shape != np.shape(src):
+                raise InvalidInputError(
+                    f"parameter shape mismatch {dst.shape} vs {np.shape(src)}")
+            dst[...] = src
 
     def _input(self, x: np.ndarray) -> np.ndarray:
         """``x`` in the net's dtype, checked against the first layer's

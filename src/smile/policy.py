@@ -18,12 +18,12 @@ import numpy as np
 
 from .diffusion import DiffusionSchedule, NoiseModel, diffuse
 from .errors import InvalidInputError
-from .mathcore import FeedForwardNet, FlatParams, SeededRng, arch_dtype
+from .mathcore import FeedForwardNet, SeededRng, arch_dtype
 
 
-class _Actor(FlatParams):
-    """Deterministic state -> action net with execution-time clipping bounds;
-    its parameters are the net's, in ``dtype``."""
+class _Actor(FeedForwardNet):
+    """Deterministic state -> action net with execution-time clipping
+    bounds; ``flat`` is in ``dtype``."""
 
     role = "actor"
 
@@ -35,21 +35,19 @@ class _Actor(FlatParams):
         self.action_dim = action_dim
         self.action_low = action_low
         self.action_high = action_high
-        self.net = FeedForwardNet([state_dim, *hidden, action_dim], rng,
-                                  zero_output=True, dtype=dtype)
-        self.flat = self.net.flat
-        self._views = self.net.params()
+        super().__init__([state_dim, *hidden, action_dim], rng,
+                         zero_output=True, dtype=dtype)
 
     def act(self, s: np.ndarray) -> np.ndarray:
         """Raw (unclipped) action for a state or a batch of states."""
-        return self.net.forward(s)
+        return self.forward(s)
 
     def act_clipped(self, s: np.ndarray) -> np.ndarray:
         return np.clip(self.act(s), self.action_low, self.action_high)
 
     def arch(self) -> dict:
         return {"state_dim": self.state_dim, "action_dim": self.action_dim,
-                "widths": self.net.widths, "action_low": self.action_low,
+                "widths": self.widths, "action_low": self.action_low,
                 "action_high": self.action_high,
                 "dtype": self.flat.dtype.name}
 
@@ -96,12 +94,12 @@ def policy_loss(policy: GeneratorPolicy, model: NoiseModel,
     a_t = diffuse(actions, t_arr, sched, eps)
     eps_hat = model.predict(states, a_t, t_arr)
     a0_hat = a_t - sched.sigmas[t_arr][:, None] * eps_hat
-    a_gen, acts = policy.net.forward_cached(states)
+    a_gen, acts = policy.forward_cached(states)
     w = (sched.betas[t_arr - 1] ** 2 / sched.sigmas[t_arr] ** 2)[:, None]
     diff = a_gen - a0_hat
     loss = float((w ** 2 * diff ** 2).sum(axis=1).mean())
     upstream = 2.0 * w ** 2 * diff / n
-    return loss, policy.net.backward(acts, upstream)
+    return loss, policy.backward(acts, upstream)
 
 
 def bc_loss(baseline: BcBaseline, states: np.ndarray, actions: np.ndarray):
@@ -111,7 +109,7 @@ def bc_loss(baseline: BcBaseline, states: np.ndarray, actions: np.ndarray):
     n = len(states)
     if n == 0:
         raise InvalidInputError("bc_loss needs a non-empty batch")
-    pred, acts = baseline.net.forward_cached(states)
+    pred, acts = baseline.forward_cached(states)
     diff = pred - actions
     loss = float((diff ** 2).sum(axis=1).mean())
-    return loss, baseline.net.backward(acts, 2.0 * diff / n)
+    return loss, baseline.backward(acts, 2.0 * diff / n)

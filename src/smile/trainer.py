@@ -19,6 +19,7 @@ expertise.score_dataset by trajectory.
 
 from __future__ import annotations
 
+import csv
 import os
 import time
 from contextlib import contextmanager
@@ -109,19 +110,6 @@ class MetricsLog:
             raise InvalidInputError("iteration index must increase")
         self.rows.append(kw)
         return kw
-
-    @staticmethod
-    def format_row(row: dict) -> str:
-        cells = []
-        for col in CSV_COLUMNS:
-            v = row.get(col)
-            if v is None:
-                cells.append("")
-            elif isinstance(v, float):
-                cells.append(repr(v))
-            else:
-                cells.append(str(v))
-        return ",".join(cells)
 
 
 @dataclass
@@ -237,11 +225,12 @@ def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
     phase = partial(_timed, metrics.wall_clock)
     reports: list[FilterReport] = []
     filtering = cfg.filtering and sched is not None
-    csv_fh = None
+    csv_fh = csv_out = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        csv_fh = open(os.path.join(out_dir, "metrics.csv"), "w")
-        csv_fh.write(",".join(CSV_COLUMNS) + "\n")
+        csv_fh = open(os.path.join(out_dir, "metrics.csv"), "w", newline="")
+        csv_out = csv.DictWriter(csv_fh, CSV_COLUMNS, lineterminator="\n")
+        csv_out.writeheader()
 
     # freeing one block larger than any step's temporaries lifts glibc's
     # dynamic mmap and trim thresholds above them, so the heap keeps them
@@ -302,8 +291,8 @@ def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
                                          cfg.eval_episodes, rngs["eval"])
                 row["eval_mean"], row["eval_std"] = mean, std
             metrics.add_row(**row)
-            if csv_fh is not None:
-                csv_fh.write(MetricsLog.format_row(row) + "\n")
+            if csv_out is not None:
+                csv_out.writerow(row)
         counters["transitions_consumed"] = n_iters * cfg.batch_size
     finally:
         if csv_fh is not None:

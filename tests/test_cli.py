@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -11,12 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smile.cli as cli
-from smile.config import load_config
+import smile.config as config_mod
+from smile.config import DataConfig, load_config
 from smile.diffusion import NoiseModel
+from smile.envs import make_env_spec
 from smile.errors import ValidationError
 from smile.mathcore import (SeededRng, load_checkpoint, reshape_views,
                             save_checkpoint)
 from smile.policy import GeneratorPolicy
+from smile.trainer import TrainConfig
 
 from conftest import seal_checkpoint
 
@@ -141,6 +145,39 @@ def test_bad_demo_line_exits_1(run, tmp_path, capsys, edit):
         assert f"{bad}:3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("level", [math.inf, -0.5, "loud", True],
+                         ids=["infinite", "negative", "string", "bool"])
+def test_bad_noise_level_exits_1(run, tmp_path, capsys, level):
+    # every record of the file carries the level, so no trajectory's level
+    # changes and the first record (line 2) is the one to name
+    cfg, out = run
+    lines = open(out / "demos.jsonl").read().splitlines()
+    lines[1:] = [json.dumps({**json.loads(ln), "noise_level": level})
+                 for ln in lines[1:]]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    for argv in (["train", "--config", cfg, "--demos", str(bad)],
+                 audit_argv(cfg, out, demos=str(bad))):
+        assert cli.main(argv) == 1
+        assert f"{bad}:2: noise_level" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps", [5, 12])
+@pytest.mark.parametrize("command", ["audit", "bench"])
+def test_schedule_steps_must_match_denoiser(run, tmp_path, capsys, command,
+                                            steps):
+    cfg, out = run
+    other = tmp_path / "steps.ini"
+    other.write_text(open(cfg).read() + f"\n[schedule]\nsteps = {steps}\n")
+    argv = (audit_argv(str(other), out) if command == "audit" else
+            bench_argv(str(other), out / "denoiser.json",
+                       out / "generator.json"))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {out / 'denoiser.json'} has a T = 10 step "
+        f"denoiser, but the config's [schedule] steps = {steps}\n")
+
+
 def test_non_utf8_demo_exits_1(run, tmp_path, capsys):
     cfg, out = run
     lines = (out / "demos.jsonl").read_bytes().splitlines(keepends=True)
@@ -193,6 +230,41 @@ def test_non_finite_config_value_exits_1(tmp_path, capsys, section, line):
     assert cli.main(["gen-data", "--config", cfg]) == 1
     assert capsys.readouterr().err.startswith(f"error: {cfg}:{no}:")
     assert not os.path.exists(tmp_path / "demos.jsonl")
+
+
+def test_print_config_holds_the_defaults(tmp_path, capsys):
+    assert cli.main(["print-config"]) == 0
+    path = tmp_path / "default.ini"
+    path.write_text(capsys.readouterr().out)
+    cfg = load_config(str(path))
+    assert cfg.env == make_env_spec("pointmass2d")
+    assert cfg.data == DataConfig()
+    assert cfg.train == TrainConfig()  # with [schedule] and [filter]
+
+
+def test_unset_keys_take_the_dataclass_defaults(tmp_path, monkeypatch):
+    # load_config passes only the keys a file sets, so a changed dataclass
+    # default reaches a config that does not set the key
+    @dataclasses.dataclass
+    class Experiment(config_mod.ExperimentConfig):
+        run_id: str = "other"
+        seed: int = 5
+
+    @dataclasses.dataclass
+    class Train(TrainConfig):
+        diffusion_steps: int = 12
+        beta_min: float = 0.01
+        beta_max: float = 0.9
+
+    monkeypatch.setattr(config_mod, "ExperimentConfig", Experiment)
+    monkeypatch.setattr(config_mod, "TrainConfig", Train)
+    path = tmp_path / "empty.ini"
+    path.write_text("")
+    cfg = load_config(str(path))
+    assert (cfg.run_id, cfg.output_dir, cfg.seed) == ("other", "runs/other",
+                                                      5)
+    assert (cfg.train.diffusion_steps, cfg.train.beta_min,
+            cfg.train.beta_max) == (12, 0.01, 0.9)
 
 
 def bench_argv(cfg, denoiser, generator):

@@ -125,24 +125,24 @@ class TestStepTable:
             model = NoiseModel(3, 2, sched.T, SeededRng(seed),
                                hidden=(16, 16), dtype=dtype)
             # a zero output layer would make every prediction 0
-            w = model.net.weights[-1]
+            w = model.weights[-1]
             w[...] = 0.3 * SeededRng(seed + 1).standard_normal(w.shape)
             yield model
 
     def test_predict_matches_concatenated_input(self, sched):
         for model in self.models(sched, 40):
-            assert model.net.widths[0] == 3 + 2 + sched.T + 1
+            assert model.widths[0] == 3 + 2 + sched.T + 1
             rng = SeededRng(42)
             s, a_t = rng.standard_normal((9, 3)), rng.standard_normal((9, 2))
             t_arr = rng.integers(0, sched.T + 1, size=9)
-            want = model.net.forward(self.onehot_input(model, s, a_t, t_arr))
+            want = model.forward(self.onehot_input(model, s, a_t, t_arr))
             assert model.predict(s, a_t, t_arr).tobytes() == want.tobytes()
             for i in (0, 4):
                 t = int(t_arr[i])
                 single = model.predict(s[i], a_t[i], t)
                 assert single.shape == (2,)
                 x = self.onehot_input(model, s[i], a_t[i], t)[0]
-                assert single.tobytes() == model.net.forward(x).tobytes()
+                assert single.tobytes() == model.forward(x).tobytes()
 
     def test_scalar_step_matches_step_array(self, sched):
         for model in self.models(sched, 43):
@@ -168,17 +168,16 @@ class TestStepTable:
                 model.predict(s, a_t, t)
         with pytest.raises(InvalidInputError):
             # [s, a_t] without the step's columns
-            model.net.forward(np.zeros(5))
+            model.forward(np.zeros(5))
 
 
 class _LossStandIn:
     """Stands in for a NoiseModel inside denoiser_loss: its ``_inputs``
-    hands (s, a_t, t) through to ``net``, whose forward pass returns
-    ``eps(s, a_t, t)`` and whose backward pass no gradient."""
+    hands (s, a_t, t) through to its forward pass, which returns
+    ``eps(s, a_t, t)``, and its backward pass returns no gradient."""
 
     def __init__(self, norm):
         self.norm = norm
-        self.net = self
 
     def _inputs(self, s, a_t, t):
         return s, a_t, t
@@ -314,8 +313,8 @@ class TestDenoiserLoss:
         m32 = NoiseModel(3, 2, sched.T, SeededRng(4), hidden=(32, 32),
                          norm=norm, dtype=np.float32)
         # a zero output layer would zero every other gradient
-        m32.net.weights[-1][...] = 0.3 * SeededRng(5).standard_normal(
-            m32.net.weights[-1].shape)
+        m32.weights[-1][...] = 0.3 * SeededRng(5).standard_normal(
+            m32.weights[-1].shape)
         m64 = NoiseModel.from_arch({**m32.arch(), "dtype": "float64"})
         m64.flat[...] = m32.flat
         batch = SeededRng(6)
@@ -325,7 +324,7 @@ class TestDenoiserLoss:
         _, g64 = denoiser_loss(m64, states, actions, sched, SeededRng(7))
         assert g32.dtype == np.float32 and g64.dtype == np.float64
         bound = float32_rounding_bound(
-            backward_stage_lengths(m32.net.widths, 64) + [1])
+            backward_stage_lengths(m32.widths, 64) + [1])
         assert np.linalg.norm(g32 - g64) / np.linalg.norm(g64) <= bound
 
 

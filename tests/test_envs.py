@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from smile.envs import (DemoStore, EnvState, Trajectory, default_expert,
                         env_reset, env_step, expert_act, generate_demos,
-                        load_demos, make_env_spec, rollout_batch_returns,
-                        rollout_episode, save_demos, undiscounted_return)
+                        load_demos, make_env_spec, rollout,
+                        rollout_batch_returns, save_demos,
+                        undiscounted_return)
 from smile.errors import ConfigError, EnvironmentFault, InvalidInputError
-from smile.mathcore import SeededRng
+from smile.mathcore import SeededRng, derive_seed
 
 
 @pytest.fixture
@@ -131,13 +132,53 @@ class TestExpert:
         ctrl = default_expert(pm)
         reached = 0
         for seed in range(200):
-            traj = rollout_episode(pm, lambda o: expert_act(ctrl, pm, o),
-                                   SeededRng(seed))
-            final_pos = traj.states[-1][:2]  # pre-terminal obs; re-step once
-            state = EnvState(obs=traj.states[-1], t=0)
-            state, _, _ = env_step(pm, state, traj.actions[-1])
+            states, actions, _ = rollout(
+                pm, lambda o: expert_act(ctrl, pm, o), SeededRng(seed), 1)
+            # the last observation precedes the last action; re-step once
+            state = EnvState(obs=states[-1, 0], t=0)
+            state, _, _ = env_step(pm, state, actions[-1, 0])
             reached += np.linalg.norm(state.obs[:2] - np.array(pm.goal)) < 0.05
         assert reached >= 190
+
+
+class TestRollout:
+    def test_shapes_and_clipped_actions(self, di):
+        states, actions, rewards = rollout(
+            di, lambda o: np.full((len(o), 1), 3.0), SeededRng(8), 5)
+        assert states.shape == (di.horizon, 5, 2)
+        assert actions.shape == (di.horizon, 5, 1)
+        assert rewards.shape == (di.horizon, 5)
+        assert (actions == di.action_high).all()
+
+    def test_batch_returns_are_reward_sums(self, pm):
+        ctrl = default_expert(pm)
+
+        def noisy(obs):
+            return expert_act(ctrl, pm, obs) + noise.standard_normal(
+                (len(obs), pm.action_dim))
+
+        noise = SeededRng(10)
+        returns = rollout_batch_returns(pm, noisy, SeededRng(9), 7)
+        noise = SeededRng(10)
+        rewards = rollout(pm, noisy, SeededRng(9), 7)[2]
+        assert returns.tobytes() == rewards.sum(axis=0).tobytes()
+        # the same bits as accumulating step by step, as evaluation did
+        total = np.zeros(7)
+        for r in rewards:
+            total += r
+        assert returns.tobytes() == total.tobytes()
+
+    def test_one_episode_reproduces_level_zero_demo(self, pm):
+        ctrl = default_expert(pm)
+        rng = SeededRng(11)
+        traj = generate_demos(pm, ctrl, [0.0], 1, rng).trajectories[0]
+        spawn = SeededRng(derive_seed(rng.seed, "demo-spawn:0"))
+        states, actions, rewards = rollout(
+            pm, lambda o: expert_act(ctrl, pm, o), spawn, 1)
+        assert traj.states.tobytes() == states[:, 0].tobytes()
+        assert traj.actions.tobytes() == actions[:, 0].tobytes()
+        assert traj.rewards.tobytes() == rewards[:, 0].tobytes()
+        assert traj.ret == float(rewards.sum())
 
 
 class TestGenerateDemos:

@@ -148,8 +148,8 @@ class TestQCurveMatchesReference:
         model = NoiseModel(4, 2, sched.T, SeededRng(34), hidden=(64, 64),
                            dtype=np.float32)
         # a zero output layer would make every prediction its bias
-        model.net.weights[-1][...] = 0.3 * SeededRng(35).standard_normal(
-            model.net.weights[-1].shape)
+        model.weights[-1][...] = 0.3 * SeededRng(35).standard_normal(
+            model.weights[-1].shape)
         states, targets, refs = self.inputs(n, 36 + n)
         batched, looped = _Recorder(model), _Recorder(model)
         got = q_curve_matrix(batched, states, targets, refs, sched)
@@ -159,7 +159,7 @@ class TestQCurveMatchesReference:
         eps_ref = np.stack(looped.outputs)
         assert eps.dtype == eps_ref.dtype == np.float32
         bound = 2 * float32_rounding_bound(
-            forward_stage_lengths(model.net.widths))
+            forward_stage_lengths(model.widths))
         diff = np.linalg.norm((eps - eps_ref).astype(np.float64))
         assert diff <= bound * np.linalg.norm(eps_ref.astype(np.float64))
         want = reference_q_curve_matrix(_Replay(eps), states, targets, refs,

@@ -22,9 +22,9 @@ def tiny_model(state_dim=2, action_dim=2, seed=1, hidden=(8, 8), T=10):
 class TestPolicyAct:
     def test_zero_weights_bias_action(self):
         p = tiny_policy()
-        for w in p.net.weights:
+        for w in p.weights:
             w[...] = 0.0
-        p.net.biases[-1][...] = [0.4, -0.6]
+        p.biases[-1][...] = [0.4, -0.6]
         for s in (np.zeros(2), np.array([3.0, -1.0])):
             assert np.allclose(p.act(s), [0.4, -0.6])
 
@@ -40,9 +40,9 @@ class TestPolicyAct:
 
     def test_clipping_only_at_execution(self):
         p = tiny_policy()
-        for w in p.net.weights:
+        for w in p.weights:
             w[...] = 0.0
-        p.net.biases[-1][...] = [5.0, -5.0]
+        p.biases[-1][...] = [5.0, -5.0]
         s = np.zeros(2)
         assert np.allclose(p.act(s), [5.0, -5.0])  # raw is unclipped
         assert np.allclose(p.act_clipped(s), [1.0, -1.0])
@@ -54,16 +54,10 @@ class TestPolicyLoss:
         task = GaussianTask(seed=2, sigma_d=0.0, action_dim=2, state_dim=2)
         oracle = OracleDenoiser(task, sched)
 
-        class _MuNet:
-            # pretends to be a policy net that emits mu(s) exactly
-            def forward_cached(self, s):
-                return task.mu(s), None
-
-            def backward(self, acts, upstream):
-                return []
-
         p = tiny_policy()
-        p.net = _MuNet()
+        # the policy pretends to emit mu(s) exactly
+        p.forward_cached = lambda s: (task.mu(s), None)
+        p.backward = lambda acts, upstream: []
         rng = SeededRng(5)
         states = task.sample_states(rng, 32)
         loss, _ = policy_loss(p, oracle, states, task.mu(states), sched, rng)
@@ -182,9 +176,9 @@ class TestBcLoss:
 
     def test_constant_predictor_two_targets(self):
         b = BcBaseline(1, 1, SeededRng(0), hidden=(4,))
-        for w in b.net.weights:
+        for w in b.weights:
             w[...] = 0.0
-        b.net.biases[-1][...] = [1.0]
+        b.biases[-1][...] = [1.0]
         loss, _ = bc_loss(b, np.array([[0.0], [0.0]]),
                           np.array([[0.0], [2.0]]))
         assert loss == pytest.approx(1.0, abs=1e-15)

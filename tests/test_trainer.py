@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -5,18 +6,35 @@ import pytest
 
 import smile.trainer as trainer_mod
 from smile.diffusion import NoiseModel, build_schedule, diffuse
-from smile.envs import default_expert, expert_act, make_env_spec, \
-    rollout_batch_returns
+from smile.envs import default_expert, expert_act, generate_demos, \
+    make_env_spec, rollout_batch_returns
 from smile.errors import ConfigError, InvalidInputError, TrainingError
 from smile.expertise import FilterConfig, q_curve_matrix, score_dataset
 from smile.mathcore import SeededRng
 from smile.policy import GeneratorPolicy
-from smile.trainer import (CSV_COLUMNS, MetricsLog, TrainConfig, audit_bins,
+from smile.trainer import (CSV_COLUMNS, TrainConfig, audit_bins,
                            bench_reverse, evaluate, snapshot_policy, train,
                            train_bc)
 
 from gauss_task import (GaussianTask, OracleDenoiser, TablePolicy,
                         denoiser_loss_floor, make_store)
+
+
+def check_metrics_csv(path, rows):
+    """metrics.csv at ``path`` has the CSV_COLUMNS header and one line per
+    row of ``rows``: an empty cell where a row has no value, else a cell
+    whose float is the value exactly."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        lines = list(reader)
+    assert tuple(reader.fieldnames) == CSV_COLUMNS
+    assert len(lines) == len(rows)
+    for row, line in zip(rows, lines):
+        for col in CSV_COLUMNS:
+            if col in row:
+                assert float(line[col]) == row[col]
+            else:
+                assert line[col] == ""
 
 
 def tiny_cfg(**kw):
@@ -139,9 +157,8 @@ class TestTrainLoop:
         assert os.path.exists(os.path.join(out, "metrics.csv"))
         assert os.path.exists(os.path.join(out, "denoiser.json"))
         assert os.path.exists(os.path.join(out, "generator.json"))
-        on_disk = open(os.path.join(out, "metrics.csv")).read().splitlines()
-        assert on_disk == [",".join(CSV_COLUMNS)] + [
-            MetricsLog.format_row(row) for row in result.metrics.rows]
+        check_metrics_csv(os.path.join(out, "metrics.csv"),
+                          result.metrics.rows)
 
     def test_empty_store_rejected(self):
         from smile.envs import DemoStore
@@ -322,21 +339,26 @@ def test_trained_networks_are_float32(gauss_store):
 
 
 class TestMetricsLog:
-    def test_csv_format_and_monotone_iterations(self):
-        log = MetricsLog()
-        log.add_row(iteration=1, transitions=128, denoiser_loss=0.5,
-                    policy_loss=0.25, store_size=1000)
-        log.add_row(iteration=2, transitions=256, denoiser_loss=0.4,
-                    policy_loss=0.2, eval_mean=-20.0, eval_std=1.5,
-                    store_size=1000)
-        lines = [",".join(CSV_COLUMNS)] + [log.format_row(row)
-                                           for row in log.rows]
-        assert lines[0] == ("iteration,transitions,denoiser_loss,policy_loss,"
-                            "eval_mean,eval_std,store_size")
-        assert lines[1] == "1,128,0.5,0.25,,,1000"
-        assert lines[2] == "2,256,0.4,0.2,-20.0,1.5,1000"
+    def test_csv_format_and_monotone_iterations(self, tmp_path):
+        spec = make_env_spec("pointmass2d")
+        store = generate_demos(spec, default_expert(spec), [0.0], 2,
+                               SeededRng(16))
+        out = str(tmp_path / "run")
+        _, _, log = train_bc(tiny_cfg(transition_budget=32 * 20,
+                                      eval_every=10, eval_episodes=2),
+                             store, SeededRng(17), out_dir=out)
+        path = os.path.join(out, "metrics.csv")
+        assert open(path).readline() == (
+            "iteration,transitions,denoiser_loss,policy_loss,eval_mean,"
+            "eval_std,store_size\n")
+        # BC rows carry no denoiser loss, and only every tenth an eval
+        assert [sorted(row) for row in log.rows[9:11]] == [
+            ["eval_mean", "eval_std", "iteration", "policy_loss",
+             "store_size", "transitions"],
+            ["iteration", "policy_loss", "store_size", "transitions"]]
+        check_metrics_csv(path, log.rows)
         with pytest.raises(InvalidInputError):
-            log.add_row(iteration=2, transitions=384)
+            log.add_row(iteration=20, transitions=384)
 
     def test_snapshot_policy_is_independent_copy(self):
         p = GeneratorPolicy(3, 2, SeededRng(1), hidden=(8,))
