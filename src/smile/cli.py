@@ -17,7 +17,7 @@ import numpy as np
 
 from . import envs as envs_mod
 from .config import DEFAULT_CONFIG, ExperimentConfig, load_config
-from .diffusion import NoiseModel, build_schedule
+from .diffusion import NoiseModel
 from .errors import InvalidInputError, SmileError, ValidationError
 from .expertise import FilterReport, save_filter_report, score_dataset
 from .mathcore import SeededRng, derive_seed, load_checkpoint
@@ -29,9 +29,10 @@ def _resolve(cfg: ExperimentConfig, path: str) -> str:
     return path if os.path.isabs(path) else os.path.join(cfg.output_dir, path)
 
 
-def _load_actor(path: str, *roles: str):
+def _load_actor(cfg: ExperimentConfig, path: str, *roles: str):
     """The network a checkpoint of one of ``roles`` describes, holding its
-    EMA parameters."""
+    EMA parameters; a denoiser brings the schedule its arch names. Its
+    state and action dims must be those of the config's env."""
     payload = load_checkpoint(path)
     role = payload.get("role")
     if role not in roles:
@@ -42,31 +43,18 @@ def _load_actor(path: str, *roles: str):
     try:
         actor = cls.from_arch(payload["arch"])
         actor.set_params(payload["ema"])
-    except (InvalidInputError, KeyError, TypeError, ValueError) as exc:
+    except (ValidationError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(
             f"checkpoint {path} does not fit its arch: {exc!r}") from exc
+    _check_dims(cfg, f"checkpoint {path}", actor.state_dim, actor.action_dim)
     return actor
 
 
-def _load_denoiser(cfg: ExperimentConfig, path: str):
-    """The denoiser checkpoint at ``path`` and the config's schedule, which
-    must have as many steps as the denoiser was trained with."""
-    model = _load_actor(path, "denoiser")
-    steps = cfg.train.diffusion_steps
-    if steps != model.T:
-        raise ValidationError(
-            f"checkpoint {path} has a T = {model.T} step denoiser, but the "
-            f"config's [schedule] steps = {steps}")
-    return model, build_schedule(steps, cfg.train.beta_min,
-                                 cfg.train.beta_max)
-
-
-def _check_dims(cfg: ExperimentConfig, store) -> None:
-    s, a = store.sample_all()
+def _check_dims(cfg: ExperimentConfig, what: str, state_dim, action_dim):
     env = cfg.env
-    if s.shape[1] != env.state_dim or a.shape[1] != env.action_dim:
+    if (state_dim, action_dim) != (env.state_dim, env.action_dim):
         raise ValidationError(
-            f"demo dims (state {s.shape[1]}, action {a.shape[1]}) do not "
+            f"{what} dims (state {state_dim}, action {action_dim}) do not "
             f"match config env {env.name} dims (state {env.state_dim}, "
             f"action {env.action_dim})")
 
@@ -99,7 +87,8 @@ def cmd_train(args) -> int:
     demo_path = args.demos or _resolve(cfg, cfg.data.demo_file)
     # Training never sees rewards; they stay in the file for audits.
     store = envs_mod.load_demos(demo_path, include_rewards=False)
-    _check_dims(cfg, store)
+    s, a = store.sample_all()
+    _check_dims(cfg, f"demo file {demo_path}", s.shape[1], a.shape[1])
     store.env = cfg.env
     os.makedirs(cfg.output_dir, exist_ok=True)
     train_cfg = cfg.train
@@ -134,12 +123,13 @@ def cmd_audit(args) -> int:
             f"--bin-width must be positive and finite, got {width!r}")
     cfg = load_config(args.config)
     store = envs_mod.load_demos(args.demos, include_rewards=True)
-    _check_dims(cfg, store)
+    s, a = store.sample_all()
+    _check_dims(cfg, f"demo file {args.demos}", s.shape[1], a.shape[1])
     if any(tr.ret is None for tr in store.trajectories):
         raise ValidationError(
             f"demo file {args.demos} lacks rewards; audit needs returns")
-    model, sched = _load_denoiser(cfg, args.denoiser)
-    policy = _load_actor(args.generator, "generator", "bc")
+    model = _load_actor(cfg, args.denoiser, "denoiser")
+    policy = _load_actor(cfg, args.generator, "generator", "bc")
 
     rets = [tr.ret for tr in store.trajectories]
     lo = np.floor(min(rets) / width) * width
@@ -149,16 +139,14 @@ def cmd_audit(args) -> int:
     edges = np.arange(lo, hi + width / 2, width)
     # One scoring pass feeds both the bin table and the per-trajectory
     # report (filter-report format); the store is left untouched.
-    records, kept = score_dataset(store, model, policy, cfg.train.filter,
-                                  sched)
+    records, kept = score_dataset(store, model, policy, cfg.train.filter)
     rows = audit_bins(store, records, edges)
     print("bin_lo,bin_hi,count,mean_step")
     for row in rows:
         print(f"{row['bin_lo']!r},{row['bin_hi']!r},{row['count']},"
               f"{row['mean_step']!r}")
 
-    report = FilterReport(records=records, n_before=len(records),
-                          n_kept=len(kept), n_dropped=len(records) - len(kept),
+    report = FilterReport(records,
                           stop_filtering=len(kept) < cfg.train.filter.min_demos)
     if args.out:
         save_filter_report(report, args.out)
@@ -170,10 +158,10 @@ def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValidationError(f"--trials must be positive, got {args.trials}")
     cfg = load_config(args.config)
-    model, sched = _load_denoiser(cfg, args.denoiser)
-    policy = _load_actor(args.generator, "generator", "bc")
+    model = _load_actor(cfg, args.denoiser, "denoiser")
+    policy = _load_actor(cfg, args.generator, "generator", "bc")
     rng = SeededRng(derive_seed(cfg.seed, "bench"))
-    result = bench_reverse(model, policy, cfg.env, sched, args.trials, rng)
+    result = bench_reverse(model, policy, cfg.env, args.trials, rng)
     print("metric,value")
     for key in ("trials", "one_step_s_per_1000", "naive_s_per_1000",
                 "latency_ratio", "mean_abs_discrepancy"):

@@ -3,8 +3,10 @@ a run. Unknown sections or keys are rejected with the offending line number,
 as are unparseable and non-finite values, so a config either loads fully
 validated or not at all.
 
-The diffusion schedule lives here as (steps, beta_min, beta_max) — raw sigma
-arrays are never serialized. All randomness in a run flows from the single
+[schedule] sets the diffusion schedule (steps, beta_min, beta_max) that
+``train`` builds its denoiser with; raw sigma arrays are never serialized.
+The denoiser checkpoint carries the schedule afterwards, so audit and bench
+ignore [schedule]. All randomness in a run flows from the single
 [experiment] seed, fanned out as derive_seed(seed, purpose_tag).
 """
 

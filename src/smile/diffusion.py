@@ -34,6 +34,8 @@ class DiffusionSchedule:
     """Per-step noise stds beta_1..beta_T and cumulative stds sigma_0..sigma_T."""
 
     T: int
+    beta_min: float
+    beta_max: float
     betas: np.ndarray   # shape (T,), betas[t-1] is beta_t
     sigmas: np.ndarray  # shape (T+1,), sigmas[t] is sigma_t, sigmas[0] == 0
 
@@ -43,11 +45,9 @@ def build_schedule(T: int, beta_min: float = DEFAULT_BETA_MIN,
     """Linear beta schedule with cumulative root-sum-square sigmas."""
     if T < 1:
         raise ConfigError(f"diffusion step count must be >= 1, got {T}")
-    if beta_min <= 0:
-        raise ConfigError(f"beta_min must be positive, got {beta_min}")
-    if beta_max < beta_min:
-        raise ConfigError(
-            f"beta_max {beta_max} must be >= beta_min {beta_min}")
+    if not 0 < beta_min <= beta_max < np.inf:  # false for NaN too
+        raise ConfigError(f"need 0 < beta_min <= beta_max < inf, got "
+                          f"beta_min {beta_min}, beta_max {beta_max}")
     if T == 1:
         betas = np.array([beta_min])
     else:
@@ -55,7 +55,8 @@ def build_schedule(T: int, beta_min: float = DEFAULT_BETA_MIN,
     sigmas = np.concatenate([[0.0], np.sqrt(np.cumsum(betas ** 2))])
     betas.setflags(write=False)
     sigmas.setflags(write=False)
-    return DiffusionSchedule(T=T, betas=betas, sigmas=sigmas)
+    return DiffusionSchedule(T=T, beta_min=beta_min, beta_max=beta_max,
+                             betas=betas, sigmas=sigmas)
 
 
 def _check_t(t, T: int, minimum: int = 0):
@@ -113,7 +114,8 @@ def posterior_var(t: int, sched: DiffusionSchedule) -> float:
 
 
 class NoiseModel(FeedForwardNet):
-    """Noise predictor eps(s, a_t, t) -> action-dim vector.
+    """Noise predictor eps(s, a_t, t) -> action-dim vector, and the owner of
+    the diffusion schedule ``sched`` that gives its steps their meaning.
 
     A FeedForwardNet on [s, a_t, STEP_INPUT * onehot(t)], with T+1 one-hot
     columns for the step, so the step's rows of the first-layer weight are
@@ -122,13 +124,19 @@ class NoiseModel(FeedForwardNet):
     learned step embedding fed through the same layer could give. The
     training-loss norm is selectable: "l1" (default, works better in
     practice) or "l2". ``flat`` is in ``dtype``.
+
+    ``arch()`` carries (T, beta_min, beta_max): training takes them from
+    the config, and everything after reads them from the checkpoint.
     """
 
     def __init__(self, state_dim: int, action_dim: int, T: int,
                  rng: SeededRng, hidden: tuple[int, ...] = (256, 256, 256),
-                 norm: str = "l1", dtype=np.float64):
+                 norm: str = "l1", dtype=np.float64, *,
+                 beta_min: float = DEFAULT_BETA_MIN,
+                 beta_max: float = DEFAULT_BETA_MAX):
         if norm not in ("l1", "l2"):
             raise InvalidInputError(f"unknown loss norm {norm!r}")
+        self.sched = build_schedule(T, beta_min, beta_max)
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.T = T
@@ -138,15 +146,17 @@ class NoiseModel(FeedForwardNet):
 
     def arch(self) -> dict:
         return {"state_dim": self.state_dim, "action_dim": self.action_dim,
-                "T": self.T, "widths": self.widths, "norm": self.norm,
-                "dtype": self.flat.dtype.name}
+                "T": self.T, "beta_min": self.sched.beta_min,
+                "beta_max": self.sched.beta_max, "widths": self.widths,
+                "norm": self.norm, "dtype": self.flat.dtype.name}
 
     @staticmethod
     def from_arch(arch: dict) -> "NoiseModel":
         hidden = tuple(arch["widths"][1:-1])
         return NoiseModel(arch["state_dim"], arch["action_dim"], arch["T"],
                           SeededRng(0), hidden=hidden, norm=arch["norm"],
-                          dtype=arch_dtype(arch))
+                          dtype=arch_dtype(arch), beta_min=arch["beta_min"],
+                          beta_max=arch["beta_max"])
 
     def _inputs(self, s: np.ndarray, a_t: np.ndarray, t) -> np.ndarray:
         """The net's input [s, a_t, STEP_INPUT * onehot(t)] in its dtype: a
@@ -189,7 +199,7 @@ class NoiseModel(FeedForwardNet):
 
 
 def denoiser_loss(model: NoiseModel, states: np.ndarray, actions: np.ndarray,
-                  sched: DiffusionSchedule, rng: SeededRng):
+                  rng: SeededRng):
     """Noise-prediction loss over a batch of clean (s, a_0) pairs.
 
     Per example: t ~ Uniform{1..T}, eps ~ N(0, I), a_t = a_0 + sigma_t eps,
@@ -204,9 +214,9 @@ def denoiser_loss(model: NoiseModel, states: np.ndarray, actions: np.ndarray,
         raise InvalidInputError("denoiser_loss needs a non-empty batch")
     if len(actions) != n:
         raise InvalidInputError("states/actions batch length mismatch")
-    t_arr = rng.integers(1, sched.T + 1, size=n)
+    t_arr = rng.integers(1, model.sched.T + 1, size=n)
     eps = rng.standard_normal(actions.shape)
-    a_t = diffuse(actions, t_arr, sched, eps)
+    a_t = diffuse(actions, t_arr, model.sched, eps)
     pred, acts = model.forward_cached(model._inputs(states, a_t, t_arr))
     resid = pred - eps
     if model.norm == "l1":

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionSchedule
 from .envs import DemoStore, Trajectory, undiscounted_return
 from .errors import ConfigError, InvalidInputError
 
@@ -37,14 +36,13 @@ class FilterConfig:
     step_threshold: int = 1
     max_demo_len: int = 100
 
-    def validate(self, T: int | None = None) -> None:
+    def validate(self, T: int) -> None:
         if self.min_demos < 1:
             raise ConfigError(f"min_demos must be >= 1, got {self.min_demos}")
         if self.max_demo_len < 1:
             raise ConfigError(
                 f"max_demo_len must be >= 1, got {self.max_demo_len}")
-        if self.step_threshold < 0 or (T is not None
-                                       and self.step_threshold > T):
+        if not 0 <= self.step_threshold <= T:
             raise ConfigError(
                 f"step_threshold {self.step_threshold} outside 0..{T}")
         if self.filter_every < 1:
@@ -68,11 +66,20 @@ class SegmentRecord:
 @dataclass
 class FilterReport:
     records: list[SegmentRecord]
-    n_before: int
-    n_kept: int
-    n_dropped: int
     stop_filtering: bool
     iteration: int | None = None
+
+    @property
+    def n_before(self) -> int:
+        return len(self.records)
+
+    @property
+    def n_kept(self) -> int:
+        return sum(rec.verdict == "keep" for rec in self.records)
+
+    @property
+    def n_dropped(self) -> int:
+        return self.n_before - self.n_kept
 
     def summary(self) -> dict:
         return {"iteration": self.iteration, "n_before": self.n_before,
@@ -92,7 +99,7 @@ def save_filter_report(report: FilterReport, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def q_curve_matrix(model, states: np.ndarray, targets: np.ndarray,
-                   refs: np.ndarray, sched: DiffusionSchedule) -> np.ndarray:
+                   refs: np.ndarray) -> np.ndarray:
     """Per-transition Q values for every t' in 0..T, shape (T+1, n).
 
     The caller computes the reference actions once. Every step t' >= 1 is
@@ -105,6 +112,7 @@ def q_curve_matrix(model, states: np.ndarray, targets: np.ndarray,
     noise predictions (with OpenBLAS 0.3.31 on 2 cores, not at all for
     n = 100).
     """
+    sched = model.sched
     n, T = len(states), sched.T
     eps = model.predict(np.tile(states, (T, 1)), np.tile(refs, (T, 1)),
                         np.repeat(np.arange(1, T + 1), n))
@@ -151,8 +159,7 @@ def _segment_trajectory(parent: Trajectory, start: int, stop: int,
     return seg
 
 
-def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig,
-                  sched: DiffusionSchedule):
+def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig):
     """Segment the store and score every segment without touching it.
 
     Returns (records, kept_segments): per-segment reports with keep/drop
@@ -170,11 +177,11 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig,
     counts. A segment's predicted step is the argmax of its mean Q curve
     over t' (ties break toward the smallest t').
     """
-    cfg.validate(sched.T)
     if store.num_trajectories == 0:
         raise InvalidInputError("cannot filter an empty store")
     if any(len(tr) == 0 for tr in store.trajectories):
         raise InvalidInputError("cannot score an empty trajectory")
+    cfg.validate(model.sched.T)
     segments = segment_trajectories(store.trajectories, cfg.max_demo_len)
 
     states, targets = store.sample_all()
@@ -186,7 +193,7 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig,
     for seg_id, (parent, start, stop) in enumerate(segments):
         hi = lo + stop - start
         curve = q_curve_matrix(model, states[lo:hi], targets[lo:hi],
-                               refs[lo:hi], sched).mean(axis=1)
+                               refs[lo:hi]).mean(axis=1)
         lo = hi
         step = int(np.argmax(curve))
         seg = _segment_trajectory(parent, start, stop, seg_id)
@@ -201,8 +208,7 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig,
     return records, kept_segments
 
 
-def filter_dataset(store: DemoStore, model, policy,
-                   cfg: FilterConfig, sched: DiffusionSchedule,
+def filter_dataset(store: DemoStore, model, policy, cfg: FilterConfig,
                    iteration: int | None = None) -> FilterReport:
     """Score every segment, drop those with predicted step <= threshold, and
     commit the reduced store — unless that would leave fewer than min_demos
@@ -211,18 +217,12 @@ def filter_dataset(store: DemoStore, model, policy,
     The models passed in are read-only (callers hand in EMA snapshots); the
     store commit is a single atomic swap.
     """
-    records, kept_segments = score_dataset(store, model, policy, cfg, sched)
-    n_before = len(records)
+    records, kept_segments = score_dataset(store, model, policy, cfg)
     if len(kept_segments) < cfg.min_demos:
         # Dropping would starve the dataset: leave the store untouched.
         for rec in records:
             rec.verdict = "keep"
-        return FilterReport(records=records, n_before=n_before,
-                            n_kept=n_before, n_dropped=0,
-                            stop_filtering=True, iteration=iteration)
+        return FilterReport(records, stop_filtering=True, iteration=iteration)
 
     store.replace(kept_segments)
-    return FilterReport(records=records, n_before=n_before,
-                        n_kept=len(kept_segments),
-                        n_dropped=n_before - len(kept_segments),
-                        stop_filtering=False, iteration=iteration)
+    return FilterReport(records, stop_filtering=False, iteration=iteration)

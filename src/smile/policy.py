@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diffusion import DiffusionSchedule, NoiseModel, diffuse
+from .diffusion import NoiseModel, diffuse
 from .errors import InvalidInputError
 from .mathcore import FeedForwardNet, SeededRng, arch_dtype
 
@@ -72,8 +72,7 @@ class BcBaseline(_Actor):
 
 
 def policy_loss(policy: GeneratorPolicy, model: NoiseModel,
-                states: np.ndarray, actions: np.ndarray,
-                sched: DiffusionSchedule, rng: SeededRng):
+                states: np.ndarray, actions: np.ndarray, rng: SeededRng):
     """Posterior-mean matching loss; gradients for the policy only.
 
     Per example: t ~ Uniform{1..T}, a_t = a_0 + sigma_t eps,
@@ -89,6 +88,7 @@ def policy_loss(policy: GeneratorPolicy, model: NoiseModel,
         raise InvalidInputError("policy_loss needs a non-empty batch")
     if len(actions) != n:
         raise InvalidInputError("states/actions batch length mismatch")
+    sched = model.sched
     t_arr = rng.integers(1, sched.T + 1, size=n)
     eps = rng.standard_normal(actions.shape)
     a_t = diffuse(actions, t_arr, sched, eps)

@@ -29,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .diffusion import (DiffusionSchedule, NoiseModel, build_schedule,
-                        denoiser_loss, naive_reverse_sample)
+from .diffusion import (DEFAULT_BETA_MAX, DEFAULT_BETA_MIN, NoiseModel,
+                        build_schedule, denoiser_loss, naive_reverse_sample)
 from .envs import DemoStore, EnvSpec, env_reset, rollout_batch_returns
 from .errors import ConfigError, InvalidInputError, TrainingError
 from .expertise import (FilterConfig, FilterReport, SegmentRecord,
@@ -61,8 +61,8 @@ class TrainConfig:
     ema_warmup_steps: int = 200           # in training iterations
     transition_budget: int = 500_000
     diffusion_steps: int = 10
-    beta_min: float = 0.05
-    beta_max: float = 0.6
+    beta_min: float = DEFAULT_BETA_MIN
+    beta_max: float = DEFAULT_BETA_MAX
     filter: FilterConfig = field(default_factory=FilterConfig)
     filtering: bool = True
     eval_every: int = 2500
@@ -80,7 +80,6 @@ class TrainConfig:
                     "denoiser_optimize_every": self.denoiser_optimize_every,
                     "policy_optimize_every": self.policy_optimize_every,
                     "update_ema_every": self.update_ema_every,
-                    "diffusion_steps": self.diffusion_steps,
                     "eval_episodes": self.eval_episodes}
         for name, value in positive.items():
             if value <= 0:
@@ -93,6 +92,7 @@ class TrainConfig:
             raise ConfigError(f"unknown loss_norm {self.loss_norm!r}")
         if self.eval_every < 0:
             raise ConfigError("eval_every must be >= 0 (0 disables)")
+        build_schedule(self.diffusion_steps, self.beta_min, self.beta_max)
         self.filter.validate(self.diffusion_steps)
 
 
@@ -120,7 +120,6 @@ class TrainResult:
     ema_policy: GeneratorPolicy
     metrics: MetricsLog
     store: DemoStore
-    sched: DiffusionSchedule
     filter_reports: list[FilterReport] = field(default_factory=list)
 
 
@@ -207,15 +206,14 @@ class _Part:
 
 
 def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
-         parts: list[_Part], out_dir: str | None,
-         sched: DiffusionSchedule | None = None):
+         parts: list[_Part], out_dir: str | None, filtering: bool = False):
     """The iteration loop of train and train_bc; returns (metrics, reports).
 
     Per iteration: sample a batch; update each part in order; check the
-    losses for finiteness; advance every part's EMA; filter (given a sched
-    and cfg.filtering; parts[0] is the denoiser, parts[1] the generator), so
-    a pass reads this iteration's shadow; log the row, evaluating parts[-1]
-    when due.
+    losses for finiteness; advance every part's EMA; filter (while
+    ``filtering``; parts[0] is then the denoiser, parts[1] the generator),
+    so a pass reads this iteration's shadow; log the row, evaluating
+    parts[-1] when due.
     """
     env = store.env
     counters = {f"{part.name}_{what}": 0 for part in parts
@@ -224,7 +222,6 @@ def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
     metrics = MetricsLog(counters=counters)
     phase = partial(_timed, metrics.wall_clock)
     reports: list[FilterReport] = []
-    filtering = cfg.filtering and sched is not None
     csv_fh = csv_out = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -273,7 +270,7 @@ def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
                 with phase("filter"):
                     report = filter_dataset(
                         store, parts[0].shadow_copy(), parts[1].shadow_copy(),
-                        cfg.filter, sched, iteration=idx)
+                        cfg.filter, iteration=idx)
                 reports.append(report)
                 counters["filter_passes"] += 1
                 metrics.filter_summaries.append(report.summary())
@@ -312,10 +309,10 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     run.
     """
     state_dim, action_dim, bounds = _check_run(cfg, store)
-    sched = build_schedule(cfg.diffusion_steps, cfg.beta_min, cfg.beta_max)
-    model = NoiseModel(state_dim, action_dim, sched.T,
+    model = NoiseModel(state_dim, action_dim, cfg.diffusion_steps,
                        rng.spawn("init-denoiser"), hidden=cfg.hidden,
-                       norm=cfg.loss_norm, dtype=NET_DTYPE)
+                       norm=cfg.loss_norm, dtype=NET_DTYPE,
+                       beta_min=cfg.beta_min, beta_max=cfg.beta_max)
     policy = GeneratorPolicy(state_dim, action_dim, rng.spawn("init-policy"),
                              hidden=cfg.hidden, action_low=bounds[0],
                              action_high=bounds[1], dtype=NET_DTYPE)
@@ -324,15 +321,16 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     # the loss functions are looked up at call time, so hooks and test
     # patches on this module's globals apply
     den = _Part.of(cfg, "denoiser", "denoiser", model,
-                   lambda s, a: denoiser_loss(model, s, a, sched,
+                   lambda s, a: denoiser_loss(model, s, a,
                                               rngs["denoiser-noise"]),
                    cfg.denoiser_optimize_every)
     gen = _Part.of(cfg, "generator", "policy", policy,
-                   lambda s, a: policy_loss(policy, model, s, a, sched,
+                   lambda s, a: policy_loss(policy, model, s, a,
                                             rngs["policy-noise"]),
                    cfg.policy_optimize_every)
 
-    metrics, reports = _run(cfg, store, rngs, [den, gen], out_dir, sched)
+    metrics, reports = _run(cfg, store, rngs, [den, gen], out_dir,
+                            filtering=cfg.filtering)
     if out_dir is not None:
         for part in (den, gen):
             part.save(os.path.join(out_dir, f"{part.role}.json"))
@@ -340,7 +338,7 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     return TrainResult(
         noise_model=model, policy=policy,
         ema_noise_model=den.shadow_copy(), ema_policy=gen.shadow_copy(),
-        metrics=metrics, store=store, sched=sched, filter_reports=reports)
+        metrics=metrics, store=store, filter_reports=reports)
 
 
 def train_bc(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
@@ -402,8 +400,8 @@ def audit_bins(store: DemoStore, records: list[SegmentRecord],
     return rows
 
 
-def bench_reverse(model, policy, spec: EnvSpec, sched: DiffusionSchedule,
-                  trials: int, rng: SeededRng) -> dict:
+def bench_reverse(model, policy, spec: EnvSpec, trials: int,
+                  rng: SeededRng) -> dict:
     """Per-decision latency of the one-step generator vs the naive reverse
     sampler, normalized to 1000 decisions, plus their action discrepancy.
 
@@ -420,8 +418,8 @@ def bench_reverse(model, policy, spec: EnvSpec, sched: DiffusionSchedule,
         t0 = time.perf_counter()
         a = policy.act(s)
         t1 = time.perf_counter()
-        a_naive = naive_reverse_sample(model, s, sched, rng,
-                                       a + sched.sigmas[sched.T] * e)
+        a_naive = naive_reverse_sample(model, s, model.sched, rng,
+                                       a + model.sched.sigmas[-1] * e)
         t2 = time.perf_counter()
         one_step.append(t1 - t0)
         naive.append(t2 - t1)

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from smile.diffusion import NoiseModel, denoiser_loss
 from smile.envs import DemoStore, Trajectory
-from smile.mathcore import OptimizerState, SeededRng, optimizer_step
-from smile.policy import GeneratorPolicy, policy_loss
+from smile.mathcore import SeededRng
 
 
 class GaussianTask:
@@ -97,40 +95,6 @@ class TablePolicy:
             return self.actions[idx]
         assert len(s) == len(self.states)
         return self.actions
-
-
-def train_denoiser(task: GaussianTask, sched, iters: int, seed: int,
-                   rows_per_iter: int = 1280, hidden=(256, 256, 256),
-                   norm: str = "l1") -> NoiseModel:
-    """Tight fresh-data training loop (infinite data regime)."""
-    rng = SeededRng(seed)
-    model = NoiseModel(task.state_dim, task.action_dim, sched.T,
-                       rng.spawn("init"), hidden=hidden, norm=norm)
-    opt = OptimizerState.for_params(model.flat, lr=1e-3)
-    data_rng, noise_rng = rng.spawn("data"), rng.spawn("noise")
-    for _ in range(iters):
-        states = task.sample_states(data_rng, rows_per_iter)
-        actions = task.sample_actions(data_rng, states)
-        _, grads = denoiser_loss(model, states, actions, sched, noise_rng)
-        optimizer_step(opt, model.flat, grads)
-    return model
-
-
-def train_generator(task: GaussianTask, model, sched, iters: int, seed: int,
-                    rows_per_iter: int = 512,
-                    hidden=(256, 256, 256)) -> GeneratorPolicy:
-    rng = SeededRng(seed)
-    policy = GeneratorPolicy(task.state_dim, task.action_dim,
-                             rng.spawn("init"), hidden=hidden)
-    opt = OptimizerState.for_params(policy.flat, lr=1e-3)
-    data_rng, noise_rng = rng.spawn("data"), rng.spawn("noise")
-    for _ in range(iters):
-        states = task.sample_states(data_rng, rows_per_iter)
-        actions = task.sample_actions(data_rng, states)
-        _, grads = policy_loss(policy, model, states, actions, sched,
-                               noise_rng)
-        optimizer_step(opt, policy.flat, grads)
-    return policy
 
 
 def make_store(task: GaussianTask, rng: SeededRng, n_traj: int,

@@ -162,20 +162,48 @@ def test_bad_noise_level_exits_1(run, tmp_path, capsys, level):
         assert f"{bad}:2: noise_level" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("steps", [5, 12])
+@pytest.mark.parametrize("line", [
+    pytest.param("steps = 5", id="5"), pytest.param("steps = 12", id="12"),
+    pytest.param("beta_max = 1.5", id="beta_max")])
 @pytest.mark.parametrize("command", ["audit", "bench"])
 def test_schedule_steps_must_match_denoiser(run, tmp_path, capsys, command,
-                                            steps):
+                                            line):
+    # the denoiser checkpoint carries its schedule, so the steps scored are
+    # the denoiser's whatever the config's [schedule] says: audit and bench
+    # give the same bytes as under the training run's own config
     cfg, out = run
-    other = tmp_path / "steps.ini"
-    other.write_text(open(cfg).read() + f"\n[schedule]\nsteps = {steps}\n")
-    argv = (audit_argv(str(other), out) if command == "audit" else
-            bench_argv(str(other), out / "denoiser.json",
-                       out / "generator.json"))
-    assert cli.main(argv) == 1
-    assert capsys.readouterr().err == (
-        f"error: checkpoint {out / 'denoiser.json'} has a T = 10 step "
-        f"denoiser, but the config's [schedule] steps = {steps}\n")
+    other = tmp_path / "other.ini"
+    other.write_text(open(cfg).read() + f"\n[schedule]\n{line}\n")
+    report = tmp_path / "audit.json"
+    outputs = []
+    for path in (cfg, str(other)):
+        if command == "audit":
+            argv = audit_argv(path, out)[:-1] + [str(report)]
+        else:
+            argv = bench_argv(path, out / "denoiser.json",
+                              out / "generator.json")
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        if command == "audit":
+            outputs.append((lines, report.read_bytes()))
+        else:  # the timings differ from run to run; these lines do not
+            kept = [ln for ln in lines if ln.startswith(
+                ("trials,", "mean_abs_discrepancy,"))]
+            assert len(kept) == 2
+            outputs.append(kept)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("line", [
+    "beta_min = -1", "beta_min = 0", "beta_max = 0.01", "steps = 0"])
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_bad_schedule_config_exits_1(tmp_path, capsys, command, line):
+    cfg = write_config(tmp_path / "cfg.ini", tmp_path)
+    with open(cfg, "a") as fh:
+        fh.write(f"\n[schedule]\n{line}\n")
+    assert cli.main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+    assert not os.path.exists(tmp_path / "demos.jsonl")
 
 
 def test_non_utf8_demo_exits_1(run, tmp_path, capsys):
@@ -345,6 +373,22 @@ def bad_crc(payload):
     payload["crc32"] ^= 1
 
 
+def no_betas(payload):
+    del payload["arch"]["beta_min"], payload["arch"]["beta_max"]
+
+
+def nan_beta(payload):
+    payload["arch"]["beta_max"] = float("nan")
+
+
+def zero_beta_min(payload):
+    payload["arch"]["beta_min"] = 0.0
+
+
+def string_beta(payload):
+    payload["arch"]["beta_min"] = "0.05"
+
+
 def step_embedding(payload):
     # a denoiser saved while the step entered through a learned embedding:
     # a (T+1) x 32 table first, and W0 taking 32 embedding columns in place
@@ -364,10 +408,14 @@ def step_embedding(payload):
                                    "no_params", "wrong_shape", "nan_in_ema",
                                    "float32_overflow", "bad_arch",
                                    "unknown_dtype", "non_string_dtype",
-                                   "version_1", "bad_crc", "step_embedding"])
+                                   "version_1", "bad_crc", "step_embedding",
+                                   "no_betas", "nan_beta", "zero_beta_min",
+                                   "string_beta"])
 def test_bad_checkpoint_exits_1(run, tmp_path, capsys, fault):
     cfg, out = run
-    role = "denoiser" if fault == "step_embedding" else "generator"
+    denoiser_faults = ("step_embedding", "no_betas", "nan_beta",
+                       "zero_beta_min", "string_beta")
+    role = "denoiser" if fault in denoiser_faults else "generator"
     good = out / f"{role}.json"
     bad = tmp_path / "bad.json"
     if fault == "missing":
@@ -384,7 +432,10 @@ def test_bad_checkpoint_exits_1(run, tmp_path, capsys, fault):
                 "nan_in_ema": nan_in_ema, "float32_overflow": float32_overflow,
                 "bad_arch": bad_arch, "unknown_dtype": unknown_dtype,
                 "non_string_dtype": non_string_dtype, "version_1": version_1,
-                "bad_crc": bad_crc, "step_embedding": step_embedding}[fault]
+                "bad_crc": bad_crc, "step_embedding": step_embedding,
+                "no_betas": no_betas, "nan_beta": nan_beta,
+                "zero_beta_min": zero_beta_min,
+                "string_beta": string_beta}[fault]
         rewrite_checkpoint(good, bad, edit,
                            seal=fault not in ("version_1", "bad_crc"))
         where = {"version_1": f"{bad} has format_version 1",
@@ -412,6 +463,48 @@ def test_wrong_role_exits_1(run, capsys, command, denoiser, generator):
     err = capsys.readouterr().err
     assert err.startswith(f"error: checkpoint {out / wrong}.json holds role "
                           f"'{wrong}'")
+
+
+@pytest.mark.parametrize("swapped", ["both", "denoiser", "generator"])
+@pytest.mark.parametrize("command", ["audit", "bench"])
+def test_checkpoint_of_another_env_exits_1(run, tmp_path, capsys, command,
+                                           swapped):
+    # double_integrator_1d checkpoints (state 2, action 1) under the run's
+    # pointmass2d config (state 4, action 2)
+    cfg, out = run
+    env = make_env_spec("double_integrator_1d")
+    nets = {"denoiser": NoiseModel(env.state_dim, env.action_dim, 10,
+                                   SeededRng(1), hidden=(4,)),
+            "generator": GeneratorPolicy(env.state_dim, env.action_dim,
+                                         SeededRng(2), hidden=(4,))}
+    paths = {role: out / f"{role}.json" for role in nets}
+    for role, net in nets.items():
+        if swapped in (role, "both"):
+            paths[role] = tmp_path / f"{role}.json"
+            save_checkpoint(str(paths[role]), role, net, net.flat)
+    argv = [command, "--config", cfg, "--denoiser", str(paths["denoiser"]),
+            "--generator", str(paths["generator"])]
+    argv += (["--demos", str(out / "demos.jsonl")] if command == "audit"
+             else ["--trials", "2"])
+    assert cli.main(argv) == 1
+    bad = paths["generator" if swapped == "generator" else "denoiser"]
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {bad} dims (state 2, action 1) do not match "
+        f"config env pointmass2d dims (state 4, action 2)\n")
+
+
+def test_demos_of_another_env_exit_1(run, tmp_path, capsys):
+    cfg, out = run
+    other = tmp_path / "other.ini"
+    other.write_text(open(cfg).read()
+                     + "\n[env]\nname = double_integrator_1d\n")
+    demos = str(out / "demos.jsonl")
+    for argv in (["train", "--config", str(other), "--demos", demos],
+                 audit_argv(str(other), out)):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: demo file {demos} dims (state 4, action 2) do not match "
+            f"config env double_integrator_1d dims (state 2, action 1)\n")
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smile.diffusion import (STEP_INPUT, NoiseModel, build_schedule,
-                             denoiser_loss, diffuse, naive_reverse_sample,
-                             posterior_mean, posterior_var)
+from smile.diffusion import (DEFAULT_BETA_MAX, DEFAULT_BETA_MIN, STEP_INPUT,
+                             NoiseModel, build_schedule, denoiser_loss,
+                             diffuse, naive_reverse_sample, posterior_mean,
+                             posterior_var)
 from smile.errors import ConfigError, InvalidInputError
 from smile.mathcore import SeededRng, reshape_views
 
@@ -40,6 +42,14 @@ class TestSchedule:
             build_schedule(10, 0.0, 0.6)
         with pytest.raises(ConfigError):
             build_schedule(0, 0.05, 0.6)
+
+    @pytest.mark.parametrize("beta_min,beta_max", [
+        (math.nan, 0.6), (0.05, math.nan), (0.05, math.inf),
+        (-math.inf, 0.6), (0.05, 0.01)])
+    def test_bad_betas_rejected(self, beta_min, beta_max):
+        # NaN passes both ordered comparisons, so it is checked on its own
+        with pytest.raises(ConfigError):
+            build_schedule(10, beta_min, beta_max)
 
     def test_single_step_schedule(self):
         sched = build_schedule(1, 0.3, 0.3)
@@ -107,6 +117,43 @@ class TestDiffuse:
             assert abs(a_two_stage.mean()) < 3 * sched.sigmas[t] / math.sqrt(n) * 3
 
 
+class TestNoiseModelSchedule:
+    """The noise model owns its schedule, and its arch carries it."""
+
+    @pytest.mark.parametrize("T", [1, 10])
+    def test_arch_round_trip(self, T):
+        model = NoiseModel(3, 2, T, SeededRng(0), hidden=(4,),
+                           beta_min=0.1, beta_max=0.9)
+        arch = json.loads(json.dumps(model.arch()))
+        # a T = 1 schedule uses beta_min alone; beta_max still round-trips
+        assert (arch["T"], arch["beta_min"], arch["beta_max"]) == (T, 0.1,
+                                                                   0.9)
+        copy = NoiseModel.from_arch(arch)
+        assert copy.arch() == model.arch()
+        want = build_schedule(T, 0.1, 0.9)
+        for sched in (model.sched, copy.sched):
+            assert sched.T == T
+            assert sched.betas.tobytes() == want.betas.tobytes()
+            assert sched.sigmas.tobytes() == want.sigmas.tobytes()
+
+    def test_default_schedule(self, sched):
+        model = NoiseModel(3, 2, 10, SeededRng(0), hidden=(4,))
+        assert (model.sched.beta_min, model.sched.beta_max) == (
+            DEFAULT_BETA_MIN, DEFAULT_BETA_MAX)
+        assert model.sched.sigmas.tobytes() == sched.sigmas.tobytes()
+
+    @pytest.mark.parametrize("key", ["beta_min", "beta_max"])
+    def test_arch_without_betas_rejected(self, key):
+        arch = NoiseModel(3, 2, 10, SeededRng(0), hidden=(4,)).arch()
+        del arch[key]
+        with pytest.raises(KeyError):
+            NoiseModel.from_arch(arch)
+
+    def test_bad_betas_rejected(self):
+        with pytest.raises(ConfigError):
+            NoiseModel(3, 2, 10, SeededRng(0), hidden=(4,), beta_min=0.0)
+
+
 class TestStepTable:
     """The step enters as T+1 one-hot input columns, so the step's rows of
     W0 are the learned step table: predict is the net fed
@@ -172,12 +219,14 @@ class TestStepTable:
 
 
 class _LossStandIn:
-    """Stands in for a NoiseModel inside denoiser_loss: its ``_inputs``
-    hands (s, a_t, t) through to its forward pass, which returns
-    ``eps(s, a_t, t)``, and its backward pass returns no gradient."""
+    """Stands in for a NoiseModel inside denoiser_loss: it carries the
+    schedule the loss diffuses with, its ``_inputs`` hands (s, a_t, t)
+    through to its forward pass, which returns ``eps(s, a_t, t)``, and its
+    backward pass returns no gradient."""
 
-    def __init__(self, norm):
+    def __init__(self, norm, sched):
         self.norm = norm
+        self.sched = sched
 
     def _inputs(self, s, a_t, t):
         return s, a_t, t
@@ -194,9 +243,8 @@ class _ExactEpsPredictor(_LossStandIn):
     for a0 = mu(s), the true noise is (a_t - mu(s)) / sigma_t."""
 
     def __init__(self, mu_fn, sched):
-        super().__init__("l2")
+        super().__init__("l2", sched)
         self.mu_fn = mu_fn
-        self.sched = sched
 
     def eps(self, s, a_t, t_arr):
         return (a_t - self.mu_fn(s)) / self.sched.sigmas[t_arr][:, None]
@@ -207,9 +255,8 @@ class _EpsStarModel(_LossStandIn):
     Gaussian task, scored under the given norm."""
 
     def __init__(self, task, sched, norm):
-        super().__init__(norm)
+        super().__init__(norm, sched)
         self.task = task
-        self.sched = sched
 
     def eps(self, s, a_t, t_arr):
         return self.task.eps_star(s, a_t, t_arr, self.sched)
@@ -231,7 +278,7 @@ class TestDenoiserLoss:
         for _ in range(20):
             states = task.sample_states(rng, 5000)
             actions = task.sample_actions(rng, states)
-            loss, _ = denoiser_loss(model, states, actions, sched, rng)
+            loss, _ = denoiser_loss(model, states, actions, rng)
             losses.append(loss)
         se = np.std(losses, ddof=1) / math.sqrt(len(losses))
         floor = denoiser_loss_floor(task, sched, norm)
@@ -242,7 +289,7 @@ class TestDenoiserLoss:
         states = task.sample_states(rng, 64)
         actions = task.mu(states)  # deterministic behavior
         oracle = _ExactEpsPredictor(task.mu, sched)
-        loss, _ = denoiser_loss(oracle, states, actions, sched, rng)
+        loss, _ = denoiser_loss(oracle, states, actions, rng)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_predictor_l2_loss_is_action_dim(self, sched):
@@ -255,7 +302,7 @@ class TestDenoiserLoss:
         n = 10 ** 5
         states = rng.standard_normal((n, 2))
         actions = rng.standard_normal((n, d))
-        loss, _ = denoiser_loss(model, states, actions, sched, rng)
+        loss, _ = denoiser_loss(model, states, actions, rng)
         # E ||eps||^2 = d for the zero predictor
         assert loss == pytest.approx(d, rel=0.05)
 
@@ -270,13 +317,13 @@ class TestDenoiserLoss:
         a_t = a0 + sched.sigmas[t] * eps
         expected = np.abs(model.predict(s, a_t, np.array([t]))
                           - eps).sum()
-        loss, _ = denoiser_loss(model, s, a0, sched, SeededRng(123))
+        loss, _ = denoiser_loss(model, s, a0, SeededRng(123))
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_empty_batch_rejected(self, sched, rng):
         model = NoiseModel(2, 2, sched.T, SeededRng(0), hidden=(4,))
         with pytest.raises(InvalidInputError):
-            denoiser_loss(model, np.zeros((0, 2)), np.zeros((0, 2)), sched,
+            denoiser_loss(model, np.zeros((0, 2)), np.zeros((0, 2)),
                           rng)
 
     def test_gradients_match_finite_difference(self, sched):
@@ -284,7 +331,7 @@ class TestDenoiserLoss:
         rng_batch = SeededRng(7)
         states = rng_batch.standard_normal((4, 2))
         actions = rng_batch.standard_normal((4, 2))
-        _, grads = denoiser_loss(model, states, actions, sched, SeededRng(11))
+        _, grads = denoiser_loss(model, states, actions, SeededRng(11))
         assert grads.shape == model.flat.shape
         grads = reshape_views(grads, [p.shape for p in model.params()])
         h = 1e-6
@@ -293,10 +340,10 @@ class TestDenoiserLoss:
             for k in (0, flat.size // 2, flat.size - 1):
                 orig = flat[k]
                 flat[k] = orig + h
-                up, _ = denoiser_loss(model, states, actions, sched,
+                up, _ = denoiser_loss(model, states, actions,
                                       SeededRng(11))
                 flat[k] = orig - h
-                down, _ = denoiser_loss(model, states, actions, sched,
+                down, _ = denoiser_loss(model, states, actions,
                                         SeededRng(11))
                 flat[k] = orig
                 fd = (up - down) / (2 * h)
@@ -320,8 +367,8 @@ class TestDenoiserLoss:
         batch = SeededRng(6)
         states = batch.standard_normal((64, 3))
         actions = batch.standard_normal((64, 2))
-        _, g32 = denoiser_loss(m32, states, actions, sched, SeededRng(7))
-        _, g64 = denoiser_loss(m64, states, actions, sched, SeededRng(7))
+        _, g32 = denoiser_loss(m32, states, actions, SeededRng(7))
+        _, g64 = denoiser_loss(m64, states, actions, SeededRng(7))
         assert g32.dtype == np.float32 and g64.dtype == np.float64
         bound = float32_rounding_bound(
             backward_stage_lengths(m32.widths, 64) + [1])

@@ -44,11 +44,11 @@ class _OffsetModel:
         return self.vecs[idx] / self.sched.sigmas[-1]
 
 
-def predicted_step(model, policy, traj, sched):
+def predicted_step(model, policy, traj):
     """(predicted step, mean-Q curve) of one trajectory, scored by
     score_dataset as a store of one unsplit segment."""
     cfg = FilterConfig(min_demos=1, max_demo_len=10 ** 6)
-    records, _ = score_dataset(DemoStore([traj]), model, policy, cfg, sched)
+    records, _ = score_dataset(DemoStore([traj]), model, policy, cfg)
     (rec,) = records
     return rec.predicted_step, np.asarray(rec.mean_q)
 
@@ -57,7 +57,7 @@ class TestQValue:
     def test_t0_equal_actions_is_max(self, sched):
         ones = np.ones((1, 2))
         model = _OffsetModel(np.zeros((1, 2)), np.ones((1, 2)), sched)
-        q = q_curve_matrix(model, np.zeros((1, 2)), ones, ones, sched)
+        q = q_curve_matrix(model, np.zeros((1, 2)), ones, ones)
         assert q[0, 0] == 0.0
         assert q.shape == (sched.T + 1, 1) and np.all(q <= 0.0)
 
@@ -68,7 +68,7 @@ class TestQValue:
         a_ref = rng.standard_normal((1, 2))
         t = 4
         target = a_ref - sched.sigmas[t] * oracle.predict(s, a_ref, t)
-        q = q_curve_matrix(oracle, s, target, a_ref, sched)
+        q = q_curve_matrix(oracle, s, target, a_ref)
         assert q[t, 0] == pytest.approx(0.0, abs=1e-20)
 
     def test_frozen_hand_value(self, sched):
@@ -79,15 +79,17 @@ class TestQValue:
         t = 6
         denoised = a_ref - sched.sigmas[t] * model.predict(s, a_ref, t)
         expected = -float(((a_target - denoised) ** 2).sum())
-        q = q_curve_matrix(model, s[None], a_target[None], a_ref[None], sched)
+        q = q_curve_matrix(model, s[None], a_target[None], a_ref[None])
         assert q[t, 0] == pytest.approx(expected, rel=1e-12)
 
 
 class _Recorder:
-    """Passes predict calls through to a model and keeps every output."""
+    """Passes predict calls through to a model, under its schedule, and
+    keeps every output."""
 
     def __init__(self, model):
         self.model = model
+        self.sched = model.sched
         self.outputs = []
 
     def predict(self, s, a_t, t):
@@ -122,7 +124,7 @@ class TestQCurveMatchesReference:
     def test_oracle_bit_for_bit(self, sched, n):
         oracle = OracleDenoiser(GaussianTask(seed=30, action_dim=2), sched)
         states, targets, refs = self.inputs(n, 31 + n)
-        got = q_curve_matrix(oracle, states, targets, refs, sched)
+        got = q_curve_matrix(oracle, states, targets, refs)
         want = reference_q_curve_matrix(oracle, states, targets, refs, sched)
         assert got.tobytes() == want.tobytes()
 
@@ -131,7 +133,7 @@ class TestQCurveMatchesReference:
         states, targets, refs = self.inputs(n, 32 + n)
         model = _OffsetModel(states, SeededRng(33).standard_normal((n, 2)),
                              sched)
-        got = q_curve_matrix(model, states, targets, refs, sched)
+        got = q_curve_matrix(model, states, targets, refs)
         want = reference_q_curve_matrix(model, states, targets, refs, sched)
         assert got.tobytes() == want.tobytes()
 
@@ -152,7 +154,7 @@ class TestQCurveMatchesReference:
             model.weights[-1].shape)
         states, targets, refs = self.inputs(n, 36 + n)
         batched, looped = _Recorder(model), _Recorder(model)
-        got = q_curve_matrix(batched, states, targets, refs, sched)
+        got = q_curve_matrix(batched, states, targets, refs)
         reference_q_curve_matrix(looped, states, targets, refs, sched)
         (eps,) = batched.outputs
         eps = eps.reshape(sched.T, n, 2)
@@ -175,7 +177,7 @@ class TestPredictStep:
         actions = task.mu(states)
         traj = make_traj(states, actions)
         policy = TablePolicy(states, actions)
-        assert predicted_step(oracle, policy, traj, sched)[0] == 0
+        assert predicted_step(oracle, policy, traj)[0] == 0
 
     @pytest.mark.parametrize("t", [3, 5, 7])
     def test_diffused_reference_recovers_step(self, sched, t):
@@ -191,7 +193,7 @@ class TestPredictStep:
             refs = diffuse(a0, t, sched, rng.standard_normal(a0.shape))
             traj = make_traj(states, a0)
             policy = TablePolicy(states, refs)
-            step, curve = predicted_step(oracle, policy, traj, sched)
+            step, curve = predicted_step(oracle, policy, traj)
             assert len(curve) == sched.T + 1
             hits += step == t
         assert hits >= 9
@@ -209,7 +211,7 @@ class TestPredictStep:
             noisy = diffuse(a0, 2, sched, rng.standard_normal(a0.shape))
             traj = make_traj(states, noisy)
             policy = TablePolicy(states, a0)
-            zeros += predicted_step(oracle, policy, traj, sched)[0] == 0
+            zeros += predicted_step(oracle, policy, traj)[0] == 0
         assert zeros >= 9
 
     def test_noisier_reference_keep_direction(self, sched, rng):
@@ -221,8 +223,7 @@ class TestPredictStep:
         a0 = task.sample_actions(rng, states)
         refs = diffuse(a0, 6, sched, rng.standard_normal(a0.shape))
         traj = make_traj(states, a0)
-        step, _ = predicted_step(oracle, TablePolicy(states, refs), traj,
-                                 sched)
+        step, _ = predicted_step(oracle, TablePolicy(states, refs), traj)
         assert step > 0
 
     def test_empty_trajectory_rejected(self, sched):
@@ -230,7 +231,7 @@ class TestPredictStep:
                           actions=np.zeros((0, 2)), rewards=None,
                           terminals=np.zeros(0, dtype=bool))
         with pytest.raises(InvalidInputError):
-            predicted_step(None, None, traj, sched)
+            predicted_step(None, None, traj)
 
     def test_tie_breaks_toward_smallest(self, sched, rng):
         # zero offset makes the whole curve flat: argmax must return 0
@@ -239,7 +240,7 @@ class TestPredictStep:
         traj = make_traj(states, actions)
         model = _OffsetModel(states, np.zeros((5, 2)), sched)
         policy = TablePolicy(states, actions)
-        assert predicted_step(model, policy, traj, sched)[0] == 0
+        assert predicted_step(model, policy, traj)[0] == 0
 
 
 class TestScoreDataset:
@@ -264,13 +265,15 @@ class TestScoreDataset:
                 return table.act(s)
 
         class CountingModel:
+            sched = oracle.sched
+
             def predict(self, s, a_t, t):
                 denoiser_calls.append((s, a_t, t))
                 return oracle.predict(s, a_t, t)
 
         cfg = FilterConfig(min_demos=1, max_demo_len=4)
         records, _ = score_dataset(store, CountingModel(), CountingPolicy(),
-                                   cfg, sched)
+                                   cfg)
         assert policy_rows == [store.transition_count]
         assert [r.stop - r.start for r in records] == [4, 4, 2] * 6
         # one denoiser call per segment, over its n rows at every step
@@ -328,7 +331,7 @@ class TestFilterDataset:
     def test_all_high_steps_drop_nothing(self, sched):
         store, policy, model = _offset_store([0.5] * 6, sched)
         cfg = FilterConfig(min_demos=1, step_threshold=1, max_demo_len=100)
-        report = filter_dataset(store, model, policy, cfg, sched)
+        report = filter_dataset(store, model, policy, cfg)
         assert report.n_dropped == 0
         assert not report.stop_filtering
         assert store.num_trajectories == 6
@@ -339,7 +342,7 @@ class TestFilterDataset:
         # would leave 7 < 10, so nothing is dropped and filtering stops
         store, policy, model = _offset_store([0.0] * 5 + [0.5] * 7, sched)
         cfg = FilterConfig(min_demos=10, step_threshold=1, max_demo_len=100)
-        report = filter_dataset(store, model, policy, cfg, sched)
+        report = filter_dataset(store, model, policy, cfg)
         assert report.stop_filtering
         assert report.n_before == 12
         assert report.n_kept == 12 and report.n_dropped == 0
@@ -349,7 +352,7 @@ class TestFilterDataset:
     def test_drop_commits_reduced_store(self, sched):
         store, policy, model = _offset_store([0.0] * 5 + [0.5] * 7, sched)
         cfg = FilterConfig(min_demos=3, step_threshold=1, max_demo_len=100)
-        report = filter_dataset(store, model, policy, cfg, sched)
+        report = filter_dataset(store, model, policy, cfg)
         assert not report.stop_filtering
         assert report.n_kept == 7 and report.n_dropped == 5
         assert store.num_trajectories == 7
@@ -358,7 +361,7 @@ class TestFilterDataset:
     def test_never_empties_below_min_demos(self, sched):
         store, policy, model = _offset_store([0.0] * 8, sched)
         cfg = FilterConfig(min_demos=2, step_threshold=1, max_demo_len=100)
-        filter_dataset(store, model, policy, cfg, sched)
+        filter_dataset(store, model, policy, cfg)
         assert store.num_trajectories >= 2
 
     @settings(max_examples=30, deadline=None)
@@ -375,8 +378,8 @@ class TestFilterDataset:
                               max_demo_len=100)
         cfg_lo = FilterConfig(min_demos=1, step_threshold=lo,
                               max_demo_len=100)
-        rep_hi = filter_dataset(store_hi, model, policy, cfg_hi, sched)
-        rep_lo = filter_dataset(store_lo, model, policy, cfg_lo, sched)
+        rep_hi = filter_dataset(store_hi, model, policy, cfg_hi)
+        rep_lo = filter_dataset(store_lo, model, policy, cfg_lo)
         kept_hi = {r.segment_id for r in rep_hi.records
                    if r.verdict == "keep" and not rep_hi.stop_filtering}
         kept_lo = {r.segment_id for r in rep_lo.records
@@ -391,7 +394,7 @@ class TestFilterDataset:
         policy = TablePolicy(traj.states, traj.actions + 0.5)
         model = _OffsetModel(traj.states, np.full((6, 2), 0.5), sched)
         cfg = FilterConfig(min_demos=1, step_threshold=1, max_demo_len=3)
-        report = filter_dataset(store, model, policy, cfg, sched)
+        report = filter_dataset(store, model, policy, cfg)
         assert report.n_before == 2
         assert [tr.traj_id for tr in store.trajectories] == [0, 1]
         assert all(tr.noise_level == 0.25 for tr in store.trajectories)
@@ -399,23 +402,23 @@ class TestFilterDataset:
 
     def test_empty_store_rejected(self, sched):
         with pytest.raises(InvalidInputError):
-            filter_dataset(DemoStore([]), None, None, FilterConfig(), sched)
+            filter_dataset(DemoStore([]), None, None, FilterConfig())
 
     def test_bad_config_rejected(self, sched):
         store, policy, model = _offset_store([0.5], sched)
         with pytest.raises(ConfigError):
             filter_dataset(store, model, policy,
-                           FilterConfig(min_demos=0), sched)
+                           FilterConfig(min_demos=0))
         with pytest.raises(ConfigError):
             filter_dataset(store, model, policy,
-                           FilterConfig(step_threshold=11), sched)
+                           FilterConfig(step_threshold=11))
 
 
 class TestReport:
     def test_report_serialization(self, sched, tmp_path):
         store, policy, model = _offset_store([0.0, 0.5, 0.7], sched)
         cfg = FilterConfig(min_demos=1, step_threshold=1, max_demo_len=100)
-        report = filter_dataset(store, model, policy, cfg, sched,
+        report = filter_dataset(store, model, policy, cfg,
                                 iteration=2500)
         path = str(tmp_path / "report.json")
         save_filter_report(report, path)
@@ -432,6 +435,6 @@ class TestReport:
         store, policy, model = _offset_store([0.0, 0.5], sched)
         cfg = FilterConfig(min_demos=1, step_threshold=1, max_demo_len=100)
         before = store.num_trajectories
-        records, kept = score_dataset(store, model, policy, cfg, sched)
+        records, kept = score_dataset(store, model, policy, cfg)
         assert store.num_trajectories == before
         assert len(records) == 2 and len(kept) == 1

@@ -60,7 +60,7 @@ class TestPolicyLoss:
         p.backward = lambda acts, upstream: []
         rng = SeededRng(5)
         states = task.sample_states(rng, 32)
-        loss, _ = policy_loss(p, oracle, states, task.mu(states), sched, rng)
+        loss, _ = policy_loss(p, oracle, states, task.mu(states), rng)
         # with sigma_d = 0 the oracle denoises a_t exactly back to mu(s)
         assert loss == pytest.approx(0.0, abs=1e-18)
 
@@ -70,7 +70,7 @@ class TestPolicyLoss:
         rng_batch = SeededRng(9)
         states = rng_batch.standard_normal((16, 2))
         actions = rng_batch.standard_normal((16, 2))
-        loss, _ = policy_loss(p, model, states, actions, sched, SeededRng(42))
+        loss, _ = policy_loss(p, model, states, actions, SeededRng(42))
         # independent direct computation through both posterior means
         probe = SeededRng(42)
         t_arr = probe.integers(1, sched.T + 1, size=16)
@@ -96,7 +96,7 @@ class TestPolicyLoss:
         a0_hat = a_t - sched.sigmas[t] * model.predict(s, a_t, np.array([t]))
         w = sched.betas[t - 1] ** 2 / sched.sigmas[t] ** 2
         expected = float((w ** 2 * (p.act(s) - a0_hat) ** 2).sum())
-        loss, _ = policy_loss(p, model, s, a0, sched, SeededRng(77))
+        loss, _ = policy_loss(p, model, s, a0, SeededRng(77))
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_stop_gradient_into_noise_model(self, sched):
@@ -106,7 +106,7 @@ class TestPolicyLoss:
         rng = SeededRng(15)
         states = rng.standard_normal((8, 2))
         actions = rng.standard_normal((8, 2))
-        loss, grads = policy_loss(p, model, states, actions, sched, rng)
+        loss, grads = policy_loss(p, model, states, actions, rng)
         # gradients align with policy parameters only; theta untouched
         assert grads.shape == p.flat.shape
         for before, after in zip(theta_before, model.params()):
@@ -118,6 +118,9 @@ class TestPolicyLoss:
         task = GaussianTask(seed=3, sigma_d=0.0, action_dim=2, state_dim=2)
 
         class ExactEps:
+            def __init__(self):
+                self.sched = sched
+
             def predict(self, s, a_t, t_arr):
                 sig = sched.sigmas[t_arr][:, None]
                 return (a_t - task.mu(s)) / sig
@@ -126,7 +129,7 @@ class TestPolicyLoss:
         rng = SeededRng(17)
         states = task.sample_states(rng, 32)
         actions = task.mu(states)
-        loss, _ = policy_loss(p, ExactEps(), states, actions, sched,
+        loss, _ = policy_loss(p, ExactEps(), states, actions,
                               SeededRng(18))
         probe = SeededRng(18)
         t_arr = probe.integers(1, sched.T + 1, size=32)
@@ -142,7 +145,7 @@ class TestPolicyLoss:
         rng = SeededRng(21)
         states = rng.standard_normal((4, 2))
         actions = rng.standard_normal((4, 2))
-        _, grads = policy_loss(p, model, states, actions, sched, SeededRng(6))
+        _, grads = policy_loss(p, model, states, actions, SeededRng(6))
         grads = reshape_views(grads, [q.shape for q in p.params()])
         h = 1e-6
         for pi, q in enumerate(p.params()):
@@ -150,10 +153,10 @@ class TestPolicyLoss:
             for k in (0, flat.size - 1):
                 orig = flat[k]
                 flat[k] = orig + h
-                up, _ = policy_loss(p, model, states, actions, sched,
+                up, _ = policy_loss(p, model, states, actions,
                                     SeededRng(6))
                 flat[k] = orig - h
-                down, _ = policy_loss(p, model, states, actions, sched,
+                down, _ = policy_loss(p, model, states, actions,
                                       SeededRng(6))
                 flat[k] = orig
                 fd = (up - down) / (2 * h)
@@ -163,7 +166,7 @@ class TestPolicyLoss:
     def test_empty_batch(self, sched, rng):
         with pytest.raises(InvalidInputError):
             policy_loss(tiny_policy(), tiny_model(), np.zeros((0, 2)),
-                        np.zeros((0, 2)), sched, rng)
+                        np.zeros((0, 2)), rng)
 
 
 class TestBcLoss:

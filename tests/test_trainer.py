@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import smile.trainer as trainer_mod
-from smile.diffusion import NoiseModel, build_schedule, diffuse
+from smile.diffusion import NoiseModel, diffuse
 from smile.envs import default_expert, expert_act, generate_demos, \
     make_env_spec, rollout_batch_returns
 from smile.errors import ConfigError, InvalidInputError, TrainingError
 from smile.expertise import FilterConfig, q_curve_matrix, score_dataset
-from smile.mathcore import SeededRng
+from smile.mathcore import SeededRng, load_checkpoint
 from smile.policy import GeneratorPolicy
 from smile.trainer import (CSV_COLUMNS, TrainConfig, audit_bins,
                            bench_reverse, evaluate, snapshot_policy, train,
@@ -65,7 +65,8 @@ class TestTrainLoop:
         losses = [r["denoiser_loss"] for r in result.metrics.rows]
         early = np.mean(losses[:100])
         late = np.mean(losses[-100:])
-        floor = denoiser_loss_floor(task, result.sched, cfg.loss_norm)
+        floor = denoiser_loss_floor(task, result.noise_model.sched,
+                                    cfg.loss_norm)
         assert late - floor <= 0.5 * (early - floor)
 
     def test_identical_seed_identical_metrics(self, tmp_path):
@@ -104,11 +105,10 @@ class TestTrainLoop:
         captured = {}
         real = trainer_mod.filter_dataset
 
-        def spy(store, model, policy, cfg, sched, iteration=None):
+        def spy(store, model, policy, cfg, iteration=None):
             captured["model"] = [p.copy() for p in model.params()]
             captured["policy"] = [p.copy() for p in policy.params()]
-            return real(store, model, policy, cfg, sched,
-                        iteration=iteration)
+            return real(store, model, policy, cfg, iteration=iteration)
 
         monkeypatch.setattr(trainer_mod, "filter_dataset", spy)
         n_iters = 20
@@ -141,7 +141,7 @@ class TestTrainLoop:
 
     def test_non_finite_loss_aborts_with_diagnostics(self, gauss_store,
                                                      tmp_path, monkeypatch):
-        def bad_loss(model, s, a, sched, rng):
+        def bad_loss(model, s, a, rng):
             return float("nan"), np.zeros_like(model.flat)
 
         monkeypatch.setattr(trainer_mod, "denoiser_loss", bad_loss)
@@ -160,6 +160,19 @@ class TestTrainLoop:
         check_metrics_csv(os.path.join(out, "metrics.csv"),
                           result.metrics.rows)
 
+    def test_denoiser_carries_the_config_schedule(self, gauss_store,
+                                                  tmp_path):
+        cfg = tiny_cfg(diffusion_steps=4, beta_min=0.1, beta_max=0.9,
+                       transition_budget=32 * 2)
+        out = str(tmp_path / "run")
+        result = train(cfg, gauss_store, SeededRng(16), out_dir=out)
+        for model in (result.noise_model, result.ema_noise_model):
+            assert (model.sched.T, model.sched.beta_min,
+                    model.sched.beta_max) == (4, 0.1, 0.9)
+        arch = load_checkpoint(os.path.join(out, "denoiser.json"))["arch"]
+        assert (arch["T"], arch["beta_min"], arch["beta_max"]) == (4, 0.1,
+                                                                   0.9)
+
     def test_empty_store_rejected(self):
         from smile.envs import DemoStore
         with pytest.raises(InvalidInputError):
@@ -174,6 +187,11 @@ class TestTrainLoop:
             tiny_cfg(loss_norm="l3").validate()
         with pytest.raises(ConfigError):
             TrainConfig(filter=FilterConfig(step_threshold=99)).validate()
+        for bad in (dict(diffusion_steps=0), dict(beta_min=-1.0),
+                    dict(beta_min=0.5, beta_max=0.4),
+                    dict(beta_max=float("nan"))):
+            with pytest.raises(ConfigError):
+                tiny_cfg(**bad).validate()
 
 
 class TestEvaluate:
@@ -238,7 +256,7 @@ class TestAuditBins:
         policy = TablePolicy(states, actions if refs is None else refs)
         records, _ = score_dataset(
             store, OracleDenoiser(task, sched), policy,
-            FilterConfig(min_demos=1, max_demo_len=max_demo_len), sched)
+            FilterConfig(min_demos=1, max_demo_len=max_demo_len))
         return store, records
 
     def test_single_bin_covers_all(self, sched):
@@ -268,8 +286,8 @@ class TestAuditBins:
         # one bin per trajectory, so each row's mean step is one step
         rows = audit_bins(store, records, np.arange(-5.0, 60.0, 10.0))
         steps = [int(np.argmax(q_curve_matrix(
-                     oracle, tr.states, tr.actions, refs[10 * i:10 * i + 10],
-                     sched).mean(axis=1)))
+                     oracle, tr.states, tr.actions,
+                     refs[10 * i:10 * i + 10]).mean(axis=1)))
                  for i, tr in enumerate(store.trajectories)]
         assert [row["mean_step"] for row in rows] == steps
         assert len(set(steps)) > 1
@@ -294,10 +312,10 @@ class TestAuditBins:
 class TestBench:
     def test_single_step_schedule_ratio_near_one(self):
         spec = make_env_spec("pointmass2d")
-        sched = build_schedule(1, 0.3, 0.3)
-        model = NoiseModel(4, 2, 1, SeededRng(1), hidden=(16, 16))
+        model = NoiseModel(4, 2, 1, SeededRng(1), hidden=(16, 16),
+                           beta_min=0.3, beta_max=0.3)
         policy = GeneratorPolicy(4, 2, SeededRng(2), hidden=(16, 16))
-        out = bench_reverse(model, policy, spec, sched, trials=400,
+        out = bench_reverse(model, policy, spec, trials=400,
                             rng=SeededRng(3))
         assert 0.3 < out["latency_ratio"] < 2.5
         assert out["trials"] == 400
@@ -306,7 +324,7 @@ class TestBench:
         spec = make_env_spec("pointmass2d")
         model = NoiseModel(4, 2, sched.T, SeededRng(1), hidden=(8,))
         policy = GeneratorPolicy(4, 2, SeededRng(2), hidden=(8,))
-        out = bench_reverse(model, policy, spec, sched, trials=50,
+        out = bench_reverse(model, policy, spec, trials=50,
                             rng=SeededRng(3))
         assert {"one_step_s_per_1000", "naive_s_per_1000", "latency_ratio",
                 "mean_abs_discrepancy"} <= set(out)
