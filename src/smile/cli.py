@@ -18,11 +18,15 @@ import numpy as np
 from . import envs as envs_mod
 from .config import DEFAULT_CONFIG, ExperimentConfig, load_config
 from .diffusion import NoiseModel
-from .errors import InvalidInputError, SmileError, ValidationError
+from .errors import (ConfigError, InvalidInputError, SmileError,
+                     ValidationError)
 from .expertise import FilterReport, save_filter_report, score_dataset
 from .mathcore import SeededRng, derive_seed, load_checkpoint
 from .policy import BcBaseline, GeneratorPolicy
 from .trainer import audit_bins, bench_reverse, train, train_bc
+
+# the network class of each checkpoint role
+ROLES = {cls.role: cls for cls in (NoiseModel, GeneratorPolicy, BcBaseline)}
 
 
 def _resolve(cfg: ExperimentConfig, path: str) -> str:
@@ -31,18 +35,17 @@ def _resolve(cfg: ExperimentConfig, path: str) -> str:
 
 def _load_actor(cfg: ExperimentConfig, path: str, *roles: str):
     """The network a checkpoint of one of ``roles`` describes, holding its
-    EMA parameters; a denoiser brings the schedule its arch names. Its
-    state and action dims must be those of the config's env."""
+    ``params`` (the EMA shadow training saved); a denoiser brings the
+    schedule its arch names. Its state and action dims must be those of the
+    config's env."""
     payload = load_checkpoint(path)
     role = payload.get("role")
     if role not in roles:
         raise ValidationError(f"checkpoint {path} holds role {role!r}, "
                               f"expected {' or '.join(roles)}")
-    cls = {"denoiser": NoiseModel, "generator": GeneratorPolicy,
-           "bc": BcBaseline}[role]
     try:
-        actor = cls.from_arch(payload["arch"])
-        actor.set_params(payload["ema"])
+        actor = ROLES[role].from_arch(payload["arch"])
+        actor.set_params(payload["params"])
     except (ValidationError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(
             f"checkpoint {path} does not fit its arch: {exc!r}") from exc
@@ -130,6 +133,11 @@ def cmd_audit(args) -> int:
             f"demo file {args.demos} lacks rewards; audit needs returns")
     model = _load_actor(cfg, args.denoiser, "denoiser")
     policy = _load_actor(cfg, args.generator, "generator", "bc")
+    try:
+        cfg.train.filter.validate(model.sched.T)
+    except ConfigError as exc:
+        raise ConfigError(f"config {args.config} does not fit denoiser "
+                          f"{args.denoiser}: {exc}") from exc
 
     rets = [tr.ret for tr in store.trajectories]
     lo = np.floor(min(rets) / width) * width

@@ -129,6 +129,8 @@ class NoiseModel(FeedForwardNet):
     the config, and everything after reads them from the checkpoint.
     """
 
+    role = "denoiser"
+
     def __init__(self, state_dim: int, action_dim: int, T: int,
                  rng: SeededRng, hidden: tuple[int, ...] = (256, 256, 256),
                  norm: str = "l1", dtype=np.float64, *,

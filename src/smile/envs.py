@@ -340,7 +340,8 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
     steps are not 0, 1, 2, ... (a repeat or a gap), a noise level that is
     neither null nor a finite number >= 0 and a noise level that varies
     within a trajectory each raise InvalidInputError naming path:line (a
-    width error names the first line of its trajectory).
+    width error names the first line of its trajectory). A file with no
+    transitions raises InvalidInputError naming the path.
     """
     try:
         with open(path, "rb") as fh:
@@ -367,6 +368,8 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
         raise InvalidInputError(
             f"demo file {path} has format_version "
             f"{header.get('format_version')}, expected {DEMO_FORMAT_VERSION}")
+    if len(lines) == 1:
+        raise InvalidInputError(f"demo file {path} holds no transitions")
     env = None
     if header.get("env"):
         env = make_env_spec(header["env"], horizon=header.get("horizon"))

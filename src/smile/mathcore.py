@@ -6,10 +6,11 @@ matrix. The noise model and the policies subclass FeedForwardNet and call
 its forward/forward_cached/backward on inputs they build; the noise model
 feeds the diffusion step as one-hot columns. Gradients are computed by
 hand-rolled backprop, so the whole stack is deterministic given seeds. A
-network keeps its parameters in one vector ``flat`` (``params()`` lists its
-per-tensor views); gradients, Adam moments and EMA shadows are vectors laid
-out like it, which keeps the optimizer and EMA tracker agnostic of what
-they belong to; all of them share ``flat``'s dtype.
+network keeps its parameters in one vector ``flat``, which its per-tensor
+views (``reshape_views`` over ``shapes(widths)``) tile; gradients, Adam
+moments, EMA shadows and a checkpoint's ``params`` are vectors laid out like
+it, which keeps the optimizer and EMA tracker agnostic of what they belong
+to; all of them share ``flat``'s dtype.
 
 The dtype of ``flat`` is part of a network's architecture: float64 by
 default, float32 for the networks the trainer builds (their matmuls run
@@ -31,7 +32,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import math
 import os
 import zlib
 from dataclasses import dataclass
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import CheckpointVersionError, InvalidInputError, TrainingError
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # the parameter dtypes an arch() may name
 DTYPES = ("float32", "float64")
 
@@ -124,9 +124,7 @@ class FeedForwardNet:
             raise InvalidInputError(f"bad layer widths {widths}")
         self.widths = list(widths)
         self.flat = np.zeros(self.size(widths), dtype=dtype)
-        shapes = [shape for n_in, n_out in zip(widths[:-1], widths[1:])
-                  for shape in ((n_in, n_out), (n_out,))]
-        self._views = reshape_views(self.flat, shapes)
+        self._views = reshape_views(self.flat, self.shapes(widths))
         self.weights = self._views[0::2]
         self.biases = self._views[1::2]
         # (weight, bias) of every layer after the first, paired once here
@@ -145,9 +143,11 @@ class FeedForwardNet:
     def size(widths: list[int]) -> int:
         return sum((a + 1) * b for a, b in zip(widths[:-1], widths[1:]))
 
-    def params(self) -> list[np.ndarray]:
-        """The per-tensor views of ``flat``, in checkpoint order."""
-        return list(self._views)
+    @staticmethod
+    def shapes(widths: list[int]) -> list[tuple[int, ...]]:
+        """The per-tensor shapes [W0, b0, W1, b1, ...] that tile ``flat``."""
+        return [shape for n_in, n_out in zip(widths[:-1], widths[1:])
+                for shape in ((n_in, n_out), (n_out,))]
 
     def set_params(self, params: list[np.ndarray]) -> None:
         """Copy a per-tensor list into the views of ``flat``."""
@@ -212,7 +212,7 @@ class FeedForwardNet:
             raise InvalidInputError(
                 f"upstream shape {delta.shape} != output shape {acts[-1].shape}")
         grads = np.empty_like(self.flat)
-        views = reshape_views(grads, [p.shape for p in self._views])
+        views = reshape_views(grads, self.shapes(self.widths))
         for i in range(len(self.weights) - 1, -1, -1):
             np.matmul(acts[i].T, delta, out=views[2 * i])
             delta.sum(axis=0, out=views[2 * i + 1])
@@ -329,26 +329,22 @@ def _checkpoint_crc(payload: dict) -> int:
     return zlib.crc32(json.dumps(body, sort_keys=True).encode())
 
 
-def save_checkpoint(path: str, role: str, net, ema: np.ndarray) -> None:
+def save_checkpoint(path: str, role: str, net, vector: np.ndarray) -> None:
     """Write a self-describing JSON checkpoint of a network's ``arch()`` and
-    ``flat`` vector and of ``ema``, a vector laid out like ``net.flat``.
+    of ``vector``, laid out like ``net.flat``, the one vector a load puts in.
 
-    Both vectors are stored as base64 strings of their raw little-endian
-    bytes in the arch's dtype, so they round-trip bit-exactly; ``shapes``
-    lists the per-tensor shapes of ``params()`` and ``crc32`` guards every
-    other key. The file's text is encoded in one ``json.dumps`` call and
-    written at once, through a temporary file that replaces ``path``.
+    ``params`` holds it as base64 of its raw little-endian bytes in the
+    arch's dtype, so it round-trips bit-exactly, and ``crc32`` guards every
+    other key. The text is encoded in one ``json.dumps`` call and written at
+    once, through a temporary file that replaces ``path``.
     """
-    dtype = net.flat.dtype.newbyteorder("<")
+    raw = np.asarray(vector, dtype=net.flat.dtype.newbyteorder("<")).tobytes()
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "role": role,
         "arch": net.arch(),
-        "shapes": [list(p.shape) for p in net.params()],
+        "params": base64.b64encode(raw).decode("ascii"),
     }
-    for key, vec in (("params", net.flat), ("ema", ema)):
-        raw = np.asarray(vec, dtype=dtype).tobytes()
-        payload[key] = base64.b64encode(raw).decode("ascii")
     payload["crc32"] = _checkpoint_crc(payload)
     tmp = path + ".tmp"
     text = json.dumps(payload)
@@ -358,15 +354,15 @@ def save_checkpoint(path: str, role: str, net, ema: np.ndarray) -> None:
 
 
 def load_checkpoint(path: str) -> dict:
-    """Read a checkpoint; params/ema come back as lists of read-only
-    per-tensor views (``reshape_views``) of vectors of the dtype its ``arch``
-    names (``arch_dtype``), shaped as its ``shapes`` say.
+    """Read a checkpoint; ``params`` comes back as a list of read-only
+    per-tensor views (``reshape_views``) of a vector of the dtype its
+    ``arch`` names (``arch_dtype``), shaped by ``arch["widths"]``.
 
     A format_version other than ``CHECKPOINT_VERSION`` raises
     CheckpointVersionError. An unreadable or non-UTF-8 file, malformed JSON
-    (named as path:line), a missing ``arch`` or an unknown dtype in it, bad
-    ``shapes``, a missing or non-base64 vector, a byte count that does not
-    fit ``shapes``, a CRC mismatch and a non-finite value each raise
+    (named as path:line), a missing ``arch``, an unknown dtype or bad
+    ``widths`` in it, a missing or non-base64 ``params``, a byte count that
+    does not fit ``widths``, a CRC mismatch and a non-finite value each raise
     InvalidInputError. Every message names the path.
     """
     try:
@@ -392,30 +388,25 @@ def load_checkpoint(path: str) -> dict:
         dtype = arch_dtype(arch).newbyteorder("<")
     except InvalidInputError as exc:
         raise InvalidInputError(f"checkpoint {path}: {exc}") from exc
-    shapes = payload.get("shapes")
-    if not (isinstance(shapes, list) and all(
-            isinstance(shape, list) and all(
-                type(n) is int and n > 0 for n in shape)
-            for shape in shapes)):
-        raise InvalidInputError(f"checkpoint {path}: missing or bad 'shapes'")
-    size = sum(math.prod(shape) for shape in shapes)
-    vectors = {}
-    for key in ("params", "ema"):
-        try:
-            raw = base64.b64decode(payload[key], validate=True)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(
-                f"checkpoint {path}: missing or bad {key!r}: {exc!r}") from exc
-        if len(raw) != size * dtype.itemsize:
-            raise InvalidInputError(
-                f"checkpoint {path}: {key!r} holds {len(raw)} bytes, its "
-                f"shapes need {size} x {dtype.itemsize}")
-        vectors[key] = np.frombuffer(raw, dtype=dtype)
+    widths = arch.get("widths")
+    if not (isinstance(widths, list) and len(widths) >= 2 and all(
+            type(n) is int and n > 0 for n in widths)):
+        raise InvalidInputError(
+            f"checkpoint {path}: missing or bad arch 'widths'")
+    size = FeedForwardNet.size(widths)
+    try:
+        raw = base64.b64decode(payload["params"], validate=True)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(
+            f"checkpoint {path}: missing or bad 'params': {exc!r}") from exc
+    if len(raw) != size * dtype.itemsize:
+        raise InvalidInputError(
+            f"checkpoint {path}: 'params' holds {len(raw)} bytes, its "
+            f"widths need {size} x {dtype.itemsize}")
     if payload.get("crc32") != _checkpoint_crc(payload):
         raise InvalidInputError(f"checkpoint {path}: CRC mismatch")
-    for key, vec in vectors.items():
-        if not np.isfinite(vec).all():
-            raise InvalidInputError(
-                f"checkpoint {path}: non-finite value in {key!r}")
-        payload[key] = reshape_views(vec, shapes)
+    vec = np.frombuffer(raw, dtype=dtype)
+    if not np.isfinite(vec).all():
+        raise InvalidInputError(f"checkpoint {path}: non-finite 'params'")
+    payload["params"] = reshape_views(vec, FeedForwardNet.shapes(widths))
     return payload

@@ -22,19 +22,14 @@ from .mathcore import FeedForwardNet, SeededRng, arch_dtype
 
 
 class _Actor(FeedForwardNet):
-    """Deterministic state -> action net with execution-time clipping
-    bounds; ``flat`` is in ``dtype``."""
-
-    role = "actor"
+    """Deterministic state -> action net; ``flat`` is in ``dtype``. The
+    environment clips its actions to bounds when it executes them."""
 
     def __init__(self, state_dim: int, action_dim: int, rng: SeededRng,
                  hidden: tuple[int, ...] = (256, 256, 256),
-                 action_low: float = -1.0, action_high: float = 1.0,
                  dtype=np.float64):
         self.state_dim = state_dim
         self.action_dim = action_dim
-        self.action_low = action_low
-        self.action_high = action_high
         super().__init__([state_dim, *hidden, action_dim], rng,
                          zero_output=True, dtype=dtype)
 
@@ -42,21 +37,15 @@ class _Actor(FeedForwardNet):
         """Raw (unclipped) action for a state or a batch of states."""
         return self.forward(s)
 
-    def act_clipped(self, s: np.ndarray) -> np.ndarray:
-        return np.clip(self.act(s), self.action_low, self.action_high)
-
     def arch(self) -> dict:
         return {"state_dim": self.state_dim, "action_dim": self.action_dim,
-                "widths": self.widths, "action_low": self.action_low,
-                "action_high": self.action_high,
-                "dtype": self.flat.dtype.name}
+                "widths": self.widths, "dtype": self.flat.dtype.name}
 
     @classmethod
     def from_arch(cls, arch: dict):
         hidden = tuple(arch["widths"][1:-1])
         return cls(arch["state_dim"], arch["action_dim"], SeededRng(0),
-                   hidden=hidden, action_low=arch["action_low"],
-                   action_high=arch["action_high"], dtype=arch_dtype(arch))
+                   hidden=hidden, dtype=arch_dtype(arch))
 
 
 class GeneratorPolicy(_Actor):

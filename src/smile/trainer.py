@@ -86,6 +86,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive, got {value}")
         if self.transition_budget < self.batch_size:
             raise ConfigError("transition_budget must be >= batch_size")
+        if self.ema_warmup_steps < 0:
+            raise ConfigError(
+                f"ema_warmup_steps must be >= 0, got {self.ema_warmup_steps}")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ConfigError(f"ema_decay {self.ema_decay} outside [0, 1]")
         if self.loss_norm not in ("l1", "l2"):
@@ -140,11 +143,11 @@ snapshot_noise_model = snapshot_policy
 
 def evaluate(policy_like, spec: EnvSpec, episodes: int,
              rng: SeededRng) -> tuple[float, float]:
-    """Mean/std of undiscounted returns of the clipped deterministic policy."""
+    """Mean/std of undiscounted returns of the deterministic policy, whose
+    actions the rollout clips to the env's bounds."""
     if episodes < 1:
         raise InvalidInputError(f"episodes must be >= 1, got {episodes}")
-    returns = rollout_batch_returns(spec, policy_like.act_clipped, rng,
-                                    episodes)
+    returns = rollout_batch_returns(spec, policy_like.act, rng, episodes)
     return float(returns.mean()), float(returns.std())
 
 
@@ -161,26 +164,24 @@ def _timed(clock: dict, name: str):
 
 
 def _check_run(cfg: TrainConfig, store: DemoStore):
-    """Validate a run; return (state_dim, action_dim, action bounds)."""
+    """Validate a run; return (state_dim, action_dim)."""
     cfg.validate()
     if store.transition_count == 0:
         raise InvalidInputError("cannot train on an empty store")
     s_all, a_all = store.sample_all()
-    env = store.env
-    bounds = ((env.action_low, env.action_high) if env else (-1.0, 1.0))
-    return s_all.shape[1], a_all.shape[1], bounds
+    return s_all.shape[1], a_all.shape[1]
 
 
 @dataclass
 class _Part:
     """One trained network: its loss, optimizer state and EMA shadow.
 
-    ``name`` labels its phase, CSV loss column and counters, ``role`` its
-    checkpoint. Each iteration ``loss(states, actions)`` runs on the batch
-    tiled ``accumulate`` times and one optimizer step follows.
+    ``name`` labels its phase, CSV loss column and counters; the net's
+    class ``role`` labels its checkpoints. Each iteration
+    ``loss(states, actions)`` runs on the batch tiled ``accumulate`` times
+    and one optimizer step follows.
     """
 
-    role: str
     name: str
     net: object
     loss: Callable
@@ -189,10 +190,10 @@ class _Part:
     ema: EmaTracker
 
     @staticmethod
-    def of(cfg: TrainConfig, role: str, name: str, net, loss,
+    def of(cfg: TrainConfig, name: str, net, loss,
            accumulate: int = 1) -> "_Part":
         warmup = max(1, cfg.ema_warmup_steps // cfg.update_ema_every)
-        return _Part(role, name, net, loss, accumulate,
+        return _Part(name, net, loss, accumulate,
                      OptimizerState.for_params(net.flat, lr=cfg.lr),
                      EmaTracker.for_params(net.flat, decay=cfg.ema_decay,
                                            warmup=warmup))
@@ -201,8 +202,10 @@ class _Part:
         """A fresh network holding the EMA shadow parameters."""
         return snapshot_policy(self.net, self.ema.shadow)
 
-    def save(self, path: str) -> None:
-        save_checkpoint(path, self.role, self.net, self.ema.shadow)
+    def save(self, path: str, live: bool = False) -> None:
+        """Checkpoint the EMA shadow or, with ``live``, the live vector."""
+        save_checkpoint(path, self.net.role, self.net,
+                        self.net.flat if live else self.ema.shadow)
 
 
 def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
@@ -255,7 +258,8 @@ def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
                 if out_dir is not None:
                     for part in parts:
                         part.save(os.path.join(
-                            out_dir, f"diagnostic_{part.role}.json"))
+                            out_dir, f"diagnostic_{part.net.role}.json"),
+                            live=True)
                 raise TrainingError(
                     f"non-finite loss at iteration {idx}: " + " ".join(
                         f"{k}={v}" for k, v in losses.items()))
@@ -308,23 +312,22 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     ablation: batches come uniformly from the untouched store for the whole
     run.
     """
-    state_dim, action_dim, bounds = _check_run(cfg, store)
+    state_dim, action_dim = _check_run(cfg, store)
     model = NoiseModel(state_dim, action_dim, cfg.diffusion_steps,
                        rng.spawn("init-denoiser"), hidden=cfg.hidden,
                        norm=cfg.loss_norm, dtype=NET_DTYPE,
                        beta_min=cfg.beta_min, beta_max=cfg.beta_max)
     policy = GeneratorPolicy(state_dim, action_dim, rng.spawn("init-policy"),
-                             hidden=cfg.hidden, action_low=bounds[0],
-                             action_high=bounds[1], dtype=NET_DTYPE)
+                             hidden=cfg.hidden, dtype=NET_DTYPE)
     rngs = {tag: rng.spawn(tag)
             for tag in ("batch", "denoiser-noise", "policy-noise", "eval")}
     # the loss functions are looked up at call time, so hooks and test
     # patches on this module's globals apply
-    den = _Part.of(cfg, "denoiser", "denoiser", model,
+    den = _Part.of(cfg, "denoiser", model,
                    lambda s, a: denoiser_loss(model, s, a,
                                               rngs["denoiser-noise"]),
                    cfg.denoiser_optimize_every)
-    gen = _Part.of(cfg, "generator", "policy", policy,
+    gen = _Part.of(cfg, "policy", policy,
                    lambda s, a: policy_loss(policy, model, s, a,
                                             rngs["policy-noise"]),
                    cfg.policy_optimize_every)
@@ -333,7 +336,7 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                             filtering=cfg.filtering)
     if out_dir is not None:
         for part in (den, gen):
-            part.save(os.path.join(out_dir, f"{part.role}.json"))
+            part.save(os.path.join(out_dir, f"{part.net.role}.json"))
 
     return TrainResult(
         noise_model=model, policy=policy,
@@ -346,11 +349,10 @@ def train_bc(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     """Behavior-cloning baseline over the full store: train's loop, budget
     and cadence with one BC part in place of the denoiser and generator, and
     no filter. Returns (EMA snapshot, live baseline, metrics)."""
-    state_dim, action_dim, bounds = _check_run(cfg, store)
+    state_dim, action_dim = _check_run(cfg, store)
     baseline = BcBaseline(state_dim, action_dim, rng.spawn("init-bc"),
-                          hidden=cfg.hidden, action_low=bounds[0],
-                          action_high=bounds[1], dtype=NET_DTYPE)
-    part = _Part.of(cfg, "bc", "policy", baseline,
+                          hidden=cfg.hidden, dtype=NET_DTYPE)
+    part = _Part.of(cfg, "policy", baseline,
                     lambda s, a: bc_loss(baseline, s, a))
     rngs = {tag: rng.spawn(tag) for tag in ("batch", "eval")}
     metrics, _ = _run(cfg, store, rngs, [part], out_dir)

@@ -17,8 +17,8 @@ from smile.config import DataConfig, load_config
 from smile.diffusion import NoiseModel
 from smile.envs import make_env_spec
 from smile.errors import ValidationError
-from smile.mathcore import (SeededRng, load_checkpoint, reshape_views,
-                            save_checkpoint)
+from smile.mathcore import (FeedForwardNet, SeededRng, load_checkpoint,
+                            reshape_views, save_checkpoint)
 from smile.policy import GeneratorPolicy
 from smile.trainer import TrainConfig
 
@@ -194,6 +194,33 @@ def test_schedule_steps_must_match_denoiser(run, tmp_path, capsys, command,
     assert outputs[0] == outputs[1]
 
 
+def test_step_threshold_beyond_denoiser_exits_1(run, tmp_path, capsys):
+    # a config whose own schedule admits the threshold, scoring a denoiser
+    # of fewer steps: the message names both files
+    cfg, out = run
+    other = tmp_path / "other.ini"
+    other.write_text(open(cfg).read().replace(
+        "[filter]\n", "[filter]\nstep_threshold = 11\n")
+        + "\n[schedule]\nsteps = 12\n")
+    assert cli.main(audit_argv(str(other), out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: config {other} does not fit denoiser {out / 'denoiser.json'}"
+        f": step_threshold 11 outside 0..10\n")
+
+
+@pytest.mark.parametrize("command", ["train", "audit"])
+def test_header_only_demo_file_exits_1(run, tmp_path, capsys, command):
+    cfg, out = run
+    header = (out / "demos.jsonl").read_text().splitlines()[0]
+    bad = tmp_path / "header_only.jsonl"
+    bad.write_text(header + "\n")
+    argv = (["train", "--config", cfg, "--demos", str(bad)]
+            if command == "train" else audit_argv(cfg, out, demos=str(bad)))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: demo file {bad} holds no transitions\n")
+
+
 @pytest.mark.parametrize("line", [
     "beta_min = -1", "beta_min = 0", "beta_max = 0.01", "steps = 0"])
 @pytest.mark.parametrize("command", ["gen-data", "train"])
@@ -320,11 +347,16 @@ def set_vector(payload, key, vec):
     payload[key] = base64.b64encode(vec.tobytes()).decode("ascii")
 
 
-def set_ema_value(payload, value):
+def shapes(payload):
+    """The per-tensor shapes of a checkpoint's ``params``."""
+    return FeedForwardNet.shapes(payload["arch"]["widths"])
+
+
+def set_params_value(payload, value):
     # the first value of the second tensor, as written in the arch's dtype
-    ema = vector(payload, "ema").copy()
-    ema[math.prod(payload["shapes"][0])] = value
-    set_vector(payload, "ema", ema)
+    params = vector(payload, "params").copy()
+    params[math.prod(shapes(payload)[0])] = value
+    set_vector(payload, "params", params)
 
 
 def drop_params(payload):
@@ -332,20 +364,22 @@ def drop_params(payload):
 
 
 def wrong_shape(payload):
-    # the second tensor of ema one value short
-    ema = vector(payload, "ema")
-    end = math.prod(payload["shapes"][0]) + math.prod(payload["shapes"][1])
-    set_vector(payload, "ema", np.concatenate([ema[:end - 1], ema[end:]]))
+    # the second tensor of params one value short
+    params = vector(payload, "params")
+    end = math.prod(shapes(payload)[0]) + math.prod(shapes(payload)[1])
+    set_vector(payload, "params",
+               np.concatenate([params[:end - 1], params[end:]]))
 
 
 def nan_in_ema(payload):
-    set_ema_value(payload, np.nan)
+    # params holds the EMA shadow training saved
+    set_params_value(payload, np.nan)
 
 
 def float32_overflow(payload):
     # the float32 bit pattern of +inf, to which a decimal 1e39 would round
     assert payload["arch"]["dtype"] == "float32"
-    set_ema_value(payload, np.float32(np.inf))
+    set_params_value(payload, np.float32(np.inf))
 
 
 def bad_arch(payload):
@@ -361,12 +395,38 @@ def non_string_dtype(payload):
 
 
 def version_1(payload):
-    # the previous format: per-tensor decimal lists, no shapes or crc32
-    for key in ("params", "ema"):
-        payload[key] = [a.tolist() for a in reshape_views(
-            vector(payload, key), payload["shapes"])]
+    # the first format: per-tensor decimal lists of the live and the EMA
+    # vectors, no crc32
+    payload["params"] = payload["ema"] = [a.tolist() for a in reshape_views(
+        vector(payload, "params"), shapes(payload))]
     payload["format_version"] = 1
-    del payload["shapes"], payload["crc32"]
+    del payload["crc32"]
+
+
+def version_2(payload):
+    # the second format: base64 live and EMA vectors beside a per-tensor
+    # shapes list, and a generator arch with action bounds
+    payload["format_version"] = 2
+    payload["shapes"] = [list(shape) for shape in shapes(payload)]
+    payload["ema"] = payload["params"]
+    payload["arch"].update(action_low=-1.0, action_high=1.0)
+
+
+def no_widths(payload):
+    del payload["arch"]["widths"]
+
+
+def bad_widths(payload):
+    payload["arch"]["widths"][1] = 0
+
+
+def string_widths(payload):
+    payload["arch"]["widths"] = "4,256,256,256,2"
+
+
+def other_widths(payload):
+    # widths whose tensors need more bytes than params holds
+    payload["arch"]["widths"][1] += 1
 
 
 def bad_crc(payload):
@@ -391,17 +451,14 @@ def string_beta(payload):
 
 def step_embedding(payload):
     # a denoiser saved while the step entered through a learned embedding:
-    # a (T+1) x 32 table first, and W0 taking 32 embedding columns in place
-    # of the T+1 one-hot ones
+    # a (T+1) x 32 table ahead of the tensors its widths give, and W0
+    # taking 32 embedding columns in place of the T+1 one-hot ones
     arch = payload["arch"]
-    k = arch["state_dim"] + arch["action_dim"]
     arch["embed_dim"] = 32
-    arch["widths"][0] = k + 32
-    payload["shapes"][:1] = [[arch["T"] + 1, 32], [k + 32, arch["widths"][1]]]
-    size = sum(math.prod(shape) for shape in payload["shapes"])
-    for key in ("params", "ema"):
-        set_vector(payload, key,
-                   np.zeros(size, dtype=vector(payload, key).dtype))
+    arch["widths"][0] = arch["state_dim"] + arch["action_dim"] + 32
+    size = (arch["T"] + 1) * 32 + FeedForwardNet.size(arch["widths"])
+    set_vector(payload, "params",
+               np.zeros(size, dtype=vector(payload, "params").dtype))
 
 
 @pytest.mark.parametrize("fault", ["missing", "truncated", "not_utf8",
@@ -410,7 +467,9 @@ def step_embedding(payload):
                                    "unknown_dtype", "non_string_dtype",
                                    "version_1", "bad_crc", "step_embedding",
                                    "no_betas", "nan_beta", "zero_beta_min",
-                                   "string_beta"])
+                                   "string_beta", "version_2", "no_widths",
+                                   "bad_widths", "string_widths",
+                                   "other_widths"])
 def test_bad_checkpoint_exits_1(run, tmp_path, capsys, fault):
     cfg, out = run
     denoiser_faults = ("step_embedding", "no_betas", "nan_beta",
@@ -435,11 +494,22 @@ def test_bad_checkpoint_exits_1(run, tmp_path, capsys, fault):
                 "bad_crc": bad_crc, "step_embedding": step_embedding,
                 "no_betas": no_betas, "nan_beta": nan_beta,
                 "zero_beta_min": zero_beta_min,
-                "string_beta": string_beta}[fault]
+                "string_beta": string_beta, "version_2": version_2,
+                "no_widths": no_widths, "bad_widths": bad_widths,
+                "string_widths": string_widths,
+                "other_widths": other_widths}[fault]
         rewrite_checkpoint(good, bad, edit,
                            seal=fault not in ("version_1", "bad_crc"))
         where = {"version_1": f"{bad} has format_version 1",
-                 "bad_crc": f"{bad}: CRC mismatch"}.get(fault, str(bad))
+                 "version_2": f"{bad} has format_version 2",
+                 "bad_crc": f"{bad}: CRC mismatch",
+                 "no_widths": f"{bad}: missing or bad arch 'widths'",
+                 "bad_widths": f"{bad}: missing or bad arch 'widths'",
+                 "string_widths": f"{bad}: missing or bad arch 'widths'",
+                 "other_widths": f"{bad}: 'params' holds",
+                 "wrong_shape": f"{bad}: 'params' holds",
+                 "step_embedding": f"{bad}: 'params' holds",
+                 }.get(fault, str(bad))
     paths = {"denoiser": out / "denoiser.json",
              "generator": out / "generator.json", role: bad}
     assert cli.main(bench_argv(cfg, paths["denoiser"], paths["generator"])) == 1
@@ -587,9 +657,8 @@ def test_flipped_checkpoint_byte_is_caught(small_run, role, frac, delta):
     # a change that leaves the JSON's meaning intact, such as other whitespace
     want = load_checkpoint(str(good))
     assert (got["role"], got["arch"]) == (want["role"], want["arch"])
-    for key in ("params", "ema"):
-        assert [a.tobytes() for a in got[key]] == \
-            [a.tobytes() for a in want[key]]
+    assert [a.tobytes() for a in got["params"]] == \
+        [a.tobytes() for a in want["params"]]
 
 
 @settings(max_examples=40, deadline=None)

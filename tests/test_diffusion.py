@@ -296,8 +296,7 @@ class TestDenoiserLoss:
         d = 3
         model = NoiseModel(2, d, sched.T, SeededRng(0), hidden=(8,),
                            norm="l2")
-        for p in model.params():
-            p[...] = 0.0
+        model.flat[...] = 0.0
         rng = SeededRng(5)
         n = 10 ** 5
         states = rng.standard_normal((n, 2))
@@ -333,9 +332,10 @@ class TestDenoiserLoss:
         actions = rng_batch.standard_normal((4, 2))
         _, grads = denoiser_loss(model, states, actions, SeededRng(11))
         assert grads.shape == model.flat.shape
-        grads = reshape_views(grads, [p.shape for p in model.params()])
+        shapes = model.shapes(model.widths)
+        grads = reshape_views(grads, shapes)
         h = 1e-6
-        for pi, p in enumerate(model.params()):
+        for pi, p in enumerate(reshape_views(model.flat, shapes)):
             flat = p.reshape(-1)
             for k in (0, flat.size // 2, flat.size - 1):
                 orig = flat[k]

@@ -110,7 +110,7 @@ class TestNetGradients:
         # layer's pre-activation gradient, so the input gradient is it
         # through W0^T
         b0_grad = reshape_views(self.net_gradients(net, x, up),
-                                [p.shape for p in net.params()])[1]
+                                net.shapes(net.widths))[1]
         input_grad = b0_grad @ net.weights[0].T
         h = 1e-5
         for i in range(3):
@@ -204,7 +204,8 @@ class TestOptimizer:
         net = FeedForwardNet([3, 5, 2], SeededRng(2))
         rng = SeededRng(3)
         state = OptimizerState.for_params(net.flat)
-        tensors = [p.reshape(-1).copy() for p in net.params()]
+        tensors = [p.reshape(-1).copy()
+                   for p in reshape_views(net.flat, net.shapes(net.widths))]
         states = [OptimizerState.for_params(t) for t in tensors]
         for _ in range(3):
             grads = rng.standard_normal(net.flat.shape)
@@ -347,7 +348,11 @@ class TestRng:
 ], ids=["FeedForwardNet", "NoiseModel", "GeneratorPolicy"])
 def test_params_are_views_tiling_flat(make, forward):
     net = make()
-    params = net.params()
+    # the tensors forward reads, in flat's order [W0, b0, W1, b1, ...]
+    params = [p for pair in zip(net.weights, net.biases) for p in pair]
+    assert [p.shape for p in params] == net.shapes(net.widths)
+    assert all(np.array_equal(p, q) for p, q in zip(
+        params, reshape_views(net.flat, net.shapes(net.widths))))
     assert net.flat.dtype == np.float64 and net.flat.flags.c_contiguous
     assert all(np.shares_memory(p, net.flat) for p in params)
     # the views tile flat exactly: sizes add up and no element is shared
@@ -374,7 +379,7 @@ def test_params_are_views_tiling_flat(make, forward):
     (lambda dtype: GeneratorPolicy(3, 2, SeededRng(3), hidden=(6,),
                                    dtype=dtype),
      [lambda net: net.act(np.ones((2, 3))),
-      lambda net: net.act_clipped(np.ones(3))]),
+      lambda net: net.act(np.ones(3))]),
 ], ids=["FeedForwardNet", "NoiseModel", "GeneratorPolicy"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_float64_input_gives_net_dtype(make, forward, dtype):
@@ -387,8 +392,10 @@ def test_float64_input_gives_net_dtype(make, forward, dtype):
 class TestCheckpoint:
     @staticmethod
     def roundtrip(tmp_path, dtype):
-        """Save a trained-looking NoiseModel of ``dtype`` and check that
-        its params and EMA shadow load back bit-exactly in that dtype."""
+        """Save a trained-looking NoiseModel of ``dtype`` with its EMA
+        shadow and check that exactly the five keys are written and that
+        the shadow loads back bit-exactly in that dtype; return (path,
+        shadow)."""
         rng = SeededRng(11)
         model = NoiseModel(2, 2, 4, rng, hidden=(5, 3), dtype=dtype)
         opt = OptimizerState.for_params(model.flat, lr=1e-3)
@@ -396,38 +403,38 @@ class TestCheckpoint:
         ema = EmaTracker.for_params(model.flat, warmup=0)
         optimizer_step(opt, model.flat, rng.standard_normal(model.flat.shape))
         ema_update(ema, model.flat)
-        shapes = [p.shape for p in model.params()]
+        assert not np.array_equal(ema.shadow, model.flat)
         path = str(tmp_path / "ckpt.json")
         save_checkpoint(path, "denoiser", model, ema.shadow)
         with open(path) as fh:
-            assert set(json.load(fh)) == {"format_version", "role", "arch",
-                                          "shapes", "params", "ema",
-                                          "crc32"}
+            assert list(json.load(fh)) == ["format_version", "role", "arch",
+                                           "params", "crc32"]
         loaded = load_checkpoint(path)
+        assert set(loaded) == {"format_version", "role", "arch", "params",
+                               "crc32"}
         assert loaded["role"] == "denoiser"
         assert loaded["arch"] == model.arch()
-        for key, want in (("params", model.flat), ("ema", ema.shadow)):
-            got = loaded[key]
-            assert [a.shape for a in got] == shapes
-            assert all(a.dtype == dtype for a in got)
-            assert np.concatenate([a.reshape(-1) for a in got]).tobytes() \
-                == want.tobytes()
-        return path, model
+        got = loaded["params"]
+        assert [a.shape for a in got] == model.shapes(model.widths)
+        assert all(a.dtype == dtype for a in got)
+        assert np.concatenate([a.reshape(-1) for a in got]).tobytes() \
+            == ema.shadow.tobytes()
+        return path, ema.shadow
 
     def test_roundtrip_exact(self, tmp_path):
         self.roundtrip(tmp_path, np.float64)
 
     def test_float32_roundtrip_exact(self, tmp_path):
-        path, model = self.roundtrip(tmp_path, np.float32)
+        path, shadow = self.roundtrip(tmp_path, np.float32)
         loaded = load_checkpoint(path)
         copy = NoiseModel.from_arch(loaded["arch"])
         copy.set_params(loaded["params"])
         assert copy.flat.dtype == np.float32
-        assert copy.flat.tobytes() == model.flat.tobytes()
+        assert copy.flat.tobytes() == shadow.tobytes()
 
     def test_missing_dtype_loads_float64(self, tmp_path):
         # checkpoints written before arch carried a dtype hold float64 nets
-        path, model = self.roundtrip(tmp_path, np.float64)
+        path, shadow = self.roundtrip(tmp_path, np.float64)
         payload = json.load(open(path))
         del payload["arch"]["dtype"]
         with open(path, "w") as fh:
@@ -437,7 +444,7 @@ class TestCheckpoint:
         copy = NoiseModel.from_arch(loaded["arch"])
         copy.set_params(loaded["params"])
         assert copy.flat.dtype == np.float64
-        assert copy.flat.tobytes() == model.flat.tobytes()
+        assert copy.flat.tobytes() == shadow.tobytes()
 
     def test_version_error(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from smile.diffusion import NoiseModel, diffuse, posterior_mean
+from smile.envs import make_env_spec, rollout
 from smile.errors import InvalidInputError
 from smile.mathcore import SeededRng, reshape_views
 from smile.policy import BcBaseline, GeneratorPolicy, bc_loss, policy_loss
@@ -39,13 +40,20 @@ class TestPolicyAct:
             p.act(np.zeros(5))
 
     def test_clipping_only_at_execution(self):
-        p = tiny_policy()
+        # the policy's action is raw; the environment clips it when it
+        # executes it, and the rollout records the executed action
+        spec = make_env_spec("pointmass2d")
+        p = tiny_policy(state_dim=spec.state_dim)
         for w in p.weights:
             w[...] = 0.0
         p.biases[-1][...] = [5.0, -5.0]
-        s = np.zeros(2)
-        assert np.allclose(p.act(s), [5.0, -5.0])  # raw is unclipped
-        assert np.allclose(p.act_clipped(s), [1.0, -1.0])
+        assert np.allclose(p.act(np.zeros(spec.state_dim)), [5.0, -5.0])
+        raw = rollout(spec, p.act, SeededRng(4), 3)
+        clipped = rollout(spec, lambda obs: np.clip(p.act(obs), -1.0, 1.0),
+                          SeededRng(4), 3)
+        assert (raw[1] == [1.0, -1.0]).all()
+        for got, want in zip(raw, clipped):
+            assert np.array_equal(got, want)
 
 
 class TestPolicyLoss:
@@ -102,15 +110,14 @@ class TestPolicyLoss:
     def test_stop_gradient_into_noise_model(self, sched):
         model = tiny_model(seed=13)
         p = tiny_policy(seed=14)
-        theta_before = [q.copy() for q in model.params()]
+        theta_before = model.flat.copy()
         rng = SeededRng(15)
         states = rng.standard_normal((8, 2))
         actions = rng.standard_normal((8, 2))
         loss, grads = policy_loss(p, model, states, actions, rng)
         # gradients align with policy parameters only; theta untouched
         assert grads.shape == p.flat.shape
-        for before, after in zip(theta_before, model.params()):
-            assert np.array_equal(before, after)
+        assert np.array_equal(theta_before, model.flat)
 
     def test_oracle_denoiser_reduces_to_weighted_mse(self, sched):
         # with eps_hat == eps, a0_hat == a0 so the loss is a weighted MSE
@@ -146,9 +153,10 @@ class TestPolicyLoss:
         states = rng.standard_normal((4, 2))
         actions = rng.standard_normal((4, 2))
         _, grads = policy_loss(p, model, states, actions, SeededRng(6))
-        grads = reshape_views(grads, [q.shape for q in p.params()])
+        shapes = p.shapes(p.widths)
+        grads = reshape_views(grads, shapes)
         h = 1e-6
-        for pi, q in enumerate(p.params()):
+        for pi, q in enumerate(reshape_views(p.flat, shapes)):
             flat = q.reshape(-1)
             for k in (0, flat.size - 1):
                 orig = flat[k]

@@ -106,8 +106,8 @@ class TestTrainLoop:
         real = trainer_mod.filter_dataset
 
         def spy(store, model, policy, cfg, iteration=None):
-            captured["model"] = [p.copy() for p in model.params()]
-            captured["policy"] = [p.copy() for p in policy.params()]
+            captured["model"] = model.flat.copy()
+            captured["policy"] = policy.flat.copy()
             return real(store, model, policy, cfg, iteration=iteration)
 
         monkeypatch.setattr(trainer_mod, "filter_dataset", spy)
@@ -120,13 +120,9 @@ class TestTrainLoop:
         result = train(cfg, gauss_store, SeededRng(12))
         # filter fired on the last iteration, right after an EMA update:
         # the scored parameters must be the EMA shadow, not the live ones
-        for got, ema in zip(captured["model"],
-                            result.ema_noise_model.params()):
-            assert np.array_equal(got, ema)
-        for got, live in zip(captured["model"], result.noise_model.params()):
-            assert not np.array_equal(got, live)
-        for got, ema in zip(captured["policy"], result.ema_policy.params()):
-            assert np.array_equal(got, ema)
+        assert np.array_equal(captured["model"], result.ema_noise_model.flat)
+        assert not np.array_equal(captured["model"], result.noise_model.flat)
+        assert np.array_equal(captured["policy"], result.ema_policy.flat)
 
     def test_filter_pass_records_and_stop_flag(self, gauss_store):
         cfg = tiny_cfg(filtering=True)
@@ -150,6 +146,47 @@ class TestTrainLoop:
             train(tiny_cfg(), gauss_store, SeededRng(14), out_dir=out)
         assert os.path.exists(os.path.join(out, "diagnostic_denoiser.json"))
         assert os.path.exists(os.path.join(out, "diagnostic_generator.json"))
+
+    def test_diagnostics_hold_the_live_parameters(self, gauss_store,
+                                                  tmp_path, monkeypatch):
+        # <role>.json holds the EMA shadow; a diagnostic holds the live
+        # vector that gave the non-finite loss
+        nets = {}
+        real = trainer_mod.policy_loss
+
+        def late_nan(policy, model, s, a, rng):
+            nets.update(generator=policy, denoiser=model)
+            nets["calls"] = nets.get("calls", 0) + 1
+            loss, grads = real(policy, model, s, a, rng)
+            return (float("nan") if nets["calls"] == 10 else loss), grads
+
+        monkeypatch.setattr(trainer_mod, "policy_loss", late_nan)
+        out = str(tmp_path / "run")
+        with pytest.raises(TrainingError, match="non-finite"):
+            train(tiny_cfg(update_ema_every=1, ema_warmup_steps=1),
+                  gauss_store, SeededRng(14), out_dir=out)
+        for role in ("denoiser", "generator"):
+            net = nets[role]
+            loaded = load_checkpoint(
+                os.path.join(out, f"diagnostic_{role}.json"))
+            assert loaded["role"] == role
+            got = np.concatenate([p.reshape(-1) for p in loaded["params"]])
+            assert got.tobytes() == net.flat.tobytes()
+
+    def test_checkpoints_hold_the_ema_shadow(self, gauss_store, tmp_path):
+        out = str(tmp_path / "run")
+        result = train(tiny_cfg(update_ema_every=1, ema_warmup_steps=1),
+                       gauss_store, SeededRng(15), out_dir=out)
+        for role, ema, live in (
+                ("denoiser", result.ema_noise_model, result.noise_model),
+                ("generator", result.ema_policy, result.policy)):
+            loaded = load_checkpoint(os.path.join(out, f"{role}.json"))
+            assert set(loaded) == {"format_version", "role", "arch",
+                                   "params", "crc32"}
+            assert (loaded["role"], loaded["arch"]) == (role, ema.arch())
+            got = np.concatenate([p.reshape(-1) for p in loaded["params"]])
+            assert got.tobytes() == ema.flat.tobytes()
+            assert got.tobytes() != live.flat.tobytes()
 
     def test_artifacts_written(self, gauss_store, tmp_path):
         out = str(tmp_path / "run")
@@ -189,7 +226,8 @@ class TestTrainLoop:
             TrainConfig(filter=FilterConfig(step_threshold=99)).validate()
         for bad in (dict(diffusion_steps=0), dict(beta_min=-1.0),
                     dict(beta_min=0.5, beta_max=0.4),
-                    dict(beta_max=float("nan"))):
+                    dict(beta_max=float("nan")),
+                    dict(ema_warmup_steps=-5)):
             with pytest.raises(ConfigError):
                 tiny_cfg(**bad).validate()
 
@@ -203,7 +241,7 @@ class TestEvaluate:
         def __init__(self, fn):
             self.fn = fn
 
-        def act_clipped(self, obs):
+        def act(self, obs):
             return self.fn(obs)
 
     def _expert_policy(self):
@@ -213,14 +251,14 @@ class TestEvaluate:
         expert = self._expert_policy()
         mean, std = evaluate(expert, self.spec, 200, SeededRng(200))
         # same seed: evaluate is exactly the rollout mean and std
-        same = rollout_batch_returns(self.spec, expert.act_clipped,
+        same = rollout_batch_returns(self.spec, expert.act,
                                      SeededRng(200), 200)
         assert (mean, std) == (same.mean(), same.std())
         assert std > 0
         # oracle baseline computed with an independent seed: the two
         # 200-episode means differ within 4 standard errors of their
         # difference, taken from the two samples' own spreads
-        baseline = rollout_batch_returns(self.spec, expert.act_clipped,
+        baseline = rollout_batch_returns(self.spec, expert.act,
                                          SeededRng(100), 200)
         se = np.sqrt(baseline.var(ddof=1) / len(baseline)
                      + same.var(ddof=1) / len(same))
@@ -381,7 +419,6 @@ class TestMetricsLog:
     def test_snapshot_policy_is_independent_copy(self):
         p = GeneratorPolicy(3, 2, SeededRng(1), hidden=(8,))
         snap = snapshot_policy(p, p.flat + 1.0)
-        for a, b in zip(snap.params(), p.params()):
-            assert np.allclose(a, b + 1.0)
-        p.params()[0][...] = 99.0
-        assert not np.allclose(snap.params()[0], 99.0)
+        assert np.array_equal(snap.flat, p.flat + 1.0)
+        p.weights[0][...] = 99.0
+        assert not np.allclose(snap.weights[0], 99.0)
