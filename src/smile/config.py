@@ -178,7 +178,7 @@ beta_max = 0.6
 [train]
 batch_size = 128
 learning_rate = 1e-3
-denoiser_optimize_every = 10
+denoiser_optimize_every = 5
 policy_optimize_every = 1
 update_ema_every = 10
 ema_decay = 0.95

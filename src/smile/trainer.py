@@ -10,7 +10,15 @@ iteration samples one batch; the denoiser accumulates
 ``denoiser_optimize_every`` loss draws (fresh t and noise, same batch) into
 one averaged gradient and takes a single optimizer step, and the policy does
 the same with ``policy_optimize_every``. Accumulation is vectorized by
-tiling the batch, which is the same averaged gradient by linearity.
+tiling the batch, which is the same averaged gradient by linearity
+(tests/test_trainer.py checks it within float32 rounding). The default of 5
+denoiser draws costs half the denoiser rows of 10 at no loss of return
+(see ``TrainConfig``).
+
+A run with an output directory writes ``metrics.csv`` as it goes and, when
+it ends, its checkpoints and ``run.json``: the config echo, the training
+seed, the numpy and BLAS versions, ``OPENBLAS_NUM_THREADS``, the per-phase
+wall clock, the counters and the filter-pass summaries.
 
 Filtering and evaluation always read EMA snapshots, never live parameters.
 The audit scores nothing itself: it groups the segment records of
@@ -20,10 +28,11 @@ expertise.score_dataset by trajectory.
 from __future__ import annotations
 
 import csv
+import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -52,7 +61,13 @@ CSV_COLUMNS = ("iteration", "transitions", "denoiser_loss", "policy_loss",
 class TrainConfig:
     batch_size: int = 128
     lr: float = 1e-3
-    denoiser_optimize_every: int = 10
+    # loss draws per denoiser step. 5 rather than 10 halves the denoiser's
+    # rows: a default-config run took 35-42 s instead of 67-98 s (one BLAS
+    # thread, two runs at a time on 2 cores), and over training seeds 7-11
+    # the mean 500-spawn return rose by 0.13 for SMILE and 0.08 for
+    # --no-filter, against across-seed SDs of 0.07 and 0.16 at 10
+    # (scripts/quality.py, BENCH_quality.json)
+    denoiser_optimize_every: int = 5
     policy_optimize_every: int = 1
     update_ema_every: int = 10
     # ~200-iteration EMA horizon: at the desk-scale budget (~3.9k
@@ -208,7 +223,7 @@ class _Part:
                         self.net.flat if live else self.ema.shadow)
 
 
-def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
+def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
          parts: list[_Part], out_dir: str | None, filtering: bool = False):
     """The iteration loop of train and train_bc; returns (metrics, reports).
 
@@ -216,7 +231,9 @@ def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
     losses for finiteness; advance every part's EMA; filter (while
     ``filtering``; parts[0] is then the denoiser, parts[1] the generator),
     so a pass reads this iteration's shadow; log the row, evaluating
-    parts[-1] when due.
+    parts[-1] when due. Batches and evaluations draw from streams spawned
+    off ``rng``, the run's root. A finished run with ``out_dir`` writes each
+    part's checkpoint and the run manifest.
     """
     env = store.env
     counters = {f"{part.name}_{what}": 0 for part in parts
@@ -224,6 +241,7 @@ def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
     counters.update(ema_updates=0, filter_passes=0, transitions_consumed=0)
     metrics = MetricsLog(counters=counters)
     phase = partial(_timed, metrics.wall_clock)
+    batch_rng, eval_rng = rng.spawn("batch"), rng.spawn("eval")
     reports: list[FilterReport] = []
     csv_fh = csv_out = None
     if out_dir is not None:
@@ -239,7 +257,7 @@ def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
     n_iters = cfg.num_iterations
     try:
         for idx in range(1, n_iters + 1):
-            states, actions = store.sample(rngs["batch"], cfg.batch_size)
+            states, actions = store.sample(batch_rng, cfg.batch_size)
             losses = {}
             for part in parts:
                 # grads stays bound until the next loss returns: freeing it
@@ -289,7 +307,7 @@ def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
                     idx % cfg.eval_every == 0 or idx == n_iters):
                 with phase("eval"):
                     mean, std = evaluate(parts[-1].shadow_copy(), env,
-                                         cfg.eval_episodes, rngs["eval"])
+                                         cfg.eval_episodes, eval_rng)
                 row["eval_mean"], row["eval_std"] = mean, std
             metrics.add_row(**row)
             if csv_out is not None:
@@ -298,6 +316,20 @@ def _run(cfg: TrainConfig, store: DemoStore, rngs: dict[str, SeededRng],
     finally:
         if csv_fh is not None:
             csv_fh.close()
+    if out_dir is not None:
+        for part in parts:
+            part.save(os.path.join(out_dir, f"{part.net.role}.json"))
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        manifest = {"config": asdict(cfg), "train_seed": rng.seed,
+                    "numpy": np.__version__, "blas": {
+                        "name": blas.get("name"),
+                        "version": blas.get("version")},
+                    "openblas_num_threads":
+                        os.environ.get("OPENBLAS_NUM_THREADS"),
+                    "wall_clock": metrics.wall_clock, "counters": counters,
+                    "filter_summaries": metrics.filter_summaries}
+        with open(os.path.join(out_dir, "run.json"), "w") as fh:
+            fh.write(json.dumps(manifest, indent=1))
     return metrics, reports
 
 
@@ -319,8 +351,7 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                        beta_min=cfg.beta_min, beta_max=cfg.beta_max)
     policy = GeneratorPolicy(state_dim, action_dim, rng.spawn("init-policy"),
                              hidden=cfg.hidden, dtype=NET_DTYPE)
-    rngs = {tag: rng.spawn(tag)
-            for tag in ("batch", "denoiser-noise", "policy-noise", "eval")}
+    rngs = {tag: rng.spawn(tag) for tag in ("denoiser-noise", "policy-noise")}
     # the loss functions are looked up at call time, so hooks and test
     # patches on this module's globals apply
     den = _Part.of(cfg, "denoiser", model,
@@ -332,11 +363,8 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                                             rngs["policy-noise"]),
                    cfg.policy_optimize_every)
 
-    metrics, reports = _run(cfg, store, rngs, [den, gen], out_dir,
+    metrics, reports = _run(cfg, store, rng, [den, gen], out_dir,
                             filtering=cfg.filtering)
-    if out_dir is not None:
-        for part in (den, gen):
-            part.save(os.path.join(out_dir, f"{part.net.role}.json"))
 
     return TrainResult(
         noise_model=model, policy=policy,
@@ -348,14 +376,14 @@ def train_bc(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
              out_dir: str | None = None):
     """Behavior-cloning baseline over the full store: train's loop, budget
     and cadence with one BC part in place of the denoiser and generator, and
-    no filter. Returns (EMA snapshot, live baseline, metrics)."""
+    no filter; with ``out_dir`` its EMA shadow goes to ``bc.json``. Returns
+    (EMA snapshot, live baseline, metrics)."""
     state_dim, action_dim = _check_run(cfg, store)
     baseline = BcBaseline(state_dim, action_dim, rng.spawn("init-bc"),
                           hidden=cfg.hidden, dtype=NET_DTYPE)
     part = _Part.of(cfg, "policy", baseline,
                     lambda s, a: bc_loss(baseline, s, a))
-    rngs = {tag: rng.spawn(tag) for tag in ("batch", "eval")}
-    metrics, _ = _run(cfg, store, rngs, [part], out_dir)
+    metrics, _ = _run(cfg, store, rng, [part], out_dir)
     return part.shadow_copy(), baseline, metrics
 
 

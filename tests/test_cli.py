@@ -15,12 +15,12 @@ import smile.cli as cli
 import smile.config as config_mod
 from smile.config import DataConfig, load_config
 from smile.diffusion import NoiseModel
-from smile.envs import make_env_spec
+from smile.envs import load_demos, make_env_spec
 from smile.errors import ValidationError
-from smile.mathcore import (FeedForwardNet, SeededRng, load_checkpoint,
-                            reshape_views, save_checkpoint)
+from smile.mathcore import (FeedForwardNet, SeededRng, derive_seed,
+                            load_checkpoint, reshape_views, save_checkpoint)
 from smile.policy import GeneratorPolicy
-from smile.trainer import TrainConfig
+from smile.trainer import TrainConfig, train_bc
 
 from conftest import seal_checkpoint
 
@@ -100,6 +100,31 @@ def test_audit_scores_once(run, monkeypatch):
     assert cli.main(audit_argv(cfg, out)) == 0
     assert scored == [1]
     assert acted == [1000]  # one policy call over all 10 x 100 transitions
+
+
+def test_bc_checkpoint_audits_and_benches(run, tmp_path):
+    # `train --bc-baseline` writes its EMA snapshot to bc.json, which audit
+    # and bench take as the generator
+    cfg, out = run
+    bc_cfg = write_config(tmp_path / "bc.ini", tmp_path)
+    demos = str(out / "demos.jsonl")
+    assert cli.main(["train", "--config", bc_cfg, "--demos", demos,
+                     "--bc-baseline"]) == 0
+    loaded = load_checkpoint(str(tmp_path / "bc.json"))
+    exp = load_config(bc_cfg)
+    store = load_demos(demos, include_rewards=False)
+    store.env = exp.env
+    snap, _, _ = train_bc(exp.train, store,
+                          SeededRng(derive_seed(exp.seed, "train")))
+    assert loaded["role"] == "bc"
+    got = np.concatenate([p.reshape(-1) for p in loaded["params"]])
+    assert got.tobytes() == snap.flat.tobytes()
+    generator = ["--denoiser", str(out / "denoiser.json"),
+                 "--generator", str(tmp_path / "bc.json")]
+    assert cli.main(["audit", "--config", cfg, *generator,
+                     "--demos", demos]) == 0
+    assert cli.main(["bench", "--config", cfg, *generator,
+                     "--trials", "2"]) == 0
 
 
 @pytest.mark.parametrize("command,flag,value", [
