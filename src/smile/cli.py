@@ -20,7 +20,7 @@ from .config import DEFAULT_CONFIG, ExperimentConfig, load_config
 from .diffusion import NoiseModel
 from .errors import (ConfigError, InvalidInputError, SmileError,
                      ValidationError)
-from .expertise import FilterReport, save_filter_report, score_dataset
+from .expertise import filter_report, save_filter_report, score_dataset
 from .mathcore import SeededRng, derive_seed, load_checkpoint
 from .policy import BcBaseline, GeneratorPolicy
 from .trainer import audit_bins, bench_reverse, train, train_bc
@@ -94,20 +94,18 @@ def cmd_train(args) -> int:
     _check_dims(cfg, f"demo file {demo_path}", s.shape[1], a.shape[1])
     store.env = cfg.env
     os.makedirs(cfg.output_dir, exist_ok=True)
-    train_cfg = cfg.train
-    if args.no_filter:
-        train_cfg.filtering = False
     rng = SeededRng(derive_seed(cfg.seed, "train"))
 
     if args.bc_baseline:
-        ema_actor, _, metrics = train_bc(train_cfg, store, rng,
+        ema_actor, _, metrics = train_bc(cfg.train, store, rng,
                                          out_dir=cfg.output_dir)
         last = metrics.rows[-1]
         print(f"bc run complete: iterations={last['iteration']} "
               f"final_eval_mean={last.get('eval_mean')}")
         return 0
 
-    result = train(train_cfg, store, rng, out_dir=cfg.output_dir)
+    result = train(cfg.train, store, rng, out_dir=cfg.output_dir,
+                   filtering=not args.no_filter)
     filtered_path = os.path.join(cfg.output_dir, "filtered_demos.jsonl")
     envs_mod.save_demos(result.store, filtered_path, seed=cfg.seed)
     last = result.metrics.rows[-1]
@@ -139,25 +137,18 @@ def cmd_audit(args) -> int:
         raise ConfigError(f"config {args.config} does not fit denoiser "
                           f"{args.denoiser}: {exc}") from exc
 
-    rets = [tr.ret for tr in store.trajectories]
-    lo = np.floor(min(rets) / width) * width
-    hi = np.ceil(max(rets) / width) * width
-    if hi <= lo:
-        hi = lo + width
-    edges = np.arange(lo, hi + width / 2, width)
     # One scoring pass feeds both the bin table and the per-trajectory
     # report (filter-report format); the store is left untouched.
     records, kept = score_dataset(store, model, policy, cfg.train.filter)
-    rows = audit_bins(store, records, edges)
+    rows = audit_bins(store, records, width)
     print("bin_lo,bin_hi,count,mean_step")
     for row in rows:
         print(f"{row['bin_lo']!r},{row['bin_hi']!r},{row['count']},"
               f"{row['mean_step']!r}")
 
-    report = FilterReport(records,
-                          stop_filtering=len(kept) < cfg.train.filter.min_demos)
     if args.out:
-        save_filter_report(report, args.out)
+        save_filter_report(filter_report(records, kept, cfg.train.filter),
+                           args.out)
         print(f"wrote per-trajectory report to {args.out}")
     return 0
 

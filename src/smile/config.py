@@ -44,15 +44,6 @@ class ExperimentConfig:
             self.output_dir = f"runs/{self.run_id}"
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _parse_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -83,11 +74,10 @@ _SCHEMA = {
     "schedule": {"steps": int, "beta_min": _parse_float,
                  "beta_max": _parse_float},
     "train": {"batch_size": int, "learning_rate": _parse_float,
-              "denoiser_optimize_every": int, "policy_optimize_every": int,
-              "update_ema_every": int, "ema_decay": _parse_float,
-              "ema_warmup_steps": int, "transition_budget": int,
-              "eval_every": int, "eval_episodes": int,
-              "loss_norm": str, "filtering": _parse_bool},
+              "denoiser_optimize_every": int, "update_ema_every": int,
+              "ema_decay": _parse_float, "ema_warmup_steps": int,
+              "transition_budget": int, "eval_every": int,
+              "eval_episodes": int},
     "filter": {"filter_every": int, "min_demos": int, "step_threshold": int,
                "max_demo_len": int},
 }
@@ -179,15 +169,12 @@ beta_max = 0.6
 batch_size = 128
 learning_rate = 1e-3
 denoiser_optimize_every = 5
-policy_optimize_every = 1
 update_ema_every = 10
 ema_decay = 0.95
 ema_warmup_steps = 200
 transition_budget = 500000
 eval_every = 2500
 eval_episodes = 10
-loss_norm = l1
-filtering = true
 
 [filter]
 filter_every = 2500

@@ -121,28 +121,24 @@ class NoiseModel(FeedForwardNet):
     columns for the step, so the step's rows of the first-layer weight are
     a learned per-step table. With T this small a table is simpler and
     exact compared to sinusoidal features, and it spans every function a
-    learned step embedding fed through the same layer could give. The
-    training-loss norm is selectable: "l1" (default, works better in
-    practice) or "l2". ``flat`` is in ``dtype``.
+    learned step embedding fed through the same layer could give.
+    ``flat`` is in ``dtype``.
 
     ``arch()`` carries (T, beta_min, beta_max): training takes them from
-    the config, and everything after reads them from the checkpoint.
+    the config, and everything after reads them from the checkpoint;
+    ``from_arch`` ignores other keys, such as an older file's ``norm``.
     """
 
     role = "denoiser"
 
     def __init__(self, state_dim: int, action_dim: int, T: int,
                  rng: SeededRng, hidden: tuple[int, ...] = (256, 256, 256),
-                 norm: str = "l1", dtype=np.float64, *,
-                 beta_min: float = DEFAULT_BETA_MIN,
+                 dtype=np.float64, *, beta_min: float = DEFAULT_BETA_MIN,
                  beta_max: float = DEFAULT_BETA_MAX):
-        if norm not in ("l1", "l2"):
-            raise InvalidInputError(f"unknown loss norm {norm!r}")
         self.sched = build_schedule(T, beta_min, beta_max)
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.T = T
-        self.norm = norm
         super().__init__([state_dim + action_dim + T + 1, *hidden, action_dim],
                          rng, zero_output=True, dtype=dtype)
 
@@ -150,14 +146,14 @@ class NoiseModel(FeedForwardNet):
         return {"state_dim": self.state_dim, "action_dim": self.action_dim,
                 "T": self.T, "beta_min": self.sched.beta_min,
                 "beta_max": self.sched.beta_max, "widths": self.widths,
-                "norm": self.norm, "dtype": self.flat.dtype.name}
+                "dtype": self.flat.dtype.name}
 
     @staticmethod
     def from_arch(arch: dict) -> "NoiseModel":
         hidden = tuple(arch["widths"][1:-1])
         return NoiseModel(arch["state_dim"], arch["action_dim"], arch["T"],
-                          SeededRng(0), hidden=hidden, norm=arch["norm"],
-                          dtype=arch_dtype(arch), beta_min=arch["beta_min"],
+                          SeededRng(0), hidden=hidden, dtype=arch_dtype(arch),
+                          beta_min=arch["beta_min"],
                           beta_max=arch["beta_max"])
 
     def _inputs(self, s: np.ndarray, a_t: np.ndarray, t) -> np.ndarray:
@@ -165,7 +161,7 @@ class NoiseModel(FeedForwardNet):
         vector for a single state at a scalar ``t``, else one row per state,
         at the scalar ``t`` or at one step per row."""
         if isinstance(t, int):
-            # the per-step calls of scoring and of the reverse sampler;
+            # the reverse sampler's single-state calls, one per step;
             # checked without numpy's per-call overhead
             if not 0 <= t <= self.T:
                 raise InvalidInputError(
@@ -205,9 +201,9 @@ def denoiser_loss(model: NoiseModel, states: np.ndarray, actions: np.ndarray,
     """Noise-prediction loss over a batch of clean (s, a_0) pairs.
 
     Per example: t ~ Uniform{1..T}, eps ~ N(0, I), a_t = a_0 + sigma_t eps,
-    loss = ||eps - model(s, a_t, t)|| under the configured norm (l1 sums
-    absolute entries, l2 sums squared entries), averaged over the batch.
-    Returns (loss, gradient vector laid out like ``model.flat``).
+    loss = ||eps - model(s, a_t, t)||_1 (the sum of absolute entries),
+    averaged over the batch. Returns (loss, gradient vector laid out like
+    ``model.flat``).
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
@@ -221,13 +217,8 @@ def denoiser_loss(model: NoiseModel, states: np.ndarray, actions: np.ndarray,
     a_t = diffuse(actions, t_arr, model.sched, eps)
     pred, acts = model.forward_cached(model._inputs(states, a_t, t_arr))
     resid = pred - eps
-    if model.norm == "l1":
-        loss = float(np.abs(resid).sum(axis=1).mean())
-        upstream = np.sign(resid) / n
-    else:
-        loss = float((resid ** 2).sum(axis=1).mean())
-        upstream = 2.0 * resid / n
-    return loss, model.backward(acts, upstream)
+    loss = float(np.abs(resid).sum(axis=1).mean())
+    return loss, model.backward(acts, np.sign(resid) / n)
 
 
 def naive_reverse_sample(model, s: np.ndarray, sched: DiffusionSchedule,

@@ -18,6 +18,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -331,14 +332,24 @@ def save_demos(store: DemoStore, path: str, seed: int | None = None) -> None:
                 fh.write(json.dumps(rec) + "\n")
 
 
+def _numbers_only(*lists) -> bool:
+    """Whether the lists hold ints and floats only: numpy takes a bool as
+    0 or 1 and parses a numeric string."""
+    try:
+        return set(map(type, chain(*lists))) <= {int, float}
+    except TypeError:  # an entry that is not a list
+        return False
+
+
 def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
     """Read a demo file. ``include_rewards=False`` strips rewards so training
     paths cannot touch them even by accident.
 
     A byte that is not UTF-8, malformed JSON, a missing field, a state or
-    action of the wrong width, a non-finite number, a trajectory whose
-    steps are not 0, 1, 2, ... (a repeat or a gap), a noise level that is
-    neither null nor a finite number >= 0 and a noise level that varies
+    action of the wrong width, an s, a or r entry that is not a JSON number,
+    a terminal that is not a JSON boolean, a non-finite number, a trajectory
+    whose steps are not 0, 1, 2, ... (a repeat or a gap), a noise level that
+    is neither null nor a finite number >= 0 and a noise level that varies
     within a trajectory each raise InvalidInputError naming path:line (a
     width error names the first line of its trajectory). A file with no
     transitions raises InvalidInputError naming the path.
@@ -383,6 +394,8 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
                 raise InvalidInputError(
                     f"{path}:{no}: noise_level {level!r} is neither null "
                     f"nor a finite number >= 0")
+            if type(rec["terminal"]) is not bool:
+                raise InvalidInputError(f"{path}:{no}: terminal is not a bool")
             rows.setdefault(rec["traj_id"], []).append(
                 (operator.index(rec["step"]), no, rec["s"], rec["a"],
                  rec["r"], rec["terminal"], level))
@@ -406,12 +419,16 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
                 f"{path}:{nos[i]}: noise_level {levels[i]} differs from "
                 f"{levels[0]} earlier in trajectory {tid}")
         has_rewards = include_rewards and all(r is not None for r in rewards)
+        rewards = [0.0 if r is None else r for r in rewards]
+        if not _numbers_only(*states, *actions, rewards):
+            i = next(i for i in range(len(recs)) if not _numbers_only(
+                states[i], actions[i], [rewards[i]]))
+            raise InvalidInputError(f"{path}:{nos[i]}: s, a or r not a number")
         try:
             states = np.asarray(states, dtype=np.float64)
             actions = np.asarray(actions, dtype=np.float64)
-            rewards = np.asarray([0.0 if r is None else r for r in rewards],
-                                 dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+            rewards = np.asarray(rewards, dtype=np.float64)
+        except (OverflowError, TypeError, ValueError) as exc:
             raise InvalidInputError(
                 f"{path}:{nos[0]}: bad values in trajectory {tid}: {exc}"
             ) from exc

@@ -14,8 +14,8 @@ predicted step. A segment's whole curve costs one slice of a single policy
 call and one denoiser forward over T copies of its rows (q_curve_matrix).
 The filter drops segments at or below the step threshold and refuses to act
 at all (setting stop_filtering) whenever dropping would leave fewer than
-min_demos segments; the return-bin audit (trainer.audit_bins) reads the
-same records.
+min_demos segments (filter_report, which the audit's report uses too); the
+return-bin audit (trainer.audit_bins) reads the same records.
 """
 
 from __future__ import annotations
@@ -208,21 +208,28 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig):
     return records, kept_segments
 
 
+def filter_report(records: list[SegmentRecord], kept_segments: list,
+                  cfg: FilterConfig, iteration: int | None = None):
+    """The FilterReport of score_dataset's output: if fewer than min_demos
+    segments are kept, every verdict turns to keep and filtering stops."""
+    stop = len(kept_segments) < cfg.min_demos
+    if stop:
+        for rec in records:
+            rec.verdict = "keep"
+    return FilterReport(records, stop_filtering=stop, iteration=iteration)
+
+
 def filter_dataset(store: DemoStore, model, policy, cfg: FilterConfig,
                    iteration: int | None = None) -> FilterReport:
     """Score every segment, drop those with predicted step <= threshold, and
-    commit the reduced store — unless that would leave fewer than min_demos
-    segments, in which case nothing is dropped and stop_filtering is set.
+    commit the reduced store — unless filter_report stops filtering, in
+    which case nothing is dropped.
 
     The models passed in are read-only (callers hand in EMA snapshots); the
     store commit is a single atomic swap.
     """
     records, kept_segments = score_dataset(store, model, policy, cfg)
-    if len(kept_segments) < cfg.min_demos:
-        # Dropping would starve the dataset: leave the store untouched.
-        for rec in records:
-            rec.verdict = "keep"
-        return FilterReport(records, stop_filtering=True, iteration=iteration)
-
-    store.replace(kept_segments)
-    return FilterReport(records, stop_filtering=False, iteration=iteration)
+    report = filter_report(records, kept_segments, cfg, iteration)
+    if not report.stop_filtering:
+        store.replace(kept_segments)
+    return report

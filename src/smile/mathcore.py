@@ -99,9 +99,8 @@ def reshape_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
 
 
 def arch_dtype(arch: dict) -> np.dtype:
-    """The parameter dtype an ``arch()`` names; float64 when the key is
-    absent."""
-    name = arch.get("dtype", "float64")
+    """The parameter dtype an ``arch()`` names; a missing one is an error."""
+    name = arch.get("dtype")
     if not isinstance(name, str) or name not in DTYPES:
         raise InvalidInputError(
             f"parameter dtype {name!r} is not one of {DTYPES}")
@@ -360,10 +359,10 @@ def load_checkpoint(path: str) -> dict:
 
     A format_version other than ``CHECKPOINT_VERSION`` raises
     CheckpointVersionError. An unreadable or non-UTF-8 file, malformed JSON
-    (named as path:line), a missing ``arch``, an unknown dtype or bad
-    ``widths`` in it, a missing or non-base64 ``params``, a byte count that
-    does not fit ``widths``, a CRC mismatch and a non-finite value each raise
-    InvalidInputError. Every message names the path.
+    (named as path:line), a missing ``arch``, a missing or unknown dtype or
+    bad ``widths`` in it, a missing or non-base64 ``params``, a byte count
+    that does not fit ``widths``, a CRC mismatch and a non-finite value each
+    raise InvalidInputError. Every message names the path.
     """
     try:
         with open(path, "rb") as fh:

@@ -8,17 +8,16 @@ Cadence is 1-based: iteration idx fires a periodic task when
 idx % period == 0, so nothing runs on untrained models at idx 0. Each
 iteration samples one batch; the denoiser accumulates
 ``denoiser_optimize_every`` loss draws (fresh t and noise, same batch) into
-one averaged gradient and takes a single optimizer step, and the policy does
-the same with ``policy_optimize_every``. Accumulation is vectorized by
-tiling the batch, which is the same averaged gradient by linearity
-(tests/test_trainer.py checks it within float32 rounding). The default of 5
-denoiser draws costs half the denoiser rows of 10 at no loss of return
-(see ``TrainConfig``).
+one averaged gradient and takes a single optimizer step, and the policy
+takes one step on the batch. Accumulation is vectorized by tiling the batch,
+which is the same averaged gradient by linearity (tests/test_trainer.py
+checks it within float32 rounding). The default of 5 denoiser draws costs
+half the denoiser rows of 10 at no loss of return (see ``TrainConfig``).
 
 A run with an output directory writes ``metrics.csv`` as it goes and, when
-it ends, its checkpoints and ``run.json``: the config echo, the training
-seed, the numpy and BLAS versions, ``OPENBLAS_NUM_THREADS``, the per-phase
-wall clock, the counters and the filter-pass summaries.
+it ends, its checkpoints and ``run.json``: the config echo, whether it
+filtered, the training seed, the numpy and BLAS versions, the BLAS threads,
+the per-phase wall clock, the counters and the filter-pass summaries.
 
 Filtering and evaluation always read EMA snapshots, never live parameters.
 The audit scores nothing itself: it groups the segment records of
@@ -29,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -68,7 +68,6 @@ class TrainConfig:
     # --no-filter, against across-seed SDs of 0.07 and 0.16 at 10
     # (scripts/quality.py, BENCH_quality.json)
     denoiser_optimize_every: int = 5
-    policy_optimize_every: int = 1
     update_ema_every: int = 10
     # ~200-iteration EMA horizon: at the desk-scale budget (~3.9k
     # iterations) a slower shadow lags the policy by half the run
@@ -79,10 +78,8 @@ class TrainConfig:
     beta_min: float = DEFAULT_BETA_MIN
     beta_max: float = DEFAULT_BETA_MAX
     filter: FilterConfig = field(default_factory=FilterConfig)
-    filtering: bool = True
     eval_every: int = 2500
     eval_episodes: int = 10
-    loss_norm: str = "l1"
     hidden: tuple[int, ...] = (256, 256, 256)
 
     @property
@@ -93,7 +90,6 @@ class TrainConfig:
     def validate(self) -> None:
         positive = {"batch_size": self.batch_size, "lr": self.lr,
                     "denoiser_optimize_every": self.denoiser_optimize_every,
-                    "policy_optimize_every": self.policy_optimize_every,
                     "update_ema_every": self.update_ema_every,
                     "eval_episodes": self.eval_episodes}
         for name, value in positive.items():
@@ -106,8 +102,6 @@ class TrainConfig:
                 f"ema_warmup_steps must be >= 0, got {self.ema_warmup_steps}")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ConfigError(f"ema_decay {self.ema_decay} outside [0, 1]")
-        if self.loss_norm not in ("l1", "l2"):
-            raise ConfigError(f"unknown loss_norm {self.loss_norm!r}")
         if self.eval_every < 0:
             raise ConfigError("eval_every must be >= 0 (0 disables)")
         build_schedule(self.diffusion_steps, self.beta_min, self.beta_max)
@@ -166,10 +160,6 @@ def evaluate(policy_like, spec: EnvSpec, episodes: int,
     return float(returns.mean()), float(returns.std())
 
 
-def _tile(arr: np.ndarray, k: int) -> np.ndarray:
-    return arr if k == 1 else np.tile(arr, (k, 1))
-
-
 @contextmanager
 def _timed(clock: dict, name: str):
     """Adds the wall-clock seconds of the block to clock[name]."""
@@ -193,22 +183,20 @@ class _Part:
 
     ``name`` labels its phase, CSV loss column and counters; the net's
     class ``role`` labels its checkpoints. Each iteration
-    ``loss(states, actions)`` runs on the batch tiled ``accumulate`` times
-    and one optimizer step follows.
+    ``loss(states, actions)`` runs on the batch and one optimizer step
+    follows.
     """
 
     name: str
     net: object
     loss: Callable
-    accumulate: int
     opt: OptimizerState
     ema: EmaTracker
 
     @staticmethod
-    def of(cfg: TrainConfig, name: str, net, loss,
-           accumulate: int = 1) -> "_Part":
+    def of(cfg: TrainConfig, name: str, net, loss) -> "_Part":
         warmup = max(1, cfg.ema_warmup_steps // cfg.update_ema_every)
-        return _Part(name, net, loss, accumulate,
+        return _Part(name, net, loss,
                      OptimizerState.for_params(net.flat, lr=cfg.lr),
                      EmaTracker.for_params(net.flat, decay=cfg.ema_decay,
                                            warmup=warmup))
@@ -228,16 +216,15 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     """The iteration loop of train and train_bc; returns (metrics, reports).
 
     Per iteration: sample a batch; update each part in order; check the
-    losses for finiteness; advance every part's EMA; filter (while
-    ``filtering``; parts[0] is then the denoiser, parts[1] the generator),
-    so a pass reads this iteration's shadow; log the row, evaluating
-    parts[-1] when due. Batches and evaluations draw from streams spawned
-    off ``rng``, the run's root. A finished run with ``out_dir`` writes each
-    part's checkpoint and the run manifest.
+    losses for finiteness; advance every part's EMA; filter (with
+    ``filtering``, until a pass stops it; parts[0] is then the denoiser,
+    parts[1] the generator), so a pass reads this iteration's shadow; log
+    the row, evaluating parts[-1] when due. Batches and evaluations draw
+    from streams spawned off ``rng``, the run's root. A finished run with
+    ``out_dir`` writes each part's checkpoint and the run manifest.
     """
     env = store.env
-    counters = {f"{part.name}_{what}": 0 for part in parts
-                for what in ("grad_evals", "optimizer_steps")}
+    counters = {f"{part.name}_optimizer_steps": 0 for part in parts}
     counters.update(ema_updates=0, filter_passes=0, transitions_consumed=0)
     metrics = MetricsLog(counters=counters)
     phase = partial(_timed, metrics.wall_clock)
@@ -263,12 +250,9 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                 # grads stays bound until the next loss returns: freeing it
                 # earlier made glibc trim and re-fault the heap every BC
                 # step (9x the page faults, 35-60% slower)
-                k = part.accumulate
                 with phase(part.name):
-                    loss, grads = part.loss(_tile(states, k),
-                                            _tile(actions, k))
+                    loss, grads = part.loss(states, actions)
                     optimizer_step(part.opt, part.net.flat, grads)
-                counters[f"{part.name}_grad_evals"] += k
                 counters[f"{part.name}_optimizer_steps"] += 1
                 losses[f"{part.name}_loss"] = loss
 
@@ -288,7 +272,8 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                         ema_update(part.ema, part.net.flat)
                 counters["ema_updates"] += 1
 
-            if filtering and idx % cfg.filter.filter_every == 0:
+            if (filtering and idx % cfg.filter.filter_every == 0
+                    and not (reports and reports[-1].stop_filtering)):
                 with phase("filter"):
                     report = filter_dataset(
                         store, parts[0].shadow_copy(), parts[1].shadow_copy(),
@@ -296,7 +281,6 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                 reports.append(report)
                 counters["filter_passes"] += 1
                 metrics.filter_summaries.append(report.summary())
-                filtering = not report.stop_filtering
                 if out_dir is not None:
                     save_filter_report(report, os.path.join(
                         out_dir, f"filter_report_{idx:06d}.json"))
@@ -320,7 +304,8 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
         for part in parts:
             part.save(os.path.join(out_dir, f"{part.net.role}.json"))
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        manifest = {"config": asdict(cfg), "train_seed": rng.seed,
+        manifest = {"config": asdict(cfg), "filtering": filtering,
+                    "train_seed": rng.seed,
                     "numpy": np.__version__, "blas": {
                         "name": blas.get("name"),
                         "version": blas.get("version")},
@@ -334,37 +319,36 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
 
 
 def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
-          out_dir: str | None = None) -> TrainResult:
+          out_dir: str | None = None, filtering: bool = True) -> TrainResult:
     """Run the full training loop on a demonstration store.
 
     ``rng`` is the run's root randomness; every internal stream (init, batch
     sampling, loss noise, evaluation) is derived from its seed with a purpose
     tag. The store is filtered in place (callers who need the original intact
-    should pass a copy). With cfg.filtering off this is the w/o-filtering
+    should pass a copy). With ``filtering`` off this is the w/o-filtering
     ablation: batches come uniformly from the untouched store for the whole
     run.
     """
     state_dim, action_dim = _check_run(cfg, store)
     model = NoiseModel(state_dim, action_dim, cfg.diffusion_steps,
                        rng.spawn("init-denoiser"), hidden=cfg.hidden,
-                       norm=cfg.loss_norm, dtype=NET_DTYPE,
-                       beta_min=cfg.beta_min, beta_max=cfg.beta_max)
+                       dtype=NET_DTYPE, beta_min=cfg.beta_min,
+                       beta_max=cfg.beta_max)
     policy = GeneratorPolicy(state_dim, action_dim, rng.spawn("init-policy"),
                              hidden=cfg.hidden, dtype=NET_DTYPE)
     rngs = {tag: rng.spawn(tag) for tag in ("denoiser-noise", "policy-noise")}
+    reps = (cfg.denoiser_optimize_every, 1)
     # the loss functions are looked up at call time, so hooks and test
     # patches on this module's globals apply
     den = _Part.of(cfg, "denoiser", model,
-                   lambda s, a: denoiser_loss(model, s, a,
-                                              rngs["denoiser-noise"]),
-                   cfg.denoiser_optimize_every)
+                   lambda s, a: denoiser_loss(model, np.tile(s, reps),
+                                              np.tile(a, reps),
+                                              rngs["denoiser-noise"]))
     gen = _Part.of(cfg, "policy", policy,
                    lambda s, a: policy_loss(policy, model, s, a,
-                                            rngs["policy-noise"]),
-                   cfg.policy_optimize_every)
+                                            rngs["policy-noise"]))
 
-    metrics, reports = _run(cfg, store, rng, [den, gen], out_dir,
-                            filtering=cfg.filtering)
+    metrics, reports = _run(cfg, store, rng, [den, gen], out_dir, filtering)
 
     return TrainResult(
         noise_model=model, policy=policy,
@@ -388,9 +372,13 @@ def train_bc(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
 
 
 def audit_bins(store: DemoStore, records: list[SegmentRecord],
-               bin_edges) -> list[dict]:
+               width: float) -> list[dict]:
     """Group trajectories by return bin; report count and mean predicted
-    diffusion step per non-empty bin (empty bins are simply absent).
+    diffusion step per occupied bin, in bin order (empty bins are absent).
+    The bins are those of np.arange(lo, hi + width / 2, width), lo and hi
+    being the extreme returns rounded out to multiples of ``width``, each
+    closed on the right only if last. Only occupied bins' edges are
+    computed, the way np.arange fills them: lo + i * ((lo + width) - lo).
 
     Nothing is scored here: ``records`` are the segment records
     score_dataset returned for this store. A trajectory's Q curve is the
@@ -400,9 +388,6 @@ def audit_bins(store: DemoStore, records: list[SegmentRecord],
     """
     if store.num_trajectories == 0:
         raise InvalidInputError("cannot audit an empty store")
-    edges = np.asarray(bin_edges, dtype=np.float64)
-    if len(edges) < 2 or np.any(np.diff(edges) <= 0):
-        raise InvalidInputError("bin_edges must be strictly increasing")
     for tr in store.trajectories:
         if tr.ret is None:
             raise InvalidInputError(
@@ -417,14 +402,33 @@ def audit_bins(store: DemoStore, records: list[SegmentRecord],
                                       / lengths[tr.traj_id]))
                         for tr in store.trajectories])
     rets = np.asarray([tr.ret for tr in store.trajectories])
+    lo = np.floor(rets.min() / width) * width
+    hi = np.ceil(rets.max() / width) * width
+    if hi <= lo:
+        hi = lo + width
+    n_edges = math.ceil((hi + width / 2 - lo) / width)  # len(np.arange(...))
+    step = (lo + width) - lo
+    if not (step > 0 and 2 <= n_edges < 2 ** 53):
+        raise InvalidInputError(
+            f"bin width {width!r} is too fine for returns in [{lo!r}, "
+            f"{hi!r}]")
+
+    def edge(i):
+        return np.where(i == 0, lo, lo + i * step)
+
+    # bin b holds edge(b) <= ret < edge(b + 1) (-1 and n_edges - 1 are out
+    # of range); edges rise with i, so each ret moves one way from its guess
+    b = np.clip(np.floor((rets - lo) / step), -1, n_edges - 1).astype(np.int64)
+    moves = 1
+    while np.any(moves):
+        moves = ((b < n_edges - 1) & (edge(b + 1) <= rets)).astype(np.int64) \
+            - ((b >= 0) & (edge(b) > rets))
+        b += moves
+    b[(b == n_edges - 1) & (rets == edge(n_edges - 1))] = n_edges - 2
     rows = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        # half-open bins, closed on the right for the final bin
-        mask = ((rets >= lo) & (rets < hi)) if hi < edges[-1] else \
-               ((rets >= lo) & (rets <= hi))
-        if mask.sum() == 0:
-            continue
-        rows.append({"bin_lo": float(lo), "bin_hi": float(hi),
+    for k in np.unique(b[(b >= 0) & (b < n_edges - 1)]):
+        mask = b == k
+        rows.append({"bin_lo": float(edge(k)), "bin_hi": float(edge(k + 1)),
                      "count": int(mask.sum()),
                      "mean_step": float(steps[mask].mean())})
     return rows

@@ -42,23 +42,16 @@ class GaussianTask:
         return sig * (a_t - self.mu(states)) / (self.sigma_d ** 2 + sig ** 2)
 
 
-def denoiser_loss_floor(task: GaussianTask, sched, norm: str = "l1") -> float:
-    """Closed-form expected denoiser loss of the exact predictor eps*.
+def denoiser_loss_floor(task: GaussianTask, sched) -> float:
+    """Closed-form expected L1 denoiser loss of the exact predictor eps*.
 
     With t ~ Uniform{1..T}, the residual eps*(s, a_t, t) - eps per action
-    dimension is N(0, v_t) with v_t = sigma_d^2 / (sigma_d^2 + sigma_t^2), so
-    no predictor does better in expectation: the l1 loss is
-    action_dim * mean_t sqrt(2 v_t / pi) (the mean of |N(0, v_t)|) and the l2
-    loss is action_dim * mean_t v_t.
+    dimension is N(0, v_t) with v_t = sigma_d^2 / (sigma_d^2 + sigma_t^2),
+    so the loss is action_dim * mean_t sqrt(2 v_t / pi) (the mean of
+    |N(0, v_t)|).
     """
     v = task.sigma_d ** 2 / (task.sigma_d ** 2 + sched.sigmas[1:] ** 2)
-    if norm == "l1":
-        per_dim = np.sqrt(2.0 * v / np.pi)
-    elif norm == "l2":
-        per_dim = v
-    else:
-        raise ValueError(f"unknown loss norm {norm!r}")
-    return float(task.action_dim * per_dim.mean())
+    return float(task.action_dim * np.sqrt(2.0 * v / np.pi).mean())
 
 
 class OracleDenoiser:

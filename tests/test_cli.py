@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from smile.config import DataConfig, load_config
 from smile.diffusion import NoiseModel
 from smile.envs import load_demos, make_env_spec
 from smile.errors import ValidationError
+from smile.expertise import filter_dataset, save_filter_report
 from smile.mathcore import (FeedForwardNet, SeededRng, derive_seed,
                             load_checkpoint, reshape_views, save_checkpoint)
 from smile.policy import GeneratorPolicy
@@ -159,8 +161,15 @@ def corrupt_demos(out, tmp_path, edit):
     lambda ln: json.dumps({**json.loads(ln), "step": 0}),
     lambda ln: json.dumps({**json.loads(ln), "step": "1"}),
     lambda ln: json.dumps({**json.loads(ln), "noise_level": 0.123}),
+    lambda ln: json.dumps({**json.loads(ln), "s": ["0.37"] * 4}),
+    lambda ln: json.dumps({**json.loads(ln), "r": "-0.67"}),
+    lambda ln: json.dumps({**json.loads(ln), "a": [True, False]}),
+    lambda ln: json.dumps({**json.loads(ln), "a": [0.5, None]}),
+    lambda ln: json.dumps({**json.loads(ln), "terminal": "false"}),
+    lambda ln: json.dumps({**json.loads(ln), "terminal": 0}),
 ], ids=["truncated", "nan", "repeated_step", "string_step",
-        "noise_level_changes"])
+        "noise_level_changes", "string_state", "string_reward",
+        "bool_action", "null_action", "string_terminal", "number_terminal"])
 def test_bad_demo_line_exits_1(run, tmp_path, capsys, edit):
     cfg, out = run
     bad = corrupt_demos(out, tmp_path, edit)
@@ -168,6 +177,16 @@ def test_bad_demo_line_exits_1(run, tmp_path, capsys, edit):
                  audit_argv(cfg, out, demos=bad)):
         assert cli.main(argv) == 1
         assert f"{bad}:3:" in capsys.readouterr().err
+
+
+def test_integer_beyond_float_range_exits_1(run, tmp_path, capsys):
+    # the float conversion of a trajectory fails as a whole, so the message
+    # names the trajectory's first line, as a width error does
+    cfg, out = run
+    bad = corrupt_demos(out, tmp_path, lambda ln: json.dumps(
+        {**json.loads(ln), "r": 10 ** 400}))
+    assert cli.main(["train", "--config", cfg, "--demos", bad]) == 1
+    assert f"{bad}:2: bad values in trajectory 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("level", [math.inf, -0.5, "loud", True],
@@ -217,6 +236,67 @@ def test_schedule_steps_must_match_denoiser(run, tmp_path, capsys, command,
             assert len(kept) == 2
             outputs.append(kept)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("threshold", [0, 10])
+def test_audit_report_is_the_filter_pass_report(run, tmp_path, threshold):
+    # the same store, checkpoints and config: audit --out writes the report
+    # a filter pass gives, also when the pass stops filtering (threshold 10
+    # drops every segment, which min_demos 1 forbids)
+    cfg, out = run
+    other = tmp_path / "other.ini"
+    other.write_text(open(cfg).read().replace(
+        "[filter]\n", f"[filter]\nstep_threshold = {threshold}\n"))
+    assert cli.main(audit_argv(str(other), out)[:-1]
+                    + [str(tmp_path / "audit.json")]) == 0
+    exp = load_config(str(other))
+    store = load_demos(str(out / "demos.jsonl"), include_rewards=True)
+    report = filter_dataset(
+        store, cli._load_actor(exp, str(out / "denoiser.json"), "denoiser"),
+        cli._load_actor(exp, str(out / "generator.json"), "generator"),
+        exp.train.filter)
+    assert report.stop_filtering == (threshold == 10)
+    save_filter_report(report, str(tmp_path / "pass.json"))
+    assert (tmp_path / "audit.json").read_bytes() \
+        == (tmp_path / "pass.json").read_bytes()
+
+
+def test_fine_bin_width_costs_nothing_extra(run, capsys):
+    # 1e-9 over returns that span tens of units is some 10^10 bins, of
+    # which only the occupied ones are visited
+    cfg, out = run
+    start = time.perf_counter()
+    assert cli.main(audit_argv(cfg, out) + ["--bin-width", "1e-9"]) == 0
+    assert time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().out.splitlines()
+    table = lines[lines.index("bin_lo,bin_hi,count,mean_step") + 1:-1]
+    assert 1 <= len(table) <= 10
+    assert all(row.split(",")[2] == "1" for row in table)
+
+
+@pytest.mark.parametrize("line", [
+    "loss_norm = l1", "policy_optimize_every = 1", "filtering = true",
+    "warp_factor = 9"])
+def test_unknown_train_key_exits_1(tmp_path, capsys, line):
+    cfg = write_config(tmp_path / "cfg.ini", tmp_path)
+    text = open(cfg).read().replace("[train]\n", f"[train]\n{line}\n")
+    open(cfg, "w").write(text)
+    no = text.splitlines().index(line) + 1
+    assert cli.main(["gen-data", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {cfg}:{no}: unknown key {line.split()[0]!r} in [train]")
+
+
+@pytest.mark.parametrize("flag", ["--no-filter", "--bc-baseline"])
+def test_manifest_says_the_run_did_not_filter(run, tmp_path, capsys, flag):
+    cfg, out = run
+    other = write_config(tmp_path / "cfg.ini", tmp_path)
+    assert cli.main(["train", "--config", other, "--demos",
+                     str(out / "demos.jsonl"), flag]) == 0
+    if flag == "--no-filter":
+        assert "filter_passes=0" in capsys.readouterr().out
+    assert json.load(open(tmp_path / "run.json"))["filtering"] is False
+    assert json.load(open(out / "run.json"))["filtering"] is True
 
 
 def test_step_threshold_beyond_denoiser_exits_1(run, tmp_path, capsys):
@@ -419,6 +499,10 @@ def non_string_dtype(payload):
     payload["arch"]["dtype"] = ["float32"]
 
 
+def missing_dtype(payload):
+    del payload["arch"]["dtype"]
+
+
 def version_1(payload):
     # the first format: per-tensor decimal lists of the live and the EMA
     # vectors, no crc32
@@ -490,6 +574,7 @@ def step_embedding(payload):
                                    "no_params", "wrong_shape", "nan_in_ema",
                                    "float32_overflow", "bad_arch",
                                    "unknown_dtype", "non_string_dtype",
+                                   "missing_dtype",
                                    "version_1", "bad_crc", "step_embedding",
                                    "no_betas", "nan_beta", "zero_beta_min",
                                    "string_beta", "version_2", "no_widths",
@@ -515,7 +600,8 @@ def test_bad_checkpoint_exits_1(run, tmp_path, capsys, fault):
         edit = {"no_params": drop_params, "wrong_shape": wrong_shape,
                 "nan_in_ema": nan_in_ema, "float32_overflow": float32_overflow,
                 "bad_arch": bad_arch, "unknown_dtype": unknown_dtype,
-                "non_string_dtype": non_string_dtype, "version_1": version_1,
+                "non_string_dtype": non_string_dtype,
+                "missing_dtype": missing_dtype, "version_1": version_1,
                 "bad_crc": bad_crc, "step_embedding": step_embedding,
                 "no_betas": no_betas, "nan_beta": nan_beta,
                 "zero_beta_min": zero_beta_min,

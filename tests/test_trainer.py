@@ -58,7 +58,7 @@ class _FixedDraws:
 
 def tiny_cfg(**kw):
     base = dict(batch_size=32, transition_budget=32 * 30, hidden=(16, 16),
-                eval_every=0, filtering=False, ema_warmup_steps=20)
+                eval_every=0, ema_warmup_steps=20)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -73,9 +73,9 @@ class TestTrainLoop:
     def test_smoke_denoiser_loss_halves(self):
         # scripted run on the analytic task: after 2000 iterations the
         # denoiser loss's excess over its closed-form floor (the loss of the
-        # exact eps*, 0.915 under l1 here) is at most half of its excess in
-        # the first 100 iterations. The raw loss cannot halve: half of the
-        # early mean lies below the floor under either norm.
+        # exact eps*, 0.915 here) is at most half of its excess in the
+        # first 100 iterations. The raw loss cannot halve: half of the
+        # early mean lies below the floor.
         task = GaussianTask(seed=3, state_dim=3, action_dim=2)
         store = make_store(task, SeededRng(4), n_traj=40, traj_len=50)
         cfg = tiny_cfg(batch_size=128, transition_budget=128 * 2000,
@@ -84,8 +84,7 @@ class TestTrainLoop:
         losses = [r["denoiser_loss"] for r in result.metrics.rows]
         early = np.mean(losses[:100])
         late = np.mean(losses[-100:])
-        floor = denoiser_loss_floor(task, result.noise_model.sched,
-                                    cfg.loss_norm)
+        floor = denoiser_loss_floor(task, result.noise_model.sched)
         assert late - floor <= 0.5 * (early - floor)
 
     def test_identical_seed_identical_metrics(self, tmp_path):
@@ -106,16 +105,34 @@ class TestTrainLoop:
         assert result.metrics.counters["transitions_consumed"] == 32 * 32
         assert result.metrics.rows[-1]["transitions"] == 32 * 32
 
-    def test_update_asymmetry_counters(self, gauss_store):
-        cfg = tiny_cfg(denoiser_optimize_every=10, policy_optimize_every=2)
-        result = train(cfg, gauss_store, SeededRng(10))
-        c = result.metrics.counters
-        assert c["denoiser_grad_evals"] / c["policy_grad_evals"] == 10 / 2
-        assert c["denoiser_optimizer_steps"] == c["policy_optimizer_steps"]
+    def test_update_asymmetry_counters(self, gauss_store, monkeypatch):
+        # each step the denoiser's loss sees the batch tiled
+        # denoiser_optimize_every times and the policy's the batch once
+        rows = {"denoiser": [], "policy": []}
+        real_den, real_pol = trainer_mod.denoiser_loss, trainer_mod.policy_loss
 
-    @pytest.mark.parametrize("norm", ["l1", "l2"])
-    @pytest.mark.parametrize("k", [5, 10])
-    def test_tiled_batch_gives_the_mean_gradient(self, k, norm):
+        def den(model, s, a, rng):
+            rows["denoiser"].append(len(s))
+            return real_den(model, s, a, rng)
+
+        def pol(policy, model, s, a, rng):
+            rows["policy"].append(len(s))
+            return real_pol(policy, model, s, a, rng)
+
+        monkeypatch.setattr(trainer_mod, "denoiser_loss", den)
+        monkeypatch.setattr(trainer_mod, "policy_loss", pol)
+        cfg = tiny_cfg(denoiser_optimize_every=10)
+        result = train(cfg, gauss_store, SeededRng(10))
+        n = cfg.num_iterations
+        assert rows == {"denoiser": [32 * 10] * n, "policy": [32] * n}
+        c = result.metrics.counters
+        assert c["denoiser_optimizer_steps"] == c["policy_optimizer_steps"] \
+            == n
+
+    # the ids name the loss, so each case keeps the id it had when an L2
+    # case ran beside it
+    @pytest.mark.parametrize("k", [5, 10], ids=["5-l1", "10-l1"])
+    def test_tiled_batch_gives_the_mean_gradient(self, k):
         # the accumulation identity: the gradient of the batch tiled k times
         # equals the mean of the k gradients of the batch alone, when copy j
         # draws the steps and noise of tiled block j. Each side is within
@@ -125,7 +142,7 @@ class TestTrainLoop:
         # (measured: 3.2-4.2 u of the mean's norm, against 489-669 u)
         n = 32
         model = NoiseModel(3, 2, 10, SeededRng(40), hidden=(32, 32),
-                           norm=norm, dtype=np.float32)
+                           dtype=np.float32)
         # a zero output layer would zero every other gradient
         model.weights[-1][...] = 0.3 * SeededRng(41).standard_normal(
             model.weights[-1].shape)
@@ -134,8 +151,8 @@ class TestTrainLoop:
         actions = draws.standard_normal((n, 2))
         t = draws.integers(1, model.T + 1, size=(k, n))
         eps = draws.standard_normal((k, n, 2))
-        _, tiled = denoiser_loss(model, trainer_mod._tile(states, k),
-                                 trainer_mod._tile(actions, k),
+        _, tiled = denoiser_loss(model, np.tile(states, (k, 1)),
+                                 np.tile(actions, (k, 1)),
                                  _FixedDraws(t.reshape(-1),
                                              eps.reshape(-1, 2)))
         copies = np.array([
@@ -152,24 +169,25 @@ class TestTrainLoop:
             + bound_copy * np.linalg.norm(copies, axis=1).mean())
 
     def test_run_manifest(self, gauss_store, tmp_path):
-        cfg = tiny_cfg(filtering=True)
+        cfg = tiny_cfg()
         cfg.filter = FilterConfig(filter_every=10, min_demos=1,
                                   step_threshold=0, max_demo_len=25)
         out = str(tmp_path / "run")
         result = train(cfg, gauss_store, SeededRng(17), out_dir=out)
         _, _, bc_metrics = train_bc(cfg, gauss_store, SeededRng(18),
                                     out_dir=str(tmp_path / "bc"))
-        for path, metrics, seed in (
-                (out, result.metrics, 17),
-                (str(tmp_path / "bc"), bc_metrics, 18)):
+        for path, metrics, seed, filtering in (
+                (out, result.metrics, 17, True),
+                (str(tmp_path / "bc"), bc_metrics, 18, False)):
             with open(os.path.join(path, "run.json")) as fh:
                 manifest = json.load(fh)
             assert set(manifest) == {
-                "config", "train_seed", "numpy", "blas",
+                "config", "filtering", "train_seed", "numpy", "blas",
                 "openblas_num_threads", "wall_clock", "counters",
                 "filter_summaries"}
             assert manifest["config"] == json.loads(json.dumps(
                 dataclasses.asdict(cfg)))
+            assert manifest["filtering"] is filtering
             assert manifest["train_seed"] == seed
             assert manifest["numpy"] == np.__version__
             assert set(manifest["blas"]) == {"name", "version"}
@@ -183,7 +201,11 @@ class TestTrainLoop:
 
     def test_no_filter_leaves_store_untouched(self, gauss_store):
         ids_before = [tr.traj_id for tr in gauss_store.trajectories]
-        result = train(tiny_cfg(filtering=False), gauss_store, SeededRng(11))
+        cfg = tiny_cfg()
+        # passes that would run every 10 iterations with filtering on
+        cfg.filter = FilterConfig(filter_every=10, min_demos=1,
+                                  step_threshold=0, max_demo_len=25)
+        result = train(cfg, gauss_store, SeededRng(11), filtering=False)
         assert result.metrics.counters["filter_passes"] == 0
         assert [tr.traj_id for tr in result.store.trajectories] == ids_before
         assert result.filter_reports == []
@@ -200,8 +222,7 @@ class TestTrainLoop:
         monkeypatch.setattr(trainer_mod, "filter_dataset", spy)
         n_iters = 20
         cfg = tiny_cfg(batch_size=32, transition_budget=32 * n_iters,
-                       filtering=True, update_ema_every=1,
-                       ema_warmup_steps=1)
+                       update_ema_every=1, ema_warmup_steps=1)
         cfg.filter = FilterConfig(filter_every=n_iters, min_demos=1,
                                   step_threshold=0, max_demo_len=25)
         result = train(cfg, gauss_store, SeededRng(12))
@@ -212,7 +233,7 @@ class TestTrainLoop:
         assert np.array_equal(captured["policy"], result.ema_policy.flat)
 
     def test_filter_pass_records_and_stop_flag(self, gauss_store):
-        cfg = tiny_cfg(filtering=True)
+        cfg = tiny_cfg()
         # min_demos exceeds the segment count: first pass must set the stop
         # flag, keep everything, and later passes must be skipped
         cfg.filter = FilterConfig(filter_every=10, min_demos=100,
@@ -311,8 +332,6 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             tiny_cfg(transition_budget=1).validate()
         with pytest.raises(ConfigError):
-            tiny_cfg(loss_norm="l3").validate()
-        with pytest.raises(ConfigError):
             TrainConfig(filter=FilterConfig(step_threshold=99)).validate()
         for bad in (dict(diffusion_steps=0), dict(beta_min=-1.0),
                     dict(beta_min=0.5, beta_max=0.4),
@@ -389,16 +408,18 @@ class TestAuditBins:
 
     def test_single_bin_covers_all(self, sched):
         store, records = self._setup(sched)
-        rows = audit_bins(store, records, [-1.0, 100.0])
-        assert len(rows) == 1
-        assert rows[0]["count"] == 6
+        rows = audit_bins(store, records, 100.0)
+        assert rows == [{"bin_lo": 0.0, "bin_hi": 100.0, "count": 6,
+                         "mean_step": rows[0]["mean_step"]}]
 
     def test_empty_bins_absent(self, sched):
         store, records = self._setup(sched)
-        rows = audit_bins(store, records, [-100.0, -50.0, 0.0, 50.0, 100.0])
-        # no returns in [-100, -50) or [-50, 0): those rows are absent
-        assert [(r["bin_lo"], r["count"]) for r in rows] == [
-            (0.0, 5), (50.0, 1)]
+        store.trajectories[-1].ret = 200.0
+        rows = audit_bins(store, records, 50.0)
+        # no returns in [50, 100) or [100, 150): those rows are absent, and
+        # the last bin holds its right edge
+        assert [(r["bin_lo"], r["bin_hi"], r["count"]) for r in rows] == [
+            (0.0, 50.0, 5), (150.0, 200.0, 1)]
 
     def test_split_trajectory_scores_as_a_whole(self, sched):
         # segments of 3, 3, 3 and 1 transitions: the length-weighted mean of
@@ -411,8 +432,10 @@ class TestAuditBins:
         store, records = self._setup(sched, max_demo_len=3, refs=refs)
         assert len(records) == 4 * store.num_trajectories
         oracle = OracleDenoiser(GaussianTask(seed=20, action_dim=2), sched)
-        # one bin per trajectory, so each row's mean step is one step
-        rows = audit_bins(store, records, np.arange(-5.0, 60.0, 10.0))
+        # one bin per trajectory (returns 0, 10, ..., 50 at edges 0, 7,
+        # ..., 56), so each row's mean step is one step
+        rows = audit_bins(store, records, 7.0)
+        assert len(rows) == store.num_trajectories
         steps = [int(np.argmax(q_curve_matrix(
                      oracle, tr.states, tr.actions,
                      refs[10 * i:10 * i + 10]).mean(axis=1)))
@@ -423,18 +446,57 @@ class TestAuditBins:
     def test_empty_store_rejected(self, sched):
         from smile.envs import DemoStore
         with pytest.raises(InvalidInputError):
-            audit_bins(DemoStore([]), [], [0, 1])
+            audit_bins(DemoStore([]), [], 1.0)
 
     def test_missing_returns_rejected(self, sched):
         store, records = self._setup(sched)
         store.trajectories[0].ret = None
         with pytest.raises(InvalidInputError):
-            audit_bins(store, records, [-1.0, 100.0])
+            audit_bins(store, records, 100.0)
 
     def test_bad_edges_rejected(self, sched):
+        # a width below the spacing of floats at the returns gives no
+        # rising edges, and one of 10^-15 over returns 0..50 more than 2^53
         store, records = self._setup(sched)
-        with pytest.raises(InvalidInputError):
-            audit_bins(store, records, [1.0, 1.0])
+        with pytest.raises(InvalidInputError, match="too fine"):
+            audit_bins(store, records, 1e-15)
+        for tr in store.trajectories:
+            tr.ret += 1e6
+        with pytest.raises(InvalidInputError, match="too fine"):
+            audit_bins(store, records, 1e-12)
+
+    def test_bins_are_those_of_the_arange_edges(self, sched):
+        # the bins of np.arange(lo, hi + width / 2, width), found by a loop
+        # over every bin as audit_bins did before it stopped building the
+        # edges, for widths from 10^-2 to 10^2 and returns put on edges
+        store, records = self._setup(sched)
+        draws = np.random.default_rng(0)
+        for _ in range(600):
+            width = float(10 ** draws.uniform(-2, 2))
+            rets = draws.uniform(-30, 10, store.num_trajectories)
+            lo = np.floor(rets.min() / width) * width
+            on_edge = lo + draws.integers(0, 4, len(rets)) * (
+                (lo + width) - lo)
+            rets = np.where(draws.random(len(rets)) < 0.5, on_edge, rets)
+            for tr, ret in zip(store.trajectories, rets):
+                tr.ret = float(ret)
+            lo = np.floor(rets.min() / width) * width
+            hi = np.ceil(rets.max() / width) * width
+            if hi <= lo:
+                hi = lo + width
+            edges = np.arange(lo, hi + width / 2, width)
+            got = audit_bins(store, records, width)
+            want = []
+            for i, (b_lo, b_hi) in enumerate(zip(edges[:-1], edges[1:])):
+                last = i == len(edges) - 2
+                members = [j for j, r in enumerate(rets)
+                           if b_lo <= r and (r <= b_hi if last else r < b_hi)]
+                if members:
+                    want.append((repr(float(b_lo)), repr(float(b_hi)),
+                                 members))
+            assert [(repr(r["bin_lo"]), repr(r["bin_hi"]), r["count"])
+                    for r in got] == [(lo_, hi_, len(m))
+                                      for lo_, hi_, m in want]
 
 
 class TestBench:
