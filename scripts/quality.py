@@ -21,8 +21,9 @@ Statistical Precipice* (arXiv 2108.13264): the interquartile mean (IQM)
 over seeds with a percentile interval from the stratified bootstrap. One
 environment is one stratum, so the bootstrap resamples the seeds.
 
-With --parent, a bench of another checkout on the same config and seeds is
-compared run by run, change minus parent, under two tests:
+With --parent, a bench of another checkout on the same config text (else
+it exits) and seeds is compared run by run, change minus parent, under two
+tests:
   paired  per method and seed, the mean per-spawn difference lies within
           its standard error (the north-star test);
   spread  per method, the change in the mean over seeds is at least
@@ -204,10 +205,13 @@ def run_bench(text: str, seeds: list[int], work: Path) -> dict:
 
 def compare(bench: dict, parent: dict) -> dict:
     """Each method's change against ``parent``'s under the paired and the
-    spread test, over the seeds both evaluated."""
+    spread test, over the seeds both evaluated. A parent of other spawns or
+    another config text is refused."""
     if parent["spawns"] != bench["spawns"]:
         raise SystemExit(f"parent spawns {parent['spawns']} differ from "
                          f"{bench['spawns']}")
+    if parent["config"] != bench["config"]:
+        raise SystemExit("parent config text differs from this bench's")
     out = {"expert_identical":
            parent["returns"]["expert"] == bench["returns"]["expert"]}
     for method in METHODS:

@@ -20,7 +20,7 @@ from .config import DEFAULT_CONFIG, ExperimentConfig, load_config
 from .diffusion import NoiseModel
 from .errors import (ConfigError, InvalidInputError, SmileError,
                      ValidationError)
-from .expertise import filter_report, save_filter_report, score_dataset
+from .expertise import FilterReport, save_filter_report, score_dataset
 from .mathcore import SeededRng, derive_seed, load_checkpoint
 from .policy import BcBaseline, GeneratorPolicy
 from .trainer import audit_bins, bench_reverse, train, train_bc
@@ -139,7 +139,7 @@ def cmd_audit(args) -> int:
 
     # One scoring pass feeds both the bin table and the per-trajectory
     # report (filter-report format); the store is left untouched.
-    records, kept = score_dataset(store, model, policy, cfg.train.filter)
+    records, _ = score_dataset(store, model, policy, cfg.train.filter)
     rows = audit_bins(store, records, width)
     print("bin_lo,bin_hi,count,mean_step")
     for row in rows:
@@ -147,8 +147,7 @@ def cmd_audit(args) -> int:
               f"{row['mean_step']!r}")
 
     if args.out:
-        save_filter_report(filter_report(records, kept, cfg.train.filter),
-                           args.out)
+        save_filter_report(FilterReport(records), args.out)
         print(f"wrote per-trajectory report to {args.out}")
     return 0
 

@@ -12,10 +12,12 @@ score_dataset is the one scoring path: it segments the store at terminals or
 max_demo_len and returns one record per segment, with its mean Q curve and
 predicted step. A segment's whole curve costs one slice of a single policy
 call and one denoiser forward over T copies of its rows (q_curve_matrix).
-The filter drops segments at or below the step threshold and refuses to act
-at all (setting stop_filtering) whenever dropping would leave fewer than
-min_demos segments (filter_report, which the audit's report uses too); the
-return-bin audit (trainer.audit_bins) reads the same records.
+score_dataset also gives each segment its verdict, by one rule that does
+not look at store order: a segment is kept iff its step is above the step
+threshold or among the min_demos highest steps (ties with the last of them
+included). So every pass keeps at least min_demos segments, and no pass
+switches filtering off. filter_dataset commits those verdicts; the audit's
+report and the return-bin audit (trainer.audit_bins) read the same records.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import ConfigError, InvalidInputError
 @dataclass
 class FilterConfig:
     filter_every: int = 2500
+    # the floor: a pass always keeps the min_demos highest-step segments
     min_demos: int = 10
     step_threshold: int = 1
     max_demo_len: int = 100
@@ -66,7 +69,6 @@ class SegmentRecord:
 @dataclass
 class FilterReport:
     records: list[SegmentRecord]
-    stop_filtering: bool
     iteration: int | None = None
 
     @property
@@ -83,8 +85,7 @@ class FilterReport:
 
     def summary(self) -> dict:
         return {"iteration": self.iteration, "n_before": self.n_before,
-                "n_kept": self.n_kept, "n_dropped": self.n_dropped,
-                "stop_filtering": self.stop_filtering}
+                "n_kept": self.n_kept, "n_dropped": self.n_dropped}
 
 
 def save_filter_report(report: FilterReport, path: str) -> None:
@@ -163,7 +164,14 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig):
     """Segment the store and score every segment without touching it.
 
     Returns (records, kept_segments): per-segment reports with keep/drop
-    verdicts against cfg.step_threshold, and the segments that would remain.
+    verdicts, and the segments that would remain. With k = min(min_demos,
+    number of segments) and s_k the k-th highest predicted step, a segment
+    is kept iff its step > min(step_threshold, s_k - 1): the segments above
+    the threshold or, where fewer than k are, the k highest-step segments
+    and every segment tied with the last of them. The verdicts depend on
+    the steps alone, not on store order, which for generated stores follows
+    the noise level.
+
     This is the only place that turns (model, policy, store) into predicted
     steps. The policy is called once over ``store.sample_all()`` and its
     actions are reused across every t'. Each segment's Q curve is then one
@@ -187,17 +195,23 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig):
     states, targets = store.sample_all()
     refs = np.atleast_2d(policy.act(states))
 
+    curves = []
+    lo = 0  # segments tile the store's flat arrays in order
+    for _, start, stop in segments:
+        hi = lo + stop - start
+        curves.append(q_curve_matrix(model, states[lo:hi], targets[lo:hi],
+                                     refs[lo:hi]).mean(axis=1))
+        lo = hi
+    steps = [int(np.argmax(curve)) for curve in curves]
+    k = min(cfg.min_demos, len(steps))
+    cut = min(cfg.step_threshold, sorted(steps)[-k] - 1)
+
     records = []
     kept_segments = []
-    lo = 0  # segments tile the store's flat arrays in order
-    for seg_id, (parent, start, stop) in enumerate(segments):
-        hi = lo + stop - start
-        curve = q_curve_matrix(model, states[lo:hi], targets[lo:hi],
-                               refs[lo:hi]).mean(axis=1)
-        lo = hi
-        step = int(np.argmax(curve))
+    for seg_id, ((parent, start, stop), curve, step) in enumerate(
+            zip(segments, curves, steps)):
         seg = _segment_trajectory(parent, start, stop, seg_id)
-        keep = step > cfg.step_threshold
+        keep = step > cut
         if keep:
             kept_segments.append(seg)
         records.append(SegmentRecord(
@@ -208,28 +222,14 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig):
     return records, kept_segments
 
 
-def filter_report(records: list[SegmentRecord], kept_segments: list,
-                  cfg: FilterConfig, iteration: int | None = None):
-    """The FilterReport of score_dataset's output: if fewer than min_demos
-    segments are kept, every verdict turns to keep and filtering stops."""
-    stop = len(kept_segments) < cfg.min_demos
-    if stop:
-        for rec in records:
-            rec.verdict = "keep"
-    return FilterReport(records, stop_filtering=stop, iteration=iteration)
-
-
 def filter_dataset(store: DemoStore, model, policy, cfg: FilterConfig,
                    iteration: int | None = None) -> FilterReport:
-    """Score every segment, drop those with predicted step <= threshold, and
-    commit the reduced store — unless filter_report stops filtering, in
-    which case nothing is dropped.
+    """Score every segment and commit the ones score_dataset keeps, at
+    least min(min_demos, number of segments) of them, as the new store.
 
     The models passed in are read-only (callers hand in EMA snapshots); the
     store commit is a single atomic swap.
     """
     records, kept_segments = score_dataset(store, model, policy, cfg)
-    report = filter_report(records, kept_segments, cfg, iteration)
-    if not report.stop_filtering:
-        store.replace(kept_segments)
-    return report
+    store.replace(kept_segments)
+    return FilterReport(records, iteration=iteration)

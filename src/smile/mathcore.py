@@ -123,9 +123,9 @@ class FeedForwardNet:
             raise InvalidInputError(f"bad layer widths {widths}")
         self.widths = list(widths)
         self.flat = np.zeros(self.size(widths), dtype=dtype)
-        self._views = reshape_views(self.flat, self.shapes(widths))
-        self.weights = self._views[0::2]
-        self.biases = self._views[1::2]
+        views = reshape_views(self.flat, self.shapes(widths))
+        self.weights = views[0::2]
+        self.biases = views[1::2]
         # (weight, bias) of every layer after the first, paired once here
         # and not on every call: a single-state act is a few microseconds
         self._rest = list(zip(self.weights[1:], self.biases[1:]))
@@ -148,15 +148,13 @@ class FeedForwardNet:
         return [shape for n_in, n_out in zip(widths[:-1], widths[1:])
                 for shape in ((n_in, n_out), (n_out,))]
 
-    def set_params(self, params: list[np.ndarray]) -> None:
-        """Copy a per-tensor list into the views of ``flat``."""
-        if len(self._views) != len(params):
-            raise InvalidInputError("parameter list length mismatch")
-        for dst, src in zip(self._views, params):
-            if dst.shape != np.shape(src):
-                raise InvalidInputError(
-                    f"parameter shape mismatch {dst.shape} vs {np.shape(src)}")
-            dst[...] = src
+    def set_params(self, flat: np.ndarray) -> None:
+        """Copy ``flat``, a parameter vector laid out like ``self.flat``,
+        into it."""
+        if np.shape(flat) != self.flat.shape:
+            raise InvalidInputError(f"parameter vector shape {np.shape(flat)} "
+                                    f"!= {self.flat.shape}")
+        self.flat[...] = flat
 
     def _input(self, x: np.ndarray) -> np.ndarray:
         """``x`` in the net's dtype, checked against the first layer's
@@ -353,9 +351,9 @@ def save_checkpoint(path: str, role: str, net, vector: np.ndarray) -> None:
 
 
 def load_checkpoint(path: str) -> dict:
-    """Read a checkpoint; ``params`` comes back as a list of read-only
-    per-tensor views (``reshape_views``) of a vector of the dtype its
-    ``arch`` names (``arch_dtype``), shaped by ``arch["widths"]``.
+    """Read a checkpoint; ``params`` comes back as one read-only vector of
+    the dtype its ``arch`` names (``arch_dtype``), laid out like the
+    ``flat`` of the network ``arch["widths"]`` describes.
 
     A format_version other than ``CHECKPOINT_VERSION`` raises
     CheckpointVersionError. An unreadable or non-UTF-8 file, malformed JSON
@@ -407,5 +405,5 @@ def load_checkpoint(path: str) -> dict:
     vec = np.frombuffer(raw, dtype=dtype)
     if not np.isfinite(vec).all():
         raise InvalidInputError(f"checkpoint {path}: non-finite 'params'")
-    payload["params"] = reshape_views(vec, FeedForwardNet.shapes(widths))
+    payload["params"] = vec
     return payload

@@ -139,10 +139,7 @@ def snapshot_policy(net, flat: np.ndarray):
     """A fresh network of ``net``'s type and architecture (a policy or a
     noise model) holding the parameter vector ``flat``."""
     copy = type(net).from_arch(net.arch())
-    if flat.shape != copy.flat.shape:
-        raise InvalidInputError(
-            f"parameter vector shape {flat.shape} != {copy.flat.shape}")
-    copy.flat[...] = flat
+    copy.set_params(flat)
     return copy
 
 
@@ -217,11 +214,12 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
 
     Per iteration: sample a batch; update each part in order; check the
     losses for finiteness; advance every part's EMA; filter (with
-    ``filtering``, until a pass stops it; parts[0] is then the denoiser,
-    parts[1] the generator), so a pass reads this iteration's shadow; log
-    the row, evaluating parts[-1] when due. Batches and evaluations draw
-    from streams spawned off ``rng``, the run's root. A finished run with
-    ``out_dir`` writes each part's checkpoint and the run manifest.
+    ``filtering``, every ``filter_every`` iterations; parts[0] is then the
+    denoiser, parts[1] the generator), so a pass reads this iteration's
+    shadow; log the row, evaluating parts[-1] when due. Batches and
+    evaluations draw from streams spawned off ``rng``, the run's root. A
+    finished run with ``out_dir`` writes each part's checkpoint and the run
+    manifest.
     """
     env = store.env
     counters = {f"{part.name}_optimizer_steps": 0 for part in parts}
@@ -272,8 +270,7 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                         ema_update(part.ema, part.net.flat)
                 counters["ema_updates"] += 1
 
-            if (filtering and idx % cfg.filter.filter_every == 0
-                    and not (reports and reports[-1].stop_filtering)):
+            if filtering and idx % cfg.filter.filter_every == 0:
                 with phase("filter"):
                     report = filter_dataset(
                         store, parts[0].shadow_copy(), parts[1].shadow_copy(),
@@ -375,10 +372,12 @@ def audit_bins(store: DemoStore, records: list[SegmentRecord],
                width: float) -> list[dict]:
     """Group trajectories by return bin; report count and mean predicted
     diffusion step per occupied bin, in bin order (empty bins are absent).
-    The bins are those of np.arange(lo, hi + width / 2, width), lo and hi
-    being the extreme returns rounded out to multiples of ``width``, each
-    closed on the right only if last. Only occupied bins' edges are
-    computed, the way np.arange fills them: lo + i * ((lo + width) - lo).
+    With lo and hi the extreme returns rounded out to multiples of
+    ``width`` and n the number of bins of np.arange(lo, hi + width / 2,
+    width), a return ret lies in bin k = clip(floor((ret - lo) / width),
+    0, n - 1), whose edges are lo + k * width and lo + (k + 1) * width. So
+    every trajectory lies in exactly one bin, at any width whose bins the
+    floats can tell apart.
 
     Nothing is scored here: ``records`` are the segment records
     score_dataset returned for this store. A trajectory's Q curve is the
@@ -406,29 +405,17 @@ def audit_bins(store: DemoStore, records: list[SegmentRecord],
     hi = np.ceil(rets.max() / width) * width
     if hi <= lo:
         hi = lo + width
-    n_edges = math.ceil((hi + width / 2 - lo) / width)  # len(np.arange(...))
-    step = (lo + width) - lo
-    if not (step > 0 and 2 <= n_edges < 2 ** 53):
+    n_bins = math.ceil((hi + width / 2 - lo) / width) - 1
+    if not ((lo + width) - lo > 0 and 1 <= n_bins < 2 ** 53 - 1):
         raise InvalidInputError(
             f"bin width {width!r} is too fine for returns in [{lo!r}, "
             f"{hi!r}]")
-
-    def edge(i):
-        return np.where(i == 0, lo, lo + i * step)
-
-    # bin b holds edge(b) <= ret < edge(b + 1) (-1 and n_edges - 1 are out
-    # of range); edges rise with i, so each ret moves one way from its guess
-    b = np.clip(np.floor((rets - lo) / step), -1, n_edges - 1).astype(np.int64)
-    moves = 1
-    while np.any(moves):
-        moves = ((b < n_edges - 1) & (edge(b + 1) <= rets)).astype(np.int64) \
-            - ((b >= 0) & (edge(b) > rets))
-        b += moves
-    b[(b == n_edges - 1) & (rets == edge(n_edges - 1))] = n_edges - 2
+    b = np.clip(np.floor((rets - lo) / width), 0, n_bins - 1).astype(np.int64)
     rows = []
-    for k in np.unique(b[(b >= 0) & (b < n_edges - 1)]):
+    for k in np.unique(b):
         mask = b == k
-        rows.append({"bin_lo": float(edge(k)), "bin_hi": float(edge(k + 1)),
+        rows.append({"bin_lo": float(lo + k * width),
+                     "bin_hi": float(lo + (k + 1) * width),
                      "count": int(mask.sum()),
                      "mean_step": float(steps[mask].mean())})
     return rows

@@ -119,8 +119,7 @@ def test_bc_checkpoint_audits_and_benches(run, tmp_path):
     snap, _, _ = train_bc(exp.train, store,
                           SeededRng(derive_seed(exp.seed, "train")))
     assert loaded["role"] == "bc"
-    got = np.concatenate([p.reshape(-1) for p in loaded["params"]])
-    assert got.tobytes() == snap.flat.tobytes()
+    assert loaded["params"].tobytes() == snap.flat.tobytes()
     generator = ["--denoiser", str(out / "denoiser.json"),
                  "--generator", str(tmp_path / "bc.json")]
     assert cli.main(["audit", "--config", cfg, *generator,
@@ -241,8 +240,8 @@ def test_schedule_steps_must_match_denoiser(run, tmp_path, capsys, command,
 @pytest.mark.parametrize("threshold", [0, 10])
 def test_audit_report_is_the_filter_pass_report(run, tmp_path, threshold):
     # the same store, checkpoints and config: audit --out writes the report
-    # a filter pass gives, also when the pass stops filtering (threshold 10
-    # drops every segment, which min_demos 1 forbids)
+    # a filter pass gives, also where the min_demos floor decides it
+    # (threshold 10 is above every step, so only the top steps are kept)
     cfg, out = run
     other = tmp_path / "other.ini"
     other.write_text(open(cfg).read().replace(
@@ -255,7 +254,10 @@ def test_audit_report_is_the_filter_pass_report(run, tmp_path, threshold):
         store, cli._load_actor(exp, str(out / "denoiser.json"), "denoiser"),
         cli._load_actor(exp, str(out / "generator.json"), "generator"),
         exp.train.filter)
-    assert report.stop_filtering == (threshold == 10)
+    steps = [r.predicted_step for r in report.records]
+    cut = threshold if threshold == 0 else max(steps) - 1
+    assert [r.verdict for r in report.records] == [
+        "keep" if step > cut else "drop" for step in steps]
     save_filter_report(report, str(tmp_path / "pass.json"))
     assert (tmp_path / "audit.json").read_bytes() \
         == (tmp_path / "pass.json").read_bytes()
@@ -270,8 +272,25 @@ def test_fine_bin_width_costs_nothing_extra(run, capsys):
     assert time.perf_counter() - start < 1.0
     lines = capsys.readouterr().out.splitlines()
     table = lines[lines.index("bin_lo,bin_hi,count,mean_step") + 1:-1]
-    assert 1 <= len(table) <= 10
+    assert len(table) == 10
     assert all(row.split(",")[2] == "1" for row in table)
+
+
+def test_floor_above_the_segment_count_keeps_every_pass(run, tmp_path,
+                                                         capsys):
+    # min_demos 100 over 10 segments: both scheduled passes run, each keeps
+    # every segment, so the store keeps its 1,000 transitions
+    cfg, out = run
+    other = write_config(tmp_path / "cfg.ini", tmp_path)
+    text = open(other).read().replace("min_demos = 1", "min_demos = 100")
+    open(other, "w").write(text)
+    assert cli.main(["train", "--config", other, "--demos",
+                     str(out / "demos.jsonl")]) == 0
+    stdout = capsys.readouterr().out
+    assert "store_size=1000 filter_passes=2" in stdout
+    summaries = json.load(open(tmp_path / "run.json"))["filter_summaries"]
+    assert [(s["iteration"], s["n_kept"]) for s in summaries] == [
+        (10, 10), (20, 10)]
 
 
 @pytest.mark.parametrize("line", [
@@ -768,8 +787,7 @@ def test_flipped_checkpoint_byte_is_caught(small_run, role, frac, delta):
     # a change that leaves the JSON's meaning intact, such as other whitespace
     want = load_checkpoint(str(good))
     assert (got["role"], got["arch"]) == (want["role"], want["arch"])
-    assert [a.tobytes() for a in got["params"]] == \
-        [a.tobytes() for a in want["params"]]
+    assert got["params"].tobytes() == want["params"].tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -327,33 +327,67 @@ def _offset_store(offsets, sched, n=4, dim=2, seed=0):
     return store, policy, model
 
 
+class _StatePolicy(TablePolicy):
+    """TablePolicy that looks every row up by its state, so it answers the
+    rows it was built from in any subset or order."""
+
+    def act(self, s):
+        return np.stack([super(_StatePolicy, self).act(row)
+                         for row in np.atleast_2d(s)])
+
+
+def _step_store(steps, sched, n=4, dim=2, seed=0):
+    """Store + policy + model where segment i's mean-Q curve peaks at
+    steps[i] alone: its reference is the action plus 0.5, which the stub's
+    noise walks back onto the action at exactly that step (0: no walk, a
+    flat curve). Policy and model look rows up by state, so they score any
+    reordered or filtered copy of the store."""
+    offsets = [0.0 if t == 0 else 0.5 for t in steps]
+    store, table, _ = _offset_store(offsets, sched, n, dim, seed)
+    policy = _StatePolicy(table.states, table.actions)
+    states = np.concatenate([tr.states for tr in store.trajectories])
+    vecs = np.repeat([0.0 if t == 0 else 0.5 * sched.sigmas[-1]
+                      / sched.sigmas[t] for t in steps], n)
+    model = _OffsetModel(states, np.repeat(vecs[:, None], dim, axis=1),
+                         sched)
+    return store, policy, model
+
+
 class TestFilterDataset:
     def test_all_high_steps_drop_nothing(self, sched):
         store, policy, model = _offset_store([0.5] * 6, sched)
         cfg = FilterConfig(min_demos=1, step_threshold=1, max_demo_len=100)
         report = filter_dataset(store, model, policy, cfg)
         assert report.n_dropped == 0
-        assert not report.stop_filtering
         assert store.num_trajectories == 6
         assert all(r.predicted_step == sched.T for r in report.records)
 
-    def test_min_demos_guard_sets_stop_and_keeps_all(self, sched):
-        # 12 segments, 5 scored at step 0 (<= threshold): keeping the rest
-        # would leave 7 < 10, so nothing is dropped and filtering stops
-        store, policy, model = _offset_store([0.0] * 5 + [0.5] * 7, sched)
-        cfg = FilterConfig(min_demos=10, step_threshold=1, max_demo_len=100)
+    @pytest.mark.parametrize("min_demos, kept", [
+        (1, [7]), (3, [5, 5, 7, 5]), (4, [5, 5, 7, 5]),
+        (5, [5, 5, 7, 5, 3]), (100, [2, 5, 5, 0, 7, 5, 1, 3])],
+        ids=["1", "3", "4", "5", "100"])
+    def test_min_demos_floor_keeps_the_top_steps_and_ties(self, sched,
+                                                          min_demos, kept):
+        # threshold 8 is above every step, which would drop every segment:
+        # the pass keeps the min_demos highest steps and all their ties,
+        # commits them, and the next pass filters the smaller store again
+        steps = [2, 5, 5, 0, 7, 5, 1, 3]
+        store, policy, model = _step_store(steps, sched)
+        cfg = FilterConfig(min_demos=min_demos, step_threshold=8,
+                           max_demo_len=100)
         report = filter_dataset(store, model, policy, cfg)
-        assert report.stop_filtering
-        assert report.n_before == 12
-        assert report.n_kept == 12 and report.n_dropped == 0
-        assert store.num_trajectories == 12
-        assert all(r.verdict == "keep" for r in report.records)
+        assert [r.predicted_step for r in report.records] == steps
+        assert [r.predicted_step for r in report.records
+                if r.verdict == "keep"] == kept
+        assert store.num_trajectories == len(kept)
+        again = filter_dataset(store, model, policy, cfg)
+        assert again.n_before == len(kept)
+        assert again.n_kept == len(kept)
 
     def test_drop_commits_reduced_store(self, sched):
         store, policy, model = _offset_store([0.0] * 5 + [0.5] * 7, sched)
         cfg = FilterConfig(min_demos=3, step_threshold=1, max_demo_len=100)
         report = filter_dataset(store, model, policy, cfg)
-        assert not report.stop_filtering
         assert report.n_kept == 7 and report.n_dropped == 5
         assert store.num_trajectories == 7
         assert report.n_kept + report.n_dropped == report.n_before
@@ -365,27 +399,48 @@ class TestFilterDataset:
         assert store.num_trajectories >= 2
 
     @settings(max_examples=30, deadline=None)
-    @given(lo=st.integers(0, 9))
-    def test_threshold_monotonicity(self, lo):
-        # a segment kept at threshold k stays kept at every threshold < k
+    @given(lo=st.integers(0, 9), min_demos=st.integers(1, 6))
+    def test_threshold_monotonicity(self, lo, min_demos):
+        # a segment kept at threshold k stays kept at every threshold < k,
+        # at every min_demos from 1 to the segment count
         from smile.diffusion import build_schedule
         sched = build_schedule(10, 0.05, 0.6)
         hi = lo + 1
-        offsets = [0.0, 0.1, 0.4, 0.8, 0.0, 0.6]
-        store_hi, policy, model = _offset_store(offsets, sched)
-        store_lo, _, _ = _offset_store(offsets, sched)
-        cfg_hi = FilterConfig(min_demos=1, step_threshold=hi,
+        steps = [0, 3, 7, 10, 0, 5]
+        store_hi, policy, model = _step_store(steps, sched)
+        store_lo, _, _ = _step_store(steps, sched)
+        cfg_hi = FilterConfig(min_demos=min_demos, step_threshold=hi,
                               max_demo_len=100)
-        cfg_lo = FilterConfig(min_demos=1, step_threshold=lo,
+        cfg_lo = FilterConfig(min_demos=min_demos, step_threshold=lo,
                               max_demo_len=100)
         rep_hi = filter_dataset(store_hi, model, policy, cfg_hi)
         rep_lo = filter_dataset(store_lo, model, policy, cfg_lo)
         kept_hi = {r.segment_id for r in rep_hi.records
-                   if r.verdict == "keep" and not rep_hi.stop_filtering}
+                   if r.verdict == "keep"}
         kept_lo = {r.segment_id for r in rep_lo.records
-                   if r.verdict == "keep" and not rep_lo.stop_filtering}
-        if not rep_hi.stop_filtering and not rep_lo.stop_filtering:
-            assert kept_hi <= kept_lo
+                   if r.verdict == "keep"}
+        assert kept_hi <= kept_lo
+        assert len(kept_hi) >= min_demos
+
+    @pytest.mark.parametrize("threshold", [1, 8])
+    def test_verdicts_do_not_depend_on_store_order(self, sched, threshold):
+        # the same trajectories in any order keep the same ones, at a
+        # threshold and where the min_demos floor decides
+        steps = [2, 5, 5, 0, 7, 5, 1, 3]
+        store, policy, model = _step_store(steps, sched)
+        cfg = FilterConfig(min_demos=3, step_threshold=threshold,
+                           max_demo_len=100)
+        trajs = store.trajectories
+        kept = []
+        for order in ([0, 1, 2, 3, 4, 5, 6, 7], [7, 6, 5, 4, 3, 2, 1, 0],
+                      [3, 5, 0, 7, 2, 4, 6, 1], [1, 2, 5, 4, 0, 3, 6, 7]):
+            records, _ = score_dataset(DemoStore([trajs[i] for i in order]),
+                                       model, policy, cfg)
+            kept.append(sorted(r.parent_id for r in records
+                               if r.verdict == "keep"))
+        assert kept[0] == ([0, 1, 2, 4, 5, 7] if threshold == 1
+                           else [1, 2, 4, 5])
+        assert all(k == kept[0] for k in kept)
 
     def test_segments_get_fresh_ids_and_provenance(self, sched):
         traj = make_traj(np.zeros((6, 2)), np.zeros((6, 2)), tid=42,

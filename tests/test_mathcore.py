@@ -416,10 +416,8 @@ class TestCheckpoint:
         assert loaded["role"] == "denoiser"
         assert loaded["arch"] == model.arch()
         got = loaded["params"]
-        assert [a.shape for a in got] == model.shapes(model.widths)
-        assert all(a.dtype == dtype for a in got)
-        assert np.concatenate([a.reshape(-1) for a in got]).tobytes() \
-            == ema.shadow.tobytes()
+        assert got.shape == model.flat.shape and got.dtype == dtype
+        assert got.tobytes() == ema.shadow.tobytes()
         return path, ema.shadow
 
     def test_roundtrip_exact(self, tmp_path):

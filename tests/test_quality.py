@@ -34,3 +34,19 @@ def test_bootstrap_interval_is_seeded():
     assert quality.bootstrap_ci(values, seed=4) != first
     lo, hi = first
     assert min(values) <= lo <= quality.iqm(values) <= hi <= max(values)
+
+
+def _bench(config="[train]\n", spawns=None, returns=(-19.0, -19.5)):
+    return {"config": config,
+            "spawns": spawns or {"seed": quality.SPAWN_SEED, "episodes": 2},
+            "returns": {"expert": [-19.0, -19.0],
+                        **{m: {"7": list(returns), "8": list(returns)}
+                           for m in quality.METHODS}}}
+
+
+def test_compare_refuses_another_config_or_other_spawns():
+    assert quality.compare(_bench(), _bench())["smile"]["mean_change"] == 0
+    with pytest.raises(SystemExit, match="config text differs"):
+        quality.compare(_bench(), _bench(config="[train]\nfiltering = 1\n"))
+    with pytest.raises(SystemExit, match="spawns"):
+        quality.compare(_bench(), _bench(spawns={"seed": 1, "episodes": 2}))

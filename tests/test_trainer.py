@@ -232,16 +232,27 @@ class TestTrainLoop:
         assert not np.array_equal(captured["model"], result.noise_model.flat)
         assert np.array_equal(captured["policy"], result.ema_policy.flat)
 
-    def test_filter_pass_records_and_stop_flag(self, gauss_store):
+    @pytest.mark.parametrize("min_demos", [5, 100])
+    def test_every_scheduled_pass_runs(self, gauss_store, min_demos):
+        # threshold 10 is above every step, so each pass keeps only its
+        # min_demos highest-step segments and their ties (every segment
+        # when min_demos exceeds their count), and the next pass still runs
         cfg = tiny_cfg()
-        # min_demos exceeds the segment count: first pass must set the stop
-        # flag, keep everything, and later passes must be skipped
-        cfg.filter = FilterConfig(filter_every=10, min_demos=100,
+        cfg.filter = FilterConfig(filter_every=10, min_demos=min_demos,
                                   step_threshold=10, max_demo_len=25)
         result = train(cfg, gauss_store, SeededRng(13))
-        assert len(result.filter_reports) == 1
-        assert result.filter_reports[0].stop_filtering
-        assert result.store.num_trajectories == 12
+        assert [r.iteration for r in result.filter_reports] == [10, 20, 30]
+        assert result.metrics.counters["filter_passes"] == 3
+        for report in result.filter_reports:
+            steps = sorted(r.predicted_step for r in report.records)
+            s_k = steps[-min(min_demos, len(steps))]
+            assert [r.verdict for r in report.records] == [
+                "keep" if r.predicted_step >= s_k else "drop"
+                for r in report.records]
+            assert report.n_kept >= min(min_demos, report.n_before)
+        if min_demos == 100:
+            assert result.store.num_trajectories == 12
+            assert all(r.n_dropped == 0 for r in result.filter_reports)
 
     def test_non_finite_loss_aborts_with_diagnostics(self, gauss_store,
                                                      tmp_path, monkeypatch):
@@ -278,8 +289,7 @@ class TestTrainLoop:
             loaded = load_checkpoint(
                 os.path.join(out, f"diagnostic_{role}.json"))
             assert loaded["role"] == role
-            got = np.concatenate([p.reshape(-1) for p in loaded["params"]])
-            assert got.tobytes() == net.flat.tobytes()
+            assert loaded["params"].tobytes() == net.flat.tobytes()
 
     def test_checkpoints_hold_the_ema_shadow(self, gauss_store, tmp_path):
         out, bc_out = str(tmp_path / "run"), str(tmp_path / "bc")
@@ -295,7 +305,7 @@ class TestTrainLoop:
             assert set(loaded) == {"format_version", "role", "arch",
                                    "params", "crc32"}
             assert (loaded["role"], loaded["arch"]) == (role, ema.arch())
-            got = np.concatenate([p.reshape(-1) for p in loaded["params"]])
+            got = loaded["params"]
             assert got.tobytes() == ema.flat.tobytes()
             assert got.tobytes() != live.flat.tobytes()
 
@@ -466,17 +476,17 @@ class TestAuditBins:
             audit_bins(store, records, 1e-12)
 
     def test_bins_are_those_of_the_arange_edges(self, sched):
-        # the bins of np.arange(lo, hi + width / 2, width), found by a loop
-        # over every bin as audit_bins did before it stopped building the
-        # edges, for widths from 10^-2 to 10^2 and returns put on edges
+        # at widths whose multiples are exact floats (the default 20 among
+        # them), bin k = floor((ret - lo) / width) is the bin of
+        # np.arange(lo, hi + width / 2, width) that holds ret, each closed
+        # on the right only if last, and the printed edges are its edges
         store, records = self._setup(sched)
         draws = np.random.default_rng(0)
-        for _ in range(600):
-            width = float(10 ** draws.uniform(-2, 2))
-            rets = draws.uniform(-30, 10, store.num_trajectories)
+        for _ in range(300):
+            width = float(draws.choice([0.25, 0.5, 1.0, 2.0, 5.0, 20.0]))
+            rets = draws.uniform(-60, 10, store.num_trajectories)
             lo = np.floor(rets.min() / width) * width
-            on_edge = lo + draws.integers(0, 4, len(rets)) * (
-                (lo + width) - lo)
+            on_edge = lo + draws.integers(0, 4, len(rets)) * width
             rets = np.where(draws.random(len(rets)) < 0.5, on_edge, rets)
             for tr, ret in zip(store.trajectories, rets):
                 tr.ret = float(ret)
@@ -485,18 +495,55 @@ class TestAuditBins:
             if hi <= lo:
                 hi = lo + width
             edges = np.arange(lo, hi + width / 2, width)
-            got = audit_bins(store, records, width)
             want = []
             for i, (b_lo, b_hi) in enumerate(zip(edges[:-1], edges[1:])):
                 last = i == len(edges) - 2
-                members = [j for j, r in enumerate(rets)
+                members = [r for r in rets
                            if b_lo <= r and (r <= b_hi if last else r < b_hi)]
                 if members:
                     want.append((repr(float(b_lo)), repr(float(b_hi)),
-                                 members))
+                                 len(members)))
             assert [(repr(r["bin_lo"]), repr(r["bin_hi"]), r["count"])
-                    for r in got] == [(lo_, hi_, len(m))
-                                      for lo_, hi_, m in want]
+                    for r in audit_bins(store, records, width)] == want
+
+    def test_each_trajectory_in_exactly_one_bin(self, sched):
+        # at widths from 10^-12 to 10^2, half the returns put on edges:
+        # the counts add up to the trajectories, the bins rise, and each
+        # return lies between its bin's edges up to float rounding
+        store, records = self._setup(sched)
+        n = store.num_trajectories
+        draws = np.random.default_rng(1)
+        for _ in range(600):
+            width = float(10 ** draws.uniform(-12, 2))
+            rets = draws.uniform(-30, 10, n)
+            lo = np.floor(rets.min() / width) * width
+            on_edge = lo + draws.integers(0, 4, n) * width
+            rets = np.where(draws.random(n) < 0.5, on_edge, rets)
+            for tr, ret in zip(store.trajectories, rets):
+                tr.ret = float(ret)
+            rows = audit_bins(store, records, width)
+            assert sum(row["count"] for row in rows) == n
+            los = [row["bin_lo"] for row in rows]
+            assert los == sorted(set(los))
+            tol = 4 * np.spacing(30.0 + width)
+            for ret in rets:
+                assert sum(row["bin_lo"] - tol <= ret <= row["bin_hi"] + tol
+                           for row in rows) >= 1
+
+    @pytest.mark.parametrize("width", [1e-9, 1e-12])
+    def test_fine_width_counts_every_return(self, sched, width):
+        # 200 returns in [-23, 0], each counted once down to 10^-12
+        task = GaussianTask(seed=20, action_dim=2)
+        store = make_store(task, SeededRng(21), n_traj=200, traj_len=2)
+        for tr, ret in zip(store.trajectories,
+                           np.random.default_rng(2).uniform(-23, 0, 200)):
+            tr.ret = float(ret)
+        states, actions = store.sample_all()
+        records, _ = score_dataset(
+            store, OracleDenoiser(task, sched), TablePolicy(states, actions),
+            FilterConfig(min_demos=1))
+        rows = audit_bins(store, records, width)
+        assert sum(row["count"] for row in rows) == 200
 
 
 class TestBench:
@@ -574,3 +621,10 @@ class TestMetricsLog:
         assert np.array_equal(snap.flat, p.flat + 1.0)
         p.weights[0][...] = 99.0
         assert not np.allclose(snap.weights[0], 99.0)
+
+    def test_snapshot_rejects_a_vector_of_another_shape(self):
+        p = GeneratorPolicy(3, 2, SeededRng(1), hidden=(8,))
+        for bad in (p.flat[:-1], p.flat[None, :]):
+            with pytest.raises(InvalidInputError,
+                               match="parameter vector shape"):
+                snapshot_policy(p, bad)
