@@ -21,15 +21,21 @@ Statistical Precipice* (arXiv 2108.13264): the interquartile mean (IQM)
 over seeds with a percentile interval from the stratified bootstrap. One
 environment is one stratum, so the bootstrap resamples the seeds.
 
-With --parent, a bench of another checkout on the same config text (else
-it exits) and seeds is compared run by run, change minus parent, under two
-tests:
-  paired  per method and seed, the mean per-spawn difference lies within
-          its standard error (the north-star test);
-  spread  per method, the change in the mean over seeds is at least
-          -SPREAD_FRACTION times the parent's across-seed SD.
+With --parent, a bench of another checkout is compared run by run, change
+minus parent, over the seeds both evaluated. The parent must share the
+spawns and the demos: its config's [experiment] seed, [env] and [data]
+must be this bench's (else it exits). Its [train], [filter] and [schedule]
+keys may differ; those that do are recorded as `config_changes`, so a
+defaults change can be judged. Three tests per method:
+  paired   per seed, the mean per-spawn difference lies within its
+           standard error (the north-star test);
+  spread   the change in the mean over seeds is at least -SPREAD_FRACTION
+           times the parent's across-seed SD;
+  non-inferiority  the lower one-sided 95% bound of the mean per-seed
+           change, mean(d) - t(0.95, n-1) sd(d) / sqrt(n), lies above
+           -NONINFERIORITY_MARGIN.
 A run without its checkpoint (BC before it wrote `bc.json`) records null
-and is left out of both.
+and is left out of all three.
 """
 
 from __future__ import annotations
@@ -71,6 +77,21 @@ JOBS = 2
 BOOT_REPS = 2000
 BOOT_SEED = 0
 SPREAD_FRACTION = 0.14
+# the return a change may lose and still pass the non-inferiority test: 11%
+# of the SMILE - --no-filter gap of 1.73 (BENCH_quality.json, seeds 7-11).
+# A neutral change passes 80% of the time at 0.19 with 5 seeds, against
+# SMILE's across-seed SD of 0.122
+NONINFERIORITY_MARGIN = 0.19
+# t(0.95, df) for df = 1..30 (scipy is a test-only dependency); a larger df
+# takes the df = 30 value, which overstates its quantile: a wider bound
+T95 = (6.313752, 2.919986, 2.353363, 2.131847, 2.015048, 1.94318, 1.894579,
+       1.859548, 1.833113, 1.812461, 1.795885, 1.782288, 1.770933, 1.76131,
+       1.75305, 1.745884, 1.739607, 1.734064, 1.729133, 1.724718, 1.720743,
+       1.717144, 1.713872, 1.710882, 1.708141, 1.705618, 1.703288, 1.701131,
+       1.699127, 1.697261)
+# config sections a parent may change; any other difference but the output
+# names means other demos
+CHANGEABLE = ("train", "filter", "schedule")
 
 
 def seeds_of(text: str) -> list[int]:
@@ -108,6 +129,51 @@ def summarize(per_seed: dict[str, float]) -> dict:
     return {"per_seed": per_seed, "mean": float(np.mean(values)),
             "sd": float(np.std(values, ddof=1)), "iqm": float(iqm(values)),
             "iqm_ci95": bootstrap_ci(values)}
+
+
+def t95(df: int) -> float:
+    """The one-sided 95% quantile of Student's t with ``df`` degrees of
+    freedom, from T95."""
+    if df < 1:
+        raise ValueError(f"df must be >= 1, got {df}")
+    return T95[min(df, len(T95)) - 1]
+
+
+def noninferiority(diffs) -> dict:
+    """The one-sided test that per-seed changes ``diffs`` (two or more) lose
+    at most NONINFERIORITY_MARGIN: the lower 95% bound of their mean lies
+    above -NONINFERIORITY_MARGIN."""
+    d = np.asarray(diffs, dtype=np.float64)
+    lower = float(d.mean() - t95(len(d) - 1) * d.std(ddof=1)
+                  / math.sqrt(len(d)))
+    return {"noninferiority_margin": NONINFERIORITY_MARGIN,
+            "noninferiority_bound": lower,
+            "noninferiority_test": lower > -NONINFERIORITY_MARGIN}
+
+
+def sections(text: str) -> dict[str, dict[str, str]]:
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+def config_changes(bench_text: str, parent_text: str) -> dict:
+    """The [train], [filter] and [schedule] values that differ, as
+    "section.key" -> [parent's, this bench's] (null where unset). A parent
+    of another [experiment] seed, or of any other section, is refused."""
+    new, old = sections(bench_text), sections(parent_text)
+    for side in (new, old):
+        side.get("experiment", {}).pop("run_id", None)
+        side.get("experiment", {}).pop("output_dir", None)
+    changes = {}
+    for name in sorted(set(new) | set(old)):
+        a, b = old.get(name, {}), new.get(name, {})
+        differ = sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
+        if differ and name not in CHANGEABLE:
+            raise SystemExit(f"parent config differs in [{name}] "
+                             f"{', '.join(differ)}: other demos")
+        changes.update({f"{name}.{k}": [a.get(k), b.get(k)] for k in differ})
+    return changes
 
 
 def write_config(text: str, path: Path, out_dir: Path,
@@ -204,21 +270,22 @@ def run_bench(text: str, seeds: list[int], work: Path) -> dict:
 
 
 def compare(bench: dict, parent: dict) -> dict:
-    """Each method's change against ``parent``'s under the paired and the
-    spread test, over the seeds both evaluated. A parent of other spawns or
-    another config text is refused."""
+    """Each method's change against ``parent``'s under the paired, the
+    spread and the non-inferiority test, over the seeds both evaluated (null
+    for a method with fewer than two). A parent of other spawns or other
+    demos is refused (config_changes)."""
     if parent["spawns"] != bench["spawns"]:
         raise SystemExit(f"parent spawns {parent['spawns']} differ from "
                          f"{bench['spawns']}")
-    if parent["config"] != bench["config"]:
-        raise SystemExit("parent config text differs from this bench's")
-    out = {"expert_identical":
+    out = {"config_changes": config_changes(bench["config"],
+                                            parent["config"]),
+           "expert_identical":
            parent["returns"]["expert"] == bench["returns"]["expert"]}
     for method in METHODS:
         new, old = bench["returns"][method], parent["returns"].get(method, {})
         seeds = [s for s, r in new.items()
                  if r is not None and old.get(s) is not None]
-        if not seeds:
+        if len(seeds) < 2:  # no across-seed spread
             out[method] = None
             continue
         paired = {}
@@ -228,15 +295,16 @@ def compare(bench: dict, parent: dict) -> dict:
                                               / math.sqrt(len(d)))
             paired[s] = {"mean": mean, "se": se, "within_se": abs(mean) <= se}
         old_means = [float(np.mean(old[s])) for s in seeds]
-        change = float(np.mean([np.mean(new[s]) for s in seeds])
-                       - np.mean(old_means))
+        diffs = [float(np.mean(new[s])) - m for s, m in zip(seeds, old_means)]
+        change = float(np.mean(diffs))
         floor = -SPREAD_FRACTION * float(np.std(old_means, ddof=1))
         out[method] = {"paired": paired,
                        "paired_test": all(p["within_se"]
                                           for p in paired.values()),
                        "parent_mean": float(np.mean(old_means)),
                        "mean_change": change, "spread_floor": floor,
-                       "spread_test": change >= floor}
+                       "spread_test": change >= floor,
+                       **noninferiority(diffs)}
     return out
 
 
@@ -255,13 +323,21 @@ def report(bench: dict) -> None:
             lo, hi = m["iqm_ci95"]
             print(f"{method:9s} {m['mean']:8.3f} {m['sd']:6.3f} "
                   f"{m['iqm']:8.3f}  [{lo:.3f}, {hi:.3f}]")
-    for method, c in bench.get("vs_parent", {}).items():
-        if isinstance(c, dict):
+    vs_parent = bench.get("vs_parent", {})
+    for key, (old, new) in vs_parent.get("config_changes", {}).items():
+        print(f"vs parent config: {key} {old} -> {new}")
+    verdict = {True: "holds", False: "fails"}
+    for method in METHODS:
+        c = vs_parent.get(method)
+        if c is not None:
             within = sum(p["within_se"] for p in c["paired"].values())
             print(f"vs parent {method}: mean change {c['mean_change']:+.3f} "
                   f"(floor {c['spread_floor']:+.3f}, spread test "
-                  f"{'holds' if c['spread_test'] else 'fails'}); paired "
-                  f"within SE on {within}/{len(c['paired'])} seeds")
+                  f"{verdict[c['spread_test']]}); paired within SE on "
+                  f"{within}/{len(c['paired'])} seeds; lower 95% bound "
+                  f"{c['noninferiority_bound']:+.3f} (margin "
+                  f"-{c['noninferiority_margin']:.2f}, non-inferiority test "
+                  f"{verdict[c['noninferiority_test']]})")
 
 
 def main(argv=None) -> int:

@@ -168,7 +168,7 @@ beta_max = 0.6
 [train]
 batch_size = 128
 learning_rate = 1e-3
-denoiser_optimize_every = 5
+denoiser_optimize_every = 2
 update_ema_every = 10
 ema_decay = 0.95
 ema_warmup_steps = 200

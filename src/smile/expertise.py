@@ -23,6 +23,7 @@ report and the return-bin audit (trainer.audit_bins) read the same records.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +85,38 @@ class FilterReport:
         return self.n_before - self.n_kept
 
     def summary(self) -> dict:
+        """Counts, the kept and total segments per noise level (keyed by the
+        level's JSON text), and the Spearman rho of predicted step with
+        noise level: null where a level is null or no rank varies."""
+        levels = [rec.noise_level for rec in self.records]
+        kept_by_level = {}
+        for level in sorted(set(levels), key=lambda v: (v is None, v or 0)):
+            recs = [r for r in self.records if r.noise_level == level]
+            kept_by_level[json.dumps(level)] = [
+                sum(r.verdict == "keep" for r in recs), len(recs)]
+        rho = None
+        if None not in levels:
+            rho = spearman([r.predicted_step for r in self.records], levels)
         return {"iteration": self.iteration, "n_before": self.n_before,
-                "n_kept": self.n_kept, "n_dropped": self.n_dropped}
+                "n_kept": self.n_kept, "n_dropped": self.n_dropped,
+                "kept_by_level": kept_by_level, "step_level_spearman": rho}
+
+
+def tie_averaged_ranks(x) -> np.ndarray:
+    """Ranks 1..n of ``x``, each group of ties given its mean rank."""
+    _, inverse, counts = np.unique(np.asarray(x, dtype=np.float64),
+                                   return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2)[inverse]
+
+
+def spearman(x, y) -> float | None:
+    """Spearman's rho of ``x`` and ``y``: the Pearson correlation of their
+    tie-averaged ranks; None where either has one rank throughout."""
+    rx, ry = tie_averaged_ranks(x), tie_averaged_ranks(y)
+    rx, ry = rx - rx.mean(), ry - ry.mean()
+    norm = math.sqrt((rx @ rx) * (ry @ ry))
+    return float(rx @ ry / norm) if norm > 0 else None
 
 
 def save_filter_report(report: FilterReport, path: str) -> None:

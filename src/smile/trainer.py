@@ -11,8 +11,9 @@ iteration samples one batch; the denoiser accumulates
 one averaged gradient and takes a single optimizer step, and the policy
 takes one step on the batch. Accumulation is vectorized by tiling the batch,
 which is the same averaged gradient by linearity (tests/test_trainer.py
-checks it within float32 rounding). The default of 5 denoiser draws costs
-half the denoiser rows of 10 at no loss of return (see ``TrainConfig``).
+checks it within float32 rounding). The default of 2 denoiser draws costs
+40% of the denoiser rows of 5, at a return that passes the 10-seed
+non-inferiority test of scripts/quality.py (see ``TrainConfig``).
 
 A run with an output directory writes ``metrics.csv`` as it goes and, when
 it ends, its checkpoints and ``run.json``: the config echo, whether it
@@ -30,6 +31,7 @@ import csv
 import json
 import math
 import os
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -61,13 +63,15 @@ CSV_COLUMNS = ("iteration", "transitions", "denoiser_loss", "policy_loss",
 class TrainConfig:
     batch_size: int = 128
     lr: float = 1e-3
-    # loss draws per denoiser step. 5 rather than 10 halves the denoiser's
-    # rows: a default-config run took 35-42 s instead of 67-98 s (one BLAS
-    # thread, two runs at a time on 2 cores), and over training seeds 7-11
-    # the mean 500-spawn return rose by 0.13 for SMILE and 0.08 for
-    # --no-filter, against across-seed SDs of 0.07 and 0.16 at 10
-    # (scripts/quality.py, BENCH_quality.json)
-    denoiser_optimize_every: int = 5
+    # loss draws per denoiser step. 2 rather than 5 keeps 40% of the
+    # denoiser's rows: over training seeds 7-16 a default-config run took
+    # 23-29 s (denoiser 12-15 s) against 43-58 s (denoiser 30-41 s) at 5 in
+    # the same sweep (one BLAS thread, two runs at a time on 2 cores). The
+    # mean 500-spawn return moved by +0.035 for SMILE and -0.053 for
+    # --no-filter, whose lower one-sided 95% bounds (-0.044, -0.111) lie
+    # inside the non-inferiority margin of 0.19 (scripts/quality.py,
+    # BENCH_quality.json)
+    denoiser_optimize_every: int = 2
     update_ema_every: int = 10
     # ~200-iteration EMA horizon: at the desk-scale budget (~3.9k
     # iterations) a slower shadow lags the policy by half the run
@@ -208,6 +212,19 @@ class _Part:
                         self.net.flat if live else self.ema.shadow)
 
 
+def _progress(row: dict, n_iters: int, elapsed: float) -> None:
+    """One stderr line on the run so far: iteration, losses, the evaluation
+    if one ran, transitions per second and the time left at that rate."""
+    idx = row["iteration"]
+    rate = row["transitions"] / elapsed
+    fields = [f"{key}={row[key]:.4g}" for key in row
+              if key.endswith("_loss") or key == "eval_mean"]
+    print(f"iteration {idx}/{n_iters} {' '.join(fields)} "
+          f"{rate:,.0f} transitions/s "
+          f"ETA {(n_iters - idx) * elapsed / idx:.0f} s",
+          file=sys.stderr, flush=True)
+
+
 def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
          parts: list[_Part], out_dir: str | None, filtering: bool = False):
     """The iteration loop of train and train_bc; returns (metrics, reports).
@@ -216,10 +233,11 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     losses for finiteness; advance every part's EMA; filter (with
     ``filtering``, every ``filter_every`` iterations; parts[0] is then the
     denoiser, parts[1] the generator), so a pass reads this iteration's
-    shadow; log the row, evaluating parts[-1] when due. Batches and
-    evaluations draw from streams spawned off ``rng``, the run's root. A
-    finished run with ``out_dir`` writes each part's checkpoint and the run
-    manifest.
+    shadow; log the row, evaluating parts[-1] when due; after a pass or an
+    evaluation, print a progress line to stderr (stdout is the caller's).
+    Batches and evaluations draw from streams spawned off ``rng``, the
+    run's root. A finished run with ``out_dir`` writes each part's
+    checkpoint and the run manifest.
     """
     env = store.env
     counters = {f"{part.name}_optimizer_steps": 0 for part in parts}
@@ -240,6 +258,7 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     # between steps instead of trimming and re-faulting them every step
     np.empty(2 ** 21)  # 16 MiB
     n_iters = cfg.num_iterations
+    start = time.perf_counter()
     try:
         for idx in range(1, n_iters + 1):
             states, actions = store.sample(batch_rng, cfg.batch_size)
@@ -270,7 +289,8 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                         ema_update(part.ema, part.net.flat)
                 counters["ema_updates"] += 1
 
-            if filtering and idx % cfg.filter.filter_every == 0:
+            filtered = filtering and idx % cfg.filter.filter_every == 0
+            if filtered:
                 with phase("filter"):
                     report = filter_dataset(
                         store, parts[0].shadow_copy(), parts[1].shadow_copy(),
@@ -284,8 +304,9 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
 
             row = {"iteration": idx, "transitions": idx * cfg.batch_size,
                    **losses, "store_size": store.transition_count}
-            if env is not None and cfg.eval_every > 0 and (
-                    idx % cfg.eval_every == 0 or idx == n_iters):
+            evaluating = env is not None and cfg.eval_every > 0 and (
+                idx % cfg.eval_every == 0 or idx == n_iters)
+            if evaluating:
                 with phase("eval"):
                     mean, std = evaluate(parts[-1].shadow_copy(), env,
                                          cfg.eval_episodes, eval_rng)
@@ -293,6 +314,8 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
             metrics.add_row(**row)
             if csv_out is not None:
                 csv_out.writerow(row)
+            if evaluating or filtered:
+                _progress(row, n_iters, time.perf_counter() - start)
         counters["transitions_consumed"] = n_iters * cfg.batch_size
     finally:
         if csv_fh is not None:

@@ -1,10 +1,12 @@
 import base64
 import contextlib
+import csv
 import dataclasses
 import io
 import json
 import math
 import os
+import re
 import time
 
 import numpy as np
@@ -304,6 +306,41 @@ def test_unknown_train_key_exits_1(tmp_path, capsys, line):
     assert cli.main(["gen-data", "--config", cfg]) == 1
     assert capsys.readouterr().err.startswith(
         f"error: {cfg}:{no}: unknown key {line.split()[0]!r} in [train]")
+
+
+@pytest.mark.parametrize("flag,progress_at", [
+    ("", [10, 20]),                     # passes at 10 and 20, eval at 20
+    ("--no-filter", [20]), ("--bc-baseline", [20])])
+def test_progress_goes_to_stderr_and_stdout_keeps_its_line(
+        run, tmp_path, capsys, flag, progress_at):
+    cfg, out = run
+    other = write_config(tmp_path / "cfg.ini", tmp_path)
+    assert cli.main(["train", "--config", other, "--demos",
+                     str(out / "demos.jsonl"), *filter(None, [flag])]) == 0
+    captured = capsys.readouterr()
+    rows = {int(r["iteration"]): r
+            for r in csv.DictReader(open(tmp_path / "metrics.csv"))}
+    last = rows[20]
+    if flag == "--bc-baseline":
+        assert captured.out == ("bc run complete: iterations=20 "
+                                f"final_eval_mean={float(last['eval_mean'])}"
+                                "\n")
+    else:
+        passes = json.load(open(tmp_path / "run.json"))["counters"][
+            "filter_passes"]
+        assert captured.out == (
+            f"run complete: iterations=20 transitions=640 "
+            f"final_eval_mean={float(last['eval_mean'])} "
+            f"store_size={last['store_size']} filter_passes={passes}\n")
+    lines = captured.err.splitlines()
+    assert len(lines) == len(progress_at)
+    for line, idx in zip(lines, progress_at):
+        row = rows[idx]
+        fields = [f"{key}={float(row[key]):.4g}"
+                  for key in ("denoiser_loss", "policy_loss", "eval_mean")
+                  if row.get(key)]
+        assert re.fullmatch(rf"iteration {idx}/20 {' '.join(fields)} "
+                            r"[\d,]+ transitions/s ETA \d+ s", line), line
 
 
 @pytest.mark.parametrize("flag", ["--no-filter", "--bc-baseline"])

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from smile.diffusion import NoiseModel, diffuse
 from smile.envs import DemoStore, Trajectory
 from smile.errors import ConfigError, InvalidInputError
 from smile.expertise import (FilterConfig, filter_dataset, q_curve_matrix,
                              save_filter_report, score_dataset,
-                             segment_trajectories)
+                             segment_trajectories, spearman,
+                             tie_averaged_ranks)
 from smile.mathcore import SeededRng
 
 from conftest import (float32_rounding_bound, forward_stage_lengths,
@@ -493,3 +495,66 @@ class TestReport:
         records, kept = score_dataset(store, model, policy, cfg)
         assert store.num_trajectories == before
         assert len(records) == 2 and len(kept) == 1
+
+
+def _level_report(sched, steps, levels):
+    """A filter pass over a store whose segment i has predicted step
+    steps[i] and noise level levels[i] (threshold 1, floor 1)."""
+    store, policy, model = _step_store(steps, sched)
+    for tr, level in zip(store.trajectories, levels):
+        tr.noise_level = level
+    cfg = FilterConfig(min_demos=1, step_threshold=1, max_demo_len=100)
+    report = filter_dataset(store, model, policy, cfg, iteration=10)
+    assert [r.predicted_step for r in report.records] == list(steps)
+    return report
+
+
+class TestFilterQualityByLevel:
+    LEVELS = [0.0, 0.0, 0.25, 0.25, 0.5, 0.5, 1.0, 1.0]
+
+    def test_kept_by_level_and_rho_of_a_pass(self, sched, tmp_path):
+        steps = [5, 5, 3, 0, 0, 2, 0, 0]        # ties in steps and levels
+        report = _level_report(sched, steps, self.LEVELS)
+        summary = report.summary()
+        assert summary["kept_by_level"] == {
+            "0.0": [2, 2], "0.25": [1, 2], "0.5": [1, 2], "1.0": [0, 2]}
+        want = stats.spearmanr(steps, self.LEVELS).statistic
+        assert summary["step_level_spearman"] == pytest.approx(want,
+                                                               abs=1e-12)
+        assert want < 0      # cleaner levels score higher steps
+        path = str(tmp_path / "report.json")
+        save_filter_report(report, path)
+        payload = json.load(open(path))
+        assert {k: payload[k] for k in summary} == summary
+
+    @pytest.mark.parametrize("levels,kept_by_level", [
+        ([0.0, 0.0, 0.25, None, 0.5, 0.5, 1.0, 1.0],       # a null level
+         {"0.0": [2, 2], "0.25": [1, 1], "0.5": [1, 2], "1.0": [0, 2],
+          "null": [0, 1]}),
+        ([0.5] * 8, {"0.5": [4, 8]}),                     # every level ties
+    ])
+    def test_rho_is_null_without_levels_to_rank(self, sched, levels,
+                                                 kept_by_level):
+        summary = _level_report(sched, [5, 5, 3, 0, 0, 2, 0, 0],
+                                levels).summary()
+        assert summary["step_level_spearman"] is None
+        assert summary["kept_by_level"] == kept_by_level
+
+    def test_rho_is_null_when_every_step_ties(self, sched):
+        summary = _level_report(sched, [3] * 8, self.LEVELS).summary()
+        assert summary["step_level_spearman"] is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10),
+                          st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])),
+                min_size=2, max_size=60))
+def test_spearman_is_scipys_with_ties(pairs):
+    x, y = map(list, zip(*pairs))
+    assert np.array_equal(tie_averaged_ranks(x), stats.rankdata(x))
+    got = spearman(x, y)
+    if len(set(x)) == 1 or len(set(y)) == 1:
+        assert got is None
+    else:
+        assert got == pytest.approx(stats.spearmanr(x, y).statistic,
+                                    abs=1e-12)
