@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .mathcore import FeedForwardNet, SeededRng, arch_dtype
+from .mathcore import FeedForwardNet, SeededRng, arch_dtype, loss_batch
 
 DEFAULT_BETA_MIN = 0.05
 DEFAULT_BETA_MAX = 0.6
@@ -205,13 +205,8 @@ def denoiser_loss(model: NoiseModel, states: np.ndarray, actions: np.ndarray,
     averaged over the batch. Returns (loss, gradient vector laid out like
     ``model.flat``).
     """
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+    states, actions = loss_batch("denoiser_loss", states, actions)
     n = len(states)
-    if n == 0:
-        raise InvalidInputError("denoiser_loss needs a non-empty batch")
-    if len(actions) != n:
-        raise InvalidInputError("states/actions batch length mismatch")
     t_arr = rng.integers(1, model.sched.T + 1, size=n)
     eps = rng.standard_normal(actions.shape)
     a_t = diffuse(actions, t_arr, model.sched, eps)

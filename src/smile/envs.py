@@ -192,9 +192,9 @@ class DemoStore:
     def __init__(self, trajectories: list[Trajectory],
                  env: EnvSpec | None = None):
         self.env = env
-        self._set(trajectories)
+        self.replace(trajectories)
 
-    def _set(self, trajectories: list[Trajectory]) -> None:
+    def replace(self, trajectories: list[Trajectory]) -> None:
         ids = [tr.traj_id for tr in trajectories]
         if len(set(ids)) != len(ids):
             raise InvalidInputError("trajectory ids must be unique")
@@ -207,9 +207,6 @@ class DemoStore:
         else:
             self._states = np.zeros((0, 0))
             self._actions = np.zeros((0, 0))
-
-    def replace(self, trajectories: list[Trajectory]) -> None:
-        self._set(trajectories)
 
     @property
     def num_trajectories(self) -> int:
@@ -341,13 +338,45 @@ def _numbers_only(*lists) -> bool:
         return False
 
 
+def _header_env(where: str, header: dict) -> EnvSpec | None:
+    """The env a demo file's header names, or None for its null ``env``
+    (an env-less store's file). The header's ``state_dim`` and
+    ``action_dim`` must be integers >= 1, and the env's own; its
+    ``horizon`` null or an integer >= 1. Anything else raises
+    InvalidInputError naming ``where``."""
+    name, horizon = header.get("env"), header.get("horizon")
+    dims = (header.get("state_dim"), header.get("action_dim"))
+    if not all(type(d) is int and d >= 1 for d in dims):
+        raise InvalidInputError(
+            f"{where}: header state_dim and action_dim {dims} are not "
+            f"integers >= 1")
+    if horizon is not None and not (type(horizon) is int and horizon >= 1):
+        raise InvalidInputError(
+            f"{where}: header horizon {horizon!r} is neither null nor an "
+            f"integer >= 1")
+    if name is None:
+        return None
+    if not isinstance(name, str) or name not in _BASE_SPECS:
+        raise InvalidInputError(
+            f"{where}: unknown environment {name!r}; choices: "
+            f"{sorted(_BASE_SPECS)}")
+    env = make_env_spec(name, horizon=horizon)
+    if dims != (env.state_dim, env.action_dim):
+        raise InvalidInputError(
+            f"{where}: header dims (state {dims[0]}, action {dims[1]}) do "
+            f"not match env {name} dims (state {env.state_dim}, action "
+            f"{env.action_dim})")
+    return env
+
+
 def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
     """Read a demo file. ``include_rewards=False`` strips rewards so training
     paths cannot touch them even by accident.
 
-    A byte that is not UTF-8, malformed JSON, a missing field, a state or
-    action of the wrong width, an s, a or r entry that is not a JSON number,
-    a terminal that is not a JSON boolean, a non-finite number, a trajectory
+    A byte that is not UTF-8, malformed JSON, a bad header (_header_env), a
+    missing field, a traj_id that is not a JSON integer, a state or action
+    of the wrong width, an s, a or r entry that is not a JSON number, a
+    terminal that is not a JSON boolean, a non-finite number, a trajectory
     whose steps are not 0, 1, 2, ... (a repeat or a gap), a noise level that
     is neither null nor a finite number >= 0 and a noise level that varies
     within a trajectory each raise InvalidInputError naming path:line (a
@@ -381,13 +410,16 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
             f"{header.get('format_version')}, expected {DEMO_FORMAT_VERSION}")
     if len(lines) == 1:
         raise InvalidInputError(f"demo file {path} holds no transitions")
-    env = None
-    if header.get("env"):
-        env = make_env_spec(header["env"], horizon=header.get("horizon"))
+    env = _header_env(f"{path}:{lines[0][0]}", header)
+    dims = ((header["state_dim"],), (header["action_dim"],))
     rows: dict[int, list[tuple]] = {}
     for no, ln in lines[1:]:
         try:
             rec = json.loads(ln)
+            tid = rec["traj_id"]
+            if type(tid) is not int:
+                raise InvalidInputError(
+                    f"{path}:{no}: traj_id {tid!r} is not an integer")
             level = rec["noise_level"]
             if level is not None and not (type(level) in (int, float)
                                           and 0 <= level < math.inf):
@@ -396,13 +428,12 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
                     f"nor a finite number >= 0")
             if type(rec["terminal"]) is not bool:
                 raise InvalidInputError(f"{path}:{no}: terminal is not a bool")
-            rows.setdefault(rec["traj_id"], []).append(
+            rows.setdefault(tid, []).append(
                 (operator.index(rec["step"]), no, rec["s"], rec["a"],
                  rec["r"], rec["terminal"], level))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(
                 f"{path}:{no}: bad demo record: {exc!r}") from exc
-    dims = ((header.get("state_dim"),), (header.get("action_dim"),))
     trajectories = []
     for tid, recs in rows.items():
         recs.sort(key=lambda rec: rec[0])
@@ -449,11 +480,4 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
         if has_rewards:
             traj.ret = undiscounted_return(traj)
         trajectories.append(traj)
-    store = DemoStore(trajectories, env=env)
-    if env is not None and store.transition_count:
-        s, a = store.sample_all()
-        if s.shape[1] != env.state_dim or a.shape[1] != env.action_dim:
-            raise InvalidInputError(
-                f"demo dims ({s.shape[1]}, {a.shape[1]}) do not match env "
-                f"{env.name} dims ({env.state_dim}, {env.action_dim})")
-    return store
+    return DemoStore(trajectories, env=env)

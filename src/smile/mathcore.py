@@ -23,8 +23,10 @@ biased and squashed where it lies, tanh' takes one temporary, and the Adam
 update runs through two scratch vectors. Each keeps the order of
 operations of the plain expressions, so the results are the same bits.
 
-Training is single-writer: parameter mutation happens on one logical thread,
-and read-only snapshots (EMA shadows, checkpoints) are full copies.
+Training is single-writer: parameter mutation happens on one logical thread.
+An EMA shadow is a network of its live net's type and arch whose ``flat``
+only ema_update writes; everything else reads it in place. A checkpoint is a
+full copy of a network's ``flat``.
 """
 
 from __future__ import annotations
@@ -223,6 +225,24 @@ class FeedForwardNet:
         return grads
 
 
+def loss_batch(name: str, states, actions):
+    """A loss's batch as two float64 matrices of equal, non-zero length; a
+    single state or action is one row. Anything else raises
+    InvalidInputError naming the loss ``name``."""
+    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+    if states.ndim != 2 or actions.ndim != 2:
+        raise InvalidInputError(
+            f"{name} needs 2-D batches, got states {states.shape} and "
+            f"actions {actions.shape}")
+    if len(states) == 0:
+        raise InvalidInputError(f"{name} needs a non-empty batch")
+    if len(actions) != len(states):
+        raise InvalidInputError(
+            f"{name}: {len(states)} states but {len(actions)} actions")
+    return states, actions
+
+
 # ---------------------------------------------------------------------------
 # Adaptive-moment optimizer
 # ---------------------------------------------------------------------------
@@ -295,11 +315,6 @@ class EmaTracker:
     warmup: int = 100
     updates: int = 0
 
-    @staticmethod
-    def for_params(flat: np.ndarray, decay: float = 0.995,
-                   warmup: int = 100) -> "EmaTracker":
-        return EmaTracker(shadow=flat.copy(), decay=decay, warmup=warmup)
-
 
 def ema_update(tracker: EmaTracker, flat: np.ndarray) -> EmaTracker:
     if tracker.shadow.shape != flat.shape:
@@ -326,19 +341,20 @@ def _checkpoint_crc(payload: dict) -> int:
     return zlib.crc32(json.dumps(body, sort_keys=True).encode())
 
 
-def save_checkpoint(path: str, role: str, net, vector: np.ndarray) -> None:
-    """Write a self-describing JSON checkpoint of a network's ``arch()`` and
-    of ``vector``, laid out like ``net.flat``, the one vector a load puts in.
+def save_checkpoint(path: str, net) -> None:
+    """Write a self-describing JSON checkpoint of a network: its class
+    ``role``, its ``arch()`` and its ``flat``, the one vector a load puts in.
 
     ``params`` holds it as base64 of its raw little-endian bytes in the
     arch's dtype, so it round-trips bit-exactly, and ``crc32`` guards every
     other key. The text is encoded in one ``json.dumps`` call and written at
     once, through a temporary file that replaces ``path``.
     """
-    raw = np.asarray(vector, dtype=net.flat.dtype.newbyteorder("<")).tobytes()
+    le = net.flat.dtype.newbyteorder("<")
+    raw = np.asarray(net.flat, dtype=le).tobytes()
     payload = {
         "format_version": CHECKPOINT_VERSION,
-        "role": role,
+        "role": net.role,
         "arch": net.arch(),
         "params": base64.b64encode(raw).decode("ascii"),
     }

@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .diffusion import NoiseModel, diffuse
-from .errors import InvalidInputError
-from .mathcore import FeedForwardNet, SeededRng, arch_dtype
+from .mathcore import FeedForwardNet, SeededRng, arch_dtype, loss_batch
 
 
 class _Actor(FeedForwardNet):
@@ -70,13 +69,8 @@ def policy_loss(policy: GeneratorPolicy, model: NoiseModel,
     computed through its affine reduction (beta_t^2/sigma_t^2)^2
     * ||policy(s) - a0_hat||^2. The noise model is read-only here.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+    states, actions = loss_batch("policy_loss", states, actions)
     n = len(states)
-    if n == 0:
-        raise InvalidInputError("policy_loss needs a non-empty batch")
-    if len(actions) != n:
-        raise InvalidInputError("states/actions batch length mismatch")
     sched = model.sched
     t_arr = rng.integers(1, sched.T + 1, size=n)
     eps = rng.standard_normal(actions.shape)
@@ -93,11 +87,8 @@ def policy_loss(policy: GeneratorPolicy, model: NoiseModel,
 
 def bc_loss(baseline: BcBaseline, states: np.ndarray, actions: np.ndarray):
     """Per-example squared error ||b(s) - a_0||^2 averaged over the batch."""
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+    states, actions = loss_batch("bc_loss", states, actions)
     n = len(states)
-    if n == 0:
-        raise InvalidInputError("bc_loss needs a non-empty batch")
     pred, acts = baseline.forward_cached(states)
     diff = pred - actions
     loss = float((diff ** 2).sum(axis=1).mean())

@@ -20,9 +20,9 @@ it ends, its checkpoints and ``run.json``: the config echo, whether it
 filtered, the training seed, the numpy and BLAS versions, the BLAS threads,
 the per-phase wall clock, the counters and the filter-pass summaries.
 
-Filtering and evaluation always read EMA snapshots, never live parameters.
-The audit scores nothing itself: it groups the segment records of
-expertise.score_dataset by trajectory.
+Filtering and evaluation always read the EMA shadows, never live
+parameters. The audit scores nothing itself: it groups the segment records
+of expertise.score_dataset by trajectory.
 """
 
 from __future__ import annotations
@@ -121,12 +121,6 @@ class MetricsLog:
     wall_clock: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
 
-    def add_row(self, **kw) -> dict:
-        if self.rows and kw["iteration"] <= self.rows[-1]["iteration"]:
-            raise InvalidInputError("iteration index must increase")
-        self.rows.append(kw)
-        return kw
-
 
 @dataclass
 class TrainResult:
@@ -185,7 +179,10 @@ class _Part:
     ``name`` labels its phase, CSV loss column and counters; the net's
     class ``role`` labels its checkpoints. Each iteration
     ``loss(states, actions)`` runs on the batch and one optimizer step
-    follows.
+    follows. ``shadow`` is a network of the net's type and arch, built
+    once, whose ``flat`` is the tracker's shadow vector: only ema_update
+    writes it, and filter passes, evaluations, the run's result and its
+    checkpoint read it in place.
     """
 
     name: str
@@ -193,23 +190,16 @@ class _Part:
     loss: Callable
     opt: OptimizerState
     ema: EmaTracker
+    shadow: object
 
     @staticmethod
     def of(cfg: TrainConfig, name: str, net, loss) -> "_Part":
         warmup = max(1, cfg.ema_warmup_steps // cfg.update_ema_every)
+        shadow = snapshot_policy(net, net.flat)
         return _Part(name, net, loss,
                      OptimizerState.for_params(net.flat, lr=cfg.lr),
-                     EmaTracker.for_params(net.flat, decay=cfg.ema_decay,
-                                           warmup=warmup))
-
-    def shadow_copy(self):
-        """A fresh network holding the EMA shadow parameters."""
-        return snapshot_policy(self.net, self.ema.shadow)
-
-    def save(self, path: str, live: bool = False) -> None:
-        """Checkpoint the EMA shadow or, with ``live``, the live vector."""
-        save_checkpoint(path, self.net.role, self.net,
-                        self.net.flat if live else self.ema.shadow)
+                     EmaTracker(shadow.flat, decay=cfg.ema_decay,
+                                warmup=warmup), shadow)
 
 
 def _progress(row: dict, n_iters: int, elapsed: float) -> None:
@@ -229,15 +219,17 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
          parts: list[_Part], out_dir: str | None, filtering: bool = False):
     """The iteration loop of train and train_bc; returns (metrics, reports).
 
-    Per iteration: sample a batch; update each part in order; check the
-    losses for finiteness; advance every part's EMA; filter (with
-    ``filtering``, every ``filter_every`` iterations; parts[0] is then the
-    denoiser, parts[1] the generator), so a pass reads this iteration's
+    Per iteration: sample a batch; update each part in order, checking its
+    loss for finiteness before its step; advance every part's EMA; filter
+    (with ``filtering``, every ``filter_every`` iterations; parts[0] is then
+    the denoiser, parts[1] the generator), so a pass reads this iteration's
     shadow; log the row, evaluating parts[-1] when due; after a pass or an
     evaluation, print a progress line to stderr (stdout is the caller's).
     Batches and evaluations draw from streams spawned off ``rng``, the
     run's root. A finished run with ``out_dir`` writes each part's
-    checkpoint and the run manifest.
+    checkpoint and the run manifest; a TrainingError while a part steps
+    (a non-finite loss or gradient) first writes every part's live network
+    to ``diagnostic_<role>.json`` there.
     """
     env = store.env
     counters = {f"{part.name}_optimizer_steps": 0 for part in parts}
@@ -267,21 +259,23 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                 # grads stays bound until the next loss returns: freeing it
                 # earlier made glibc trim and re-fault the heap every BC
                 # step (9x the page faults, 35-60% slower)
-                with phase(part.name):
-                    loss, grads = part.loss(states, actions)
-                    optimizer_step(part.opt, part.net.flat, grads)
+                try:
+                    with phase(part.name):
+                        loss, grads = part.loss(states, actions)
+                        if not math.isfinite(loss):
+                            raise TrainingError(
+                                f"non-finite {part.name} loss {loss} at "
+                                f"iteration {idx}")
+                        optimizer_step(part.opt, part.net.flat, grads)
+                except TrainingError:
+                    if out_dir is not None:
+                        for p in parts:
+                            save_checkpoint(os.path.join(
+                                out_dir, f"diagnostic_{p.net.role}.json"),
+                                p.net)
+                    raise
                 counters[f"{part.name}_optimizer_steps"] += 1
                 losses[f"{part.name}_loss"] = loss
-
-            if not all(np.isfinite(v) for v in losses.values()):
-                if out_dir is not None:
-                    for part in parts:
-                        part.save(os.path.join(
-                            out_dir, f"diagnostic_{part.net.role}.json"),
-                            live=True)
-                raise TrainingError(
-                    f"non-finite loss at iteration {idx}: " + " ".join(
-                        f"{k}={v}" for k, v in losses.items()))
 
             if idx % cfg.update_ema_every == 0:
                 with phase("ema"):
@@ -293,8 +287,8 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
             if filtered:
                 with phase("filter"):
                     report = filter_dataset(
-                        store, parts[0].shadow_copy(), parts[1].shadow_copy(),
-                        cfg.filter, iteration=idx)
+                        store, parts[0].shadow, parts[1].shadow, cfg.filter,
+                        iteration=idx)
                 reports.append(report)
                 counters["filter_passes"] += 1
                 metrics.filter_summaries.append(report.summary())
@@ -308,10 +302,10 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                 idx % cfg.eval_every == 0 or idx == n_iters)
             if evaluating:
                 with phase("eval"):
-                    mean, std = evaluate(parts[-1].shadow_copy(), env,
+                    mean, std = evaluate(parts[-1].shadow, env,
                                          cfg.eval_episodes, eval_rng)
                 row["eval_mean"], row["eval_std"] = mean, std
-            metrics.add_row(**row)
+            metrics.rows.append(row)
             if csv_out is not None:
                 csv_out.writerow(row)
             if evaluating or filtered:
@@ -322,7 +316,8 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
             csv_fh.close()
     if out_dir is not None:
         for part in parts:
-            part.save(os.path.join(out_dir, f"{part.net.role}.json"))
+            save_checkpoint(os.path.join(out_dir, f"{part.net.role}.json"),
+                            part.shadow)
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         manifest = {"config": asdict(cfg), "filtering": filtering,
                     "train_seed": rng.seed,
@@ -372,7 +367,7 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
 
     return TrainResult(
         noise_model=model, policy=policy,
-        ema_noise_model=den.shadow_copy(), ema_policy=gen.shadow_copy(),
+        ema_noise_model=den.shadow, ema_policy=gen.shadow,
         metrics=metrics, store=store, filter_reports=reports)
 
 
@@ -388,7 +383,7 @@ def train_bc(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     part = _Part.of(cfg, "policy", baseline,
                     lambda s, a: bc_loss(baseline, s, a))
     metrics, _ = _run(cfg, store, rng, [part], out_dir)
-    return part.shadow_copy(), baseline, metrics
+    return part.shadow, baseline, metrics
 
 
 def audit_bins(store: DemoStore, records: list[SegmentRecord],

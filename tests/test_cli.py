@@ -382,6 +382,33 @@ def test_header_only_demo_file_exits_1(run, tmp_path, capsys, command):
         f"error: demo file {bad} holds no transitions\n")
 
 
+@pytest.mark.parametrize("line,key,value", [
+    (1, "horizon", "abc"),
+    (1, "horizon", 100.5),
+    (1, "env", "pendulum"),
+    (1, "state_dim", 3),
+    (2, "traj_id", "a"),
+    (2, "traj_id", None),
+    (2, "traj_id", 0.5),
+    (2, "traj_id", True),       # would have merged with trajectory 1
+], ids=["string_horizon", "fractional_horizon", "unknown_env",
+        "header_dims_not_the_envs", "string_traj_id", "null_traj_id",
+        "fractional_traj_id", "bool_traj_id"])
+def test_bad_demo_header_or_traj_id_exits_1(run, tmp_path, capsys, line, key,
+                                            value):
+    cfg, out = run
+    lines = open(out / "demos.jsonl").read().splitlines()
+    lines[line - 1] = json.dumps({**json.loads(lines[line - 1]), key: value})
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    for argv in (["train", "--config", cfg, "--demos", str(bad)],
+                 audit_argv(cfg, out, demos=str(bad))):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{line}: "), err
+        assert key in err or "dims" in err, err
+
+
 @pytest.mark.parametrize("line", [
     "beta_min = -1", "beta_min = 0", "beta_max = 0.01", "steps = 0"])
 @pytest.mark.parametrize("command", ["gen-data", "train"])
@@ -718,7 +745,7 @@ def test_checkpoint_of_another_env_exits_1(run, tmp_path, capsys, command,
     for role, net in nets.items():
         if swapped in (role, "both"):
             paths[role] = tmp_path / f"{role}.json"
-            save_checkpoint(str(paths[role]), role, net, net.flat)
+            save_checkpoint(str(paths[role]), net)
     argv = [command, "--config", cfg, "--denoiser", str(paths["denoiser"]),
             "--generator", str(paths["generator"])]
     argv += (["--demos", str(out / "demos.jsonl")] if command == "audit"
@@ -758,7 +785,7 @@ def small_run(run, tmp_path_factory):
     paths = {}
     for role, net in nets.items():
         paths[role] = tmp / f"{role}.json"
-        save_checkpoint(str(paths[role]), role, net, net.flat)
+        save_checkpoint(str(paths[role]), net)
     assert cli.main(bench_argv(cfg, paths["denoiser"],
                                paths["generator"])) == 0
     return (cfg, paths["denoiser"], paths["generator"],

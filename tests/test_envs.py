@@ -295,6 +295,19 @@ class TestDemoFile:
             assert np.array_equal(a.terminals, b.terminals)
             assert a.noise_level == b.noise_level
 
+    def test_envless_store_roundtrips(self, pm, tmp_path):
+        # save_demos writes a null env and horizon for a store without env
+        store = generate_demos(pm, default_expert(pm), [0.0], 2,
+                               SeededRng(12))
+        store.env = None
+        path = str(tmp_path / "demos.jsonl")
+        save_demos(store, path)
+        header = json.loads(open(path).readline())
+        assert header["env"] is None and header["horizon"] is None
+        loaded = load_demos(path)
+        assert loaded.env is None
+        assert np.array_equal(loaded.sample_all()[0], store.sample_all()[0])
+
     def test_save_is_byte_deterministic(self, pm, tmp_path):
         store = generate_demos(pm, default_expert(pm), [0.3], 2, SeededRng(13))
         p1, p2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")

@@ -401,12 +401,14 @@ class TestCheckpoint:
         model = NoiseModel(2, 2, 4, rng, hidden=(5, 3), dtype=dtype)
         opt = OptimizerState.for_params(model.flat, lr=1e-3)
         optimizer_step(opt, model.flat, rng.standard_normal(model.flat.shape))
-        ema = EmaTracker.for_params(model.flat, warmup=0)
+        shadow = NoiseModel.from_arch(model.arch())
+        shadow.set_params(model.flat)
+        ema = EmaTracker(shadow.flat, warmup=0)
         optimizer_step(opt, model.flat, rng.standard_normal(model.flat.shape))
         ema_update(ema, model.flat)
-        assert not np.array_equal(ema.shadow, model.flat)
+        assert not np.array_equal(shadow.flat, model.flat)
         path = str(tmp_path / "ckpt.json")
-        save_checkpoint(path, "denoiser", model, ema.shadow)
+        save_checkpoint(path, shadow)
         with open(path) as fh:
             assert list(json.load(fh)) == ["format_version", "role", "arch",
                                            "params", "crc32"]
@@ -417,8 +419,8 @@ class TestCheckpoint:
         assert loaded["arch"] == model.arch()
         got = loaded["params"]
         assert got.shape == model.flat.shape and got.dtype == dtype
-        assert got.tobytes() == ema.shadow.tobytes()
-        return path, ema.shadow
+        assert got.tobytes() == shadow.flat.tobytes()
+        return path, shadow.flat
 
     def test_roundtrip_exact(self, tmp_path):
         self.roundtrip(tmp_path, np.float64)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smile.diffusion import NoiseModel, diffuse, posterior_mean
+from smile.diffusion import NoiseModel, denoiser_loss, diffuse, posterior_mean
 from smile.envs import make_env_spec, rollout
 from smile.errors import InvalidInputError
 from smile.mathcore import SeededRng, reshape_views
@@ -198,3 +198,26 @@ class TestBcLoss:
         b = BcBaseline(2, 2, SeededRng(0), hidden=(4,))
         with pytest.raises(InvalidInputError):
             bc_loss(b, np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+# each loss on (states, actions), with the batch check its first step
+LOSSES = {
+    "denoiser_loss": lambda s, a: denoiser_loss(tiny_model(), s, a,
+                                                SeededRng(0)),
+    "policy_loss": lambda s, a: policy_loss(tiny_policy(), tiny_model(), s,
+                                            a, SeededRng(0)),
+    "bc_loss": lambda s, a: bc_loss(BcBaseline(2, 2, SeededRng(0),
+                                               hidden=(4,)), s, a),
+}
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("states,actions", [
+    (np.zeros((0, 2)), np.zeros((0, 2))),
+    (np.zeros((5, 2)), np.ones((1, 2))),    # numpy would broadcast it
+    (np.zeros((5, 2)), np.ones((3, 2))),
+    (np.zeros((2, 5, 2)), np.ones((2, 5, 2))),
+], ids=["empty", "one_action_row", "three_action_rows", "3d"])
+def test_every_loss_checks_its_batch(loss, states, actions):
+    with pytest.raises(InvalidInputError, match=loss):
+        LOSSES[loss](states, actions)
