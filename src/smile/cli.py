@@ -21,7 +21,8 @@ from .diffusion import NoiseModel
 from .errors import (ConfigError, InvalidInputError, SmileError,
                      ValidationError)
 from .expertise import FilterReport, save_filter_report, score_dataset
-from .mathcore import SeededRng, derive_seed, load_checkpoint
+from .mathcore import (SeededRng, derive_seed, keep_temporaries_on_heap,
+                       load_checkpoint)
 from .policy import BcBaseline, GeneratorPolicy
 from .trainer import audit_bins, bench_reverse, train, train_bc
 
@@ -139,6 +140,7 @@ def cmd_audit(args) -> int:
 
     # One scoring pass feeds both the bin table and the per-trajectory
     # report (filter-report format); the store is left untouched.
+    keep_temporaries_on_heap()
     records, _ = score_dataset(store, model, policy, cfg.train.filter)
     rows = audit_bins(store, records, width)
     print("bin_lo,bin_hi,count,mean_step")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -369,57 +368,69 @@ def _header_env(where: str, header: dict) -> EnvSpec | None:
     return env
 
 
+def _demo_lines(path: str):
+    """(number, text) of each non-blank line of the file at ``path``, without
+    its line end. The file is read and decoded one line at a time, never
+    whole, so a byte that is not UTF-8 names its own line. Lines end at
+    ``\n`` only."""
+    try:
+        with open(path, "rb") as fh:
+            for no, raw in enumerate(fh, 1):
+                try:
+                    text = raw.rstrip(b"\r\n").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise InvalidInputError(
+                        f"{path}:{no}: not UTF-8: {exc.reason}") from exc
+                if text.strip():
+                    yield no, text
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read demo file {path}: {exc}") from exc
+
+
 def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
     """Read a demo file. ``include_rewards=False`` strips rewards so training
     paths cannot touch them even by accident.
 
     A byte that is not UTF-8, malformed JSON, a bad header (_header_env), a
-    missing field, a traj_id that is not a JSON integer, a state or action
-    of the wrong width, an s, a or r entry that is not a JSON number, a
-    terminal that is not a JSON boolean, a non-finite number, a trajectory
+    missing field, a traj_id or step that is not a JSON integer, a state or
+    action of the wrong width, an s, a or r entry that is not a JSON number,
+    a terminal that is not a JSON boolean, a non-finite number, a trajectory
     whose steps are not 0, 1, 2, ... (a repeat or a gap), a noise level that
     is neither null nor a finite number >= 0 and a noise level that varies
     within a trajectory each raise InvalidInputError naming path:line (a
     width error names the first line of its trajectory). A file with no
-    transitions raises InvalidInputError naming the path.
+    transitions raises InvalidInputError naming the path. The file is read
+    line by line (_demo_lines), so where it has several faults the first in
+    the file is named.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read demo file {path}: {exc}") from exc
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        no = data.count(b"\n", 0, exc.start) + 1
-        raise InvalidInputError(
-            f"{path}:{no}: not UTF-8: {exc.reason}") from exc
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1)
-             if ln.strip()]
-    if not lines:
+    lines = _demo_lines(path)
+    head_no, head = next(lines, (None, None))
+    if head is None:
         raise InvalidInputError(f"demo file {path} is empty")
     try:
-        header = json.loads(lines[0][1])
+        header = json.loads(head)
     except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path}:{lines[0][0]}: {exc}") from exc
+        raise InvalidInputError(f"{path}:{head_no}: {exc}") from exc
     if not isinstance(header, dict) or header.get("kind") != "header":
         raise InvalidInputError(f"demo file {path} is missing its header")
     if header.get("format_version") != DEMO_FORMAT_VERSION:
         raise InvalidInputError(
             f"demo file {path} has format_version "
             f"{header.get('format_version')}, expected {DEMO_FORMAT_VERSION}")
-    if len(lines) == 1:
+    first = next(lines, None)
+    if first is None:
         raise InvalidInputError(f"demo file {path} holds no transitions")
-    env = _header_env(f"{path}:{lines[0][0]}", header)
+    env = _header_env(f"{path}:{head_no}", header)
     dims = ((header["state_dim"],), (header["action_dim"],))
     rows: dict[int, list[tuple]] = {}
-    for no, ln in lines[1:]:
+    for no, ln in chain([first], lines):
         try:
             rec = json.loads(ln)
-            tid = rec["traj_id"]
-            if type(tid) is not int:
-                raise InvalidInputError(
-                    f"{path}:{no}: traj_id {tid!r} is not an integer")
+            tid, step = rec["traj_id"], rec["step"]
+            for key, value in (("traj_id", tid), ("step", step)):
+                if type(value) is not int:
+                    raise InvalidInputError(
+                        f"{path}:{no}: {key} {value!r} is not an integer")
             level = rec["noise_level"]
             if level is not None and not (type(level) in (int, float)
                                           and 0 <= level < math.inf):
@@ -429,8 +440,8 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
             if type(rec["terminal"]) is not bool:
                 raise InvalidInputError(f"{path}:{no}: terminal is not a bool")
             rows.setdefault(tid, []).append(
-                (operator.index(rec["step"]), no, rec["s"], rec["a"],
-                 rec["r"], rec["terminal"], level))
+                (step, no, rec["s"], rec["a"], rec["r"], rec["terminal"],
+                 level))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(
                 f"{path}:{no}: bad demo record: {exc!r}") from exc

@@ -10,8 +10,11 @@ at least as good, larger means the segment is cleaner by that many steps.
 
 score_dataset is the one scoring path: it segments the store at terminals or
 max_demo_len and returns one record per segment, with its mean Q curve and
-predicted step. A segment's whole curve costs one slice of a single policy
-call and one denoiser forward over T copies of its rows (q_curve_matrix).
+predicted step. A segment's whole curve costs one policy call on its rows
+and one denoiser forward over T copies of them (q_curve_matrix). So no
+array larger than T * max_demo_len rows exists, whatever the store's size,
+and a segment's record depends only on its own rows and the two networks,
+not on the store around it.
 score_dataset also gives each segment its verdict, by one rule that does
 not look at store order: a segment is kept iff its step is above the step
 threshold or among the min_demos highest steps (ties with the last of them
@@ -204,16 +207,19 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig):
     the noise level.
 
     This is the only place that turns (model, policy, store) into predicted
-    steps. The policy is called once over ``store.sample_all()`` and its
-    actions are reused across every t'. Each segment's Q curve is then one
-    denoiser forward of T * n rows on that segment's slice: 1,000 rows at
-    the defaults, about 1 MB of float32 activations a layer, which fits in
-    a 2 MiB L2. That is a T-th of the calls of one forward per step, with matmuls
-    large enough to keep two BLAS threads busy; on 2 cores it cut the
-    in-process scoring of a 25,000-transition store from 1.06-1.32 s to
-    0.81-1.12 s. Segments are not merged into larger batches: those were
-    not reliably faster, and BLAS may round differently at other row
-    counts. A segment's predicted step is the argmax of its mean Q curve
+    steps. Each segment costs one policy call on its n rows, whose actions
+    are reused across every t', and one denoiser forward of T * n rows:
+    1,000 rows at the defaults, about 1 MB of float32 activations a layer,
+    which fits in a 2 MiB L2. So the working memory does not grow with the
+    store, and a segment gets the same bits alone as inside any store (BLAS
+    may round differently at other row counts, so a call over the whole
+    store would not). On 2 cores, 250 policy calls of 100 rows took 64 ms
+    against 113 ms for one call of 25,000 rows. Callers run
+    mathcore.keep_temporaries_on_heap first, or the per-segment arrays
+    fault their pages in anew at every segment: 117,000 page faults in one
+    pass over 25,000 transitions, which then took 0.9 s instead of 0.5 s.
+    Segments are not merged into larger batches: those were not reliably
+    faster. A segment's predicted step is the argmax of its mean Q curve
     over t' (ties break toward the smallest t').
     """
     if store.num_trajectories == 0:
@@ -223,16 +229,12 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig):
     cfg.validate(model.sched.T)
     segments = segment_trajectories(store.trajectories, cfg.max_demo_len)
 
-    states, targets = store.sample_all()
-    refs = np.atleast_2d(policy.act(states))
-
     curves = []
-    lo = 0  # segments tile the store's flat arrays in order
-    for _, start, stop in segments:
-        hi = lo + stop - start
-        curves.append(q_curve_matrix(model, states[lo:hi], targets[lo:hi],
-                                     refs[lo:hi]).mean(axis=1))
-        lo = hi
+    for parent, start, stop in segments:
+        states = parent.states[start:stop]
+        curves.append(q_curve_matrix(
+            model, states, parent.actions[start:stop],
+            policy.act(states)).mean(axis=1))
     steps = [int(np.argmax(curve)) for curve in curves]
     k = min(cfg.min_demos, len(steps))
     cut = min(cfg.step_threshold, sorted(steps)[-k] - 1)

@@ -47,7 +47,8 @@ from .errors import ConfigError, InvalidInputError, TrainingError
 from .expertise import (FilterConfig, FilterReport, SegmentRecord,
                         filter_dataset, save_filter_report)
 from .mathcore import (EmaTracker, OptimizerState, SeededRng, ema_update,
-                       optimizer_step, save_checkpoint)
+                       keep_temporaries_on_heap, optimizer_step,
+                       save_checkpoint)
 from .policy import BcBaseline, GeneratorPolicy, bc_loss, policy_loss
 
 # the parameter dtype of every network training builds: float32 matmuls run
@@ -245,10 +246,7 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
         csv_out = csv.DictWriter(csv_fh, CSV_COLUMNS, lineterminator="\n")
         csv_out.writeheader()
 
-    # freeing one block larger than any step's temporaries lifts glibc's
-    # dynamic mmap and trim thresholds above them, so the heap keeps them
-    # between steps instead of trimming and re-faulting them every step
-    np.empty(2 ** 21)  # 16 MiB
+    keep_temporaries_on_heap()
     n_iters = cfg.num_iterations
     start = time.perf_counter()
     try:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -126,3 +127,14 @@ def seal_checkpoint(payload: dict) -> dict:
     body = {k: v for k, v in payload.items() if k != "crc32"}
     payload["crc32"] = zlib.crc32(json.dumps(body, sort_keys=True).encode())
     return payload
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while ``fn()`` runs, over what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -69,25 +69,24 @@ class OracleDenoiser:
 
 
 class TablePolicy:
-    """Positional lookup policy: returns pre-stored actions for the exact
-    state batch it was built for (used to impersonate behavior policies).
-
-    It accepts exactly two calls: one batched call over the whole batch it
-    was built from (for a store, ``store.sample_all()`` states, which is how
-    score_dataset calls the policy), or a single state. Any other batch is a
-    contract violation and fails the assertion.
-    """
+    """Lookup policy: answers each state it was built with by that state's
+    pre-stored action (used to impersonate behavior policies). It takes a
+    single state or any batch of its states, in any subset or order, and
+    looks every row up by its state; a repeated state answers with its
+    first row's action. A state it does not hold fails the lookup."""
 
     def __init__(self, states: np.ndarray, actions: np.ndarray):
-        self.states = states
+        self.states = np.asarray(states, dtype=np.float64)
         self.actions = actions
+        self.rows = {}
+        for i, state in enumerate(self.states):
+            self.rows.setdefault(state.tobytes(), i)
 
     def act(self, s):
-        if np.asarray(s).ndim == 1:
-            idx = int(np.flatnonzero((self.states == s).all(axis=1))[0])
-            return self.actions[idx]
-        assert len(s) == len(self.states)
-        return self.actions
+        s = np.asarray(s, dtype=np.float64)
+        out = self.actions[[self.rows[row.tobytes()]
+                            for row in np.atleast_2d(s)]]
+        return out[0] if s.ndim == 1 else out
 
 
 def make_store(task: GaussianTask, rng: SeededRng, n_traj: int,

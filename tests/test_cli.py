@@ -96,14 +96,17 @@ def test_audit_scores_once(run, monkeypatch):
         return real_score(*args, **kwargs)
 
     def act(self, s):
-        acted.append(len(s))
+        acted.append(s)
         return real_act(self, s)
 
     monkeypatch.setattr(cli, "score_dataset", score)
     monkeypatch.setattr(GeneratorPolicy, "act", act)
     assert cli.main(audit_argv(cfg, out)) == 0
     assert scored == [1]
-    assert acted == [1000]  # one policy call over all 10 x 100 transitions
+    # one policy call per 100-transition segment, on its rows, in store order
+    assert [len(s) for s in acted] == [100] * 10
+    states, _ = load_demos(str(out / "demos.jsonl")).sample_all()
+    assert np.array_equal(np.concatenate(acted), states)
 
 
 def test_bc_checkpoint_audits_and_benches(run, tmp_path):
@@ -391,9 +394,10 @@ def test_header_only_demo_file_exits_1(run, tmp_path, capsys, command):
     (2, "traj_id", None),
     (2, "traj_id", 0.5),
     (2, "traj_id", True),       # would have merged with trajectory 1
+    (3, "step", True),          # would have loaded as step 1
 ], ids=["string_horizon", "fractional_horizon", "unknown_env",
         "header_dims_not_the_envs", "string_traj_id", "null_traj_id",
-        "fractional_traj_id", "bool_traj_id"])
+        "fractional_traj_id", "bool_traj_id", "bool_step"])
 def test_bad_demo_header_or_traj_id_exits_1(run, tmp_path, capsys, line, key,
                                             value):
     cfg, out = run

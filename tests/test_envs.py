@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import re
 
 import numpy as np
@@ -14,6 +15,8 @@ from smile.envs import (DemoStore, EnvState, Trajectory, default_expert,
                         undiscounted_return)
 from smile.errors import ConfigError, EnvironmentFault, InvalidInputError
 from smile.mathcore import SeededRng, derive_seed
+
+from conftest import traced_peak
 
 
 @pytest.fixture
@@ -332,6 +335,43 @@ class TestDemoFile:
         stripped = load_demos(path, include_rewards=False)
         assert all(tr.rewards is None for tr in stripped.trajectories)
         assert all(tr.ret is None for tr in stripped.trajectories)
+
+    def test_peak_memory_below_four_times_the_file(self, pm, tmp_path):
+        # the bytes, their text and the list of lines are never all held
+        store = generate_demos(pm, default_expert(pm), [0.0, 0.5], 10,
+                               SeededRng(16))
+        path = str(tmp_path / "demos.jsonl")
+        save_demos(store, path)
+        peak = traced_peak(lambda: load_demos(path))
+        assert peak < 4 * os.path.getsize(path), peak
+
+    def test_crlf_file_loads_the_same_arrays(self, pm, tmp_path):
+        store = generate_demos(pm, default_expert(pm), [0.0, 0.7], 2,
+                               SeededRng(17))
+        path = tmp_path / "demos.jsonl"
+        save_demos(store, str(path))
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = load_demos(str(path)), load_demos(str(crlf))
+        assert a.env == b.env
+        for x, y in zip(a.trajectories, b.trajectories):
+            for field in ("states", "actions", "rewards", "terminals"):
+                assert getattr(x, field).tobytes() == \
+                    getattr(y, field).tobytes()
+            assert (x.traj_id, x.noise_level, x.ret) == (
+                y.traj_id, y.noise_level, y.ret)
+
+    def test_bad_byte_on_a_late_line_names_it(self, pm, tmp_path):
+        store = generate_demos(pm, default_expert(pm), [0.3], 2,
+                               SeededRng(18))
+        path = tmp_path / "demos.jsonl"
+        save_demos(store, str(path))
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[-1] = b"\xc3" + lines[-1][1:]   # a cut 2-byte sequence
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"{path}:{len(lines)}: not UTF-8")):
+            load_demos(str(path))
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,16 +8,18 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from smile.diffusion import NoiseModel, diffuse
-from smile.envs import DemoStore, Trajectory
+from smile.envs import (DemoStore, Trajectory, default_expert,
+                        generate_demos, make_env_spec)
 from smile.errors import ConfigError, InvalidInputError
 from smile.expertise import (FilterConfig, filter_dataset, q_curve_matrix,
                              save_filter_report, score_dataset,
                              segment_trajectories, spearman,
                              tie_averaged_ranks)
 from smile.mathcore import SeededRng
+from smile.policy import GeneratorPolicy
 
 from conftest import (float32_rounding_bound, forward_stage_lengths,
-                      reference_q_curve_matrix)
+                      reference_q_curve_matrix, traced_peak)
 from gauss_task import GaussianTask, OracleDenoiser, TablePolicy
 
 
@@ -259,36 +262,85 @@ class TestScoreDataset:
         states, actions = store.sample_all()
         oracle, table = OracleDenoiser(task, sched), TablePolicy(states,
                                                                  actions)
-        policy_rows, denoiser_calls = [], []
+        calls = []
 
         class CountingPolicy:
             def act(self, s):
-                policy_rows.append(len(s))
+                calls.append(("policy", s))
                 return table.act(s)
 
         class CountingModel:
             sched = oracle.sched
 
             def predict(self, s, a_t, t):
-                denoiser_calls.append((s, a_t, t))
+                calls.append(("denoiser", (s, a_t, t)))
                 return oracle.predict(s, a_t, t)
 
         cfg = FilterConfig(min_demos=1, max_demo_len=4)
         records, _ = score_dataset(store, CountingModel(), CountingPolicy(),
                                    cfg)
-        assert policy_rows == [store.transition_count]
         assert [r.stop - r.start for r in records] == [4, 4, 2] * 6
-        # one denoiser call per segment, over its n rows at every step
-        assert [len(s) for s, _, _ in denoiser_calls] == [
-            sched.T * n for n in [4, 4, 2] * 6]
+        # per segment, in store order: one policy call on its n rows, then
+        # one denoiser call over its n rows at every step
+        assert [kind for kind, _ in calls] == ["policy", "denoiser"] * 18
         lo = 0
-        for (s, a_t, t), rec in zip(denoiser_calls, records):
+        for rec, (_, s_pol), (_, (s, a_t, t)) in zip(records, calls[0::2],
+                                                     calls[1::2]):
             n = rec.stop - rec.start
+            assert np.array_equal(s_pol, states[lo:lo + n])
             assert np.array_equal(s, np.tile(states[lo:lo + n], (sched.T, 1)))
             assert np.array_equal(a_t,
                                   np.tile(actions[lo:lo + n], (sched.T, 1)))
             assert np.array_equal(t, np.repeat(np.arange(1, sched.T + 1), n))
             lo += n
+
+
+def real_nets(state_dim, action_dim, T, seed=0):
+    """A float32 NoiseModel and GeneratorPolicy of the default widths whose
+    every parameter is drawn at random, output layers included (a fresh
+    net's zero output layer would make every product exact)."""
+    model = NoiseModel(state_dim, action_dim, T, SeededRng(seed),
+                       dtype=np.float32)
+    policy = GeneratorPolicy(state_dim, action_dim, SeededRng(seed + 1),
+                             dtype=np.float32)
+    for i, net in enumerate((model, policy)):
+        net.set_params(0.1 * SeededRng(seed + 2 + i).standard_normal(
+            net.flat.size))
+    return model, policy
+
+
+def demo_store(n_traj):
+    """n_traj pointmass trajectories of 100 transitions, noise level 0.5."""
+    spec = make_env_spec("pointmass2d")
+    return generate_demos(spec, default_expert(spec), [0.5], n_traj,
+                          SeededRng(40))
+
+
+class TestScoreDatasetStoreIndependence:
+    def test_trajectory_scores_the_same_alone_and_in_a_store(self):
+        # BLAS may sum a matmul in another order at another row count, so
+        # a policy call over the whole store would round differently
+        store = demo_store(50)
+        model, policy = real_nets(4, 2, 10)
+        cfg = FilterConfig(min_demos=1)
+        records, _ = score_dataset(store, model, policy, cfg)
+        for tr in store.trajectories[::7]:
+            (alone,), _ = score_dataset(DemoStore([tr]), model, policy, cfg)
+            (within,) = [r for r in records if r.parent_id == tr.traj_id]
+            assert (alone.start, alone.stop, alone.predicted_step) == (
+                within.start, within.stop, within.predicted_step)
+            assert (np.asarray(alone.mean_q).tobytes()
+                    == np.asarray(within.mean_q).tobytes())
+
+    def test_peak_memory_does_not_grow_with_the_store(self):
+        model, policy = real_nets(4, 2, 10)
+        cfg = FilterConfig(min_demos=1)
+        small = demo_store(5)
+        large = DemoStore([dataclasses.replace(tr, traj_id=i) for i, tr in
+                           enumerate(small.trajectories * 50)])
+        peaks = [traced_peak(lambda: score_dataset(s, model, policy, cfg))
+                 for s in (small, large)]
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestSegmentation:
@@ -329,15 +381,6 @@ def _offset_store(offsets, sched, n=4, dim=2, seed=0):
     return store, policy, model
 
 
-class _StatePolicy(TablePolicy):
-    """TablePolicy that looks every row up by its state, so it answers the
-    rows it was built from in any subset or order."""
-
-    def act(self, s):
-        return np.stack([super(_StatePolicy, self).act(row)
-                         for row in np.atleast_2d(s)])
-
-
 def _step_store(steps, sched, n=4, dim=2, seed=0):
     """Store + policy + model where segment i's mean-Q curve peaks at
     steps[i] alone: its reference is the action plus 0.5, which the stub's
@@ -345,8 +388,7 @@ def _step_store(steps, sched, n=4, dim=2, seed=0):
     flat curve). Policy and model look rows up by state, so they score any
     reordered or filtered copy of the store."""
     offsets = [0.0 if t == 0 else 0.5 for t in steps]
-    store, table, _ = _offset_store(offsets, sched, n, dim, seed)
-    policy = _StatePolicy(table.states, table.actions)
+    store, policy, _ = _offset_store(offsets, sched, n, dim, seed)
     states = np.concatenate([tr.states for tr in store.trajectories])
     vecs = np.repeat([0.0 if t == 0 else 0.5 * sched.sigmas[-1]
                       / sched.sigmas[t] for t in steps], n)

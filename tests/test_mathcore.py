@@ -355,6 +355,7 @@ def test_params_are_views_tiling_flat(make, forward):
     assert all(np.array_equal(p, q) for p, q in zip(
         params, reshape_views(net.flat, net.shapes(net.widths))))
     assert net.flat.dtype == np.float64 and net.flat.flags.c_contiguous
+    assert net.flat.ctypes.data % 64 == 0  # starts on a cache line
     assert all(np.shares_memory(p, net.flat) for p in params)
     # the views tile flat exactly: sizes add up and no element is shared
     assert sum(p.size for p in params) == net.flat.size
