@@ -83,12 +83,33 @@ _SCHEMA = {
 }
 
 
+# config key -> the TrainConfig field it sets, where the names differ
+_RENAMED = {"learning_rate": "lr", "steps": "diffusion_steps"}
+
+
 def _line_of(lines: list[str], pattern: str) -> int | None:
     rx = re.compile(pattern)
     for i, line in enumerate(lines, start=1):
         if rx.match(line):
             return i
     return None
+
+
+def _key_line(lines: list[str], key: str) -> int | None:
+    """The line that sets ``key``, in any case as configparser reads keys;
+    key names are unique across sections."""
+    return _line_of(lines, rf"(?i)\s*{re.escape(key)}\s*[=:]")
+
+
+def _located(path: str, lines: list[str], exc: ConfigError) -> ConfigError:
+    """``exc`` naming ``path`` and the line of the first of its keys that
+    the file sets, or the path alone where it sets none of them."""
+    key_of = {field: key for key, field in _RENAMED.items()}
+    for field in exc.keys:
+        line = _key_line(lines, key_of.get(field, field))
+        if line is not None:
+            return ConfigError(f"{path}:{line}: {exc}")
+    return ConfigError(f"{path}: {exc}")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -117,30 +138,26 @@ def load_config(path: str) -> ExperimentConfig:
                 f"{path}:{line}: unknown section [{section}]")
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
-                line = _line_of(lines, rf"\s*{re.escape(key)}\s*[=:]")
+                line = _key_line(lines, key)
                 raise ConfigError(
                     f"{path}:{line}: unknown key {key!r} in [{section}]")
             try:
                 values[section][key] = _SCHEMA[section][key](raw)
             except (ValueError, TypeError) as exc:
-                line = _line_of(lines, rf"\s*{re.escape(key)}\s*[=:]")
+                line = _key_line(lines, key)
                 raise ConfigError(
                     f"{path}:{line}: bad value for {section}.{key}: {exc}"
                 ) from exc
 
-    try:
-        env = make_env_spec(**values["env"])
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     # only the keys the file sets, so the dataclasses hold the defaults
-    renamed = {"learning_rate": "lr", "steps": "diffusion_steps"}
     train = TrainConfig(filter=FilterConfig(**values["filter"]), **{
-        renamed.get(key, key): value
+        _RENAMED.get(key, key): value
         for key, value in {**values["schedule"], **values["train"]}.items()})
     try:
+        env = make_env_spec(**values["env"])
         train.validate()
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise _located(path, lines, exc) from exc
     return ExperimentConfig(**values["experiment"], env=env,
                             data=DataConfig(**values["data"]), train=train)
 

@@ -44,10 +44,12 @@ def build_schedule(T: int, beta_min: float = DEFAULT_BETA_MIN,
                    beta_max: float = DEFAULT_BETA_MAX) -> DiffusionSchedule:
     """Linear beta schedule with cumulative root-sum-square sigmas."""
     if T < 1:
-        raise ConfigError(f"diffusion step count must be >= 1, got {T}")
+        raise ConfigError(f"diffusion step count must be >= 1, got {T}",
+                          "diffusion_steps")
     if not 0 < beta_min <= beta_max < np.inf:  # false for NaN too
         raise ConfigError(f"need 0 < beta_min <= beta_max < inf, got "
-                          f"beta_min {beta_min}, beta_max {beta_max}")
+                          f"beta_min {beta_min}, beta_max {beta_max}",
+                          "beta_min", "beta_max")
     if T == 1:
         betas = np.array([beta_min])
     else:

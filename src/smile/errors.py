@@ -18,7 +18,13 @@ class InvalidInputError(ValidationError):
 
 
 class ConfigError(ValidationError):
-    """Config file or config object failed validation."""
+    """Config file or config object failed validation. ``keys`` names the
+    fields the failed check read, so a config file's loader can point at the
+    line that sets one."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
 
 
 class CheckpointVersionError(ValidationError):

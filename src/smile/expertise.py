@@ -33,6 +33,7 @@ import numpy as np
 
 from .envs import DemoStore, Trajectory, undiscounted_return
 from .errors import ConfigError, InvalidInputError
+from .mathcore import atomic_write
 
 
 @dataclass
@@ -45,16 +46,20 @@ class FilterConfig:
 
     def validate(self, T: int) -> None:
         if self.min_demos < 1:
-            raise ConfigError(f"min_demos must be >= 1, got {self.min_demos}")
+            raise ConfigError(f"min_demos must be >= 1, got {self.min_demos}",
+                              "min_demos")
         if self.max_demo_len < 1:
             raise ConfigError(
-                f"max_demo_len must be >= 1, got {self.max_demo_len}")
+                f"max_demo_len must be >= 1, got {self.max_demo_len}",
+                "max_demo_len")
         if not 0 <= self.step_threshold <= T:
             raise ConfigError(
-                f"step_threshold {self.step_threshold} outside 0..{T}")
+                f"step_threshold {self.step_threshold} outside 0..{T}",
+                "step_threshold", "diffusion_steps")
         if self.filter_every < 1:
             raise ConfigError(
-                f"filter_every must be >= 1, got {self.filter_every}")
+                f"filter_every must be >= 1, got {self.filter_every}",
+                "filter_every")
 
 
 @dataclass
@@ -125,7 +130,7 @@ def spearman(x, y) -> float | None:
 def save_filter_report(report: FilterReport, path: str) -> None:
     payload = report.summary()
     payload["records"] = [vars(r) for r in report.records]
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=1)
 
 

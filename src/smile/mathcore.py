@@ -32,6 +32,7 @@ full copy of a network's ``flat``.
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
 import math
@@ -370,6 +371,32 @@ def ema_update(tracker: EmaTracker, flat: np.ndarray) -> EmaTracker:
 
 
 # ---------------------------------------------------------------------------
+# Atomic file writes
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "w"):
+    """A file, opened in ``mode``, whose contents replace ``path`` when the
+    block exits cleanly; if the block raises, ``path`` keeps its bytes.
+
+    The file is a temporary one beside ``path``, named by the process id and
+    a random token, so processes writing one path at once never share it;
+    ``os.replace`` then swaps it in. It is created like ``open`` creates a
+    file, so the umask sets its permissions.
+    """
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
 
@@ -387,7 +414,7 @@ def save_checkpoint(path: str, net) -> None:
     ``params`` holds it as base64 of its raw little-endian bytes in the
     arch's dtype, so it round-trips bit-exactly, and ``crc32`` guards every
     other key. The text is encoded in one ``json.dumps`` call and written at
-    once, through a temporary file that replaces ``path``.
+    once, through ``atomic_write``.
     """
     le = net.flat.dtype.newbyteorder("<")
     raw = np.asarray(net.flat, dtype=le).tobytes()
@@ -398,11 +425,9 @@ def save_checkpoint(path: str, net) -> None:
         "params": base64.b64encode(raw).decode("ascii"),
     }
     payload["crc32"] = _checkpoint_crc(payload)
-    tmp = path + ".tmp"
     text = json.dumps(payload)
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str) -> dict:

@@ -99,16 +99,21 @@ class TrainConfig:
                     "eval_episodes": self.eval_episodes}
         for name, value in positive.items():
             if value <= 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+                raise ConfigError(f"{name} must be positive, got {value}",
+                                  name)
         if self.transition_budget < self.batch_size:
-            raise ConfigError("transition_budget must be >= batch_size")
+            raise ConfigError("transition_budget must be >= batch_size",
+                              "transition_budget", "batch_size")
         if self.ema_warmup_steps < 0:
             raise ConfigError(
-                f"ema_warmup_steps must be >= 0, got {self.ema_warmup_steps}")
+                f"ema_warmup_steps must be >= 0, got {self.ema_warmup_steps}",
+                "ema_warmup_steps")
         if not 0.0 <= self.ema_decay <= 1.0:
-            raise ConfigError(f"ema_decay {self.ema_decay} outside [0, 1]")
+            raise ConfigError(f"ema_decay {self.ema_decay} outside [0, 1]",
+                              "ema_decay")
         if self.eval_every < 0:
-            raise ConfigError("eval_every must be >= 0 (0 disables)")
+            raise ConfigError("eval_every must be >= 0 (0 disables)",
+                              "eval_every")
         build_schedule(self.diffusion_steps, self.beta_min, self.beta_max)
         self.filter.validate(self.diffusion_steps)
 

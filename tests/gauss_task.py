@@ -6,6 +6,12 @@ eps*(s, a_t, t) = sigma_t (a_t - mu(s)) / (sigma_d^2 + sigma_t^2)
 (equivalently sigma_t times the score of the diffused marginal, negated).
 That gives exact targets for the denoiser, the generator, and the
 diffusion-step predictor without touching any environment.
+
+A demonstrator may act with its own noise, a = mu(s) + sigma_k z, and be
+scored from reference actions a_ref = mu(s) + delta. The oracle then
+denoises a_ref to D_t = mu(s) + delta c_t with c_t = sigma_d^2 /
+(sigma_d^2 + sigma_t^2), so Q_t = -|a - D_t|^2 has a closed-form mean and
+variance per transition (expected_q_curve, q_row_variance).
 """
 
 from __future__ import annotations
@@ -30,8 +36,12 @@ class GaussianTask:
     def sample_states(self, rng: SeededRng, n: int) -> np.ndarray:
         return rng.uniform(-1.0, 1.0, (n, self.state_dim))
 
-    def sample_actions(self, rng: SeededRng, states: np.ndarray) -> np.ndarray:
-        return self.mu(states) + self.sigma_d * rng.standard_normal(
+    def sample_actions(self, rng: SeededRng, states: np.ndarray,
+                       sigma: float | None = None) -> np.ndarray:
+        """Actions of a demonstrator with noise ``sigma`` (sigma_d unless
+        given)."""
+        sigma = self.sigma_d if sigma is None else sigma
+        return self.mu(states) + sigma * rng.standard_normal(
             (len(states), self.action_dim))
 
     def eps_star(self, states, a_t, t, sched) -> np.ndarray:
@@ -52,6 +62,31 @@ def denoiser_loss_floor(task: GaussianTask, sched) -> float:
     """
     v = task.sigma_d ** 2 / (task.sigma_d ** 2 + sched.sigmas[1:] ** 2)
     return float(task.action_dim * np.sqrt(2.0 * v / np.pi).mean())
+
+
+def _shrink(task: GaussianTask, sched) -> np.ndarray:
+    """c_t = sigma_d^2 / (sigma_d^2 + sigma_t^2), t = 0..T: the share of
+    a_ref's offset from mu that the oracle's denoised action keeps."""
+    return task.sigma_d ** 2 / (task.sigma_d ** 2 + sched.sigmas ** 2)
+
+
+def expected_q_curve(task: GaussianTask, sched, sigma_k: float,
+                     delta: np.ndarray) -> np.ndarray:
+    """E[Q_t], t = 0..T, of a transition a = mu(s) + sigma_k z scored by
+    OracleDenoiser from a_ref = mu(s) + delta: a - D_t = sigma_k z -
+    delta c_t, so E[Q_t] = -(d sigma_k^2 + |delta|^2 c_t^2)."""
+    c = _shrink(task, sched)
+    return -(task.action_dim * sigma_k ** 2 + (delta @ delta) * c ** 2)
+
+
+def q_row_variance(task: GaussianTask, sched, sigma_k: float,
+                   delta: np.ndarray) -> np.ndarray:
+    """Var[Q_t] of one such transition: |sigma_k z - delta c_t|^2 has
+    variance 2 d sigma_k^4 + 4 sigma_k^2 c_t^2 |delta|^2 (|z|^2 is
+    chi-squared with d degrees, uncorrelated with delta . z)."""
+    c = _shrink(task, sched)
+    return (2 * task.action_dim * sigma_k ** 4
+            + 4 * sigma_k ** 2 * c ** 2 * (delta @ delta))
 
 
 class OracleDenoiser:

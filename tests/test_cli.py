@@ -420,8 +420,9 @@ def test_bad_schedule_config_exits_1(tmp_path, capsys, command, line):
     cfg = write_config(tmp_path / "cfg.ini", tmp_path)
     with open(cfg, "a") as fh:
         fh.write(f"\n[schedule]\n{line}\n")
+    no = open(cfg).read().splitlines().index(line) + 1
     assert cli.main([command, "--config", cfg]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:{no}: ")
     assert not os.path.exists(tmp_path / "demos.jsonl")
 
 
@@ -476,6 +477,36 @@ def test_non_finite_config_value_exits_1(tmp_path, capsys, section, line):
     no = text.splitlines().index(line) + 1
     assert cli.main(["gen-data", "--config", cfg]) == 1
     assert capsys.readouterr().err.startswith(f"error: {cfg}:{no}:")
+    assert not os.path.exists(tmp_path / "demos.jsonl")
+
+
+@pytest.mark.parametrize("text,bad", [
+    ("[train]\nbatch_size = 0\n", "batch_size = 0"),
+    ("[train]\nema_decay = 2\n", "ema_decay = 2"),
+    ("[train]\neval_episodes = 0\n", "eval_episodes = 0"),
+    ("[train]\nlearning_rate = -0.1\n", "learning_rate = -0.1"),
+    ("[env]\nhorizon = 0\n", "horizon = 0"),
+    ("[filter]\nmin_demos = 0\n", "min_demos = 0"),
+    # cross-field checks name whichever of their keys the file sets: here
+    # the budget under the default batch size of 128, then a batch size
+    # over the default budget, then a threshold over the file's steps
+    ("[train]\ntransition_budget = 5\n", "transition_budget = 5"),
+    ("[train]\nbatch_size = 600000\n", "batch_size = 600000"),
+    ("[schedule]\nsteps = 4\n\n[filter]\nstep_threshold = 6\n",
+     "step_threshold = 6"),
+    # configparser reads keys in any case, and their line is found so too
+    ("[train]\nBatch_Size = 0\n", "Batch_Size = 0"),
+    ("[train]\nBatch_Size = x\n", "Batch_Size = x"),
+], ids=["batch_size", "ema_decay", "eval_episodes", "learning_rate",
+        "horizon", "min_demos", "budget_under_batch", "batch_over_budget",
+        "threshold_over_steps", "mixed_case_range", "mixed_case_value"])
+def test_bad_config_value_names_its_line(tmp_path, capsys, text, bad):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[experiment]\noutput_dir = {tmp_path}\nseed = 3\n\n"
+                   f"{text}")
+    no = cfg.read_text().splitlines().index(bad) + 1
+    assert cli.main(["gen-data", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:{no}: ")
     assert not os.path.exists(tmp_path / "demos.jsonl")
 
 

@@ -1,13 +1,17 @@
 import dataclasses
+import hashlib
 import json
 import os
+import random
 import re
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smile.envs as envs
 from smile.envs import (DemoStore, EnvState, Trajectory, default_expert,
                         env_reset, env_step, expert_act, generate_demos,
                         load_demos, make_env_spec, rollout,
@@ -311,6 +315,20 @@ class TestDemoFile:
         assert loaded.env is None
         assert np.array_equal(loaded.sample_all()[0], store.sample_all()[0])
 
+    def test_a_save_that_raises_midway_keeps_the_old_file(self, pm,
+                                                          tmp_path):
+        store = generate_demos(pm, default_expert(pm), [0.0, 0.5], 2,
+                               SeededRng(19))
+        path = tmp_path / "demos.jsonl"
+        save_demos(store, str(path))
+        before = path.read_bytes()
+        # not JSON: the save fails at the third trajectory's first line
+        store.trajectories[2].noise_level = object()
+        with pytest.raises(TypeError):
+            save_demos(store, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["demos.jsonl"]
+
     def test_save_is_byte_deterministic(self, pm, tmp_path):
         store = generate_demos(pm, default_expert(pm), [0.3], 2, SeededRng(13))
         p1, p2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
@@ -420,3 +438,276 @@ class TestDemoFile:
             assert np.array_equal(a.states, b.states)
             assert np.array_equal(a.actions, b.actions)
             assert np.array_equal(a.rewards, b.rewards)
+
+
+def fingerprint(store: DemoStore):
+    """Every field of a loaded store, arrays as dtype, shape and bytes and
+    each noise level with its Python type."""
+    def array(a):
+        return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+    return (store.env, array(store.sample_all()[0]),
+            array(store.sample_all()[1]),
+            [(tr.traj_id, type(tr.noise_level), tr.noise_level, tr.ret,
+              *map(array, (tr.states, tr.actions, tr.rewards, tr.terminals)))
+             for tr in store.trajectories])
+
+
+def outcome(path: str, include_rewards: bool = True):
+    """What a load of ``path`` returns or raises, comparable with ==."""
+    try:
+        return fingerprint(load_demos(path, include_rewards))
+    except InvalidInputError as exc:
+        return f"raised {exc}"
+
+
+def demo_file(pm, tmp_path, case: str) -> str:
+    """A demo file of one kind the copy must rebuild exactly."""
+    store = generate_demos(pm, default_expert(pm), [0.0, 0.6, 1.0], 2,
+                           SeededRng(41))
+    path = tmp_path / "demos.jsonl"
+    if case == "envless_null_rewards":
+        store.env = None
+        store.trajectories[0].rewards = None
+        store.trajectories[3].rewards = None
+    if case == "int_levels":
+        for tr in store.trajectories:
+            tr.noise_level = int(tr.noise_level)
+    save_demos(store, str(path), seed=41)
+    if case == "crlf":
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    if case == "shuffled":
+        head, *records = path.read_bytes().splitlines(keepends=True)
+        random.Random(41).shuffle(records)
+        path.write_bytes(head + b"".join(records))
+    return str(path)
+
+
+class TestStoreCopy:
+    """The binary copy load_demos keeps beside each demo file it parsed."""
+
+    @staticmethod
+    def parse_only(monkeypatch):
+        """Make every load parse, as if it found no copy; it still writes
+        one."""
+        monkeypatch.setattr(envs, "_read_copy", lambda path, source: None)
+
+    @pytest.mark.parametrize("case", [
+        "generated", "envless_null_rewards", "int_levels", "crlf",
+        "shuffled"])
+    def test_a_hit_returns_the_parsed_store(self, pm, tmp_path, monkeypatch,
+                                            case):
+        path = demo_file(pm, tmp_path, case)
+        with monkeypatch.context() as m:
+            self.parse_only(m)
+            parsed = {flag: outcome(path, flag) for flag in (True, False)}
+        # written by a load that strips rewards, the copy still holds them
+        os.remove(path + ".store")
+        load_demos(path, include_rewards=False)
+        with monkeypatch.context() as m:
+            m.setattr(envs, "_parse_demos", None)   # a hit never parses
+            hit = {flag: outcome(path, flag) for flag in (True, False)}
+        assert hit == parsed
+        levels = {type(tr[2]) for tr in parsed[True][3]}
+        assert levels == ({int} if case == "int_levels" else {float})
+        if case == "envless_null_rewards":
+            assert parsed[True][0] is None
+            assert [tr[6] is None for tr in parsed[True][3]] == [
+                True, False, False, True, False, False]
+        assert all(tr[3] is None and tr[6] is None for tr in parsed[False][3])
+
+    def test_the_key_covers_the_loader_source_and_the_file_bytes(
+            self, pm, tmp_path):
+        path = demo_file(pm, tmp_path, "crlf")
+        load_demos(path)
+        with open(envs.__file__, "rb") as fh:
+            key = hashlib.sha256(fh.read() + open(path, "rb").read())
+        copy = open(path + ".store", "rb").read()
+        assert copy[8:40] == key.digest()
+        assert copy[-32:] == hashlib.sha256(copy[:-32]).digest()
+
+    @pytest.mark.parametrize("edit", [
+        "flip_to_error", "flip_to_other_value", "cut_mid_line",
+        "cut_at_line", "append_record", "append_garbage", "blank_line"])
+    def test_a_changed_file_loads_as_with_no_copy(self, pm, tmp_path,
+                                                  monkeypatch, edit):
+        path = demo_file(pm, tmp_path, "generated")
+        before = outcome(path)
+        data = open(path, "rb").read()
+        lines = data.splitlines(keepends=True)
+        if edit == "flip_to_error":
+            data = data.replace(b'"step"', b'"stop"', 1)
+        elif edit == "flip_to_other_value":
+            # the first decimal of line 2's first state entry, one up
+            at = len(lines[0]) + lines[1].index(
+                b".", lines[1].index(b'"s": [')) + 1
+            digit = int(data[at:at + 1])
+            data = data[:at] + b"%d" % ((digit + 1) % 10) + data[at + 1:]
+        elif edit == "cut_mid_line":
+            data = data[:len(data) - 40]
+        elif edit == "cut_at_line":
+            data = b"".join(lines[:-7])
+        elif edit == "append_record":
+            rec = json.loads(lines[-1])
+            rec.update(traj_id=99, step=0)
+            data += json.dumps(rec).encode() + b"\n"
+        elif edit == "append_garbage":
+            data += b"{not json\n"
+        else:
+            data += b"\n"
+        open(path, "wb").write(data)
+        with_copy = outcome(path)
+        self.parse_only(monkeypatch)
+        assert with_copy == outcome(path)
+        if edit in ("flip_to_error", "cut_mid_line", "append_garbage"):
+            assert with_copy.startswith(f"raised {path}:")
+        else:   # a blank line changes the bytes but not the store
+            assert (with_copy == before) == (edit == "blank_line")
+
+    @pytest.mark.parametrize("fault", [
+        "missing", "empty", "truncated", "flipped_array_byte",
+        "flipped_checksum", "other_loader_source", "copy_of_another_file"])
+    def test_a_bad_copy_is_parsed_around_and_rewritten(
+            self, pm, tmp_path, monkeypatch, fault):
+        path = demo_file(pm, tmp_path, "generated")
+        copy = path + ".store"
+        with monkeypatch.context() as m:
+            self.parse_only(m)
+            expected = outcome(path)
+        load_demos(path)
+        good = open(copy, "rb").read()
+        if fault == "missing":
+            os.remove(copy)
+        elif fault == "empty":
+            open(copy, "wb").close()
+        elif fault == "truncated":
+            open(copy, "wb").write(good[:len(good) // 2])
+        elif fault in ("flipped_array_byte", "flipped_checksum"):
+            at = len(good) // 2 if fault == "flipped_array_byte" else -1
+            bad = bytearray(good)
+            bad[at] ^= 0x10
+            open(copy, "wb").write(bad)
+        elif fault == "other_loader_source":
+            os.remove(copy)
+            with monkeypatch.context() as m:
+                m.setattr(envs, "_source_hash",
+                          lambda: hashlib.sha256(b"other loader"))
+                load_demos(path)
+        else:
+            (tmp_path / "other").mkdir()
+            other = demo_file(pm, tmp_path / "other", "shuffled")
+            load_demos(other)
+            os.replace(other + ".store", copy)
+        parses = []
+        real = envs._parse_demos
+        monkeypatch.setattr(envs, "_parse_demos", lambda *a: (
+            parses.append(a[0]), real(*a))[1])
+        assert outcome(path) == expected
+        assert parses == [path]
+        assert outcome(path) == expected   # from the rewritten copy
+        assert parses == [path]
+
+    def test_no_copy_where_none_can_be_written(self, pm, tmp_path,
+                                               monkeypatch):
+        path = demo_file(pm, tmp_path, "generated")
+        with monkeypatch.context() as m:
+            self.parse_only(m)
+            expected = outcome(path)
+        # a directory in the copy's place: the write fails, the load not
+        os.remove(path + ".store")
+        os.mkdir(path + ".store")
+        assert outcome(path) == expected
+        assert os.listdir(tmp_path) == ["demos.jsonl", "demos.jsonl.store"]
+        os.rmdir(path + ".store")
+
+        def denied(*args):
+            raise PermissionError(13, "Permission denied")
+        monkeypatch.setattr(envs, "atomic_write", denied)
+        assert outcome(path) == expected
+        assert os.listdir(tmp_path) == ["demos.jsonl"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+    def test_a_pipe_is_parsed_and_gets_no_copy(self, pm, tmp_path):
+        path = demo_file(pm, tmp_path, "generated")
+        expected = outcome(path)
+        fifo = str(tmp_path / "fifo.jsonl")
+        os.mkfifo(fifo)
+        # a copy beside the pipe, of another file: hashing the pipe against
+        # it would consume the bytes the parse needs
+        (tmp_path / "b").mkdir()
+        other = demo_file(pm, tmp_path / "b", "shuffled")
+        load_demos(other)
+        os.replace(other + ".store", fifo + ".store")
+        stale = open(fifo + ".store", "rb").read()
+        data = open(path, "rb").read()
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        got = []
+        threads = [threading.Thread(target=feed, daemon=True),
+                   threading.Thread(target=lambda: got.append(outcome(fifo)),
+                                    daemon=True)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        # a load that opened the pipe twice would wait for a second writer
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [expected]
+        assert open(fifo + ".store", "rb").read() == stale   # not rewritten
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                        reason="needs a directory the user cannot write")
+    def test_read_only_directory_loads_with_no_copy(self, pm, tmp_path):
+        path = demo_file(pm, tmp_path, "generated")
+        os.chmod(tmp_path, 0o555)
+        try:
+            store = load_demos(path)
+            assert os.listdir(tmp_path) == ["demos.jsonl"]
+        finally:
+            os.chmod(tmp_path, 0o755)
+        assert fingerprint(store) == fingerprint(load_demos(path))
+
+    def test_a_file_replaced_during_the_parse_keys_the_bytes_parsed(
+            self, pm, tmp_path, monkeypatch):
+        # the parse reads one open file to its end and hashes what it read,
+        # so the copy is keyed by the bytes it came from, not by whatever
+        # the path holds once the parse is done
+        path = demo_file(pm, tmp_path, "generated")
+        (tmp_path / "b").mkdir()
+        other = demo_file(pm, tmp_path / "b", "shuffled")
+        os.replace(other, other + ".new")
+        with monkeypatch.context() as m:
+            self.parse_only(m)
+            first, second = outcome(path), outcome(other + ".new")
+        os.remove(path + ".store")
+        real = envs._demo_lines
+
+        def swapped_midway(p, digest):
+            lines = real(p, digest)
+            yield next(lines)
+            os.replace(other + ".new", path)
+            yield from lines
+        with monkeypatch.context() as m:
+            m.setattr(envs, "_demo_lines", swapped_midway)
+            assert outcome(path) == first
+        assert outcome(path) == second
+        assert outcome(path) == second
+
+    def test_a_hit_holds_a_fraction_of_the_parse_s_memory(self, tmp_path):
+        # the audit's store size: 250 trajectories of 100 steps
+        rng = SeededRng(42)
+        trajectories = []
+        for tid in range(250):
+            terminals = np.zeros(100, dtype=bool)
+            terminals[-1] = True
+            trajectories.append(Trajectory(
+                traj_id=tid, states=rng.standard_normal((100, 4)),
+                actions=rng.standard_normal((100, 2)),
+                rewards=rng.standard_normal(100), terminals=terminals,
+                noise_level=0.25 * (tid % 5)))
+        path = str(tmp_path / "demos.jsonl")
+        save_demos(DemoStore(trajectories, env=make_env_spec()), path)
+        parse = traced_peak(lambda: load_demos(path))
+        hit = traced_peak(lambda: load_demos(path))
+        assert hit < parse / 4, (hit, parse)

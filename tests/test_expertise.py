@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from smile.policy import GeneratorPolicy
 
 from conftest import (float32_rounding_bound, forward_stage_lengths,
                       reference_q_curve_matrix, traced_peak)
-from gauss_task import GaussianTask, OracleDenoiser, TablePolicy
+from gauss_task import (GaussianTask, OracleDenoiser, TablePolicy,
+                        expected_q_curve, q_row_variance)
 
 
 def make_traj(states, actions, tid=0, noise_level=None):
@@ -246,6 +248,77 @@ class TestPredictStep:
         model = _OffsetModel(states, np.zeros((5, 2)), sched)
         policy = TablePolicy(states, actions)
         assert predicted_step(model, policy, traj)[0] == 0
+
+
+class TestQCurveClosedForm:
+    """score_dataset's mean Q curves on the Gaussian task against E[Q_t]
+    in closed form (gauss_task.expected_q_curve). Every value must lie
+    within Z standard errors of its expectation, the error taken from the
+    closed-form per-transition variance; at Z = 4 a normal tail holds
+    6e-5 per value, and each test checks at most 66 values."""
+
+    Z = 4.0
+    N = 500                               # transitions per segment
+    DELTA = np.array([0.6, -0.4])         # a_ref = mu(s) + DELTA
+
+    def score(self, sched, task, trajectories):
+        store = DemoStore(trajectories)
+        states = store.sample_all()[0]
+        policy = TablePolicy(states, task.mu(states) + self.DELTA)
+        records, _ = score_dataset(
+            store, OracleDenoiser(task, sched), policy,
+            FilterConfig(min_demos=1, max_demo_len=self.N))
+        assert len(records) == len(trajectories)
+        return records
+
+    def test_each_segment_s_mean_q_is_the_closed_form(self, sched):
+        task = GaussianTask(seed=50, action_dim=2)
+        rng = SeededRng(51)
+        trajectories = []
+        for sigma_k in (0.1, 0.3, 0.6):
+            for _ in range(2):
+                states = task.sample_states(rng, self.N)
+                trajectories.append(make_traj(
+                    states, task.sample_actions(rng, states, sigma_k),
+                    tid=len(trajectories), noise_level=sigma_k))
+        for rec in self.score(sched, task, trajectories):
+            sigma_k = rec.noise_level
+            want = expected_q_curve(task, sched, sigma_k, self.DELTA)
+            se = np.sqrt(q_row_variance(task, sched, sigma_k, self.DELTA)
+                         / self.N)
+            assert np.all(np.abs(np.array(rec.mean_q) - want)
+                          <= self.Z * se), (sigma_k, rec.mean_q, want)
+
+    def test_two_levels_differ_by_one_constant_at_every_t(self, sched):
+        # E[Q_t] at sigma_1 minus E[Q_t] at sigma_2 is d (sigma_2^2 -
+        # sigma_1^2) at every t, so the argmax over t does not see a
+        # demonstrator's own noise. Both segments share states and draws
+        # z, so per transition the difference is (sigma_2^2 - sigma_1^2)
+        # |z|^2 + 2 (sigma_1 - sigma_2) c_t delta . z.
+        task = GaussianTask(seed=52, action_dim=2)
+        rng = SeededRng(53)
+        s1, s2 = 0.15, 0.5
+        states = task.sample_states(rng, self.N)
+        z = rng.standard_normal((self.N, 2))
+        mu = task.mu(states)
+        rec1, rec2 = self.score(sched, task, [
+            make_traj(states, mu + s1 * z, tid=0, noise_level=s1),
+            make_traj(states, mu + s2 * z, tid=1, noise_level=s2)])
+        d = task.action_dim
+        closed = (expected_q_curve(task, sched, s1, self.DELTA)
+                  - expected_q_curve(task, sched, s2, self.DELTA))
+        np.testing.assert_allclose(closed, d * (s2 ** 2 - s1 ** 2),
+                                   rtol=1e-12)
+        c = task.sigma_d ** 2 / (task.sigma_d ** 2 + sched.sigmas ** 2)
+        dd = self.DELTA @ self.DELTA
+        se = np.sqrt((2 * d * (s2 ** 2 - s1 ** 2) ** 2
+                      + 4 * (s1 - s2) ** 2 * c ** 2 * dd) / self.N)
+        got = np.array(rec1.mean_q) - np.array(rec2.mean_q)
+        assert np.all(np.abs(got - closed) <= self.Z * se), got
+        # across t only the delta . z term moves, by at most
+        # 2 |s1 - s2| (c_0 - c_T) |mean delta . z|
+        spread_se = 2 * abs(s1 - s2) * (c[0] - c[-1]) * np.sqrt(dd / self.N)
+        assert np.ptp(got) <= self.Z * spread_se, got
 
 
 class TestScoreDataset:
@@ -529,6 +602,20 @@ class TestReport:
         assert {"segment_id", "parent_id", "predicted_step", "mean_q",
                 "verdict", "noise_level", "ret"} <= set(rec)
         assert len(rec["mean_q"]) == sched.T + 1
+
+    def test_a_save_that_raises_midway_keeps_the_old_report(self, sched,
+                                                            tmp_path):
+        store, policy, model = _offset_store([0.0, 0.5, 0.7], sched)
+        cfg = FilterConfig(min_demos=1, step_threshold=1, max_demo_len=100)
+        report = filter_dataset(store, model, policy, cfg, iteration=2500)
+        path = tmp_path / "report.json"
+        save_filter_report(report, str(path))
+        before = path.read_bytes()
+        report.records[-1].ret = object()   # json.dump fails on the last
+        with pytest.raises(TypeError):
+            save_filter_report(report, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["report.json"]
 
     def test_score_dataset_does_not_mutate(self, sched):
         store, policy, model = _offset_store([0.0, 0.5], sched)

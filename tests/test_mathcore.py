@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -11,7 +12,7 @@ from smile.errors import (CheckpointVersionError, InvalidInputError,
                           TrainingError)
 from smile.diffusion import NoiseModel
 from smile.mathcore import (EmaTracker, FeedForwardNet, OptimizerState,
-                            SeededRng, derive_seed, ema_update,
+                            SeededRng, atomic_write, derive_seed, ema_update,
                             load_checkpoint, optimizer_step, reshape_views,
                             save_checkpoint)
 from smile.policy import GeneratorPolicy
@@ -389,6 +390,36 @@ def test_float64_input_gives_net_dtype(make, forward, dtype):
     assert net.flat.dtype == dtype
     for call in forward:
         assert call(net).dtype == dtype
+
+
+class TestAtomicWrite:
+    def test_a_write_that_raises_keeps_the_old_bytes(self, tmp_path):
+        path = str(tmp_path / "f.txt")
+        with atomic_write(path) as fh:
+            fh.write("old")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write("new, half written")
+                raise RuntimeError
+        assert open(path).read() == "old"
+        assert os.listdir(tmp_path) == ["f.txt"]
+
+    def test_writers_of_one_path_at_once_have_their_own_files(self,
+                                                              tmp_path):
+        path = str(tmp_path / "f.bin")
+        with atomic_write(path, "wb") as a, atomic_write(path, "wb") as b:
+            a.write(b"a")
+            b.write(b"b")
+            assert len(os.listdir(tmp_path)) == 2
+        assert open(path, "rb").read() == b"a"   # the last one to finish
+        assert os.listdir(tmp_path) == ["f.bin"]
+
+    def test_the_file_gets_the_mode_open_gives(self, tmp_path):
+        open(tmp_path / "plain", "w").close()
+        with atomic_write(str(tmp_path / "atomic")) as fh:
+            fh.write("x")
+        assert (os.stat(tmp_path / "atomic").st_mode
+                == os.stat(tmp_path / "plain").st_mode)
 
 
 class TestCheckpoint:
