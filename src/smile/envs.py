@@ -11,15 +11,19 @@ Environments are value-semantic: stepping returns a fresh state, and the
 update broadcasts over leading batch axes, so parallel rollouts are just
 stacked states.
 
+A demo store (DemoStore) holds one array per field, and each trajectory is
+a view of its rows of them, so a transition is held once, whether the store
+was generated, parsed, read from its copy or committed by a filter.
+
 Demo files are JSON lines, the one input format. Parsing one takes most of
 a load (0.2-0.35 s for 25,000 transitions on 2 cores), and a workflow loads
-the same file at each of its steps. So each parse that succeeds writes a
-binary copy of the store it returned beside the file (``<file>.store``),
-keyed by sha256 over this module's source and the exact bytes the parse
-read. A later load whose file still hashes to that key rebuilds the same
-store from the copy; a changed file, changed loader code, or a missing,
-torn or corrupt copy falls through to the parse, which writes the copy
-anew. A bad copy is never an error, and ``save_demos`` writes none.
+the same file at each of its steps. So each parse that succeeds writes the
+store it returned beside the file (``<file>.store``): its columns as they
+are, keyed by sha256 over this module's source and the exact bytes the
+parse read. A later load whose file still hashes to that key builds the
+same store over the copy's bytes; a changed file, changed loader code, or a
+missing, torn or corrupt copy falls through to the parse, which writes the
+copy anew. A bad copy is never an error, and ``save_demos`` writes none.
 """
 
 from __future__ import annotations
@@ -172,7 +176,7 @@ def expert_act(ctrl: ExpertController, spec: EnvSpec,
 # Trajectories and the demo store
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Trajectory:
     traj_id: int
     states: np.ndarray            # (n, state_dim)
@@ -180,7 +184,7 @@ class Trajectory:
     rewards: np.ndarray | None    # (n,) or None when stripped for training
     terminals: np.ndarray         # (n,) bool
     noise_level: float | None = None
-    ret: float | None = None      # cached undiscounted return
+    ret: float | None = None      # undiscounted return; a store sets it
 
     def __len__(self) -> int:
         return len(self.states)
@@ -195,11 +199,13 @@ def undiscounted_return(traj: Trajectory) -> float:
 
 
 class DemoStore:
-    """Demonstration set with flat transition views for uniform sampling.
+    """Demonstration set held as one array per field, the rows of every
+    trajectory in store order: ``states``, ``actions``, ``rewards`` (zeros
+    where a trajectory has none) and ``terminals``. Each of ``trajectories``
+    is a view of its rows of them.
 
     Batches drawn from the store carry only (state, action) pairs: rewards
-    never reach the optimizers. Mutation happens only through replace(),
-    which swaps the trajectory list and rebuilds the flat arrays atomically.
+    never reach the optimizers. Mutation happens only through replace().
     """
 
     def __init__(self, trajectories: list[Trajectory],
@@ -208,18 +214,38 @@ class DemoStore:
         self.replace(trajectories)
 
     def replace(self, trajectories: list[Trajectory]) -> None:
+        """Make ``trajectories`` the store's, in order: one concatenation
+        per column, and new views of it (a filter commit passes views of
+        the kept rows, so it gathers each column once)."""
         ids = [tr.traj_id for tr in trajectories]
         if len(set(ids)) != len(ids):
             raise InvalidInputError("trajectory ids must be unique")
-        self.trajectories = list(trajectories)
-        if self.trajectories:
-            self._states = np.concatenate(
-                [tr.states for tr in self.trajectories])
-            self._actions = np.concatenate(
-                [tr.actions for tr in self.trajectories])
-        else:
-            self._states = np.zeros((0, 0))
-            self._actions = np.zeros((0, 0))
+        columns = zip(*((tr.states, tr.actions, np.zeros(len(tr))
+                         if tr.rewards is None else tr.rewards, tr.terminals)
+                        for tr in trajectories))
+        self.states, self.actions, self.rewards, self.terminals = (
+            [np.concatenate(column) for column in columns]
+            or [np.zeros((0, 0))] * 4)
+        self.trajectories = self.views([
+            (tr.traj_id, len(tr), tr.noise_level, tr.rewards is not None)
+            for tr in trajectories])
+
+    def views(self, rows) -> list[Trajectory]:
+        """One trajectory per (traj_id, length, noise_level, had_rewards)
+        row, each a view of the ``length`` rows after the last one's, with
+        rewards, and their sum as ``ret``, only where ``had_rewards``."""
+        trajectories, stop = [], 0
+        for tid, length, level, had_rewards in rows:
+            start, stop = stop, stop + length
+            tr = Trajectory(tid, *(column[start:stop] for column in (
+                self.states, self.actions, self.rewards, self.terminals)),
+                level)
+            if had_rewards:
+                tr.ret = undiscounted_return(tr)
+            else:
+                tr.rewards = None
+            trajectories.append(tr)
+        return trajectories
 
     @property
     def num_trajectories(self) -> int:
@@ -227,16 +253,16 @@ class DemoStore:
 
     @property
     def transition_count(self) -> int:
-        return len(self._states)
+        return len(self.states)
 
     def sample(self, rng: SeededRng, batch_size: int):
         if self.transition_count == 0:
             raise InvalidInputError("cannot sample from an empty store")
         idx = rng.integers(0, self.transition_count, size=batch_size)
-        return self._states[idx], self._actions[idx]
+        return self.states[idx], self.actions[idx]
 
     def sample_all(self):
-        return self._states, self._actions
+        return self.states, self.actions
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +329,7 @@ def generate_demos(spec: EnvSpec, ctrl: ExpertController,
             trajectories.append(Trajectory(
                 traj_id=len(trajectories), states=states, actions=actions,
                 rewards=rewards, terminals=terminals,
-                noise_level=float(level), ret=float(rewards.sum())))
+                noise_level=float(level)))
     return DemoStore(trajectories, env=spec)
 
 
@@ -319,10 +345,8 @@ def save_demos(store: DemoStore, path: str, seed: int | None = None) -> None:
         "kind": "header",
         "format_version": DEMO_FORMAT_VERSION,
         "env": env.name if env else None,
-        "state_dim": (env.state_dim if env
-                      else store.sample_all()[0].shape[1]),
-        "action_dim": (env.action_dim if env
-                       else store.sample_all()[1].shape[1]),
+        "state_dim": env.state_dim if env else store.states.shape[1],
+        "action_dim": env.action_dim if env else store.actions.shape[1],
         "horizon": env.horizon if env else None,
         "seed": seed,
     }
@@ -331,17 +355,13 @@ def save_demos(store: DemoStore, path: str, seed: int | None = None) -> None:
         for tr in store.trajectories:
             rewards = (tr.rewards.tolist() if tr.rewards is not None
                        else [None] * len(tr))
-            for i in range(len(tr)):
-                rec = {
-                    "traj_id": tr.traj_id,
-                    "step": i,
-                    "s": tr.states[i].tolist(),
-                    "a": tr.actions[i].tolist(),
-                    "r": rewards[i],
-                    "terminal": bool(tr.terminals[i]),
-                    "noise_level": tr.noise_level,
-                }
-                fh.write(json.dumps(rec) + "\n")
+            for i, (s, a, r, terminal) in enumerate(zip(
+                    tr.states.tolist(), tr.actions.tolist(), rewards,
+                    tr.terminals.tolist())):
+                fh.write(json.dumps({
+                    "traj_id": tr.traj_id, "step": i, "s": s, "a": a, "r": r,
+                    "terminal": terminal, "noise_level": tr.noise_level})
+                    + "\n")
 
 
 def _numbers_only(*lists) -> bool:
@@ -406,21 +426,10 @@ def _demo_lines(path: str, digest):
         raise InvalidInputError(f"cannot read demo file {path}: {exc}") from exc
 
 
-def _trajectory(tid: int, states, actions, rewards, terminals, level,
-                had_rewards: bool) -> Trajectory:
-    """A loaded trajectory; it keeps ``rewards`` and their return only where
-    the file gave every one of its steps a reward."""
-    traj = Trajectory(traj_id=tid, states=states, actions=actions,
-                      rewards=rewards if had_rewards else None,
-                      terminals=terminals, noise_level=level)
-    if had_rewards:
-        traj.ret = undiscounted_return(traj)
-    return traj
-
-
 def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
-    """Read a demo file. ``include_rewards=False`` strips rewards so training
-    paths cannot touch them even by accident.
+    """Read a demo file. ``include_rewards=False`` strips rewards (every
+    trajectory's, and the store's column to zeros) so training paths cannot
+    touch them even by accident.
 
     A byte that is not UTF-8, malformed JSON, a bad header (_header_env), a
     missing field, a traj_id or step that is not a JSON integer, a state or
@@ -434,13 +443,13 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
     line by line (_demo_lines), so where it has several faults the first in
     the file is named.
 
-    Each parse that succeeds leaves a binary copy of the store it read,
+    Each parse that succeeds leaves the store it read, its four columns
     rewards and all, at ``path + ".store"``, keyed by sha256 over this
     module's source and the bytes the parse read. A later load whose file
-    hashes to that key, and whose copy's own checksum holds, rebuilds the
-    same store from the copy in one read and skips the parse: the same
-    arrays bit for bit, trajectory order, noise_level types, returns and
-    env. Any other file bytes or loader source, or a missing, torn or
+    hashes to that key, and whose copy's own checksum holds, builds the
+    same store over the copy's bytes, read once, and skips the parse: the
+    same arrays bit for bit, trajectory order, noise_level types, returns
+    and env. Any other file bytes or loader source, or a missing, torn or
     corrupt copy, is parsed around and the copy rewritten, so a copy never
     changes what a load returns or raises; where no copy can be written
     (a read-only directory), none is. A path that is not a regular file,
@@ -457,6 +466,7 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
         if regular:
             _write_copy(path, header, store, digest.digest())
     if not include_rewards:
+        store.rewards[:] = 0.0
         for tr in store.trajectories:
             tr.rewards = tr.ret = None
     return store
@@ -502,14 +512,16 @@ def _parse_demos(path: str, digest) -> tuple[dict, DemoStore]:
                     f"nor a finite number >= 0")
             if type(rec["terminal"]) is not bool:
                 raise InvalidInputError(f"{path}:{no}: terminal is not a bool")
+            # a list: 2,000 freed 7-tuples would stay on CPython's free list
             rows.setdefault(tid, []).append(
-                (step, no, rec["s"], rec["a"], rec["r"], rec["terminal"],
-                 level))
+                [step, no, rec["s"], rec["a"], rec["r"], rec["terminal"],
+                 level])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(
                 f"{path}:{no}: bad demo record: {exc!r}") from exc
     trajectories = []
-    for tid, recs in rows.items():
+    for tid in list(rows):
+        recs = rows.pop(tid)   # each file record is freed once it is read
         recs.sort(key=lambda rec: rec[0])
         steps, nos, states, actions, rewards, terminals, levels = zip(*recs)
         misplaced = np.asarray(steps) != np.arange(len(steps))
@@ -546,9 +558,9 @@ def _parse_demos(path: str, digest) -> tuple[dict, DemoStore]:
         if not finite.all():
             raise InvalidInputError(f"{path}:{nos[np.argmin(finite)]}: "
                                     f"non-finite value in trajectory {tid}")
-        trajectories.append(_trajectory(
-            tid, states, actions, rewards,
-            np.asarray(terminals, dtype=bool), levels[0], had_rewards))
+        trajectories.append(Trajectory(
+            tid, states, actions, rewards if had_rewards else None,
+            np.asarray(terminals, dtype=bool), levels[0]))
     return header, DemoStore(trajectories, env=env)
 
 
@@ -559,10 +571,9 @@ def _parse_demos(path: str, digest) -> tuple[dict, DemoStore]:
 # A copy is, in order: _COPY_MAGIC; the 32-byte key; the byte length of a
 # JSON text, as 8 little-endian bytes; that text, space-padded to a multiple
 # of 8 bytes, holding the file's header and each trajectory's [traj_id,
-# length, noise_level, had_rewards]; the little-endian float64 states,
-# actions and rewards of every trajectory, concatenated in store order (a
-# trajectory without rewards holds zeros); one byte per terminal; and the
-# sha256 of everything before it.
+# length, noise_level, had_rewards] row (DemoStore.views); the store's
+# states, actions and rewards columns as little-endian float64; its
+# terminals column, one byte each; and the sha256 of everything before it.
 
 _COPY_MAGIC = b"SMILEDS\x01"
 _HASH_BLOCK = 1 << 20
@@ -591,6 +602,7 @@ def _read_copy(path: str, source) -> DemoStore | None:
             with open(path, "rb") as fh:
                 while block := fh.read(_HASH_BLOCK):
                     key.update(block)
+                    del block   # before the next read: one block at a time
             data = bytearray(os.fstat(copy.fileno()).st_size)
             copy.readinto(data)
     except OSError:
@@ -602,44 +614,31 @@ def _read_copy(path: str, source) -> DemoStore | None:
     # very source from these very bytes, so it decodes as written.
     at = 48 + int.from_bytes(data[40:48], "little")
     meta = json.loads(data[48:at])
-    header = meta["header"]
-    n = sum(length for _, length, _, _ in meta["trajectories"])
-
-    def take(dtype, count: int) -> np.ndarray:
-        nonlocal at
-        array = np.frombuffer(data, dtype, count, at)
-        at += array.nbytes
-        return array
-
-    states = take("<f8", n * header["state_dim"]).reshape(n, -1)
-    actions = take("<f8", n * header["action_dim"]).reshape(n, -1)
-    rewards, terminals = take("<f8", n), take(np.bool_, n)
-    trajectories, start = [], 0
-    for tid, length, level, had_rewards in meta["trajectories"]:
-        rows = slice(start, start + length)
-        trajectories.append(_trajectory(
-            tid, states[rows], actions[rows], rewards[rows],
-            terminals[rows], level, had_rewards))
-        start += length
-    return DemoStore(trajectories, env=_header_env(path, header))
+    header, rows = meta["header"], meta["trajectories"]
+    n = sum(length for _, length, _, _ in rows)
+    s, a = header["state_dim"], header["action_dim"]
+    floats = np.frombuffer(data, "<f8", n * (s + a + 1), at)
+    store = DemoStore([], env=_header_env(path, header))
+    store.states = floats[:n * s].reshape(n, s)
+    store.actions = floats[n * s:n * (s + a)].reshape(n, a)
+    store.rewards = floats[n * (s + a):]
+    store.terminals = np.frombuffer(data, np.bool_, n, at + floats.nbytes)
+    store.trajectories = store.views(rows)
+    return store
 
 
 def _write_copy(path: str, header: dict, store: DemoStore, key: bytes):
     """Write the copy of ``store``, parsed from the file at ``path`` whose
     bytes have ``key``, beside it through ``atomic_write``; a directory it
     cannot write to gets none."""
-    trajs = store.trajectories
     meta = json.dumps({"header": header, "trajectories": [
         [tr.traj_id, len(tr), tr.noise_level, tr.rewards is not None]
-        for tr in trajs]}).encode()
+        for tr in store.trajectories]}).encode()
     meta += b" " * (-len(meta) % 8)
-    rewards = np.concatenate([tr.rewards if tr.rewards is not None
-                              else np.zeros(len(tr)) for tr in trajs])
-    terminals = np.concatenate([tr.terminals for tr in trajs])
     parts = [_COPY_MAGIC, key, len(meta).to_bytes(8, "little"), meta,
-             *(a.astype("<f8", copy=False) for a in (*store.sample_all(),
-                                                     rewards)),
-             terminals.view(np.uint8)]
+             *(column.astype("<f8", copy=False)
+               for column in (store.states, store.actions, store.rewards)),
+             store.terminals.view(np.uint8)]
     checksum = hashlib.sha256()
     try:
         with atomic_write(path + ".store", "wb") as fh:

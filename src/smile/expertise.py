@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import DemoStore, Trajectory, undiscounted_return
+from .envs import DemoStore, Trajectory
 from .errors import ConfigError, InvalidInputError
 from .mathcore import atomic_write
 
@@ -183,22 +183,6 @@ def segment_trajectories(trajectories: list[Trajectory],
     return segments
 
 
-def _segment_trajectory(parent: Trajectory, start: int, stop: int,
-                        new_id: int) -> Trajectory:
-    rewards = (parent.rewards[start:stop]
-               if parent.rewards is not None else None)
-    seg = Trajectory(
-        traj_id=new_id,
-        states=parent.states[start:stop],
-        actions=parent.actions[start:stop],
-        rewards=rewards,
-        terminals=parent.terminals[start:stop],
-        noise_level=parent.noise_level)
-    if rewards is not None:
-        seg.ret = undiscounted_return(seg)
-    return seg
-
-
 def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig):
     """Segment the store and score every segment without touching it.
 
@@ -244,11 +228,14 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig):
     k = min(cfg.min_demos, len(steps))
     cut = min(cfg.step_threshold, sorted(steps)[-k] - 1)
 
+    # the segments tile the store in order, so each is a view of its rows
+    views = store.views([
+        (seg_id, stop - start, parent.noise_level, parent.rewards is not None)
+        for seg_id, (parent, start, stop) in enumerate(segments)])
     records = []
     kept_segments = []
-    for seg_id, ((parent, start, stop), curve, step) in enumerate(
-            zip(segments, curves, steps)):
-        seg = _segment_trajectory(parent, start, stop, seg_id)
+    for seg_id, (seg, (parent, start, stop), curve, step) in enumerate(
+            zip(views, segments, curves, steps)):
         keep = step > cut
         if keep:
             kept_segments.append(seg)

@@ -127,12 +127,6 @@ def keep_temporaries_on_heap() -> None:
     np.empty(2 ** 21)
 
 
-def reshape_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of the vector ``flat``, one per shape, from its
-    start; the callers' shapes tile it exactly."""
-    return [flat[at].reshape(shape) for at, shape in tensor_layout(shapes)]
-
-
 def arch_dtype(arch: dict) -> np.dtype:
     """The parameter dtype an ``arch()`` names; a missing one is an error."""
     name = arch.get("dtype")

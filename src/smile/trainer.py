@@ -46,8 +46,8 @@ from .envs import DemoStore, EnvSpec, env_reset, rollout_batch_returns
 from .errors import ConfigError, InvalidInputError, TrainingError
 from .expertise import (FilterConfig, FilterReport, SegmentRecord,
                         filter_dataset, save_filter_report)
-from .mathcore import (EmaTracker, OptimizerState, SeededRng, ema_update,
-                       keep_temporaries_on_heap, optimizer_step,
+from .mathcore import (EmaTracker, OptimizerState, SeededRng, atomic_write,
+                       ema_update, keep_temporaries_on_heap, optimizer_step,
                        save_checkpoint)
 from .policy import BcBaseline, GeneratorPolicy, bc_loss, policy_loss
 
@@ -331,7 +331,7 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                         os.environ.get("OPENBLAS_NUM_THREADS"),
                     "wall_clock": metrics.wall_clock, "counters": counters,
                     "filter_summaries": metrics.filter_summaries}
-        with open(os.path.join(out_dir, "run.json"), "w") as fh:
+        with atomic_write(os.path.join(out_dir, "run.json")) as fh:
             fh.write(json.dumps(manifest, indent=1))
     return metrics, reports
 

@@ -129,6 +129,18 @@ def seal_checkpoint(payload: dict) -> dict:
     return payload
 
 
+def traced_kept(fn):
+    """(bytes traced as still allocated once ``fn()`` has returned, over
+    what was live before, with its result still held; that result)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[0] - base, result
+    finally:
+        tracemalloc.stop()
+
+
 def traced_peak(fn) -> int:
     """Peak bytes traced while ``fn()`` runs, over what was live before."""
     tracemalloc.start()

@@ -22,7 +22,7 @@ from smile.envs import load_demos, make_env_spec
 from smile.errors import ValidationError
 from smile.expertise import filter_dataset, save_filter_report
 from smile.mathcore import (FeedForwardNet, SeededRng, derive_seed,
-                            load_checkpoint, reshape_views, save_checkpoint)
+                            load_checkpoint, save_checkpoint, tensor_layout)
 from smile.policy import GeneratorPolicy
 from smile.trainer import TrainConfig, train_bc
 
@@ -624,8 +624,10 @@ def missing_dtype(payload):
 def version_1(payload):
     # the first format: per-tensor decimal lists of the live and the EMA
     # vectors, no crc32
-    payload["params"] = payload["ema"] = [a.tolist() for a in reshape_views(
-        vector(payload, "params"), shapes(payload))]
+    flat = vector(payload, "params")
+    payload["params"] = payload["ema"] = [
+        flat[at].reshape(shape).tolist()
+        for at, shape in tensor_layout(shapes(payload))]
     payload["format_version"] = 1
     del payload["crc32"]
 

@@ -11,7 +11,7 @@ from smile.diffusion import (DEFAULT_BETA_MAX, DEFAULT_BETA_MIN, STEP_INPUT,
                              diffuse, naive_reverse_sample, posterior_mean,
                              posterior_var)
 from smile.errors import ConfigError, InvalidInputError
-from smile.mathcore import SeededRng, reshape_views
+from smile.mathcore import SeededRng
 
 from conftest import backward_stage_lengths, float32_rounding_bound
 from gauss_task import GaussianTask, OracleDenoiser, denoiser_loss_floor
@@ -321,10 +321,9 @@ class TestDenoiserLoss:
         actions = rng_batch.standard_normal((4, 2))
         _, grads = denoiser_loss(model, states, actions, SeededRng(11))
         assert grads.shape == model.flat.shape
-        shapes = model.shapes(model.widths)
-        grads = reshape_views(grads, shapes)
+        grads = model._tensor_views(grads)
         h = 1e-6
-        for pi, p in enumerate(reshape_views(model.flat, shapes)):
+        for pi, p in enumerate(model._tensor_views(model.flat)):
             flat = p.reshape(-1)
             for k in (0, flat.size // 2, flat.size - 1):
                 orig = flat[k]

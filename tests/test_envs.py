@@ -5,6 +5,7 @@ import os
 import random
 import re
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,15 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smile.envs as envs
+from smile.diffusion import build_schedule
 from smile.envs import (DemoStore, EnvState, Trajectory, default_expert,
                         env_reset, env_step, expert_act, generate_demos,
                         load_demos, make_env_spec, rollout,
                         rollout_batch_returns, save_demos,
                         undiscounted_return)
 from smile.errors import ConfigError, EnvironmentFault, InvalidInputError
+from smile.expertise import FilterConfig, filter_dataset
 from smile.mathcore import SeededRng, derive_seed
 
-from conftest import traced_peak
+from conftest import traced_kept, traced_peak
+from gauss_task import TablePolicy
 
 
 @pytest.fixture
@@ -353,6 +357,7 @@ class TestDemoFile:
         stripped = load_demos(path, include_rewards=False)
         assert all(tr.rewards is None for tr in stripped.trajectories)
         assert all(tr.ret is None for tr in stripped.trajectories)
+        assert not stripped.rewards.any()
 
     def test_peak_memory_below_four_times_the_file(self, pm, tmp_path):
         # the bytes, their text and the list of lines are never all held
@@ -694,8 +699,10 @@ class TestStoreCopy:
         assert outcome(path) == second
         assert outcome(path) == second
 
-    def test_a_hit_holds_a_fraction_of_the_parse_s_memory(self, tmp_path):
-        # the audit's store size: 250 trajectories of 100 steps
+    @staticmethod
+    def audit_sized_file(tmp_path) -> str:
+        """A demo file of the audit's store size: 250 trajectories of 100
+        steps, 25,000 transitions."""
         rng = SeededRng(42)
         trajectories = []
         for tid in range(250):
@@ -708,6 +715,46 @@ class TestStoreCopy:
                 noise_level=0.25 * (tid % 5)))
         path = str(tmp_path / "demos.jsonl")
         save_demos(DemoStore(trajectories, env=make_env_spec()), path)
+        return path
+
+    def test_a_hit_holds_a_fraction_of_the_parse_s_memory(self, tmp_path):
+        path = self.audit_sized_file(tmp_path)
         parse = traced_peak(lambda: load_demos(path))
         hit = traced_peak(lambda: load_demos(path))
         assert hit < parse / 4, (hit, parse)
+
+    def test_each_transition_is_held_once(self, pm, tmp_path, monkeypatch):
+        # a parse and a hit of the audit's store size keep at most 1.8 MB:
+        # the four columns are 1.43 MB, and a second copy of the states and
+        # actions would be another 1.2 MB
+        path = self.audit_sized_file(tmp_path)
+        parse_kept, parsed = traced_kept(lambda: load_demos(path))
+        with monkeypatch.context() as m:
+            m.setattr(envs, "_parse_demos", None)   # a hit never parses
+            hit_kept, hit = traced_kept(lambda: load_demos(path))
+        assert max(parse_kept, hit_kept) <= 1.8e6, (parse_kept, hit_kept)
+        generated = generate_demos(pm, default_expert(pm), [0.0, 1.0], 2,
+                                   SeededRng(43))
+        filtered = generate_demos(pm, default_expert(pm), [0.5], 3,
+                                  SeededRng(44))
+        # a denoiser that predicts the noise (1, 0) everywhere, and
+        # references sigma_5 off the actions in every other 25-row segment:
+        # those segments score step 5 and are kept, the others 0
+        sched = build_schedule(10, 0.05, 0.6)
+        model = SimpleNamespace(sched=sched, predict=lambda s, a, t:
+                                np.broadcast_to([1.0, 0.0], a.shape))
+        states, actions = filtered.sample_all()
+        steps = 5 * (np.arange(len(actions)) // 25 % 2)
+        refs = actions + np.outer(sched.sigmas[steps], [1.0, 0.0])
+        filter_dataset(filtered, model, TablePolicy(states, refs),
+                       FilterConfig(min_demos=1, max_demo_len=25))
+        assert np.array_equal(filtered.states, states[steps == 5])
+        for store in (generated, parsed, hit, filtered):
+            columns = (store.states, store.actions, store.rewards,
+                       store.terminals)
+            assert all(column.flags.c_contiguous for column in columns)
+            assert sum(map(len, store.trajectories)) == len(store.states)
+            for tr in store.trajectories:
+                for array, column in zip((tr.states, tr.actions, tr.rewards,
+                                          tr.terminals), columns):
+                    assert np.shares_memory(array, column)

@@ -13,8 +13,8 @@ from smile.errors import (CheckpointVersionError, InvalidInputError,
 from smile.diffusion import NoiseModel
 from smile.mathcore import (EmaTracker, FeedForwardNet, OptimizerState,
                             SeededRng, atomic_write, derive_seed, ema_update,
-                            load_checkpoint, optimizer_step, reshape_views,
-                            save_checkpoint)
+                            load_checkpoint, optimizer_step, save_checkpoint,
+                            tensor_layout)
 from smile.policy import GeneratorPolicy
 
 from conftest import (backward_stage_lengths, finite_difference_grads,
@@ -89,7 +89,7 @@ class TestNetGradients:
         x = np.array([1.0, -2.0, 0.5])
         up = np.array([0.3, -0.7])
         grads = self.net_gradients(net, x, up)
-        w_grad, b_grad = reshape_views(grads, [(3, 2), (2,)])
+        w_grad, b_grad = net._tensor_views(grads)
         assert np.allclose(w_grad, np.outer(x, up))
         assert np.allclose(b_grad, up)
 
@@ -111,8 +111,7 @@ class TestNetGradients:
         # for a single row the first-layer bias gradient is the first
         # layer's pre-activation gradient, so the input gradient is it
         # through W0^T
-        b0_grad = reshape_views(self.net_gradients(net, x, up),
-                                net.shapes(net.widths))[1]
+        b0_grad = net._tensor_views(self.net_gradients(net, x, up))[1]
         input_grad = b0_grad @ net.weights[0].T
         h = 1e-5
         for i in range(3):
@@ -206,13 +205,13 @@ class TestOptimizer:
         net = FeedForwardNet([3, 5, 2], SeededRng(2))
         rng = SeededRng(3)
         state = OptimizerState.for_params(net.flat)
-        tensors = [p.reshape(-1).copy()
-                   for p in reshape_views(net.flat, net.shapes(net.widths))]
+        layout = tensor_layout(net.shapes(net.widths))
+        tensors = [net.flat[at].copy() for at, _ in layout]
         states = [OptimizerState.for_params(t) for t in tensors]
         for _ in range(3):
             grads = rng.standard_normal(net.flat.shape)
             optimizer_step(state, net.flat, grads)
-            pieces = reshape_views(grads, [t.shape for t in tensors])
+            pieces = [grads[at] for at, _ in layout]
             for t, tensor_state, g in zip(tensors, states, pieces):
                 optimizer_step(tensor_state, t, g)
         assert np.array_equal(np.concatenate(tensors), net.flat)
@@ -354,7 +353,8 @@ def test_params_are_views_tiling_flat(make, forward):
     params = [p for pair in zip(net.weights, net.biases) for p in pair]
     assert [p.shape for p in params] == net.shapes(net.widths)
     assert all(np.array_equal(p, q) for p, q in zip(
-        params, reshape_views(net.flat, net.shapes(net.widths))))
+        params, [net.flat[at].reshape(shape) for at, shape in
+                 tensor_layout(net.shapes(net.widths))]))
     assert net.flat.dtype == np.float64 and net.flat.flags.c_contiguous
     assert net.flat.ctypes.data % 64 == 0  # starts on a cache line
     assert all(np.shares_memory(p, net.flat) for p in params)

@@ -4,7 +4,7 @@ import pytest
 from smile.diffusion import NoiseModel, denoiser_loss, diffuse, posterior_mean
 from smile.envs import make_env_spec, rollout
 from smile.errors import InvalidInputError
-from smile.mathcore import SeededRng, reshape_views
+from smile.mathcore import SeededRng
 from smile.policy import BcBaseline, GeneratorPolicy, bc_loss, policy_loss
 
 from gauss_task import GaussianTask, OracleDenoiser
@@ -153,10 +153,9 @@ class TestPolicyLoss:
         states = rng.standard_normal((4, 2))
         actions = rng.standard_normal((4, 2))
         _, grads = policy_loss(p, model, states, actions, SeededRng(6))
-        shapes = p.shapes(p.widths)
-        grads = reshape_views(grads, shapes)
+        grads = p._tensor_views(grads)
         h = 1e-6
-        for pi, q in enumerate(reshape_views(p.flat, shapes)):
+        for pi, q in enumerate(p._tensor_views(p.flat)):
             flat = q.reshape(-1)
             for k in (0, flat.size - 1):
                 orig = flat[k]

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import types
 
 import numpy as np
 import pytest
@@ -198,6 +199,22 @@ class TestTrainLoop:
                                                   "ema", "filter"}
         assert len(manifest["filter_summaries"]) == 0  # BC never filters
         assert len(result.metrics.filter_summaries) == 3
+
+    def test_a_manifest_write_that_raises_keeps_the_old_run_json(
+            self, gauss_store, tmp_path, monkeypatch):
+        out = str(tmp_path / "run")
+        train_bc(tiny_cfg(), gauss_store, SeededRng(18), out_dir=out)
+        path = os.path.join(out, "run.json")
+        before = open(path, "rb").read()
+
+        def unserializable(*args, **kwargs):
+            raise TypeError("Object of type object is not JSON serializable")
+        monkeypatch.setattr(trainer_mod, "json",
+                            types.SimpleNamespace(dumps=unserializable))
+        with pytest.raises(TypeError):
+            train_bc(tiny_cfg(), gauss_store, SeededRng(19), out_dir=out)
+        assert open(path, "rb").read() == before
+        assert not any(name.endswith(".tmp") for name in os.listdir(out))
 
     def test_no_filter_leaves_store_untouched(self, gauss_store):
         ids_before = [tr.traj_id for tr in gauss_store.trajectories]
