@@ -14,7 +14,8 @@ OPENBLAS_NUM_THREADS=1: seeded outputs are the same at 1 and 2 threads,
 and two single-thread processes finish a sweep sooner than one process
 with two. Each run's EMA checkpoint (`generator.json`, or `bc.json` for
 BC) is loaded as `smile audit` loads it and, like the analytic expert,
-rolled out on the same EPISODES spawns of SeededRng(SPAWN_SEED).
+rolled out on the same EPISODES spawns of SeededRng(SPAWN_SEED). Each run
+also records its wall seconds and the seconds of its PHASES.
 
 The statistics follow Agarwal et al., *Deep RL at the Edge of the
 Statistical Precipice* (arXiv 2108.13264): the interquartile mean (IQM)
@@ -89,6 +90,9 @@ T95 = (6.313752, 2.919986, 2.353363, 2.131847, 2.015048, 1.94318, 1.894579,
        1.75305, 1.745884, 1.739607, 1.734064, 1.729133, 1.724718, 1.720743,
        1.717144, 1.713872, 1.710882, 1.708141, 1.705618, 1.703288, 1.701131,
        1.699127, 1.697261)
+# the training phases whose seconds each run's run.json gives, recorded per
+# run as "<phase>_s" (null where a run has none, as BC has no denoiser)
+PHASES = ("denoiser", "policy")
 # config sections a parent may change; any other difference but the output
 # names means other demos
 CHANGEABLE = ("train", "filter", "schedule")
@@ -241,7 +245,8 @@ def run_bench(text: str, seeds: list[int], work: Path) -> dict:
              "methods": {}, "paired": {},
              "returns": {"expert": expert.tolist()}}
     for method, (_, checkpoint) in METHODS.items():
-        returns, denoiser_s = {}, {}
+        returns = {}
+        phases = {f"{phase}_s": {} for phase in PHASES}
         for seed in seeds:
             out = dirs[method, seed]
             returns[str(seed)] = None
@@ -249,16 +254,17 @@ def run_bench(text: str, seeds: list[int], work: Path) -> dict:
                 actor = _load_actor(cfg, str(out / checkpoint),
                                     "generator", "bc")
                 returns[str(seed)] = spawn_returns(cfg, actor.act).tolist()
-            denoiser_s[str(seed)] = None
+            clock = {}
             if (out / "run.json").exists():
                 clock = json.loads((out / "run.json").read_text())[
                     "wall_clock"]
-                denoiser_s[str(seed)] = clock.get("denoiser")
+            for phase in PHASES:
+                phases[f"{phase}_s"][str(seed)] = clock.get(phase)
         means = {s: float(np.mean(r)) for s, r in returns.items()
                  if r is not None}
         bench["methods"][method] = {
             **(summarize(means) if means else {"per_seed": {}}),
-            "denoiser_s": denoiser_s,
+            **phases,
             "wall_s": {str(s): walls[method, s] for s in seeds}}
         bench["returns"][method] = returns
     for a, b in PAIRS:

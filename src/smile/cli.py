@@ -79,7 +79,7 @@ def cmd_gen_data(args) -> int:
     print(f"wrote {store.num_trajectories} trajectories "
           f"({store.transition_count} transitions) to {path}")
     print("noise_level,episodes,mean_return")
-    for level in cfg.data.noise_levels:
+    for level in dict.fromkeys(cfg.data.noise_levels):  # each level once
         rets = [tr.ret for tr in store.trajectories
                 if tr.noise_level == level]
         print(f"{level!r},{len(rets)},{float(np.mean(rets))!r}")
@@ -220,12 +220,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (SmileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ValidationError) else 2
 
 
 def entrypoint() -> None:

@@ -203,9 +203,9 @@ def denoiser_loss(model: NoiseModel, states: np.ndarray, actions: np.ndarray,
     """Noise-prediction loss over a batch of clean (s, a_0) pairs.
 
     Per example: t ~ Uniform{1..T}, eps ~ N(0, I), a_t = a_0 + sigma_t eps,
-    loss = ||eps - model(s, a_t, t)||_1 (the sum of absolute entries),
-    averaged over the batch. Returns (loss, gradient vector laid out like
-    ``model.flat``).
+    eps_hat = model(s, a_t, t) and loss = ||eps - eps_hat||_1 (the sum of
+    absolute entries), averaged over the batch. Returns (loss, gradient
+    vector laid out like ``model.flat``, the draw (t, a_t, eps_hat)).
     """
     states, actions = loss_batch("denoiser_loss", states, actions)
     n = len(states)
@@ -215,7 +215,7 @@ def denoiser_loss(model: NoiseModel, states: np.ndarray, actions: np.ndarray,
     pred, acts = model.forward_cached(model._inputs(states, a_t, t_arr))
     resid = pred - eps
     loss = float(np.abs(resid).sum(axis=1).mean())
-    return loss, model.backward(acts, np.sign(resid) / n)
+    return loss, model.backward(acts, np.sign(resid) / n), (t_arr, a_t, pred)
 
 
 def naive_reverse_sample(model, s: np.ndarray, sched: DiffusionSchedule,

@@ -2,10 +2,11 @@
 
 The generator is a deterministic state -> action map trained so that, when
 its output is substituted into the forward-posterior mean, it matches the
-mean implied by the (frozen) noise model. Because the posterior mean is
-affine in its clean-action argument, the loss reduces per example to
-(beta_t^2 / sigma_t^2)^2 * ||a' - a0_hat||^2, which is what we optimize; the
-direct two-mean form stays checkable through posterior_mean.
+mean implied by the (frozen) noise model at the denoiser loss's own draw,
+so one denoiser forward per training step serves both losses. Because the
+posterior mean is affine in its clean-action argument, the loss reduces per
+example to (beta_t^2 / sigma_t^2)^2 * ||a' - a0_hat||^2, which is what we
+optimize; the direct two-mean form stays checkable through posterior_mean.
 
 No gradient ever flows into the noise model here (stop-gradient), and
 actions are clipped to environment bounds only at execution time, never
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diffusion import NoiseModel, diffuse
+from .diffusion import DiffusionSchedule
 from .mathcore import FeedForwardNet, SeededRng, arch_dtype, loss_batch
 
 
@@ -59,30 +60,27 @@ class BcBaseline(_Actor):
     role = "bc"
 
 
-def policy_loss(policy: GeneratorPolicy, model: NoiseModel,
-                states: np.ndarray, actions: np.ndarray, rng: SeededRng):
+def policy_loss(policy: GeneratorPolicy, sched: DiffusionSchedule,
+                states: np.ndarray, draw):
     """Posterior-mean matching loss; gradients for the policy only.
 
-    Per example: t ~ Uniform{1..T}, a_t = a_0 + sigma_t eps,
-    a0_hat = a_t - sigma_t * model(s, a_t, t), and the loss is
+    ``draw`` is (t, a_t, eps_hat), one row per state, from denoiser_loss
+    under ``sched``: t ~ Uniform{1..T}, a_t = a_0 + sigma_t eps for the
+    state's demo action a_0, and the noise model's eps_hat at (s, a_t, t).
+    The target is a0_hat = a_t - sigma_t * eps_hat, and the loss is
     ||mu_t(a_t, policy(s)) - mu_t(a_t, a0_hat)||^2 averaged over the batch,
     computed through its affine reduction (beta_t^2/sigma_t^2)^2
-    * ||policy(s) - a0_hat||^2. The noise model is read-only here.
+    * ||policy(s) - a0_hat||^2. No gradient reaches the noise model.
     """
-    states, actions = loss_batch("policy_loss", states, actions)
+    t_arr, a_t, eps_hat = draw
+    states, a_t = loss_batch("policy_loss", states, a_t)
     n = len(states)
-    sched = model.sched
-    t_arr = rng.integers(1, sched.T + 1, size=n)
-    eps = rng.standard_normal(actions.shape)
-    a_t = diffuse(actions, t_arr, sched, eps)
-    eps_hat = model.predict(states, a_t, t_arr)
     a0_hat = a_t - sched.sigmas[t_arr][:, None] * eps_hat
     a_gen, acts = policy.forward_cached(states)
     w = (sched.betas[t_arr - 1] ** 2 / sched.sigmas[t_arr] ** 2)[:, None]
     diff = a_gen - a0_hat
     loss = float((w ** 2 * diff ** 2).sum(axis=1).mean())
-    upstream = 2.0 * w ** 2 * diff / n
-    return loss, policy.backward(acts, upstream)
+    return loss, policy.backward(acts, 2.0 * w ** 2 * diff / n)
 
 
 def bc_loss(baseline: BcBaseline, states: np.ndarray, actions: np.ndarray):

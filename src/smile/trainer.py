@@ -7,13 +7,13 @@ benchmark.
 Cadence is 1-based: iteration idx fires a periodic task when
 idx % period == 0, so nothing runs on untrained models at idx 0. Each
 iteration samples one batch; the denoiser accumulates
-``denoiser_optimize_every`` loss draws (fresh t and noise, same batch) into
-one averaged gradient and takes a single optimizer step, and the policy
-takes one step on the batch. Accumulation is vectorized by tiling the batch,
-which is the same averaged gradient by linearity (tests/test_trainer.py
-checks it within float32 rounding). The default of 2 denoiser draws costs
-40% of the denoiser rows of 5, at a return that passes the 10-seed
-non-inferiority test of scripts/quality.py (see ``TrainConfig``).
+``denoiser_optimize_every`` loss draws (fresh t and noise, same batch; see
+``TrainConfig``) into one averaged gradient and takes a single optimizer
+step, and the policy takes one step on the batch toward the target of the
+denoiser loss's own first draw and forward (policy.policy_loss).
+Accumulation is vectorized by tiling the batch, which is the same averaged
+gradient by linearity (tests/test_trainer.py checks it within float32
+rounding).
 
 A run with an output directory writes ``metrics.csv`` as it goes and, when
 it ends, its checkpoints and ``run.json``: the config echo, whether it
@@ -354,17 +354,19 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                        beta_max=cfg.beta_max)
     policy = GeneratorPolicy(state_dim, action_dim, rng.spawn("init-policy"),
                              hidden=cfg.hidden, dtype=NET_DTYPE)
-    rngs = {tag: rng.spawn(tag) for tag in ("denoiser-noise", "policy-noise")}
+    noise_rng, draw = rng.spawn("denoiser-noise"), []
     reps = (cfg.denoiser_optimize_every, 1)
-    # the loss functions are looked up at call time, so hooks and test
-    # patches on this module's globals apply
-    den = _Part.of(cfg, "denoiser", model,
-                   lambda s, a: denoiser_loss(model, np.tile(s, reps),
-                                              np.tile(a, reps),
-                                              rngs["denoiser-noise"]))
+    # the losses are looked up at call time, for hooks and test patches;
+    # np.tile puts the batch first: the policy reads the draw's first rows
+    def den_loss(s, a):
+        loss, grads, tiled = denoiser_loss(model, np.tile(s, reps),
+                                           np.tile(a, reps), noise_rng)
+        draw[:] = (x[:len(s)] for x in tiled)
+        return loss, grads
+
+    den = _Part.of(cfg, "denoiser", model, den_loss)
     gen = _Part.of(cfg, "policy", policy,
-                   lambda s, a: policy_loss(policy, model, s, a,
-                                            rngs["policy-noise"]))
+                   lambda s, a: policy_loss(policy, model.sched, s, draw))
 
     metrics, reports = _run(cfg, store, rng, [den, gen], out_dir, filtering)
 

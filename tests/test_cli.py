@@ -86,6 +86,23 @@ def test_gen_data_train_audit(run, capsys):
     assert len(report["records"]) == report["n_before"] == 10
 
 
+def test_gen_data_summarizes_each_level_once(tmp_path, capsys):
+    # a repeated noise level gets one line, in first-seen order, over every
+    # episode at that level
+    cfg = write_config(tmp_path / "cfg.ini", tmp_path,
+                       "noise_levels = 0.0, 0.5, 1.0, 1.0, 1.0\nper_level = 2")
+    assert cli.main(["gen-data", "--config", cfg]) == 0
+    table = [line.split(",")
+             for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [row[:2] for row in table] == [["0.0", "2"], ["0.5", "2"],
+                                          ["1.0", "6"]]
+    store = load_demos(str(tmp_path / "demos.jsonl"), include_rewards=True)
+    for level, _, mean in table:
+        rets = [tr.ret for tr in store.trajectories
+                if tr.noise_level == float(level)]
+        assert float(mean) == pytest.approx(np.mean(rets), rel=1e-12)
+
+
 def test_audit_scores_once(run, monkeypatch):
     cfg, out = run
     scored, acted = [], []

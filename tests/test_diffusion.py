@@ -280,7 +280,7 @@ class TestDenoiserLoss:
         for _ in range(20):
             states = task.sample_states(rng, 5000)
             actions = task.sample_actions(rng, states)
-            loss, _ = denoiser_loss(model, states, actions, rng)
+            loss, _, _ = denoiser_loss(model, states, actions, rng)
             losses.append(loss)
         se = np.std(losses, ddof=1) / math.sqrt(len(losses))
         floor = denoiser_loss_floor(task, sched)
@@ -291,7 +291,7 @@ class TestDenoiserLoss:
         states = task.sample_states(rng, 64)
         actions = task.mu(states)  # deterministic behavior
         oracle = _ExactEpsPredictor(task.mu, sched)
-        loss, _ = denoiser_loss(oracle, states, actions, rng)
+        loss, _, _ = denoiser_loss(oracle, states, actions, rng)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_frozen_single_example_hand_value(self, sched):
@@ -305,8 +305,28 @@ class TestDenoiserLoss:
         a_t = a0 + sched.sigmas[t] * eps
         expected = np.abs(model.predict(s, a_t, np.array([t]))
                           - eps).sum()
-        loss, _ = denoiser_loss(model, s, a0, SeededRng(123))
+        loss, _, _ = denoiser_loss(model, s, a0, SeededRng(123))
         assert loss == pytest.approx(expected, rel=1e-12)
+
+    def test_draw_is_the_forwards_own(self, sched):
+        # the draw holds the steps and diffused actions of the loss's own
+        # t and noise, and the prediction that its forward made for them
+        model = NoiseModel(2, 2, sched.T, SeededRng(9), hidden=(6, 6))
+        model.weights[-1][...] = SeededRng(10).standard_normal(
+            model.weights[-1].shape)
+        batch = SeededRng(11)
+        states = batch.standard_normal((16, 2))
+        actions = batch.standard_normal((16, 2))
+        loss, _, (t, a_t, eps_hat) = denoiser_loss(model, states, actions,
+                                                   SeededRng(12))
+        probe = SeededRng(12)
+        want_t = probe.integers(1, sched.T + 1, size=16)
+        eps = probe.standard_normal((16, 2))
+        assert np.array_equal(t, want_t)
+        assert np.array_equal(a_t, diffuse(actions, want_t, sched, eps))
+        assert np.array_equal(eps_hat, model.predict(states, a_t, t))
+        assert loss == pytest.approx(
+            np.abs(eps_hat - eps).sum(axis=1).mean(), rel=1e-12)
 
     def test_empty_batch_rejected(self, sched, rng):
         model = NoiseModel(2, 2, sched.T, SeededRng(0), hidden=(4,))
@@ -319,7 +339,7 @@ class TestDenoiserLoss:
         rng_batch = SeededRng(7)
         states = rng_batch.standard_normal((4, 2))
         actions = rng_batch.standard_normal((4, 2))
-        _, grads = denoiser_loss(model, states, actions, SeededRng(11))
+        _, grads, _ = denoiser_loss(model, states, actions, SeededRng(11))
         assert grads.shape == model.flat.shape
         grads = model._tensor_views(grads)
         h = 1e-6
@@ -328,11 +348,11 @@ class TestDenoiserLoss:
             for k in (0, flat.size // 2, flat.size - 1):
                 orig = flat[k]
                 flat[k] = orig + h
-                up, _ = denoiser_loss(model, states, actions,
-                                      SeededRng(11))
+                up, _, _ = denoiser_loss(model, states, actions,
+                                         SeededRng(11))
                 flat[k] = orig - h
-                down, _ = denoiser_loss(model, states, actions,
-                                        SeededRng(11))
+                down, _, _ = denoiser_loss(model, states, actions,
+                                           SeededRng(11))
                 flat[k] = orig
                 fd = (up - down) / (2 * h)
                 got = grads[pi].reshape(-1)[k]
@@ -354,8 +374,8 @@ class TestDenoiserLoss:
         batch = SeededRng(6)
         states = batch.standard_normal((64, 3))
         actions = batch.standard_normal((64, 2))
-        _, g32 = denoiser_loss(m32, states, actions, SeededRng(7))
-        _, g64 = denoiser_loss(m64, states, actions, SeededRng(7))
+        _, g32, _ = denoiser_loss(m32, states, actions, SeededRng(7))
+        _, g64, _ = denoiser_loss(m64, states, actions, SeededRng(7))
         assert g32.dtype == np.float32 and g64.dtype == np.float64
         bound = float32_rounding_bound(
             backward_stage_lengths(m32.widths, 64) + [1])

@@ -56,6 +56,16 @@ class TestPolicyAct:
             assert np.array_equal(got, want)
 
 
+def draw_of(model, states, actions, rng):
+    """A draw as denoiser_loss makes one, (t, a_t, eps_hat): per row t and
+    eps from ``rng``, a_t = a_0 + sigma_t eps, and ``model.predict``'s
+    eps_hat at (s, a_t, t)."""
+    t = rng.integers(1, model.sched.T + 1, size=len(states))
+    a_t = diffuse(actions, t, model.sched,
+                  rng.standard_normal(np.shape(actions)))
+    return t, a_t, model.predict(states, a_t, t)
+
+
 class TestPolicyLoss:
     def test_policy_matching_denoised_target_zero_loss(self, sched):
         # policy output equals a0_hat exactly -> identical posterior means
@@ -68,7 +78,8 @@ class TestPolicyLoss:
         p.backward = lambda acts, upstream: []
         rng = SeededRng(5)
         states = task.sample_states(rng, 32)
-        loss, _ = policy_loss(p, oracle, states, task.mu(states), rng)
+        draw = draw_of(oracle, states, task.mu(states), rng)
+        loss, _ = policy_loss(p, sched, states, draw)
         # with sigma_d = 0 the oracle denoises a_t exactly back to mu(s)
         assert loss == pytest.approx(0.0, abs=1e-18)
 
@@ -78,7 +89,8 @@ class TestPolicyLoss:
         rng_batch = SeededRng(9)
         states = rng_batch.standard_normal((16, 2))
         actions = rng_batch.standard_normal((16, 2))
-        loss, _ = policy_loss(p, model, states, actions, SeededRng(42))
+        _, _, draw = denoiser_loss(model, states, actions, SeededRng(42))
+        loss, _ = policy_loss(p, model.sched, states, draw)
         # independent direct computation through both posterior means
         probe = SeededRng(42)
         t_arr = probe.integers(1, sched.T + 1, size=16)
@@ -104,7 +116,8 @@ class TestPolicyLoss:
         a0_hat = a_t - sched.sigmas[t] * model.predict(s, a_t, np.array([t]))
         w = sched.betas[t - 1] ** 2 / sched.sigmas[t] ** 2
         expected = float((w ** 2 * (p.act(s) - a0_hat) ** 2).sum())
-        loss, _ = policy_loss(p, model, s, a0, SeededRng(77))
+        _, _, draw = denoiser_loss(model, s, a0, SeededRng(77))
+        loss, _ = policy_loss(p, model.sched, s, draw)
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_stop_gradient_into_noise_model(self, sched):
@@ -114,33 +127,29 @@ class TestPolicyLoss:
         rng = SeededRng(15)
         states = rng.standard_normal((8, 2))
         actions = rng.standard_normal((8, 2))
-        loss, grads = policy_loss(p, model, states, actions, rng)
-        # gradients align with policy parameters only; theta untouched
+        _, _, draw = denoiser_loss(model, states, actions, rng)
+        before = [x.copy() for x in draw]
+        loss, grads = policy_loss(p, model.sched, states, draw)
+        # gradients align with policy parameters only; theta and the draw
+        # it predicted are untouched
         assert grads.shape == p.flat.shape
         assert np.array_equal(theta_before, model.flat)
+        for got, want in zip(draw, before):
+            assert np.array_equal(got, want)
 
     def test_oracle_denoiser_reduces_to_weighted_mse(self, sched):
         # with eps_hat == eps, a0_hat == a0 so the loss is a weighted MSE
         # between the generated and dataset actions
         task = GaussianTask(seed=3, sigma_d=0.0, action_dim=2, state_dim=2)
-
-        class ExactEps:
-            def __init__(self):
-                self.sched = sched
-
-            def predict(self, s, a_t, t_arr):
-                sig = sched.sigmas[t_arr][:, None]
-                return (a_t - task.mu(s)) / sig
-
         p = tiny_policy(seed=16)
         rng = SeededRng(17)
         states = task.sample_states(rng, 32)
         actions = task.mu(states)
-        loss, _ = policy_loss(p, ExactEps(), states, actions,
-                              SeededRng(18))
         probe = SeededRng(18)
         t_arr = probe.integers(1, sched.T + 1, size=32)
-        probe.standard_normal((32, 2))
+        eps = probe.standard_normal((32, 2))
+        draw = (t_arr, diffuse(actions, t_arr, sched, eps), eps)
+        loss, _ = policy_loss(p, sched, states, draw)
         w = (sched.betas[t_arr - 1] ** 2 / sched.sigmas[t_arr] ** 2)[:, None]
         expected = float(
             (w ** 2 * (p.act(states) - actions) ** 2).sum(axis=1).mean())
@@ -152,7 +161,8 @@ class TestPolicyLoss:
         rng = SeededRng(21)
         states = rng.standard_normal((4, 2))
         actions = rng.standard_normal((4, 2))
-        _, grads = policy_loss(p, model, states, actions, SeededRng(6))
+        _, _, draw = denoiser_loss(model, states, actions, SeededRng(6))
+        _, grads = policy_loss(p, model.sched, states, draw)
         grads = p._tensor_views(grads)
         h = 1e-6
         for pi, q in enumerate(p._tensor_views(p.flat)):
@@ -160,20 +170,19 @@ class TestPolicyLoss:
             for k in (0, flat.size - 1):
                 orig = flat[k]
                 flat[k] = orig + h
-                up, _ = policy_loss(p, model, states, actions,
-                                    SeededRng(6))
+                up, _ = policy_loss(p, model.sched, states, draw)
                 flat[k] = orig - h
-                down, _ = policy_loss(p, model, states, actions,
-                                      SeededRng(6))
+                down, _ = policy_loss(p, model.sched, states, draw)
                 flat[k] = orig
                 fd = (up - down) / (2 * h)
                 assert grads[pi].reshape(-1)[k] == pytest.approx(
                     fd, rel=1e-3, abs=1e-8)
 
-    def test_empty_batch(self, sched, rng):
+    def test_empty_batch(self, sched):
+        empty = (np.zeros(0, dtype=np.int64), np.zeros((0, 2)),
+                 np.zeros((0, 2)))
         with pytest.raises(InvalidInputError):
-            policy_loss(tiny_policy(), tiny_model(), np.zeros((0, 2)),
-                        np.zeros((0, 2)), rng)
+            policy_loss(tiny_policy(), sched, np.zeros((0, 2)), empty)
 
 
 class TestBcLoss:
@@ -203,8 +212,10 @@ class TestBcLoss:
 LOSSES = {
     "denoiser_loss": lambda s, a: denoiser_loss(tiny_model(), s, a,
                                                 SeededRng(0)),
-    "policy_loss": lambda s, a: policy_loss(tiny_policy(), tiny_model(), s,
-                                            a, SeededRng(0)),
+    # a draw whose a_t rows are the actions
+    "policy_loss": lambda s, a: policy_loss(
+        tiny_policy(), tiny_model().sched, s,
+        (np.ones(len(a), dtype=np.int64), a, np.zeros_like(a))),
     "bc_loss": lambda s, a: bc_loss(BcBaseline(2, 2, SeededRng(0),
                                                hidden=(4,)), s, a),
 }

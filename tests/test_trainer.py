@@ -116,9 +116,9 @@ class TestTrainLoop:
             rows["denoiser"].append(len(s))
             return real_den(model, s, a, rng)
 
-        def pol(policy, model, s, a, rng):
+        def pol(policy, sched, s, draw):
             rows["policy"].append(len(s))
-            return real_pol(policy, model, s, a, rng)
+            return real_pol(policy, sched, s, draw)
 
         monkeypatch.setattr(trainer_mod, "denoiser_loss", den)
         monkeypatch.setattr(trainer_mod, "policy_loss", pol)
@@ -129,6 +129,45 @@ class TestTrainLoop:
         c = result.metrics.counters
         assert c["denoiser_optimizer_steps"] == c["policy_optimizer_steps"] \
             == n
+
+    def test_one_denoiser_forward_per_iteration(self, gauss_store,
+                                                monkeypatch):
+        # the policy's target comes from the denoiser loss's own forward:
+        # an unfiltered, unevaluated run makes one denoiser forward per
+        # iteration, and the policy loss gets the first block of that
+        # iteration's draw, which np.tile makes the batch's own rows
+        forwards, den_calls, pol_calls = [], [], []
+        real_den, real_pol = trainer_mod.denoiser_loss, trainer_mod.policy_loss
+        for name in ("forward", "forward_cached"):
+            real = getattr(NoiseModel, name)
+
+            def counted(net, x, real=real):
+                forwards.append(len(np.atleast_2d(x)))
+                return real(net, x)
+            monkeypatch.setattr(NoiseModel, name, counted)
+
+        def den(model, s, a, rng):
+            loss, grads, draw = real_den(model, s, a, rng)
+            den_calls.append((s.copy(), [x.copy() for x in draw]))
+            return loss, grads, draw
+
+        def pol(policy, sched, s, draw):
+            pol_calls.append((s.copy(), [x.copy() for x in draw]))
+            return real_pol(policy, sched, s, draw)
+
+        monkeypatch.setattr(trainer_mod, "denoiser_loss", den)
+        monkeypatch.setattr(trainer_mod, "policy_loss", pol)
+        cfg = tiny_cfg(denoiser_optimize_every=3)
+        train(cfg, gauss_store, SeededRng(10), filtering=False)
+        n, b = cfg.num_iterations, cfg.batch_size
+        assert forwards == [3 * b] * n
+        assert len(den_calls) == len(pol_calls) == n
+        for (den_s, den_draw), (pol_s, pol_draw) in zip(den_calls,
+                                                         pol_calls):
+            assert np.array_equal(pol_s, den_s[:b])
+            for got, tiled in zip(pol_draw, den_draw):
+                assert len(got) == b
+                assert np.array_equal(got, tiled[:b])
 
     # the ids name the loss, so each case keeps the id it had when an L2
     # case ran beside it
@@ -152,10 +191,10 @@ class TestTrainLoop:
         actions = draws.standard_normal((n, 2))
         t = draws.integers(1, model.T + 1, size=(k, n))
         eps = draws.standard_normal((k, n, 2))
-        _, tiled = denoiser_loss(model, np.tile(states, (k, 1)),
-                                 np.tile(actions, (k, 1)),
-                                 _FixedDraws(t.reshape(-1),
-                                             eps.reshape(-1, 2)))
+        _, tiled, _ = denoiser_loss(model, np.tile(states, (k, 1)),
+                                    np.tile(actions, (k, 1)),
+                                    _FixedDraws(t.reshape(-1),
+                                                eps.reshape(-1, 2)))
         copies = np.array([
             denoiser_loss(model, states, actions,
                           _FixedDraws(t[j], eps[j]))[1] for j in range(k)],
@@ -315,8 +354,9 @@ class TestTrainLoop:
 
     def test_non_finite_loss_aborts_with_diagnostics(self, gauss_store,
                                                      tmp_path, monkeypatch):
+        # no draw: the run stops before the policy loss would read one
         def bad_loss(model, s, a, rng):
-            return float("nan"), np.zeros_like(model.flat)
+            return float("nan"), np.zeros_like(model.flat), ()
 
         monkeypatch.setattr(trainer_mod, "denoiser_loss", bad_loss)
         out = str(tmp_path / "run")
@@ -330,14 +370,19 @@ class TestTrainLoop:
         # <role>.json holds the EMA shadow; a diagnostic holds the live
         # vector that gave the non-finite loss
         nets = {}
-        real = trainer_mod.policy_loss
+        real_den, real_pol = trainer_mod.denoiser_loss, trainer_mod.policy_loss
 
-        def late_nan(policy, model, s, a, rng):
-            nets.update(generator=policy, denoiser=model)
+        def den(model, s, a, rng):
+            nets["denoiser"] = model
+            return real_den(model, s, a, rng)
+
+        def late_nan(policy, sched, s, draw):
+            nets["generator"] = policy
             nets["calls"] = nets.get("calls", 0) + 1
-            loss, grads = real(policy, model, s, a, rng)
+            loss, grads = real_pol(policy, sched, s, draw)
             return (float("nan") if nets["calls"] == 10 else loss), grads
 
+        monkeypatch.setattr(trainer_mod, "denoiser_loss", den)
         monkeypatch.setattr(trainer_mod, "policy_loss", late_nan)
         out = str(tmp_path / "run")
         with pytest.raises(TrainingError, match="non-finite"):
@@ -359,7 +404,7 @@ class TestTrainLoop:
 
         def nan_loss(model, s, a, rng):
             nets["denoiser"] = model
-            return float("nan"), np.full_like(model.flat, np.nan)
+            return float("nan"), np.full_like(model.flat, np.nan), ()
 
         monkeypatch.setattr(trainer_mod, "denoiser_loss", nan_loss)
         out = str(tmp_path / "run")
