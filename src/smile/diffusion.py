@@ -127,15 +127,17 @@ class NoiseModel(FeedForwardNet):
     ``flat`` is in ``dtype``.
 
     ``arch()`` carries (T, beta_min, beta_max): training takes them from
-    the config, and everything after reads them from the checkpoint;
-    ``from_arch`` ignores other keys, such as an older file's ``norm``.
+    the config, and everything after reads them from the checkpoint.
+    ``from_arch`` rebuilds a model from them with zero parameters, drawing
+    nothing; it ignores other keys, such as an older file's ``norm``.
     """
 
     role = "denoiser"
 
     def __init__(self, state_dim: int, action_dim: int, T: int,
-                 rng: SeededRng, hidden: tuple[int, ...] = (256, 256, 256),
-                 dtype=np.float64, *, beta_min: float = DEFAULT_BETA_MIN,
+                 rng: SeededRng | None,
+                 hidden: tuple[int, ...] = (256, 256, 256),
+                 dtype=np.float32, *, beta_min: float = DEFAULT_BETA_MIN,
                  beta_max: float = DEFAULT_BETA_MAX):
         self.sched = build_schedule(T, beta_min, beta_max)
         self.state_dim = state_dim
@@ -154,7 +156,7 @@ class NoiseModel(FeedForwardNet):
     def from_arch(arch: dict) -> "NoiseModel":
         hidden = tuple(arch["widths"][1:-1])
         return NoiseModel(arch["state_dim"], arch["action_dim"], arch["T"],
-                          SeededRng(0), hidden=hidden, dtype=arch_dtype(arch),
+                          None, hidden=hidden, dtype=arch_dtype(arch),
                           beta_min=arch["beta_min"],
                           beta_max=arch["beta_max"])
 

@@ -25,6 +25,7 @@ report and the return-bin audit (trainer.audit_bins) read the same records.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -187,7 +188,10 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig):
     """Segment the store and score every segment without touching it.
 
     Returns (records, kept_segments): per-segment reports with keep/drop
-    verdicts, and the segments that would remain. With k = min(min_demos,
+    verdicts, and the segments that would remain. A segment that spans its
+    trajectory keeps its id, so where none is cut (as at the defaults)
+    every pass names the demo file's ids; the pieces of a cut one get fresh
+    ids after the store's largest. With k = min(min_demos,
     number of segments) and s_k the k-th highest predicted step, a segment
     is kept iff its step > min(step_threshold, s_k - 1): the segments above
     the threshold or, where fewer than k are, the k highest-step segments
@@ -228,19 +232,21 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig):
     k = min(cfg.min_demos, len(steps))
     cut = min(cfg.step_threshold, sorted(steps)[-k] - 1)
 
+    fresh = itertools.count(max(tr.traj_id for tr in store.trajectories) + 1)
     # the segments tile the store in order, so each is a view of its rows
     views = store.views([
-        (seg_id, stop - start, parent.noise_level, parent.rewards is not None)
-        for seg_id, (parent, start, stop) in enumerate(segments)])
+        (parent.traj_id if stop - start == len(parent) else next(fresh),
+         stop - start, parent.noise_level, parent.rewards is not None)
+        for parent, start, stop in segments])
     records = []
     kept_segments = []
-    for seg_id, (seg, (parent, start, stop), curve, step) in enumerate(
-            zip(views, segments, curves, steps)):
+    for seg, (parent, start, stop), curve, step in zip(
+            views, segments, curves, steps):
         keep = step > cut
         if keep:
             kept_segments.append(seg)
         records.append(SegmentRecord(
-            segment_id=seg_id, parent_id=parent.traj_id, start=start,
+            segment_id=seg.traj_id, parent_id=parent.traj_id, start=start,
             stop=stop, predicted_step=step, mean_q=curve.tolist(),
             verdict="keep" if keep else "drop",
             noise_level=seg.noise_level, ret=seg.ret))

@@ -12,11 +12,14 @@ moments, EMA shadows and a checkpoint's ``params`` are vectors laid out like
 it, which keeps the optimizer and EMA tracker agnostic of what they belong
 to; all of them share ``flat``'s dtype.
 
-The dtype of ``flat`` is part of a network's architecture: float64 by
-default, float32 for the networks the trainer builds (their matmuls run
-about twice as fast). A network casts its inputs and upstream gradients to
-that dtype once, at the boundary, so no matmul mixes dtypes; everything
-else (RNG draws, losses, schedules, environments) is float64.
+The dtype of ``flat`` is part of a network's architecture: float32 unless
+a caller names float64, since float32 matmuls run about twice as fast at
+the default widths and move the final returns far less than a change of
+training seed does (CHANGES.md). A network casts its inputs and upstream
+gradients to that dtype once, at the boundary, so no matmul mixes dtypes;
+everything else (RNG draws, losses, schedules, environments) is float64.
+Only a network given an rng draws weights; ``from_arch`` gives none, so a
+rebuild starts from zeros and takes its vector from ``set_params``.
 
 Outside the matmuls the kernels work in place: a layer's matmul result is
 biased and squashed where it lies, tanh' takes one temporary, and the Adam
@@ -140,14 +143,14 @@ class FeedForwardNet:
     """MLP with tanh hidden activations and an identity output layer.
 
     ``widths`` lists layer sizes input-first, e.g. ``[4, 256, 256, 256, 2]``.
-    Weights are Glorot-normal initialized from the supplied rng. The forward
-    pass accepts a single vector or a (batch, in) matrix and computes in
-    ``dtype``. The parameters [W0, b0, W1, b1, ...] tile the fresh vector
-    ``flat`` in that order.
+    Weights are Glorot-normal draws from ``rng``, or zero with no rng. The
+    forward pass accepts a single vector or a (batch, in) matrix and
+    computes in ``dtype``. The parameters [W0, b0, W1, b1, ...] tile the
+    fresh vector ``flat`` in that order.
     """
 
-    def __init__(self, widths: list[int], rng: SeededRng,
-                 zero_output: bool = False, dtype=np.float64):
+    def __init__(self, widths: list[int], rng: SeededRng | None,
+                 zero_output: bool = False, dtype=np.float32):
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise InvalidInputError(f"bad layer widths {widths}")
         self.widths = list(widths)
@@ -161,6 +164,8 @@ class FeedForwardNet:
         # (weight, bias) of every layer after the first, paired once here
         # and not on every call: a single-state act is a few microseconds
         self._rest = list(zip(self.weights[1:], self.biases[1:]))
+        if rng is None:
+            return
         for w in self.weights:
             n_in, n_out = w.shape
             w[...] = np.sqrt(2.0 / (n_in + n_out)) * rng.standard_normal(

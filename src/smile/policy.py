@@ -25,9 +25,10 @@ class _Actor(FeedForwardNet):
     """Deterministic state -> action net; ``flat`` is in ``dtype``. The
     environment clips its actions to bounds when it executes them."""
 
-    def __init__(self, state_dim: int, action_dim: int, rng: SeededRng,
+    def __init__(self, state_dim: int, action_dim: int,
+                 rng: SeededRng | None,
                  hidden: tuple[int, ...] = (256, 256, 256),
-                 dtype=np.float64):
+                 dtype=np.float32):
         self.state_dim = state_dim
         self.action_dim = action_dim
         super().__init__([state_dim, *hidden, action_dim], rng,
@@ -43,8 +44,9 @@ class _Actor(FeedForwardNet):
 
     @classmethod
     def from_arch(cls, arch: dict):
+        """The actor ``arch`` describes, with zero parameters (no draws)."""
         hidden = tuple(arch["widths"][1:-1])
-        return cls(arch["state_dim"], arch["action_dim"], SeededRng(0),
+        return cls(arch["state_dim"], arch["action_dim"], None,
                    hidden=hidden, dtype=arch_dtype(arch))
 
 

@@ -51,11 +51,6 @@ from .mathcore import (EmaTracker, OptimizerState, SeededRng, atomic_write,
                        save_checkpoint)
 from .policy import BcBaseline, GeneratorPolicy, bc_loss, policy_loss
 
-# the parameter dtype of every network training builds: float32 matmuls run
-# about twice as fast as float64 ones at these widths, and the final returns
-# move far less than a change of training seed moves them (see CHANGES.md)
-NET_DTYPE = np.float32
-
 CSV_COLUMNS = ("iteration", "transitions", "denoiser_loss", "policy_loss",
                "eval_mean", "eval_std", "store_size")
 
@@ -141,7 +136,7 @@ class TrainResult:
 
 def snapshot_policy(net, flat: np.ndarray):
     """A fresh network of ``net``'s type and architecture (a policy or a
-    noise model) holding the parameter vector ``flat``."""
+    noise model) holding the parameter vector ``flat``, drawing no weights."""
     copy = type(net).from_arch(net.arch())
     copy.set_params(flat)
     return copy
@@ -350,10 +345,9 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     state_dim, action_dim = _check_run(cfg, store)
     model = NoiseModel(state_dim, action_dim, cfg.diffusion_steps,
                        rng.spawn("init-denoiser"), hidden=cfg.hidden,
-                       dtype=NET_DTYPE, beta_min=cfg.beta_min,
-                       beta_max=cfg.beta_max)
+                       beta_min=cfg.beta_min, beta_max=cfg.beta_max)
     policy = GeneratorPolicy(state_dim, action_dim, rng.spawn("init-policy"),
-                             hidden=cfg.hidden, dtype=NET_DTYPE)
+                             hidden=cfg.hidden)
     noise_rng, draw = rng.spawn("denoiser-noise"), []
     reps = (cfg.denoiser_optimize_every, 1)
     # the losses are looked up at call time, for hooks and test patches;
@@ -384,7 +378,7 @@ def train_bc(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     (EMA snapshot, live baseline, metrics)."""
     state_dim, action_dim = _check_run(cfg, store)
     baseline = BcBaseline(state_dim, action_dim, rng.spawn("init-bc"),
-                          hidden=cfg.hidden, dtype=NET_DTYPE)
+                          hidden=cfg.hidden)
     part = _Part.of(cfg, "policy", baseline,
                     lambda s, a: bc_loss(baseline, s, a))
     metrics, _ = _run(cfg, store, rng, [part], out_dir)
@@ -435,7 +429,8 @@ def audit_bins(store: DemoStore, records: list[SegmentRecord],
             f"{hi!r}]")
     b = np.clip(np.floor((rets - lo) / width), 0, n_bins - 1).astype(np.int64)
     rows = []
-    for k in np.unique(b):
+    # not np.unique, which on an int64 array imports numpy.ma (14 ms)
+    for k in sorted(set(b.tolist())):
         mask = b == k
         rows.append({"bin_lo": float(lo + k * width),
                      "bin_hi": float(lo + (k + 1) * width),

@@ -19,8 +19,8 @@ def sched():
     return build_schedule(10, 0.05, 0.6)
 
 
-def small_net(widths, seed=0):
-    return FeedForwardNet(widths, SeededRng(seed))
+def small_net(widths, seed=0, dtype=np.float32):
+    return FeedForwardNet(widths, SeededRng(seed), dtype=dtype)
 
 
 def finite_difference_grads(net, x, upstream, h=1e-5):

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smile
 import smile.cli as cli
 import smile.config as config_mod
 from smile.config import DataConfig, load_config
@@ -66,6 +69,26 @@ def audit_argv(cfg, out, demos=None):
             "--generator", str(out / "generator.json"),
             "--demos", demos or str(out / "demos.jsonl"),
             "--out", str(out / "audit.json")]
+
+
+def test_a_fresh_audit_loads_neither_numpy_random_nor_numpy_ma(run,
+                                                               tmp_path):
+    # the checkpoints are rebuilt without drawing weights, and the return
+    # bins are found without np.unique, which imports numpy.ma
+    cfg, out = run
+    argv = audit_argv(cfg, out)
+    argv[-1] = str(tmp_path / "audit.json")
+    code = ("import sys\nimport smile.cli\n"
+            f"assert smile.cli.main({argv!r}) == 0\n"
+            "print([m for m in ('numpy.random', 'numpy.ma') "
+            "if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(smile.__file__))
+    path = os.pathsep.join([src, *filter(None, [os.environ.get(
+        "PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_gen_data_train_audit(run, capsys):

@@ -295,7 +295,9 @@ class TestDenoiserLoss:
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_frozen_single_example_hand_value(self, sched):
-        model = NoiseModel(2, 2, sched.T, SeededRng(8), hidden=(6, 6))
+        # float64, for the 1e-12 bounds here and below
+        model = NoiseModel(2, 2, sched.T, SeededRng(8), hidden=(6, 6),
+                           dtype=np.float64)
         s = np.array([[0.3, -0.4]])
         a0 = np.array([[0.5, 0.2]])
         # replicate the internal draws with an identically seeded stream
@@ -311,7 +313,8 @@ class TestDenoiserLoss:
     def test_draw_is_the_forwards_own(self, sched):
         # the draw holds the steps and diffused actions of the loss's own
         # t and noise, and the prediction that its forward made for them
-        model = NoiseModel(2, 2, sched.T, SeededRng(9), hidden=(6, 6))
+        model = NoiseModel(2, 2, sched.T, SeededRng(9), hidden=(6, 6),
+                           dtype=np.float64)
         model.weights[-1][...] = SeededRng(10).standard_normal(
             model.weights[-1].shape)
         batch = SeededRng(11)
@@ -335,7 +338,9 @@ class TestDenoiserLoss:
                           rng)
 
     def test_gradients_match_finite_difference(self, sched):
-        model = NoiseModel(2, 2, sched.T, SeededRng(3), hidden=(5,))
+        # float64: a float32 parameter cannot hold a step of h = 1e-6
+        model = NoiseModel(2, 2, sched.T, SeededRng(3), hidden=(5,),
+                           dtype=np.float64)
         rng_batch = SeededRng(7)
         states = rng_batch.standard_normal((4, 2))
         actions = rng_batch.standard_normal((4, 2))

@@ -79,7 +79,9 @@ class TestQValue:
         assert q[t, 0] == pytest.approx(0.0, abs=1e-20)
 
     def test_frozen_hand_value(self, sched):
-        model = NoiseModel(2, 2, sched.T, SeededRng(3), hidden=(6,))
+        # float64, for the 1e-12 bound
+        model = NoiseModel(2, 2, sched.T, SeededRng(3), hidden=(6,),
+                           dtype=np.float64)
         s = np.array([0.1, -0.2])
         a_target = np.array([0.5, 0.5])
         a_ref = np.array([-0.3, 0.8])
@@ -568,9 +570,38 @@ class TestFilterDataset:
         cfg = FilterConfig(min_demos=1, step_threshold=1, max_demo_len=3)
         report = filter_dataset(store, model, policy, cfg)
         assert report.n_before == 2
-        assert [tr.traj_id for tr in store.trajectories] == [0, 1]
+        # the pieces of a cut trajectory are numbered after the store's
+        # largest id
+        assert [r.segment_id for r in report.records] == [43, 44]
+        assert [tr.traj_id for tr in store.trajectories] == [43, 44]
         assert all(tr.noise_level == 0.25 for tr in store.trajectories)
         assert all(r.parent_id == 42 for r in report.records)
+
+    def test_passes_after_a_drop_name_the_original_ids(self, sched):
+        # whole-trajectory segments keep their trajectory's id, so a pass
+        # after a commit names the trajectories of the first store, and so
+        # does the store the last pass leaves
+        steps = [2, 5, 5, 0, 7, 5, 1, 3]
+        store, policy, model = _step_store(steps, sched)
+        for tr in store.trajectories:
+            tr.noise_level = 0.125 * tr.traj_id
+        levels = {tr.traj_id: tr.noise_level for tr in store.trajectories}
+        cfgs = [FilterConfig(min_demos=4, step_threshold=8,
+                             max_demo_len=100),
+                *[FilterConfig(min_demos=1, step_threshold=6,
+                               max_demo_len=100)] * 2]
+        scored = list(levels)
+        for cfg in cfgs:
+            report = filter_dataset(store, model, policy, cfg)
+            assert [r.parent_id for r in report.records] == scored
+            assert all(r.segment_id == r.parent_id
+                       and r.noise_level == levels[r.parent_id]
+                       for r in report.records)
+            scored = [r.parent_id for r in report.records
+                      if r.verdict == "keep"]
+        assert scored == [4]
+        assert [(tr.traj_id, tr.noise_level)
+                for tr in store.trajectories] == [(4, 0.5)]
 
     def test_empty_store_rejected(self, sched):
         with pytest.raises(InvalidInputError):

@@ -40,7 +40,9 @@ class TestNetForward:
         assert np.allclose(net.forward(x), x)
 
     def test_hand_evaluated_221(self):
-        net = small_net([2, 2, 1])
+        # float64, so the 1e-14 bound bites: approx takes a float32
+        # output's difference in float32, where its 2e-8 error rounds to 0
+        net = small_net([2, 2, 1], dtype=np.float64)
         net.weights[0][...] = [[0.5, -1.0], [0.25, 0.75]]
         net.biases[0][...] = [0.1, -0.2]
         net.weights[1][...] = [[2.0], [-0.5]]
@@ -93,9 +95,11 @@ class TestNetGradients:
         assert np.allclose(w_grad, np.outer(x, up))
         assert np.allclose(b_grad, up)
 
+    # the finite-difference checks name float64: a central difference at
+    # h = 1e-5 on float32 outputs is mostly rounding
     @pytest.mark.parametrize("widths", [[3, 8, 2], [2, 5, 5, 1], [4, 6, 3]])
     def test_finite_difference_agreement(self, widths):
-        net = small_net(widths, seed=sum(widths))
+        net = small_net(widths, seed=sum(widths), dtype=np.float64)
         rng = SeededRng(17)
         x = rng.standard_normal(widths[0])
         up = rng.standard_normal(widths[-1])
@@ -104,7 +108,7 @@ class TestNetGradients:
         assert relative_error(analytic, numeric).max() < 1e-4
 
     def test_input_gradient_finite_difference(self):
-        net = small_net([3, 6, 2], seed=9)
+        net = small_net([3, 6, 2], seed=9, dtype=np.float64)
         rng = SeededRng(21)
         x = rng.standard_normal(3)
         up = rng.standard_normal(2)
@@ -134,7 +138,7 @@ class TestNetGradients:
         # their stages (measured: 3 u, against a bound of 181 u)
         widths, batch = [5, 32, 32, 3], 64
         net32 = FeedForwardNet(widths, SeededRng(1), dtype=np.float32)
-        net64 = FeedForwardNet(widths, SeededRng(1))
+        net64 = FeedForwardNet(widths, SeededRng(1), dtype=np.float64)
         net64.flat[...] = net32.flat
         rng = SeededRng(2)
         x = rng.standard_normal((batch, 5)).astype(np.float32)
@@ -355,7 +359,7 @@ def test_params_are_views_tiling_flat(make, forward):
     assert all(np.array_equal(p, q) for p, q in zip(
         params, [net.flat[at].reshape(shape) for at, shape in
                  tensor_layout(net.shapes(net.widths))]))
-    assert net.flat.dtype == np.float64 and net.flat.flags.c_contiguous
+    assert net.flat.dtype == np.float32 and net.flat.flags.c_contiguous
     assert net.flat.ctypes.data % 64 == 0  # starts on a cache line
     assert all(np.shares_memory(p, net.flat) for p in params)
     # the views tile flat exactly: sizes add up and no element is shared

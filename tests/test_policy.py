@@ -10,14 +10,16 @@ from smile.policy import BcBaseline, GeneratorPolicy, bc_loss, policy_loss
 from gauss_task import GaussianTask, OracleDenoiser
 
 
+# float64, the precision the tolerances below (down to 1e-12, and
+# finite differences at h = 1e-6) are written for
 def tiny_policy(state_dim=2, action_dim=2, seed=0, hidden=(8, 8)):
     return GeneratorPolicy(state_dim, action_dim, SeededRng(seed),
-                           hidden=hidden)
+                           hidden=hidden, dtype=np.float64)
 
 
 def tiny_model(state_dim=2, action_dim=2, seed=1, hidden=(8, 8), T=10):
     return NoiseModel(state_dim, action_dim, T, SeededRng(seed),
-                      hidden=hidden)
+                      hidden=hidden, dtype=np.float64)
 
 
 class TestPolicyAct:

@@ -13,8 +13,8 @@ from smile.envs import default_expert, expert_act, generate_demos, \
     make_env_spec, rollout_batch_returns
 from smile.errors import ConfigError, InvalidInputError, TrainingError
 from smile.expertise import FilterConfig, q_curve_matrix, score_dataset
-from smile.mathcore import SeededRng, load_checkpoint
-from smile.policy import GeneratorPolicy
+from smile.mathcore import FeedForwardNet, SeededRng, load_checkpoint
+from smile.policy import BcBaseline, GeneratorPolicy
 from smile.trainer import (CSV_COLUMNS, TrainConfig, audit_bins,
                            bench_reverse, evaluate, snapshot_policy, train,
                            train_bc)
@@ -420,7 +420,7 @@ class TestTrainLoop:
         arch = generator["arch"]
         init = GeneratorPolicy(arch["state_dim"], arch["action_dim"],
                                SeededRng(14).spawn("init-policy"),
-                               hidden=cfg.hidden, dtype=trainer_mod.NET_DTYPE)
+                               hidden=cfg.hidden)
         assert generator["params"].tobytes() == init.flat.tobytes()
 
     def test_checkpoints_hold_the_ema_shadow(self, gauss_store, tmp_path):
@@ -723,6 +723,35 @@ def test_trained_networks_are_float32(gauss_store):
                 result.ema_policy, snap, live):
         assert net.flat.dtype == np.float32
         assert net.arch()["dtype"] == "float32"
+
+
+def test_networks_default_to_float32():
+    # a network built without a dtype has the one training gives it;
+    # float64 is had by naming it
+    for cls, args in ((FeedForwardNet, ([3, 4, 2], SeededRng(1))),
+                      (NoiseModel, (2, 2, 4, SeededRng(2))),
+                      (GeneratorPolicy, (3, 2, SeededRng(3))),
+                      (BcBaseline, (3, 2, SeededRng(4)))):
+        assert cls(*args).flat.dtype == np.float32
+        assert cls(*args, dtype=np.float64).flat.dtype == np.float64
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_a_rebuild_draws_no_weights(monkeypatch, dtype):
+    nets = [NoiseModel(2, 2, 4, SeededRng(2), hidden=(5,), dtype=dtype),
+            GeneratorPolicy(3, 2, SeededRng(3), hidden=(6,), dtype=dtype),
+            BcBaseline(3, 2, SeededRng(4), hidden=(6,), dtype=dtype)]
+
+    def refuse(self, shape):
+        raise AssertionError("a rebuild drew weights")
+
+    monkeypatch.setattr(SeededRng, "standard_normal", refuse)
+    for net in nets:
+        rebuilt = type(net).from_arch(net.arch())
+        assert rebuilt.arch() == net.arch() and not rebuilt.flat.any()
+        snap = snapshot_policy(net, net.flat)
+        assert type(snap) is type(net) and snap.arch() == net.arch()
+        assert snap.flat.tobytes() == net.flat.tobytes()
 
 
 class TestMetricsLog:
