@@ -15,7 +15,8 @@ and two single-thread processes finish a sweep sooner than one process
 with two. Each run's EMA checkpoint (`generator.json`, or `bc.json` for
 BC) is loaded as `smile audit` loads it and, like the analytic expert,
 rolled out on the same EPISODES spawns of SeededRng(SPAWN_SEED). Each run
-also records its wall seconds and the seconds of its PHASES.
+also records its wall seconds and the seconds of its PHASES, and each
+method the layer widths of its actor, read from those checkpoints.
 
 The statistics follow Agarwal et al., *Deep RL at the Edge of the
 Statistical Precipice* (arXiv 2108.13264): the interquartile mean (IQM)
@@ -27,7 +28,9 @@ minus parent, over the seeds both evaluated. The parent must share the
 spawns and the demos: its config's [experiment] seed, [env] and [data]
 must be this bench's (else it exits). Its [train], [filter] and [schedule]
 keys may differ; those that do are recorded as `config_changes`, so a
-defaults change can be judged. Three tests per method:
+defaults change can be judged. A width is no config key, so the methods
+whose actor widths differ are recorded apart, as `width_changes`. Three
+tests per method:
   paired   per seed, the mean per-spawn difference lies within its
            standard error (the north-star test);
   spread   the change in the mean over seeds is at least -SPREAD_FRACTION
@@ -180,6 +183,18 @@ def config_changes(bench_text: str, parent_text: str) -> dict:
     return changes
 
 
+def width_changes(bench: dict, parent: dict) -> dict:
+    """The methods whose recorded actor widths differ, as method ->
+    [parent's, this bench's] (null where a bench recorded none)."""
+    changes = {}
+    for method in METHODS:
+        old, new = (side.get("methods", {}).get(method, {}).get("widths")
+                    for side in (parent, bench))
+        if old != new:
+            changes[method] = [old, new]
+    return changes
+
+
 def write_config(text: str, path: Path, out_dir: Path,
                  seed: int | None = None) -> Path:
     """The config ``text`` with ``out_dir`` and, if given, ``seed``."""
@@ -245,7 +260,7 @@ def run_bench(text: str, seeds: list[int], work: Path) -> dict:
              "methods": {}, "paired": {},
              "returns": {"expert": expert.tolist()}}
     for method, (_, checkpoint) in METHODS.items():
-        returns = {}
+        returns, widths = {}, None
         phases = {f"{phase}_s": {} for phase in PHASES}
         for seed in seeds:
             out = dirs[method, seed]
@@ -254,6 +269,7 @@ def run_bench(text: str, seeds: list[int], work: Path) -> dict:
                 actor = _load_actor(cfg, str(out / checkpoint),
                                     "generator", "bc")
                 returns[str(seed)] = spawn_returns(cfg, actor.act).tolist()
+                widths = actor.widths
             clock = {}
             if (out / "run.json").exists():
                 clock = json.loads((out / "run.json").read_text())[
@@ -264,7 +280,7 @@ def run_bench(text: str, seeds: list[int], work: Path) -> dict:
                  if r is not None}
         bench["methods"][method] = {
             **(summarize(means) if means else {"per_seed": {}}),
-            **phases,
+            "widths": widths, **phases,
             "wall_s": {str(s): walls[method, s] for s in seeds}}
         bench["returns"][method] = returns
     for a, b in PAIRS:
@@ -279,12 +295,14 @@ def compare(bench: dict, parent: dict) -> dict:
     """Each method's change against ``parent``'s under the paired, the
     spread and the non-inferiority test, over the seeds both evaluated (null
     for a method with fewer than two). A parent of other spawns or other
-    demos is refused (config_changes)."""
+    demos is refused (config_changes). Actor widths that differ are
+    listed beside the config changes (width_changes)."""
     if parent["spawns"] != bench["spawns"]:
         raise SystemExit(f"parent spawns {parent['spawns']} differ from "
                          f"{bench['spawns']}")
     out = {"config_changes": config_changes(bench["config"],
                                             parent["config"]),
+           "width_changes": width_changes(bench, parent),
            "expert_identical":
            parent["returns"]["expert"] == bench["returns"]["expert"]}
     for method in METHODS:
@@ -332,6 +350,8 @@ def report(bench: dict) -> None:
     vs_parent = bench.get("vs_parent", {})
     for key, (old, new) in vs_parent.get("config_changes", {}).items():
         print(f"vs parent config: {key} {old} -> {new}")
+    for method, (old, new) in vs_parent.get("width_changes", {}).items():
+        print(f"vs parent widths: {method} {old} -> {new}")
     verdict = {True: "holds", False: "fails"}
     for method in METHODS:
         c = vs_parent.get(method)

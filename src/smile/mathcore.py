@@ -142,7 +142,9 @@ def arch_dtype(arch: dict) -> np.dtype:
 class FeedForwardNet:
     """MLP with tanh hidden activations and an identity output layer.
 
-    ``widths`` lists layer sizes input-first, e.g. ``[4, 256, 256, 256, 2]``.
+    ``widths`` lists layer sizes input-first: a default generator on
+    pointmass2d is ``[4, 128, 128, 128, 2]``, and its noise model
+    ``[17, 256, 256, 256, 2]``.
     Weights are Glorot-normal draws from ``rng``, or zero with no rng. The
     forward pass accepts a single vector or a (batch, in) matrix and
     computes in ``dtype``. The parameters [W0, b0, W1, b1, ...] tile the

@@ -20,14 +20,23 @@ import numpy as np
 from .diffusion import DiffusionSchedule
 from .mathcore import FeedForwardNet, SeededRng, arch_dtype, loss_batch
 
+DEFAULT_ACTOR_HIDDEN = (128, 128, 128)
+
 
 class _Actor(FeedForwardNet):
     """Deterministic state -> action net; ``flat`` is in ``dtype``. The
-    environment clips its actions to bounds when it executes them."""
+    environment clips its actions to bounds when it executes them.
+
+    Its default width, 3x128, is half the noise model's. An actor is a
+    state -> action map regressed onto a target, and it never decides what
+    the filter drops. At 3x128 beside a 3x256 noise model, the quality bench
+    (training seeds 7-16, BENCH_quality.json) accepted SMILE, --no-filter
+    and BC as non-inferior to 3x256 actors, and a default SMILE run took a
+    third less wall clock (ROADMAP item 4)."""
 
     def __init__(self, state_dim: int, action_dim: int,
                  rng: SeededRng | None,
-                 hidden: tuple[int, ...] = (256, 256, 256),
+                 hidden: tuple[int, ...] = DEFAULT_ACTOR_HIDDEN,
                  dtype=np.float32):
         self.state_dim = state_dim
         self.action_dim = action_dim

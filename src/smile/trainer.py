@@ -40,8 +40,9 @@ from typing import Callable
 
 import numpy as np
 
-from .diffusion import (DEFAULT_BETA_MAX, DEFAULT_BETA_MIN, NoiseModel,
-                        build_schedule, denoiser_loss, naive_reverse_sample)
+from .diffusion import (DEFAULT_BETA_MAX, DEFAULT_BETA_MIN,
+                        DEFAULT_DENOISER_HIDDEN, NoiseModel, build_schedule,
+                        denoiser_loss, naive_reverse_sample)
 from .envs import DemoStore, EnvSpec, env_reset, rollout_batch_returns
 from .errors import ConfigError, InvalidInputError, TrainingError
 from .expertise import (FilterConfig, FilterReport, SegmentRecord,
@@ -49,7 +50,8 @@ from .expertise import (FilterConfig, FilterReport, SegmentRecord,
 from .mathcore import (EmaTracker, OptimizerState, SeededRng, atomic_write,
                        ema_update, keep_temporaries_on_heap, optimizer_step,
                        save_checkpoint)
-from .policy import BcBaseline, GeneratorPolicy, bc_loss, policy_loss
+from .policy import (DEFAULT_ACTOR_HIDDEN, BcBaseline, GeneratorPolicy,
+                     bc_loss, policy_loss)
 
 CSV_COLUMNS = ("iteration", "transitions", "denoiser_loss", "policy_loss",
                "eval_mean", "eval_std", "store_size")
@@ -80,7 +82,12 @@ class TrainConfig:
     filter: FilterConfig = field(default_factory=FilterConfig)
     eval_every: int = 2500
     eval_episodes: int = 10
-    hidden: tuple[int, ...] = (256, 256, 256)
+    # twice the actors' widths: the noise model's Q curve alone decides what
+    # the filter drops, and SMILE lost return at 3x128 (NoiseModel)
+    denoiser_hidden: tuple[int, ...] = DEFAULT_DENOISER_HIDDEN
+    # the generator's and BC's: state -> action maps regressed onto a
+    # target, which keep their return at half that width (policy._Actor)
+    actor_hidden: tuple[int, ...] = DEFAULT_ACTOR_HIDDEN
 
     @property
     def num_iterations(self) -> int:
@@ -344,10 +351,10 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     """
     state_dim, action_dim = _check_run(cfg, store)
     model = NoiseModel(state_dim, action_dim, cfg.diffusion_steps,
-                       rng.spawn("init-denoiser"), hidden=cfg.hidden,
+                       rng.spawn("init-denoiser"), hidden=cfg.denoiser_hidden,
                        beta_min=cfg.beta_min, beta_max=cfg.beta_max)
     policy = GeneratorPolicy(state_dim, action_dim, rng.spawn("init-policy"),
-                             hidden=cfg.hidden)
+                             hidden=cfg.actor_hidden)
     noise_rng, draw = rng.spawn("denoiser-noise"), []
     reps = (cfg.denoiser_optimize_every, 1)
     # the losses are looked up at call time, for hooks and test patches;
@@ -378,7 +385,7 @@ def train_bc(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     (EMA snapshot, live baseline, metrics)."""
     state_dim, action_dim = _check_run(cfg, store)
     baseline = BcBaseline(state_dim, action_dim, rng.spawn("init-bc"),
-                          hidden=cfg.hidden)
+                          hidden=cfg.actor_hidden)
     part = _Part.of(cfg, "policy", baseline,
                     lambda s, a: bc_loss(baseline, s, a))
     metrics, _ = _run(cfg, store, rng, [part], out_dir)

@@ -141,3 +141,23 @@ def test_report_prints_the_changes_and_every_test(capsys):
     assert ("vs parent smile: mean change -0.100 (floor -0.000, spread test "
             "fails); paired within SE on 0/3 seeds; lower 95% bound -0.184 "
             "(margin -0.19, non-inferiority test holds)") in lines
+
+
+def test_compare_lists_the_actor_widths_that_differ(capsys):
+    # a width is no config key, so a change of it is listed on its own
+    wide, narrow = [4, 256, 256, 256, 2], [4, 128, 128, 128, 2]
+    parent, bench = _bench(BASE), _bench(BASE)
+    parent["methods"] = {m: {"widths": wide} for m in quality.METHODS}
+    bench["methods"] = {**parent["methods"], "bc": {"widths": narrow}}
+    vs = quality.compare(bench, parent)
+    assert vs["config_changes"] == {}
+    assert vs["width_changes"] == {"bc": [wide, narrow]}
+    assert quality.compare(bench, bench)["width_changes"] == {}
+    # a parent bench that recorded no widths
+    del parent["methods"]
+    assert quality.compare(bench, parent)["width_changes"] == {
+        "smile": [None, wide], "no-filter": [None, wide], "bc": [None, narrow]}
+    bench.update(expert={"mean_return": -19.0}, vs_parent=vs)
+    quality.report(bench)
+    assert ("vs parent widths: bc [4, 256, 256, 256, 2] -> "
+            "[4, 128, 128, 128, 2]") in capsys.readouterr().out.splitlines()

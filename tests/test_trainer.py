@@ -58,7 +58,8 @@ class _FixedDraws:
 
 
 def tiny_cfg(**kw):
-    base = dict(batch_size=32, transition_budget=32 * 30, hidden=(16, 16),
+    base = dict(batch_size=32, transition_budget=32 * 30,
+                denoiser_hidden=(16, 16), actor_hidden=(16, 16),
                 eval_every=0, ema_warmup_steps=20)
     base.update(kw)
     return TrainConfig(**base)
@@ -80,7 +81,7 @@ class TestTrainLoop:
         task = GaussianTask(seed=3, state_dim=3, action_dim=2)
         store = make_store(task, SeededRng(4), n_traj=40, traj_len=50)
         cfg = tiny_cfg(batch_size=128, transition_budget=128 * 2000,
-                       hidden=(32, 32))
+                       denoiser_hidden=(32, 32), actor_hidden=(32, 32))
         result = train(cfg, store, SeededRng(5))
         losses = [r["denoiser_loss"] for r in result.metrics.rows]
         early = np.mean(losses[:100])
@@ -97,6 +98,18 @@ class TestTrainLoop:
             train(tiny_cfg(), store, SeededRng(8), out_dir=out)
             csv.append(open(os.path.join(out, "metrics.csv"), "rb").read())
         assert csv[0] == csv[1]
+
+    def test_unfiltered_denoiser_ignores_the_actor_width(self, gauss_store):
+        # without filtering nothing the denoiser reads comes from the
+        # generator: init, batches and loss draws are streams of their own
+        a, b = (train(tiny_cfg(actor_hidden=width), gauss_store, SeededRng(9),
+                      filtering=False) for width in ((8,), (16,)))
+        assert a.policy.widths != b.policy.widths
+        for net in ("noise_model", "ema_noise_model"):
+            assert (getattr(a, net).flat.tobytes()
+                    == getattr(b, net).flat.tobytes())
+        assert ([r["denoiser_loss"] for r in a.metrics.rows]
+                == [r["denoiser_loss"] for r in b.metrics.rows])
 
     def test_transition_accounting_crosses_budget_once(self, gauss_store):
         cfg = tiny_cfg(batch_size=32, transition_budget=1000)
@@ -420,7 +433,7 @@ class TestTrainLoop:
         arch = generator["arch"]
         init = GeneratorPolicy(arch["state_dim"], arch["action_dim"],
                                SeededRng(14).spawn("init-policy"),
-                               hidden=cfg.hidden)
+                               hidden=cfg.actor_hidden)
         assert generator["params"].tobytes() == init.flat.tobytes()
 
     def test_checkpoints_hold_the_ema_shadow(self, gauss_store, tmp_path):
@@ -734,6 +747,18 @@ def test_networks_default_to_float32():
                       (BcBaseline, (3, 2, SeededRng(4)))):
         assert cls(*args).flat.dtype == np.float32
         assert cls(*args, dtype=np.float64).flat.dtype == np.float64
+
+
+def test_networks_default_to_the_width_training_gives_them():
+    # the noise model is twice as wide as the actors (NoiseModel, _Actor),
+    # and a network built without a width has its role's
+    cfg = TrainConfig()
+    assert cfg.denoiser_hidden == (256, 256, 256)
+    assert cfg.actor_hidden == (128, 128, 128)
+    for net, hidden in ((NoiseModel(2, 2, 4, None), cfg.denoiser_hidden),
+                        (GeneratorPolicy(3, 2, None), cfg.actor_hidden),
+                        (BcBaseline(3, 2, None), cfg.actor_hidden)):
+        assert tuple(net.widths[1:-1]) == hidden
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
