@@ -10,13 +10,15 @@ from `smile gen-data` on the config (default: `smile print-config`) at the
 config's own seed. For each training seed s, `smile train` runs once per
 method as a subprocess, with the config's seed set to s (so the training
 seed is derive_seed(s, "train")), two processes at a time, each with
-OPENBLAS_NUM_THREADS=1: seeded outputs are the same at 1 and 2 threads,
-and two single-thread processes finish a sweep sooner than one process
-with two. Each run's EMA checkpoint (`generator.json`, or `bc.json` for
-BC) is loaded as `smile audit` loads it and, like the analytic expert,
-rolled out on the same EPISODES spawns of SeededRng(SPAWN_SEED). Each run
-also records its wall seconds and the seconds of its PHASES, and each
-method the layer widths of its actor, read from those checkpoints.
+OPENBLAS_NUM_THREADS=1, a thread budget of one (one segment worker, one
+BLAS thread): seeded outputs are the same at any budget, and two
+single-thread processes finish a sweep sooner than one process with two.
+Each run's EMA checkpoint (`generator.json`, or `bc.json` for BC) is
+loaded as `smile audit` loads it and, like the analytic expert, rolled
+out on the same EPISODES spawns of SeededRng(SPAWN_SEED). Each run also
+records its wall seconds and the seconds of its PHASES, and each
+method the layer widths of its actor, read from those checkpoints, and of
+its noise model, read from `denoiser.json` (SMILE and --no-filter).
 
 The statistics follow Agarwal et al., *Deep RL at the Edge of the
 Statistical Precipice* (arXiv 2108.13264): the interquartile mean (IQM)
@@ -28,8 +30,8 @@ minus parent, over the seeds both evaluated. The parent must share the
 spawns and the demos: its config's [experiment] seed, [env] and [data]
 must be this bench's (else it exits). Its [train], [filter] and [schedule]
 keys may differ; those that do are recorded as `config_changes`, so a
-defaults change can be judged. A width is no config key, so the methods
-whose actor widths differ are recorded apart, as `width_changes`. Three
+defaults change can be judged. A width is no config key, so the networks
+whose widths differ are recorded apart, as `width_changes`. Three
 tests per method:
   paired   per seed, the mean per-spawn difference lies within its
            standard error (the north-star test);
@@ -184,14 +186,17 @@ def config_changes(bench_text: str, parent_text: str) -> dict:
 
 
 def width_changes(bench: dict, parent: dict) -> dict:
-    """The methods whose recorded actor widths differ, as method ->
-    [parent's, this bench's] (null where a bench recorded none)."""
+    """The networks whose recorded widths differ, as name -> [parent's,
+    this bench's] (null where a bench recorded none): a method's actor by
+    the method's name, its noise model as "<method> denoiser"."""
     changes = {}
     for method in METHODS:
-        old, new = (side.get("methods", {}).get(method, {}).get("widths")
-                    for side in (parent, bench))
-        if old != new:
-            changes[method] = [old, new]
+        for key, name in (("widths", method),
+                          ("denoiser_widths", f"{method} denoiser")):
+            old, new = (side.get("methods", {}).get(method, {}).get(key)
+                        for side in (parent, bench))
+            if old != new:
+                changes[name] = [old, new]
     return changes
 
 
@@ -212,8 +217,8 @@ def write_config(text: str, path: Path, out_dir: Path,
 
 
 def smile(*args: str) -> float:
-    """Run `python -m smile` on this checkout's src with one BLAS thread;
-    returns its wall seconds."""
+    """Run `python -m smile` on this checkout's src at a thread budget of
+    one; returns its wall seconds."""
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "smile", *args], env=env,
@@ -260,7 +265,7 @@ def run_bench(text: str, seeds: list[int], work: Path) -> dict:
              "methods": {}, "paired": {},
              "returns": {"expert": expert.tolist()}}
     for method, (_, checkpoint) in METHODS.items():
-        returns, widths = {}, None
+        returns, widths, denoiser_widths = {}, None, None
         phases = {f"{phase}_s": {} for phase in PHASES}
         for seed in seeds:
             out = dirs[method, seed]
@@ -270,6 +275,9 @@ def run_bench(text: str, seeds: list[int], work: Path) -> dict:
                                     "generator", "bc")
                 returns[str(seed)] = spawn_returns(cfg, actor.act).tolist()
                 widths = actor.widths
+            if (out / "denoiser.json").exists():
+                denoiser_widths = _load_actor(
+                    cfg, str(out / "denoiser.json"), "denoiser").widths
             clock = {}
             if (out / "run.json").exists():
                 clock = json.loads((out / "run.json").read_text())[
@@ -280,7 +288,7 @@ def run_bench(text: str, seeds: list[int], work: Path) -> dict:
                  if r is not None}
         bench["methods"][method] = {
             **(summarize(means) if means else {"per_seed": {}}),
-            "widths": widths, **phases,
+            "widths": widths, "denoiser_widths": denoiser_widths, **phases,
             "wall_s": {str(s): walls[method, s] for s in seeds}}
         bench["returns"][method] = returns
     for a, b in PAIRS:
@@ -295,7 +303,7 @@ def compare(bench: dict, parent: dict) -> dict:
     """Each method's change against ``parent``'s under the paired, the
     spread and the non-inferiority test, over the seeds both evaluated (null
     for a method with fewer than two). A parent of other spawns or other
-    demos is refused (config_changes). Actor widths that differ are
+    demos is refused (config_changes). Network widths that differ are
     listed beside the config changes (width_changes)."""
     if parent["spawns"] != bench["spawns"]:
         raise SystemExit(f"parent spawns {parent['spawns']} differ from "

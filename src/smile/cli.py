@@ -223,11 +223,3 @@ def main(argv=None) -> int:
     except (SmileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ValidationError) else 2
-
-
-def entrypoint() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

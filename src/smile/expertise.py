@@ -14,7 +14,11 @@ predicted step. A segment's whole curve costs one policy call on its rows
 and one denoiser forward over T copies of them (q_curve_matrix). So no
 array larger than T * max_demo_len rows exists, whatever the store's size,
 and a segment's record depends only on its own rows and the two networks,
-not on the store around it.
+not on the store around it. That makes segments independent work: they are
+scored on ``workers`` threads, each pulling the next segment from one
+shared counter, with the same bits as on one. ``workers`` is 1 unless the
+command-line entry (smile.__main__) sets it to the process's thread budget
+and pins BLAS to one thread.
 score_dataset also gives each segment its verdict, by one rule that does
 not look at store order: a segment is kept iff its step is above the step
 threshold or among the min_demos highest steps (ties with the last of them
@@ -28,6 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +40,9 @@ import numpy as np
 from .envs import DemoStore, Trajectory
 from .errors import ConfigError, InvalidInputError
 from .mathcore import atomic_write
+
+# the threads score_dataset scores segments on, the caller's included
+workers = 1
 
 
 @dataclass
@@ -184,6 +192,51 @@ def segment_trajectories(trajectories: list[Trajectory],
     return segments
 
 
+def mean_q_curves(segments, model, policy) -> list[np.ndarray]:
+    """The mean Q curve of each (parent, start, stop) segment, in order.
+
+    The calling thread and min(workers, number of segments) - 1 threads
+    each take the next index from one shared counter, until none is left,
+    and store that segment's curve at it. A forward pass writes only arrays
+    it allocates, so the threads share nothing but the two networks'
+    parameters, which they only read. The caller is a worker itself: two
+    threads beside an idle caller added 3.2 MB to the 46.0 MB peak RSS of
+    a ``smile train`` with 8 filter passes, against 1.1 MB this way. The
+    first exception any thread raises stops every thread at its next
+    segment and is raised here once all have joined. On one worker the
+    caller runs the same loop alone.
+    """
+    curves = [None] * len(segments)
+    indices = itertools.count()   # its next() holds the GIL throughout
+    errors = []
+
+    def work():
+        try:
+            for i in indices:
+                if i >= len(segments) or errors:
+                    return
+                parent, start, stop = segments[i]
+                states = parent.states[start:stop]
+                curves[i] = q_curve_matrix(
+                    model, states, parent.actions[start:stop],
+                    policy.act(states)).mean(axis=1)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = []
+    try:
+        for _ in range(min(workers, len(segments)) - 1):
+            threads.append(threading.Thread(target=work))
+            threads[-1].start()
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return curves
+
+
 def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig):
     """Segment the store and score every segment without touching it.
 
@@ -206,14 +259,21 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig):
     which fits in a 2 MiB L2. So the working memory does not grow with the
     store, and a segment gets the same bits alone as inside any store (BLAS
     may round differently at other row counts, so a call over the whole
-    store would not). On 2 cores, 250 policy calls of 100 rows took 64 ms
-    against 113 ms for one call of 25,000 rows. Callers run
-    mathcore.keep_temporaries_on_heap first, or the per-segment arrays
-    fault their pages in anew at every segment: 117,000 page faults in one
-    pass over 25,000 transitions, which then took 0.9 s instead of 0.5 s.
-    Segments are not merged into larger batches: those were not reliably
-    faster. A segment's predicted step is the argmax of its mean Q curve
-    over t' (ties break toward the smallest t').
+    store would not). Segments are not merged into larger batches: those
+    were not reliably faster, and on 2 cores 250 policy calls of 100 rows
+    took 64 ms against 113 ms for one call of 25,000 rows.
+
+    The curves come from mean_q_curves, on ``workers`` threads. BLAS
+    splits a matmul by rows and columns, never along the sum, so a curve
+    has the same bits on any number of workers and BLAS threads. On 2
+    cores, 50 segments took 129-187 ms on one worker at one BLAS thread,
+    99-129 ms at two BLAS threads, and 77-101 ms on two workers at one BLAS
+    thread each (fastest to third quartile, 2 x 15 passes).
+    Callers run mathcore.keep_temporaries_on_heap first, or the
+    per-segment arrays fault their pages in anew at every segment: 117,000
+    page faults in one pass over 25,000 transitions, which then took 0.9 s
+    instead of 0.5 s. A segment's predicted step is the argmax of its mean
+    Q curve over t' (ties break toward the smallest t').
     """
     if store.num_trajectories == 0:
         raise InvalidInputError("cannot filter an empty store")
@@ -222,12 +282,7 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig):
     cfg.validate(model.sched.T)
     segments = segment_trajectories(store.trajectories, cfg.max_demo_len)
 
-    curves = []
-    for parent, start, stop in segments:
-        states = parent.states[start:stop]
-        curves.append(q_curve_matrix(
-            model, states, parent.actions[start:stop],
-            policy.act(states)).mean(axis=1))
+    curves = mean_q_curves(segments, model, policy)
     steps = [int(np.argmax(curve)) for curve in curves]
     k = min(cfg.min_demos, len(steps))
     cut = min(cfg.step_threshold, sorted(steps)[-k] - 1)

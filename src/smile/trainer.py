@@ -17,8 +17,10 @@ rounding).
 
 A run with an output directory writes ``metrics.csv`` as it goes and, when
 it ends, its checkpoints and ``run.json``: the config echo, whether it
-filtered, the training seed, the numpy and BLAS versions, the BLAS threads,
-the per-phase wall clock, the counters and the filter-pass summaries.
+filtered, the training seed, the numpy and BLAS versions, the BLAS threads
+(the value BLAS loaded with), the segment workers of the filter passes
+(expertise.workers), the per-phase wall clock, the counters and the
+filter-pass summaries.
 
 Filtering and evaluation always read the EMA shadows, never live
 parameters. The audit scores nothing itself: it groups the segment records
@@ -40,6 +42,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import expertise
 from .diffusion import (DEFAULT_BETA_MAX, DEFAULT_BETA_MIN,
                         DEFAULT_DENOISER_HIDDEN, NoiseModel, build_schedule,
                         denoiser_loss, naive_reverse_sample)
@@ -331,6 +334,7 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                         "version": blas.get("version")},
                     "openblas_num_threads":
                         os.environ.get("OPENBLAS_NUM_THREADS"),
+                    "workers": expertise.workers,
                     "wall_clock": metrics.wall_clock, "counters": counters,
                     "filter_summaries": metrics.filter_summaries}
         with atomic_write(os.path.join(out_dir, "run.json")) as fh:

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import smile
+import smile.expertise as expertise_mod
 from smile.diffusion import NoiseModel, diffuse
 from smile.envs import (DemoStore, Trajectory, default_expert,
                         generate_demos, make_env_spec)
@@ -416,6 +422,147 @@ class TestScoreDatasetStoreIndependence:
         peaks = [traced_peak(lambda: score_dataset(s, model, policy, cfg))
                  for s in (small, large)]
         assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def cut_store():
+    """Seven whole trajectories of 100 transitions and one of 200, which a
+    max_demo_len of 100 cuts in two: 9 segments."""
+    trajs = demo_store(9).trajectories
+    a, b = trajs[7:]
+    long = Trajectory(
+        traj_id=7, states=np.concatenate([a.states, b.states]),
+        actions=np.concatenate([a.actions, b.actions]),
+        rewards=np.concatenate([a.rewards, b.rewards]),
+        terminals=np.concatenate([np.zeros(len(a), bool), b.terminals]),
+        noise_level=a.noise_level)
+    return DemoStore([*trajs[:7], long])
+
+
+class _ThreadRecorder:
+    """A policy that notes the thread of every call and sleeps 5 ms in it,
+    so every worker gets segments; ``fail_at`` names the first state of a
+    segment whose call raises."""
+
+    def __init__(self, policy, fail_at=None):
+        self.policy, self.fail_at = policy, fail_at
+        self.threads = set()
+
+    def act(self, s):
+        self.threads.add(threading.get_ident())
+        time.sleep(0.005)
+        if self.fail_at is not None and np.array_equal(s[0], self.fail_at):
+            raise RuntimeError("the failing segment")
+        return self.policy.act(s)
+
+
+class TestScoreDatasetWorkers:
+    def score(self, monkeypatch, workers, store, policy):
+        # nets of seed 2 put 2 of the 9 segments at step 5, the rest at 0
+        monkeypatch.setattr(expertise_mod, "workers", workers)
+        model, _ = real_nets(4, 2, 10, seed=2)
+        return score_dataset(store, model, policy,
+                             FilterConfig(min_demos=1, max_demo_len=100))
+
+    def test_three_workers_give_one_worker_s_records(self, monkeypatch):
+        store = cut_store()
+        _, policy = real_nets(4, 2, 10, seed=2)
+        serial = self.score(monkeypatch, 1, store, policy)
+        recorder = _ThreadRecorder(policy)
+        threaded = self.score(monkeypatch, 3, store, recorder)
+        assert len(recorder.threads) > 1
+        (records, kept), (records3, kept3) = serial, threaded
+        assert len(records) == 9 and [r.parent_id for r in records].count(
+            7) == 2
+        assert [r.verdict for r in records].count("keep") == len(kept) == 2
+        for a, b in zip(records, records3, strict=True):
+            assert (np.asarray(a.mean_q).tobytes()
+                    == np.asarray(b.mean_q).tobytes())
+            assert {**vars(a), "mean_q": None} == {**vars(b), "mean_q": None}
+        for a, b in zip(kept, kept3, strict=True):
+            assert (a.traj_id, a.noise_level, a.ret) == (
+                b.traj_id, b.noise_level, b.ret)
+            for field in ("states", "actions", "rewards", "terminals"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+
+    def test_eight_workers_lose_no_curve_under_fast_switching(
+            self, monkeypatch):
+        # more workers than cores, switching threads every microsecond: a
+        # segment left unscored, or a curve stored at another segment's
+        # index, would show as a changed record
+        store = cut_store()
+        model, policy = real_nets(4, 2, 10, seed=2)
+        cfg = FilterConfig(min_demos=1, max_demo_len=7)
+        serial, _ = score_dataset(store, model, policy, cfg)
+        monkeypatch.setattr(expertise_mod, "workers", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded, _ = score_dataset(store, model, policy, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(serial) == 7 * 15 + 29
+        assert [vars(r) for r in threaded] == [vars(r) for r in serial]
+
+    @pytest.mark.parametrize("failing", [0, 5])
+    def test_an_error_on_any_segment_is_raised_after_every_join(
+            self, monkeypatch, failing):
+        store = cut_store()
+        _, policy = real_nets(4, 2, 10, seed=2)
+        (parent, start, _), = [seg for i, seg in enumerate(
+            segment_trajectories(store.trajectories, 100)) if i == failing]
+        recorder = _ThreadRecorder(policy, fail_at=parent.states[start])
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="the failing segment"):
+            self.score(monkeypatch, 3, store, recorder)
+        assert threading.active_count() == before
+
+
+# prints the segment workers the entry sets and the threads OpenBLAS loaded
+# with, after `smile print-config` exits
+ENTRY_PROBE = """\
+import atexit
+import ctypes
+import sys
+
+def probe():
+    from smile import expertise
+    (lib,) = {line.split()[-1] for line in open("/proc/self/maps")
+              if "openblas" in line.lower()}
+    blas = ctypes.CDLL(lib)
+    (get,) = [getattr(blas, f"{pre}openblas_get_num_threads{post}")
+              for pre in ("", "scipy_") for post in ("", "64_")
+              if hasattr(blas, f"{pre}openblas_get_num_threads{post}")]
+    print(expertise.workers, get())
+
+atexit.register(probe)
+sys.argv = ["smile", "print-config"]
+from smile.__main__ import entrypoint
+entrypoint()
+"""
+
+
+@pytest.mark.parametrize("env, budget", [
+    ({}, "cores"), ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "0"}, "cores"),
+    ({"OPENBLAS_NUM_THREADS": "x"}, "cores"),
+    ({"OPENBLAS_NUM_THREADS": "64"}, 64),
+    ({"OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 1)])
+def test_the_entry_gives_the_thread_budget_to_workers_and_blas_one(
+        env, budget):
+    cores = len(os.sched_getaffinity(0))
+    # OpenBLAS caps its count at the usable cores, and so does the budget
+    budget = cores if budget == "cores" else min(budget, cores)
+    src = os.path.dirname(os.path.dirname(smile.__file__))
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    path = os.pathsep.join([src, *filter(None, [os.environ.get(
+        "PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", ENTRY_PROBE],
+                          capture_output=True, text=True, timeout=60,
+                          env={**base, **env, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{budget} 1"
 
 
 class TestSegmentation:

@@ -161,3 +161,29 @@ def test_compare_lists_the_actor_widths_that_differ(capsys):
     quality.report(bench)
     assert ("vs parent widths: bc [4, 256, 256, 256, 2] -> "
             "[4, 128, 128, 128, 2]") in capsys.readouterr().out.splitlines()
+
+
+def test_compare_lists_the_denoiser_widths_that_differ(capsys):
+    # the actors keep their widths while the noise model narrows: SMILE and
+    # --no-filter list their denoiser, BC (which trains none) nothing
+    actor = [4, 128, 128, 128, 2]
+    wide, narrow = [17, 256, 256, 256, 2], [17, 256, 256, 2]
+    parent, bench = _bench(BASE), _bench(BASE)
+    parent["methods"] = {m: {"widths": actor, "denoiser_widths": wide}
+                         for m in ("smile", "no-filter")}
+    parent["methods"]["bc"] = {"widths": actor, "denoiser_widths": None}
+    bench["methods"] = {m: {**parent["methods"][m], "denoiser_widths": narrow}
+                        for m in ("smile", "no-filter")}
+    bench["methods"]["bc"] = parent["methods"]["bc"]
+    vs = quality.compare(bench, parent)
+    assert vs["width_changes"] == {"smile denoiser": [wide, narrow],
+                                   "no-filter denoiser": [wide, narrow]}
+    # a parent bench that recorded no denoiser widths
+    for m in quality.METHODS:
+        del parent["methods"][m]["denoiser_widths"]
+    assert quality.compare(bench, parent)["width_changes"] == {
+        "smile denoiser": [None, narrow], "no-filter denoiser": [None, narrow]}
+    bench.update(expert={"mean_return": -19.0}, vs_parent=vs)
+    quality.report(bench)
+    assert ("vs parent widths: smile denoiser [17, 256, 256, 256, 2] -> "
+            "[17, 256, 256, 2]") in capsys.readouterr().out.splitlines()

@@ -236,14 +236,15 @@ class TestTrainLoop:
                 manifest = json.load(fh)
             assert set(manifest) == {
                 "config", "filtering", "train_seed", "numpy", "blas",
-                "openblas_num_threads", "wall_clock", "counters",
-                "filter_summaries"}
+                "openblas_num_threads", "workers", "wall_clock",
+                "counters", "filter_summaries"}
             assert manifest["config"] == json.loads(json.dumps(
                 dataclasses.asdict(cfg)))
             assert manifest["filtering"] is filtering
             assert manifest["train_seed"] == seed
             assert manifest["numpy"] == np.__version__
             assert set(manifest["blas"]) == {"name", "version"}
+            assert manifest["workers"] == 1   # no entry set a budget
             assert manifest["counters"] == metrics.counters
             assert manifest["wall_clock"] == metrics.wall_clock
             assert manifest["filter_summaries"] == metrics.filter_summaries
