@@ -54,6 +54,20 @@ def _load_actor(cfg: ExperimentConfig, path: str, *roles: str):
     return actor
 
 
+def _check_demos(cfg: ExperimentConfig, path: str, store) -> None:
+    """``store``, read from the demo file at ``path``, must be of the
+    config's env: the one its header names, or where it names none, dims."""
+    env = store.env
+    if env is None:
+        _check_dims(cfg, f"demo file {path}", store.states.shape[1],
+                    store.actions.shape[1])
+    elif env != cfg.env:
+        raise ValidationError(
+            f"{path}:{store.header_line}: demo file header env {env.name} "
+            f"(horizon {env.horizon}) is not config env {cfg.env.name} "
+            f"(horizon {cfg.env.horizon})")
+
+
 def _check_dims(cfg: ExperimentConfig, what: str, state_dim, action_dim):
     env = cfg.env
     if (state_dim, action_dim) != (env.state_dim, env.action_dim):
@@ -91,10 +105,8 @@ def cmd_train(args) -> int:
     demo_path = args.demos or _resolve(cfg, cfg.data.demo_file)
     # Training never sees rewards; they stay in the file for audits.
     store = envs_mod.load_demos(demo_path, include_rewards=False)
-    s, a = store.sample_all()
-    _check_dims(cfg, f"demo file {demo_path}", s.shape[1], a.shape[1])
+    _check_demos(cfg, demo_path, store)
     store.env = cfg.env
-    os.makedirs(cfg.output_dir, exist_ok=True)
     rng = SeededRng(derive_seed(cfg.seed, "train"))
 
     if args.bc_baseline:
@@ -125,8 +137,7 @@ def cmd_audit(args) -> int:
             f"--bin-width must be positive and finite, got {width!r}")
     cfg = load_config(args.config)
     store = envs_mod.load_demos(args.demos, include_rewards=True)
-    s, a = store.sample_all()
-    _check_dims(cfg, f"demo file {args.demos}", s.shape[1], a.shape[1])
+    _check_demos(cfg, args.demos, store)
     if any(tr.ret is None for tr in store.trajectories):
         raise ValidationError(
             f"demo file {args.demos} lacks rewards; audit needs returns")

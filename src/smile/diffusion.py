@@ -149,7 +149,7 @@ class NoiseModel(FeedForwardNet):
         self.action_dim = action_dim
         self.T = T
         super().__init__([state_dim + action_dim + T + 1, *hidden, action_dim],
-                         rng, zero_output=True, dtype=dtype)
+                         rng, dtype=dtype)
 
     def arch(self) -> dict:
         return {"state_dim": self.state_dim, "action_dim": self.action_dim,

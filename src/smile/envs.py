@@ -206,11 +206,14 @@ class DemoStore:
 
     Batches drawn from the store carry only (state, action) pairs: rewards
     never reach the optimizers. Mutation happens only through replace().
+    A store read from a demo file keeps the number of its header's line as
+    ``header_line``; any other store has None.
     """
 
     def __init__(self, trajectories: list[Trajectory],
-                 env: EnvSpec | None = None):
+                 env: EnvSpec | None = None, header_line: int | None = None):
         self.env = env
+        self.header_line = header_line
         self.replace(trajectories)
 
     def replace(self, trajectories: list[Trajectory]) -> None:
@@ -260,9 +263,6 @@ class DemoStore:
             raise InvalidInputError("cannot sample from an empty store")
         idx = rng.integers(0, self.transition_count, size=batch_size)
         return self.states[idx], self.actions[idx]
-
-    def sample_all(self):
-        return self.states, self.actions
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +435,12 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
     missing field, a traj_id or step that is not a JSON integer, a state or
     action of the wrong width, an s, a or r entry that is not a JSON number,
     a terminal that is not a JSON boolean, a non-finite number, a trajectory
-    whose steps are not 0, 1, 2, ... (a repeat or a gap), a noise level that
-    is neither null nor a finite number >= 0 and a noise level that varies
-    within a trajectory each raise InvalidInputError naming path:line (a
-    width error names the first line of its trajectory). A file with no
+    whose steps are not 0, 1, 2, ... (a repeat or a gap), a trajectory with
+    more steps than the header's horizon, a noise level that is neither
+    null nor a finite number >= 0 and a noise level that varies within a
+    trajectory each raise InvalidInputError naming path:line (a width error
+    names the first line of its trajectory, a long one its first step past
+    the horizon). A file with no
     transitions raises InvalidInputError naming the path. The file is read
     line by line (_demo_lines), so where it has several faults the first in
     the file is named.
@@ -495,6 +497,7 @@ def _parse_demos(path: str, digest) -> tuple[dict, DemoStore]:
         raise InvalidInputError(f"demo file {path} holds no transitions")
     env = _header_env(f"{path}:{head_no}", header)
     dims = ((header["state_dim"],), (header["action_dim"],))
+    horizon = header.get("horizon")
     rows: dict[int, list[tuple]] = {}
     for no, ln in chain([first], lines):
         try:
@@ -530,6 +533,10 @@ def _parse_demos(path: str, digest) -> tuple[dict, DemoStore]:
             raise InvalidInputError(
                 f"{path}:{nos[i]}: trajectory {tid} has step {steps[i]} "
                 f"where step {i} belongs (a repeated or missing step)")
+        if horizon is not None and len(steps) > horizon:
+            raise InvalidInputError(
+                f"{path}:{nos[horizon]}: trajectory {tid} has step {horizon}, "
+                f"past the header's horizon {horizon}")
         if levels.count(levels[0]) != len(levels):
             i = next(i for i, lv in enumerate(levels) if lv != levels[0])
             raise InvalidInputError(
@@ -561,7 +568,7 @@ def _parse_demos(path: str, digest) -> tuple[dict, DemoStore]:
         trajectories.append(Trajectory(
             tid, states, actions, rewards if had_rewards else None,
             np.asarray(terminals, dtype=bool), levels[0]))
-    return header, DemoStore(trajectories, env=env)
+    return header, DemoStore(trajectories, env=env, header_line=head_no)
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +577,9 @@ def _parse_demos(path: str, digest) -> tuple[dict, DemoStore]:
 #
 # A copy is, in order: _COPY_MAGIC; the 32-byte key; the byte length of a
 # JSON text, as 8 little-endian bytes; that text, space-padded to a multiple
-# of 8 bytes, holding the file's header and each trajectory's [traj_id,
-# length, noise_level, had_rewards] row (DemoStore.views); the store's
-# states, actions and rewards columns as little-endian float64; its
+# of 8 bytes, holding the file's header, its line and each trajectory's
+# [traj_id, length, noise_level, had_rewards] row (DemoStore.views); the
+# store's states, actions and rewards columns as little-endian float64; its
 # terminals column, one byte each; and the sha256 of everything before it.
 
 _COPY_MAGIC = b"SMILEDS\x01"
@@ -618,7 +625,8 @@ def _read_copy(path: str, source) -> DemoStore | None:
     n = sum(length for _, length, _, _ in rows)
     s, a = header["state_dim"], header["action_dim"]
     floats = np.frombuffer(data, "<f8", n * (s + a + 1), at)
-    store = DemoStore([], env=_header_env(path, header))
+    store = DemoStore([], env=_header_env(path, header),
+                      header_line=meta["header_line"])
     store.states = floats[:n * s].reshape(n, s)
     store.actions = floats[n * s:n * (s + a)].reshape(n, a)
     store.rewards = floats[n * (s + a):]
@@ -631,9 +639,10 @@ def _write_copy(path: str, header: dict, store: DemoStore, key: bytes):
     """Write the copy of ``store``, parsed from the file at ``path`` whose
     bytes have ``key``, beside it through ``atomic_write``; a directory it
     cannot write to gets none."""
-    meta = json.dumps({"header": header, "trajectories": [
-        [tr.traj_id, len(tr), tr.noise_level, tr.rewards is not None]
-        for tr in store.trajectories]}).encode()
+    rows = [[tr.traj_id, len(tr), tr.noise_level, tr.rewards is not None]
+            for tr in store.trajectories]
+    meta = json.dumps({"header": header, "header_line": store.header_line,
+                       "trajectories": rows}).encode()
     meta += b" " * (-len(meta) % 8)
     parts = [_COPY_MAGIC, key, len(meta).to_bytes(8, "little"), meta,
              *(column.astype("<f8", copy=False)

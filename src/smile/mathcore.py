@@ -50,6 +50,8 @@ from .errors import CheckpointVersionError, InvalidInputError, TrainingError
 CHECKPOINT_VERSION = 3
 # the parameter dtypes an arch() may name
 DTYPES = ("float32", "float64")
+# Adam's moment decays and the floor of its denominator
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +147,16 @@ class FeedForwardNet:
     ``widths`` lists layer sizes input-first: a default generator on
     pointmass2d is ``[4, 128, 128, 128, 2]``, and its noise model
     ``[17, 256, 256, 256, 2]``.
-    Weights are Glorot-normal draws from ``rng``, or zero with no rng. The
-    forward pass accepts a single vector or a (batch, in) matrix and
-    computes in ``dtype``. The parameters [W0, b0, W1, b1, ...] tile the
-    fresh vector ``flat`` in that order.
+    Weights are Glorot-normal draws from ``rng`` but the output layer's,
+    which start at zero: the zero function is a sensible prior for noise
+    predictors and centered-action policies, and fits faster early. With no
+    rng every weight is zero. ``forward`` takes a vector or a (batch, in)
+    matrix, the others a batch, all in ``dtype``. The parameters [W0, b0,
+    W1, b1, ...] tile the fresh vector ``flat`` in that order.
     """
 
     def __init__(self, widths: list[int], rng: SeededRng | None,
-                 zero_output: bool = False, dtype=np.float32):
+                 dtype=np.float32):
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise InvalidInputError(f"bad layer widths {widths}")
         self.widths = list(widths)
@@ -168,14 +172,10 @@ class FeedForwardNet:
         self._rest = list(zip(self.weights[1:], self.biases[1:]))
         if rng is None:
             return
-        for w in self.weights:
+        for w in self.weights[:-1]:
             n_in, n_out = w.shape
             w[...] = np.sqrt(2.0 / (n_in + n_out)) * rng.standard_normal(
                 w.shape)
-        if zero_output:
-            # start at the zero function: sensible prior for noise
-            # predictors and centered-action policies, faster early fit
-            self.weights[-1][...] = 0.0
 
     @staticmethod
     def size(widths: list[int]) -> int:
@@ -221,11 +221,9 @@ class FeedForwardNet:
         return h
 
     def forward_cached(self, x: np.ndarray):
-        """Forward pass keeping the input and the post-activation of every
-        layer for backprop."""
+        """Forward pass of a (batch, in) matrix ``x``, keeping the input and
+        the post-activation of every layer for backprop."""
         x = self._input(x)
-        if x.ndim == 1:
-            x = x[None, :]
         acts = [x]
         h = x @ self.weights[0]
         h += self.biases[0]
@@ -246,8 +244,6 @@ class FeedForwardNet:
         to the network's dtype.
         """
         delta = np.asarray(upstream, dtype=self.flat.dtype)
-        if delta.ndim == 1:
-            delta = delta[None, :]
         if delta.shape != acts[-1].shape:
             raise InvalidInputError(
                 f"upstream shape {delta.shape} != output shape {acts[-1].shape}")
@@ -267,11 +263,11 @@ class FeedForwardNet:
 
 
 def loss_batch(name: str, states, actions):
-    """A loss's batch as two float64 matrices of equal, non-zero length; a
-    single state or action is one row. Anything else raises
-    InvalidInputError naming the loss ``name``."""
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+    """A loss's batch as two float64 matrices of equal, non-zero length.
+    Anything else, a single state or action too, raises InvalidInputError
+    naming the loss ``name``."""
+    states = np.asarray(states, dtype=np.float64)
+    actions = np.asarray(actions, dtype=np.float64)
     if states.ndim != 2 or actions.ndim != 2:
         raise InvalidInputError(
             f"{name} needs 2-D batches, got states {states.shape} and "
@@ -295,9 +291,6 @@ class OptimizerState:
     m: np.ndarray
     v: np.ndarray
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
 
     @staticmethod
@@ -316,23 +309,23 @@ def optimizer_step(state: OptimizerState, flat: np.ndarray,
         index = int(np.argmin(np.isfinite(grads)))
         raise TrainingError(f"non-finite gradient at parameter index {index}")
     state.step += 1
-    b1c = 1.0 - state.beta1 ** state.step
-    b2c = 1.0 - state.beta2 ** state.step
+    b1c = 1.0 - BETA1 ** state.step
+    b2c = 1.0 - BETA2 ** state.step
     m, v = state.m, state.v
     # flat -= lr * (m / b1c) / (sqrt(v / b2c) + eps), in the same order of
     # operations but through two scratch vectors a and b
-    a = np.multiply(grads, 1.0 - state.beta1)
-    m *= state.beta1
+    a = np.multiply(grads, 1.0 - BETA1)
+    m *= BETA1
     m += a
-    np.multiply(grads, 1.0 - state.beta2, out=a)
+    np.multiply(grads, 1.0 - BETA2, out=a)
     a *= grads
-    v *= state.beta2
+    v *= BETA2
     v += a
     np.divide(m, b1c, out=a)
     a *= state.lr
     b = np.divide(v, b2c)
     np.sqrt(b, out=b)
-    b += state.eps
+    b += EPS
     a /= b
     flat -= a
     return flat

@@ -40,8 +40,7 @@ class _Actor(FeedForwardNet):
                  dtype=np.float32):
         self.state_dim = state_dim
         self.action_dim = action_dim
-        super().__init__([state_dim, *hidden, action_dim], rng,
-                         zero_output=True, dtype=dtype)
+        super().__init__([state_dim, *hidden, action_dim], rng, dtype=dtype)
 
     def act(self, s: np.ndarray) -> np.ndarray:
         """Raw (unclipped) action for a state or a batch of states."""

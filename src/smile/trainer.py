@@ -15,7 +15,7 @@ Accumulation is vectorized by tiling the batch, which is the same averaged
 gradient by linearity (tests/test_trainer.py checks it within float32
 rounding).
 
-A run with an output directory writes ``metrics.csv`` as it goes and, when
+A run writes ``metrics.csv`` to its output directory as it goes and, when
 it ends, its checkpoints and ``run.json``: the config echo, whether it
 filtered, the training seed, the numpy and BLAS versions, the BLAS threads
 (the value BLAS loaded with), the segment workers of the filter passes
@@ -179,8 +179,7 @@ def _check_run(cfg: TrainConfig, store: DemoStore):
     cfg.validate()
     if store.transition_count == 0:
         raise InvalidInputError("cannot train on an empty store")
-    s_all, a_all = store.sample_all()
-    return s_all.shape[1], a_all.shape[1]
+    return store.states.shape[1], store.actions.shape[1]
 
 
 @dataclass
@@ -227,7 +226,7 @@ def _progress(row: dict, n_iters: int, elapsed: float) -> None:
 
 
 def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
-         parts: list[_Part], out_dir: str | None, filtering: bool = False):
+         parts: list[_Part], out_dir: str, filtering: bool = False):
     """The iteration loop of train and train_bc; returns (metrics, reports).
 
     Per iteration: sample a batch; update each part in order, checking its
@@ -237,10 +236,11 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     shadow; log the row, evaluating parts[-1] when due; after a pass or an
     evaluation, print a progress line to stderr (stdout is the caller's).
     Batches and evaluations draw from streams spawned off ``rng``, the
-    run's root. A finished run with ``out_dir`` writes each part's
-    checkpoint and the run manifest; a TrainingError while a part steps
-    (a non-finite loss or gradient) first writes every part's live network
-    to ``diagnostic_<role>.json`` there.
+    run's root. Each row goes to ``out_dir``'s ``metrics.csv`` as it is
+    logged, and each pass's report beside it; a finished run writes each
+    part's checkpoint and the run manifest there. A TrainingError while a
+    part steps (a non-finite loss or gradient) first writes every part's
+    live network to ``diagnostic_<role>.json`` there.
     """
     env = store.env
     counters = {f"{part.name}_optimizer_steps": 0 for part in parts}
@@ -249,17 +249,13 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     phase = partial(_timed, metrics.wall_clock)
     batch_rng, eval_rng = rng.spawn("batch"), rng.spawn("eval")
     reports: list[FilterReport] = []
-    csv_fh = csv_out = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        csv_fh = open(os.path.join(out_dir, "metrics.csv"), "w", newline="")
-        csv_out = csv.DictWriter(csv_fh, CSV_COLUMNS, lineterminator="\n")
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
+        csv_out = csv.DictWriter(fh, CSV_COLUMNS, lineterminator="\n")
         csv_out.writeheader()
-
-    keep_temporaries_on_heap()
-    n_iters = cfg.num_iterations
-    start = time.perf_counter()
-    try:
+        keep_temporaries_on_heap()
+        n_iters = cfg.num_iterations
+        start = time.perf_counter()
         for idx in range(1, n_iters + 1):
             states, actions = store.sample(batch_rng, cfg.batch_size)
             losses = {}
@@ -276,11 +272,9 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                                 f"iteration {idx}")
                         optimizer_step(part.opt, part.net.flat, grads)
                 except TrainingError:
-                    if out_dir is not None:
-                        for p in parts:
-                            save_checkpoint(os.path.join(
-                                out_dir, f"diagnostic_{p.net.role}.json"),
-                                p.net)
+                    for p in parts:
+                        save_checkpoint(os.path.join(
+                            out_dir, f"diagnostic_{p.net.role}.json"), p.net)
                     raise
                 counters[f"{part.name}_optimizer_steps"] += 1
                 losses[f"{part.name}_loss"] = loss
@@ -300,9 +294,8 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                 reports.append(report)
                 counters["filter_passes"] += 1
                 metrics.filter_summaries.append(report.summary())
-                if out_dir is not None:
-                    save_filter_report(report, os.path.join(
-                        out_dir, f"filter_report_{idx:06d}.json"))
+                save_filter_report(report, os.path.join(
+                    out_dir, f"filter_report_{idx:06d}.json"))
 
             row = {"iteration": idx, "transitions": idx * cfg.batch_size,
                    **losses, "store_size": store.transition_count}
@@ -314,37 +307,31 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                                          cfg.eval_episodes, eval_rng)
                 row["eval_mean"], row["eval_std"] = mean, std
             metrics.rows.append(row)
-            if csv_out is not None:
-                csv_out.writerow(row)
+            csv_out.writerow(row)
             if evaluating or filtered:
                 _progress(row, n_iters, time.perf_counter() - start)
-        counters["transitions_consumed"] = n_iters * cfg.batch_size
-    finally:
-        if csv_fh is not None:
-            csv_fh.close()
-    if out_dir is not None:
-        for part in parts:
-            save_checkpoint(os.path.join(out_dir, f"{part.net.role}.json"),
-                            part.shadow)
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        manifest = {"config": asdict(cfg), "filtering": filtering,
-                    "train_seed": rng.seed,
-                    "numpy": np.__version__, "blas": {
-                        "name": blas.get("name"),
-                        "version": blas.get("version")},
-                    "openblas_num_threads":
-                        os.environ.get("OPENBLAS_NUM_THREADS"),
-                    "workers": expertise.workers,
-                    "wall_clock": metrics.wall_clock, "counters": counters,
-                    "filter_summaries": metrics.filter_summaries}
-        with atomic_write(os.path.join(out_dir, "run.json")) as fh:
-            fh.write(json.dumps(manifest, indent=1))
+    counters["transitions_consumed"] = n_iters * cfg.batch_size
+    for part in parts:
+        save_checkpoint(os.path.join(out_dir, f"{part.net.role}.json"),
+                        part.shadow)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    manifest = {"config": asdict(cfg), "filtering": filtering,
+                "train_seed": rng.seed,
+                "numpy": np.__version__, "blas": {
+                    "name": blas.get("name"),
+                    "version": blas.get("version")},
+                "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+                "workers": expertise.workers,
+                "wall_clock": metrics.wall_clock, "counters": counters,
+                "filter_summaries": metrics.filter_summaries}
+    with atomic_write(os.path.join(out_dir, "run.json")) as fh:
+        fh.write(json.dumps(manifest, indent=1))
     return metrics, reports
 
 
 def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
-          out_dir: str | None = None, filtering: bool = True) -> TrainResult:
-    """Run the full training loop on a demonstration store.
+          out_dir: str, filtering: bool = True) -> TrainResult:
+    """Run the full training loop on a demonstration store into ``out_dir``.
 
     ``rng`` is the run's root randomness; every internal stream (init, batch
     sampling, loss noise, evaluation) is derived from its seed with a purpose
@@ -382,10 +369,10 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
 
 
 def train_bc(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
-             out_dir: str | None = None):
+             out_dir: str):
     """Behavior-cloning baseline over the full store: train's loop, budget
     and cadence with one BC part in place of the denoiser and generator, and
-    no filter; with ``out_dir`` its EMA shadow goes to ``bc.json``. Returns
+    no filter; its EMA shadow goes to ``out_dir``'s ``bc.json``. Returns
     (EMA snapshot, live baseline, metrics)."""
     state_dim, action_dim = _check_run(cfg, store)
     baseline = BcBaseline(state_dim, action_dim, rng.spawn("init-bc"),

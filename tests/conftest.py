@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from smile.diffusion import build_schedule
-from smile.mathcore import FeedForwardNet, SeededRng
+from smile.mathcore import BETA1, BETA2, EPS, FeedForwardNet, SeededRng
 
 
 @pytest.fixture
@@ -20,7 +20,14 @@ def sched():
 
 
 def small_net(widths, seed=0, dtype=np.float32):
-    return FeedForwardNet(widths, SeededRng(seed), dtype=dtype)
+    """A FeedForwardNet whose every weight, the output layer's too, is a
+    Glorot-normal draw from SeededRng(seed): the zero output layer a drawn
+    net starts with would leave every other layer's gradient at zero."""
+    net = FeedForwardNet(widths, None, dtype=dtype)
+    rng = SeededRng(seed)
+    for w in net.weights:
+        w[...] = np.sqrt(2.0 / sum(w.shape)) * rng.standard_normal(w.shape)
+    return net
 
 
 def finite_difference_grads(net, x, upstream, h=1e-5):
@@ -100,13 +107,13 @@ def reference_backward(net, acts, upstream):
 def reference_optimizer_step(state, flat, grads):
     """The Adam update as first written, one temporary per operation."""
     state.step += 1
-    b1c = 1.0 - state.beta1 ** state.step
-    b2c = 1.0 - state.beta2 ** state.step
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grads
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grads * grads
-    flat -= state.lr * (state.m / b1c) / (np.sqrt(state.v / b2c) + state.eps)
+    b1c = 1.0 - BETA1 ** state.step
+    b2c = 1.0 - BETA2 ** state.step
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * grads
+    state.v *= BETA2
+    state.v += (1.0 - BETA2) * grads * grads
+    flat -= state.lr * (state.m / b1c) / (np.sqrt(state.v / b2c) + EPS)
     return flat
 
 

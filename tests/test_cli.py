@@ -145,7 +145,7 @@ def test_audit_scores_once(run, monkeypatch):
     assert scored == [1]
     # one policy call per 100-transition segment, on its rows, in store order
     assert [len(s) for s in acted] == [100] * 10
-    states, _ = load_demos(str(out / "demos.jsonl")).sample_all()
+    states = load_demos(str(out / "demos.jsonl")).states
     assert np.array_equal(np.concatenate(acted), states)
 
 
@@ -162,7 +162,8 @@ def test_bc_checkpoint_audits_and_benches(run, tmp_path):
     store = load_demos(demos, include_rewards=False)
     store.env = exp.env
     snap, _, _ = train_bc(exp.train, store,
-                          SeededRng(derive_seed(exp.seed, "train")))
+                          SeededRng(derive_seed(exp.seed, "train")),
+                          str(tmp_path / "replay"))
     assert loaded["role"] == "bc"
     assert loaded["params"].tobytes() == snap.flat.tobytes()
     generator = ["--denoiser", str(out / "denoiser.json"),
@@ -842,6 +843,44 @@ def test_demos_of_another_env_exit_1(run, tmp_path, capsys):
     demos = str(out / "demos.jsonl")
     for argv in (["train", "--config", str(other), "--demos", demos],
                  audit_argv(str(other), out)):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {demos}:1: demo file header env pointmass2d (horizon "
+            f"100) is not config env double_integrator_1d (horizon 100)\n")
+
+
+def test_demos_of_another_horizon_exit_1(run, tmp_path, capsys):
+    # the header names the run's env at horizon 100; a horizon-50 config
+    # neither trains on the file nor audits it, and writes nothing
+    cfg, out = run
+    other = tmp_path / "h50.ini"
+    write_config(other, tmp_path / "h50")
+    other.write_text(other.read_text() + "\n[env]\nhorizon = 50\n")
+    demos = str(out / "demos.jsonl")
+    for argv in (["train", "--config", str(other), "--demos", demos],
+                 audit_argv(str(other), out)):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {demos}:1: demo file header env pointmass2d (horizon "
+            f"100) is not config env pointmass2d (horizon 50)\n")
+    assert not (tmp_path / "h50").exists()
+
+
+def test_envless_demos_are_checked_by_width(run, tmp_path, capsys):
+    # a header whose env is null names no horizon: its widths must be the
+    # config env's
+    cfg, out = run
+    lines = (out / "demos.jsonl").read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header.update(env=None, horizon=None)
+    demos = tmp_path / "envless.jsonl"
+    demos.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    other = tmp_path / "di1d.ini"
+    write_config(other, tmp_path / "di1d")
+    other.write_text(other.read_text()
+                     + "\n[env]\nname = double_integrator_1d\n")
+    for argv in (["train", "--config", str(other), "--demos", str(demos)],
+                 audit_argv(str(other), out, str(demos))):
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == (
             f"error: demo file {demos} dims (state 4, action 2) do not match "

@@ -317,7 +317,7 @@ class TestDemoFile:
         assert header["env"] is None and header["horizon"] is None
         loaded = load_demos(path)
         assert loaded.env is None
-        assert np.array_equal(loaded.sample_all()[0], store.sample_all()[0])
+        assert np.array_equal(loaded.states, store.states)
 
     def test_a_save_that_raises_midway_keeps_the_old_file(self, pm,
                                                           tmp_path):
@@ -422,6 +422,43 @@ class TestDemoFile:
                            match=re.escape(f"{path}:{bad_line}:")):
             load_demos(str(path))
 
+    @pytest.mark.parametrize("steps", [[0, 1, 2, 3], [3, 0, 2, 1]],
+                             ids=["in_order", "shuffled"])
+    def test_trajectory_past_the_header_horizon_rejected(self, tmp_path,
+                                                         steps):
+        # the line named is that of step 2, the first past horizon 2
+        header = {"kind": "header", "format_version": 1, "env": None,
+                  "state_dim": 1, "action_dim": 1, "horizon": 2}
+        recs = [{"traj_id": 0, "step": step, "s": [0.0], "a": [0.0],
+                 "r": 0.0, "terminal": False, "noise_level": 0.5}
+                for step in steps]
+        path = tmp_path / "long.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n"
+                                for r in [header, *recs]))
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"{path}:4: trajectory 0 has step 2, past the header's "
+                f"horizon 2")):
+            load_demos(str(path))
+        # steps 0 and 1 alone fill the horizon, and load
+        path.write_text("".join(json.dumps(r) + "\n" for r in [
+            header, *(rec for rec in recs if rec["step"] < 2)]))
+        assert len(load_demos(str(path)).states) == 2
+
+    def test_demos_saved_under_a_shorter_horizon_rejected(self, tmp_path):
+        # a horizon-5 store whose file header says horizon 3: the first
+        # trajectory's step 3 sits on line 1 + 3 + 1
+        spec = make_env_spec("pointmass2d", horizon=5)
+        store = generate_demos(spec, default_expert(spec), [0.0, 0.5], 2,
+                               SeededRng(19))
+        store.env = make_env_spec("pointmass2d", horizon=3)
+        path = tmp_path / "demos.jsonl"
+        save_demos(store, str(path))
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"{path}:5: trajectory 0 has step 3, past the header's "
+                f"horizon 3")):
+            load_demos(str(path))
+        assert not os.path.exists(f"{path}.store")
+
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "v99.jsonl"
         path.write_text('{"kind": "header", "format_version": 99}\n')
@@ -450,11 +487,10 @@ def fingerprint(store: DemoStore):
     each noise level with its Python type."""
     def array(a):
         return None if a is None else (a.dtype.str, a.shape, a.tobytes())
-    return (store.env, array(store.sample_all()[0]),
-            array(store.sample_all()[1]),
+    return (store.env, array(store.states), array(store.actions),
             [(tr.traj_id, type(tr.noise_level), tr.noise_level, tr.ret,
               *map(array, (tr.states, tr.actions, tr.rewards, tr.terminals)))
-             for tr in store.trajectories])
+             for tr in store.trajectories], store.header_line)
 
 
 def outcome(path: str, include_rewards: bool = True):
@@ -484,6 +520,8 @@ def demo_file(pm, tmp_path, case: str) -> str:
         head, *records = path.read_bytes().splitlines(keepends=True)
         random.Random(41).shuffle(records)
         path.write_bytes(head + b"".join(records))
+    if case == "blank_lines_first":   # the header on line 3
+        path.write_bytes(b"\n \n" + path.read_bytes())
     return str(path)
 
 
@@ -498,7 +536,7 @@ class TestStoreCopy:
 
     @pytest.mark.parametrize("case", [
         "generated", "envless_null_rewards", "int_levels", "crlf",
-        "shuffled"])
+        "shuffled", "blank_lines_first"])
     def test_a_hit_returns_the_parsed_store(self, pm, tmp_path, monkeypatch,
                                             case):
         path = demo_file(pm, tmp_path, case)
@@ -514,6 +552,7 @@ class TestStoreCopy:
         assert hit == parsed
         levels = {type(tr[2]) for tr in parsed[True][3]}
         assert levels == ({int} if case == "int_levels" else {float})
+        assert parsed[True][4] == (3 if case == "blank_lines_first" else 1)
         if case == "envless_null_rewards":
             assert parsed[True][0] is None
             assert [tr[6] is None for tr in parsed[True][3]] == [
@@ -743,7 +782,7 @@ class TestStoreCopy:
         sched = build_schedule(10, 0.05, 0.6)
         model = SimpleNamespace(sched=sched, predict=lambda s, a, t:
                                 np.broadcast_to([1.0, 0.0], a.shape))
-        states, actions = filtered.sample_all()
+        states, actions = filtered.states, filtered.actions
         steps = 5 * (np.arange(len(actions)) // 25 % 2)
         refs = actions + np.outer(sched.sigmas[steps], [1.0, 0.0])
         filter_dataset(filtered, model, TablePolicy(states, refs),

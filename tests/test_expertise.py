@@ -271,7 +271,7 @@ class TestQCurveClosedForm:
 
     def score(self, sched, task, trajectories):
         store = DemoStore(trajectories)
-        states = store.sample_all()[0]
+        states = store.states
         policy = TablePolicy(states, task.mu(states) + self.DELTA)
         records, _ = score_dataset(
             store, OracleDenoiser(task, sched), policy,
@@ -340,7 +340,7 @@ class TestScoreDataset:
             trajs.append(make_traj(states, task.sample_actions(rng, states),
                                    tid=tid))
         store = DemoStore(trajs)
-        states, actions = store.sample_all()
+        states, actions = store.states, store.actions
         oracle, table = OracleDenoiser(task, sched), TablePolicy(states,
                                                                  actions)
         calls = []

@@ -55,6 +55,14 @@ class TestNetForward:
         assert out.shape == (1,)
         assert out[0] == pytest.approx(expected, abs=1e-14)
 
+    def test_a_drawn_net_starts_at_the_zero_function(self):
+        # every layer but the output one is drawn; the output layer's
+        # weights start at zero, and so, with zero biases, does the output
+        net = FeedForwardNet([3, 5, 4, 2], SeededRng(6))
+        assert not np.any(net.weights[-1])
+        assert all(np.all(w) for w in net.weights[:-1])
+        assert not np.any(net.forward(SeededRng(7).standard_normal((4, 3))))
+
     def test_dim_mismatch_raises(self):
         net = small_net([3, 2])
         with pytest.raises(InvalidInputError):
@@ -82,14 +90,14 @@ class TestNetGradients:
 
     def test_zero_upstream_zero_grads(self):
         net = small_net([3, 4, 2])
-        grads = self.net_gradients(net, np.ones(3), np.zeros(2))
+        grads = self.net_gradients(net, np.ones((1, 3)), np.zeros((1, 2)))
         assert grads.shape == net.flat.shape
         assert np.all(grads == 0)
 
     def test_linear_layer_outer_product(self):
         net = small_net([3, 2])
-        x = np.array([1.0, -2.0, 0.5])
-        up = np.array([0.3, -0.7])
+        x = np.array([[1.0, -2.0, 0.5]])
+        up = np.array([[0.3, -0.7]])
         grads = self.net_gradients(net, x, up)
         w_grad, b_grad = net._tensor_views(grads)
         assert np.allclose(w_grad, np.outer(x, up))
@@ -101,8 +109,8 @@ class TestNetGradients:
     def test_finite_difference_agreement(self, widths):
         net = small_net(widths, seed=sum(widths), dtype=np.float64)
         rng = SeededRng(17)
-        x = rng.standard_normal(widths[0])
-        up = rng.standard_normal(widths[-1])
+        x = rng.standard_normal((1, widths[0]))
+        up = rng.standard_normal((1, widths[-1]))
         analytic = self.net_gradients(net, x, up)
         numeric = finite_difference_grads(net, x, up)
         assert relative_error(analytic, numeric).max() < 1e-4
@@ -110,13 +118,14 @@ class TestNetGradients:
     def test_input_gradient_finite_difference(self):
         net = small_net([3, 6, 2], seed=9, dtype=np.float64)
         rng = SeededRng(21)
-        x = rng.standard_normal(3)
-        up = rng.standard_normal(2)
+        x = rng.standard_normal((1, 3))
+        up = rng.standard_normal((1, 2))
         # for a single row the first-layer bias gradient is the first
         # layer's pre-activation gradient, so the input gradient is it
         # through W0^T
         b0_grad = net._tensor_views(self.net_gradients(net, x, up))[1]
         input_grad = b0_grad @ net.weights[0].T
+        x, up = x[0], up[0]
         h = 1e-5
         for i in range(3):
             xp, xm = x.copy(), x.copy()
@@ -129,7 +138,7 @@ class TestNetGradients:
     def test_upstream_shape_mismatch(self):
         net = small_net([3, 2])
         with pytest.raises(InvalidInputError):
-            self.net_gradients(net, np.ones(3), np.zeros(4))
+            self.net_gradients(net, np.ones((1, 3)), np.zeros((1, 4)))
 
     def test_float32_matches_float64(self):
         # the same weights, batch and upstream (all float32-representable)
@@ -137,8 +146,8 @@ class TestNetGradients:
         # float32 and within the first-order worst-case rounding bound of
         # their stages (measured: 3 u, against a bound of 181 u)
         widths, batch = [5, 32, 32, 3], 64
-        net32 = FeedForwardNet(widths, SeededRng(1), dtype=np.float32)
-        net64 = FeedForwardNet(widths, SeededRng(1), dtype=np.float64)
+        net32 = small_net(widths, seed=1, dtype=np.float32)
+        net64 = small_net(widths, seed=1, dtype=np.float64)
         net64.flat[...] = net32.flat
         rng = SeededRng(2)
         x = rng.standard_normal((batch, 5)).astype(np.float32)
@@ -229,7 +238,7 @@ class TestKernelsMatchReference:
     widths = [5, 16, 16, 3]
 
     def make(self, dtype, batch=7):
-        net = FeedForwardNet(self.widths, SeededRng(31), dtype=dtype)
+        net = small_net(self.widths, seed=31, dtype=dtype)
         rng = SeededRng(32)
         return (net, rng.standard_normal((batch, self.widths[0])),
                 rng.standard_normal((batch, self.widths[-1])))

@@ -229,7 +229,8 @@ LOSSES = {
     (np.zeros((5, 2)), np.ones((1, 2))),    # numpy would broadcast it
     (np.zeros((5, 2)), np.ones((3, 2))),
     (np.zeros((2, 5, 2)), np.ones((2, 5, 2))),
-], ids=["empty", "one_action_row", "three_action_rows", "3d"])
+    (np.zeros(2), np.ones(2)),              # one state, not a batch of one
+], ids=["empty", "one_action_row", "three_action_rows", "3d", "1d"])
 def test_every_loss_checks_its_batch(loss, states, actions):
     with pytest.raises(InvalidInputError, match=loss):
         LOSSES[loss](states, actions)

@@ -72,7 +72,7 @@ def gauss_store():
 
 
 class TestTrainLoop:
-    def test_smoke_denoiser_loss_halves(self):
+    def test_smoke_denoiser_loss_halves(self, tmp_path):
         # scripted run on the analytic task: after 2000 iterations the
         # denoiser loss's excess over its closed-form floor (the loss of the
         # exact eps*, 0.915 here) is at most half of its excess in the
@@ -82,7 +82,7 @@ class TestTrainLoop:
         store = make_store(task, SeededRng(4), n_traj=40, traj_len=50)
         cfg = tiny_cfg(batch_size=128, transition_budget=128 * 2000,
                        denoiser_hidden=(32, 32), actor_hidden=(32, 32))
-        result = train(cfg, store, SeededRng(5))
+        result = train(cfg, store, SeededRng(5), str(tmp_path))
         losses = [r["denoiser_loss"] for r in result.metrics.rows]
         early = np.mean(losses[:100])
         late = np.mean(losses[-100:])
@@ -99,11 +99,13 @@ class TestTrainLoop:
             csv.append(open(os.path.join(out, "metrics.csv"), "rb").read())
         assert csv[0] == csv[1]
 
-    def test_unfiltered_denoiser_ignores_the_actor_width(self, gauss_store):
+    def test_unfiltered_denoiser_ignores_the_actor_width(self, gauss_store,
+                                                         tmp_path):
         # without filtering nothing the denoiser reads comes from the
         # generator: init, batches and loss draws are streams of their own
         a, b = (train(tiny_cfg(actor_hidden=width), gauss_store, SeededRng(9),
-                      filtering=False) for width in ((8,), (16,)))
+                      str(tmp_path / f"w{width[0]}"), filtering=False)
+                for width in ((8,), (16,)))
         assert a.policy.widths != b.policy.widths
         for net in ("noise_model", "ema_noise_model"):
             assert (getattr(a, net).flat.tobytes()
@@ -111,15 +113,17 @@ class TestTrainLoop:
         assert ([r["denoiser_loss"] for r in a.metrics.rows]
                 == [r["denoiser_loss"] for r in b.metrics.rows])
 
-    def test_transition_accounting_crosses_budget_once(self, gauss_store):
+    def test_transition_accounting_crosses_budget_once(self, gauss_store,
+                                                        tmp_path):
         cfg = tiny_cfg(batch_size=32, transition_budget=1000)
-        result = train(cfg, gauss_store, SeededRng(9))
+        result = train(cfg, gauss_store, SeededRng(9), str(tmp_path))
         iters = result.metrics.rows[-1]["iteration"]
         assert iters == 32  # ceil(1000 / 32): halts at first crossing
         assert result.metrics.counters["transitions_consumed"] == 32 * 32
         assert result.metrics.rows[-1]["transitions"] == 32 * 32
 
-    def test_update_asymmetry_counters(self, gauss_store, monkeypatch):
+    def test_update_asymmetry_counters(self, gauss_store, tmp_path,
+                                       monkeypatch):
         # each step the denoiser's loss sees the batch tiled
         # denoiser_optimize_every times and the policy's the batch once
         rows = {"denoiser": [], "policy": []}
@@ -136,14 +140,14 @@ class TestTrainLoop:
         monkeypatch.setattr(trainer_mod, "denoiser_loss", den)
         monkeypatch.setattr(trainer_mod, "policy_loss", pol)
         cfg = tiny_cfg(denoiser_optimize_every=10)
-        result = train(cfg, gauss_store, SeededRng(10))
+        result = train(cfg, gauss_store, SeededRng(10), str(tmp_path))
         n = cfg.num_iterations
         assert rows == {"denoiser": [32 * 10] * n, "policy": [32] * n}
         c = result.metrics.counters
         assert c["denoiser_optimizer_steps"] == c["policy_optimizer_steps"] \
             == n
 
-    def test_one_denoiser_forward_per_iteration(self, gauss_store,
+    def test_one_denoiser_forward_per_iteration(self, gauss_store, tmp_path,
                                                 monkeypatch):
         # the policy's target comes from the denoiser loss's own forward:
         # an unfiltered, unevaluated run makes one denoiser forward per
@@ -171,7 +175,7 @@ class TestTrainLoop:
         monkeypatch.setattr(trainer_mod, "denoiser_loss", den)
         monkeypatch.setattr(trainer_mod, "policy_loss", pol)
         cfg = tiny_cfg(denoiser_optimize_every=3)
-        train(cfg, gauss_store, SeededRng(10), filtering=False)
+        train(cfg, gauss_store, SeededRng(10), str(tmp_path), filtering=False)
         n, b = cfg.num_iterations, cfg.batch_size
         assert forwards == [3 * b] * n
         assert len(den_calls) == len(pol_calls) == n
@@ -269,18 +273,20 @@ class TestTrainLoop:
         assert open(path, "rb").read() == before
         assert not any(name.endswith(".tmp") for name in os.listdir(out))
 
-    def test_no_filter_leaves_store_untouched(self, gauss_store):
+    def test_no_filter_leaves_store_untouched(self, gauss_store, tmp_path):
         ids_before = [tr.traj_id for tr in gauss_store.trajectories]
         cfg = tiny_cfg()
         # passes that would run every 10 iterations with filtering on
         cfg.filter = FilterConfig(filter_every=10, min_demos=1,
                                   step_threshold=0, max_demo_len=25)
-        result = train(cfg, gauss_store, SeededRng(11), filtering=False)
+        result = train(cfg, gauss_store, SeededRng(11), str(tmp_path),
+                       filtering=False)
         assert result.metrics.counters["filter_passes"] == 0
         assert [tr.traj_id for tr in result.store.trajectories] == ids_before
         assert result.filter_reports == []
 
-    def test_filter_uses_ema_snapshots(self, gauss_store, monkeypatch):
+    def test_filter_uses_ema_snapshots(self, gauss_store, tmp_path,
+                                       monkeypatch):
         captured = {}
         real = trainer_mod.filter_dataset
 
@@ -295,14 +301,15 @@ class TestTrainLoop:
                        update_ema_every=1, ema_warmup_steps=1)
         cfg.filter = FilterConfig(filter_every=n_iters, min_demos=1,
                                   step_threshold=0, max_demo_len=25)
-        result = train(cfg, gauss_store, SeededRng(12))
+        result = train(cfg, gauss_store, SeededRng(12), str(tmp_path))
         # filter fired on the last iteration, right after an EMA update:
         # the scored parameters must be the EMA shadow, not the live ones
         assert np.array_equal(captured["model"], result.ema_noise_model.flat)
         assert not np.array_equal(captured["model"], result.noise_model.flat)
         assert np.array_equal(captured["policy"], result.ema_policy.flat)
 
-    def test_each_shadow_is_built_once_and_read_in_place(self, monkeypatch):
+    def test_each_shadow_is_built_once_and_read_in_place(self, tmp_path,
+                                                         monkeypatch):
         spec = make_env_spec("pointmass2d")
         store = generate_demos(spec, default_expert(spec), [0.0, 1.0], 2,
                                SeededRng(16))
@@ -329,7 +336,7 @@ class TestTrainLoop:
         cfg = tiny_cfg(eval_every=10, eval_episodes=2)
         cfg.filter = FilterConfig(filter_every=10, min_demos=1,
                                   max_demo_len=25)
-        result = train(cfg, store, SeededRng(18))
+        result = train(cfg, store, SeededRng(18), str(tmp_path / "smile"))
         assert built == ["denoiser", "generator"]
         assert len(filtered) == len(evaluated) == 3
         for model, policy in filtered:
@@ -339,20 +346,22 @@ class TestTrainLoop:
 
         built.clear()
         evaluated.clear()
-        bc_ema, _, _ = train_bc(cfg, store, SeededRng(18))
+        bc_ema, _, _ = train_bc(cfg, store, SeededRng(18),
+                                str(tmp_path / "bc"))
         assert built == ["bc"]
         assert len(evaluated) == 3
         assert all(policy is bc_ema for policy in evaluated)
 
     @pytest.mark.parametrize("min_demos", [5, 100])
-    def test_every_scheduled_pass_runs(self, gauss_store, min_demos):
+    def test_every_scheduled_pass_runs(self, gauss_store, tmp_path,
+                                       min_demos):
         # threshold 10 is above every step, so each pass keeps only its
         # min_demos highest-step segments and their ties (every segment
         # when min_demos exceeds their count), and the next pass still runs
         cfg = tiny_cfg()
         cfg.filter = FilterConfig(filter_every=10, min_demos=min_demos,
                                   step_threshold=10, max_demo_len=25)
-        result = train(cfg, gauss_store, SeededRng(13))
+        result = train(cfg, gauss_store, SeededRng(13), str(tmp_path))
         assert [r.iteration for r in result.filter_reports] == [10, 20, 30]
         assert result.metrics.counters["filter_passes"] == 3
         for report in result.filter_reports:
@@ -477,10 +486,10 @@ class TestTrainLoop:
         assert (arch["T"], arch["beta_min"], arch["beta_max"]) == (4, 0.1,
                                                                    0.9)
 
-    def test_empty_store_rejected(self):
+    def test_empty_store_rejected(self, tmp_path):
         from smile.envs import DemoStore
         with pytest.raises(InvalidInputError):
-            train(tiny_cfg(), DemoStore([]), SeededRng(0))
+            train(tiny_cfg(), DemoStore([]), SeededRng(0), str(tmp_path))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -555,7 +564,7 @@ class TestAuditBins:
         store = make_store(task, rng, n_traj=6, traj_len=10)
         for i, tr in enumerate(store.trajectories):
             tr.ret = float(i * 10)
-        states, actions = store.sample_all()
+        states, actions = store.states, store.actions
         policy = TablePolicy(states, actions if refs is None else refs)
         records, _ = score_dataset(
             store, OracleDenoiser(task, sched), policy,
@@ -581,7 +590,7 @@ class TestAuditBins:
         # segments of 3, 3, 3 and 1 transitions: the length-weighted mean of
         # their curves is the whole trajectory's mean-Q curve. References
         # are the actions diffused 0..5 steps, so the steps differ.
-        _, actions = self._setup(sched)[0].sample_all()
+        actions = self._setup(sched)[0].actions
         t_rows = np.repeat(np.arange(6), 10)
         refs = diffuse(actions, t_rows, sched,
                        SeededRng(22).standard_normal(actions.shape))
@@ -684,7 +693,7 @@ class TestAuditBins:
         for tr, ret in zip(store.trajectories,
                            np.random.default_rng(2).uniform(-23, 0, 200)):
             tr.ret = float(ret)
-        states, actions = store.sample_all()
+        states, actions = store.states, store.actions
         records, _ = score_dataset(
             store, OracleDenoiser(task, sched), TablePolicy(states, actions),
             FilterConfig(min_demos=1))
@@ -715,24 +724,28 @@ class TestBench:
 
 
 class TestBc:
-    def test_bc_runs_and_snapshot_acts(self, gauss_store):
+    def test_bc_runs_and_snapshot_acts(self, gauss_store, tmp_path):
         cfg = tiny_cfg()
-        snap, live, metrics = train_bc(cfg, gauss_store, SeededRng(30))
+        snap, live, metrics = train_bc(cfg, gauss_store, SeededRng(30),
+                                       str(tmp_path))
         assert metrics.rows[-1]["iteration"] == cfg.num_iterations
         s, _ = gauss_store.sample(SeededRng(31), 4)
         assert snap.act(s).shape == (4, 2)
         assert snap.role == "bc"
 
-    def test_bc_loss_decreases(self, gauss_store):
+    def test_bc_loss_decreases(self, gauss_store, tmp_path):
         cfg = tiny_cfg(batch_size=64, transition_budget=64 * 400)
-        _, _, metrics = train_bc(cfg, gauss_store, SeededRng(32))
+        _, _, metrics = train_bc(cfg, gauss_store, SeededRng(32),
+                                 str(tmp_path))
         losses = [r["policy_loss"] for r in metrics.rows]
         assert np.mean(losses[-50:]) < 0.5 * np.mean(losses[:50])
 
 
-def test_trained_networks_are_float32(gauss_store):
-    result = train(tiny_cfg(), gauss_store, SeededRng(33))
-    snap, live, _ = train_bc(tiny_cfg(), gauss_store, SeededRng(34))
+def test_trained_networks_are_float32(gauss_store, tmp_path):
+    result = train(tiny_cfg(), gauss_store, SeededRng(33),
+                   str(tmp_path / "smile"))
+    snap, live, _ = train_bc(tiny_cfg(), gauss_store, SeededRng(34),
+                             str(tmp_path / "bc"))
     for net in (result.noise_model, result.policy, result.ema_noise_model,
                 result.ema_policy, snap, live):
         assert net.flat.dtype == np.float32
