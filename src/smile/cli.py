@@ -1,8 +1,8 @@
 """Command-line surface: data generation, training, dataset auditing, and the
 reverse-process benchmark, all driven by one config file.
 
-Commands never mutate a demo file in place — training filters an in-memory
-copy and writes the surviving store to a new file. Exit codes are stable for
+Commands never mutate a demo file in place — training's filter passes build
+new stores and the last goes to a new file. Exit codes are stable for
 scripting: 0 success, 1 validation error, 2 runtime/numerical error.
 """
 

@@ -13,7 +13,7 @@ stacked states.
 
 A demo store (DemoStore) holds one array per field, and each trajectory is
 a view of its rows of them, so a transition is held once, whether the store
-was generated, parsed, read from its copy or committed by a filter.
+was generated, parsed, read from its copy or kept by a filter pass.
 
 Demo files are JSON lines, the one input format. Parsing one takes most of
 a load (0.2-0.35 s for 25,000 transitions on 2 cores), and a workflow loads
@@ -205,8 +205,11 @@ class DemoStore:
     is a view of its rows of them.
 
     Batches drawn from the store carry only (state, action) pairs: rewards
-    never reach the optimizers. Mutation happens only through replace().
-    A store read from a demo file keeps the number of its header's line as
+    never reach the optimizers. A store is built from ``trajectories``, in
+    order: one concatenation per column, and new views of it (a filter pass
+    hands in views of the rows it keeps, so each column is gathered once).
+    No method edits a built store; a filter pass builds a new one. A store
+    read from a demo file keeps the number of its header's line as
     ``header_line``; any other store has None.
     """
 
@@ -214,12 +217,6 @@ class DemoStore:
                  env: EnvSpec | None = None, header_line: int | None = None):
         self.env = env
         self.header_line = header_line
-        self.replace(trajectories)
-
-    def replace(self, trajectories: list[Trajectory]) -> None:
-        """Make ``trajectories`` the store's, in order: one concatenation
-        per column, and new views of it (a filter commit passes views of
-        the kept rows, so it gathers each column once)."""
         ids = [tr.traj_id for tr in trajectories]
         if len(set(ids)) != len(ids):
             raise InvalidInputError("trajectory ids must be unique")
@@ -440,10 +437,12 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
     null nor a finite number >= 0 and a noise level that varies within a
     trajectory each raise InvalidInputError naming path:line (a width error
     names the first line of its trajectory, a long one its first step past
-    the horizon). A file with no
-    transitions raises InvalidInputError naming the path. The file is read
-    line by line (_demo_lines), so where it has several faults the first in
-    the file is named.
+    the horizon). A file with no transitions raises InvalidInputError naming
+    the path. Where a file has several faults, the first found is named:
+    each line's own (bytes, JSON, fields and their types) as the file is
+    read (_demo_lines), then each trajectory's, in the order of their first
+    lines, at the earliest line its checks find (widths and finite values
+    go unchecked beside an s, a or r that is not a number).
 
     Each parse that succeeds leaves the store it read, its four columns
     rewards and all, at ``path + ".store"``, keyed by sha256 over this
@@ -527,44 +526,47 @@ def _parse_demos(path: str, digest) -> tuple[dict, DemoStore]:
         recs = rows.pop(tid)   # each file record is freed once it is read
         recs.sort(key=lambda rec: rec[0])
         steps, nos, states, actions, rewards, terminals, levels = zip(*recs)
+        faults = []   # (line, message) of each check that fails
         misplaced = np.asarray(steps) != np.arange(len(steps))
         if misplaced.any():
             i = int(np.argmax(misplaced))
-            raise InvalidInputError(
-                f"{path}:{nos[i]}: trajectory {tid} has step {steps[i]} "
-                f"where step {i} belongs (a repeated or missing step)")
+            faults.append((nos[i], f"trajectory {tid} has step {steps[i]} "
+                           f"where step {i} belongs (a repeated or missing "
+                           f"step)"))
         if horizon is not None and len(steps) > horizon:
-            raise InvalidInputError(
-                f"{path}:{nos[horizon]}: trajectory {tid} has step {horizon}, "
-                f"past the header's horizon {horizon}")
+            faults.append((nos[horizon], f"trajectory {tid} has step "
+                           f"{horizon}, past the header's horizon {horizon}"))
         if levels.count(levels[0]) != len(levels):
-            i = next(i for i, lv in enumerate(levels) if lv != levels[0])
-            raise InvalidInputError(
-                f"{path}:{nos[i]}: noise_level {levels[i]} differs from "
-                f"{levels[0]} earlier in trajectory {tid}")
+            faults.append(min(
+                (no, f"noise_level {lv} differs from {levels[0]} earlier "
+                 f"in trajectory {tid}")
+                for no, lv in zip(nos, levels) if lv != levels[0]))
         had_rewards = all(r is not None for r in rewards)
         rewards = [0.0 if r is None else r for r in rewards]
         if not _numbers_only(*states, *actions, rewards):
-            i = next(i for i in range(len(recs)) if not _numbers_only(
-                states[i], actions[i], [rewards[i]]))
-            raise InvalidInputError(f"{path}:{nos[i]}: s, a or r not a number")
-        try:
-            states = np.asarray(states, dtype=np.float64)
-            actions = np.asarray(actions, dtype=np.float64)
-            rewards = np.asarray(rewards, dtype=np.float64)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise InvalidInputError(
-                f"{path}:{nos[0]}: bad values in trajectory {tid}: {exc}"
-            ) from exc
-        if (states.shape[1:], actions.shape[1:]) != dims:
-            raise InvalidInputError(
-                f"{path}:{nos[0]}: trajectory {tid} has states {states.shape}, "
-                f"actions {actions.shape}; header widths {dims}")
-        finite = (np.isfinite(states).all(axis=1)
-                  & np.isfinite(actions).all(axis=1) & np.isfinite(rewards))
-        if not finite.all():
-            raise InvalidInputError(f"{path}:{nos[np.argmin(finite)]}: "
-                                    f"non-finite value in trajectory {tid}")
+            faults.append((min(
+                no for no, s, a, r in zip(nos, states, actions, rewards)
+                if not _numbers_only(s, a, [r])), "s, a or r not a number"))
+        else:
+            try:
+                states, actions, rewards = (np.asarray(
+                    x, dtype=np.float64) for x in (states, actions, rewards))
+            except (OverflowError, TypeError, ValueError) as exc:
+                faults.append((min(nos), f"bad values in trajectory {tid}: "
+                               f"{exc}"))
+            else:
+                finite = np.isfinite(np.column_stack(
+                    (states, actions, rewards))).all(axis=1)
+                if (states.shape[1:], actions.shape[1:]) != dims:
+                    faults.append((min(nos), f"trajectory {tid} has states "
+                                   f"{states.shape}, actions "
+                                   f"{actions.shape}; header widths {dims}"))
+                elif not finite.all():
+                    faults.append((int(min(np.asarray(nos)[~finite])),
+                                   f"non-finite value in trajectory {tid}"))
+        if faults:
+            no, message = min(faults, key=lambda fault: fault[0])
+            raise InvalidInputError(f"{path}:{no}: {message}")
         trajectories.append(Trajectory(
             tid, states, actions, rewards if had_rewards else None,
             np.asarray(terminals, dtype=bool), levels[0]))

@@ -23,7 +23,7 @@ score_dataset also gives each segment its verdict, by one rule that does
 not look at store order: a segment is kept iff its step is above the step
 threshold or among the min_demos highest steps (ties with the last of them
 included). So every pass keeps at least min_demos segments, and no pass
-switches filtering off. filter_dataset commits those verdicts; the audit's
+switches filtering off. filter_dataset builds the kept store; the audit's
 report and the return-bin audit (trainer.audit_bins) read the same records.
 """
 
@@ -309,13 +309,13 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig):
 
 
 def filter_dataset(store: DemoStore, model, policy, cfg: FilterConfig,
-                   iteration: int | None = None) -> FilterReport:
-    """Score every segment and commit the ones score_dataset keeps, at
-    least min(min_demos, number of segments) of them, as the new store.
-
-    The models passed in are read-only (callers hand in EMA snapshots); the
-    store commit is a single atomic swap.
+                   iteration: int | None = None
+                   ) -> tuple[FilterReport, DemoStore]:
+    """Score every segment; return (report, a new store of ``store``'s env
+    holding the segments score_dataset keeps, in order): at least
+    min(min_demos, number of segments) of them. Nothing passed in is
+    edited; callers hand in EMA snapshots of the models.
     """
     records, kept_segments = score_dataset(store, model, policy, cfg)
-    store.replace(kept_segments)
-    return FilterReport(records, iteration=iteration)
+    return (FilterReport(records, iteration=iteration),
+            DemoStore(kept_segments, env=store.env))

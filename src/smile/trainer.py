@@ -128,7 +128,6 @@ class MetricsLog:
     """Append-only per-iteration metrics plus run-level counters."""
 
     rows: list[dict] = field(default_factory=list)
-    filter_summaries: list[dict] = field(default_factory=list)
     wall_clock: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
 
@@ -141,7 +140,7 @@ class TrainResult:
     ema_policy: GeneratorPolicy
     metrics: MetricsLog
     store: DemoStore
-    filter_reports: list[FilterReport] = field(default_factory=list)
+    filter_reports: list[FilterReport]
 
 
 def snapshot_policy(net, flat: np.ndarray):
@@ -227,20 +226,21 @@ def _progress(row: dict, n_iters: int, elapsed: float) -> None:
 
 def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
          parts: list[_Part], out_dir: str, filtering: bool = False):
-    """The iteration loop of train and train_bc; returns (metrics, reports).
+    """train's and train_bc's loop; returns (metrics, last store, reports).
 
     Per iteration: sample a batch; update each part in order, checking its
     loss for finiteness before its step; advance every part's EMA; filter
     (with ``filtering``, every ``filter_every`` iterations; parts[0] is then
     the denoiser, parts[1] the generator), so a pass reads this iteration's
-    shadow; log the row, evaluating parts[-1] when due; after a pass or an
-    evaluation, print a progress line to stderr (stdout is the caller's).
-    Batches and evaluations draw from streams spawned off ``rng``, the
-    run's root. Each row goes to ``out_dir``'s ``metrics.csv`` as it is
-    logged, and each pass's report beside it; a finished run writes each
-    part's checkpoint and the run manifest there. A TrainingError while a
-    part steps (a non-finite loss or gradient) first writes every part's
-    live network to ``diagnostic_<role>.json`` there.
+    shadow, and later batches come from the store it keeps; log the row,
+    evaluating parts[-1] when due; after a pass or an evaluation, print a
+    progress line to stderr (stdout is the caller's). Batches and evaluations
+    draw from streams spawned off ``rng``, the run's root. Each row goes to
+    ``out_dir``'s ``metrics.csv`` as it is logged, and each pass's report
+    beside it; a finished run writes each part's checkpoint and the run
+    manifest there. A TrainingError while a part steps (a non-finite loss or
+    gradient) first writes every part's live network to
+    ``diagnostic_<role>.json`` there.
     """
     env = store.env
     counters = {f"{part.name}_optimizer_steps": 0 for part in parts}
@@ -288,12 +288,11 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
             filtered = filtering and idx % cfg.filter.filter_every == 0
             if filtered:
                 with phase("filter"):
-                    report = filter_dataset(
+                    report, store = filter_dataset(
                         store, parts[0].shadow, parts[1].shadow, cfg.filter,
                         iteration=idx)
                 reports.append(report)
                 counters["filter_passes"] += 1
-                metrics.filter_summaries.append(report.summary())
                 save_filter_report(report, os.path.join(
                     out_dir, f"filter_report_{idx:06d}.json"))
 
@@ -323,10 +322,10 @@ def _run(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                 "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
                 "workers": expertise.workers,
                 "wall_clock": metrics.wall_clock, "counters": counters,
-                "filter_summaries": metrics.filter_summaries}
+                "filter_summaries": [report.summary() for report in reports]}
     with atomic_write(os.path.join(out_dir, "run.json")) as fh:
         fh.write(json.dumps(manifest, indent=1))
-    return metrics, reports
+    return metrics, store, reports
 
 
 def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
@@ -335,10 +334,10 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
 
     ``rng`` is the run's root randomness; every internal stream (init, batch
     sampling, loss noise, evaluation) is derived from its seed with a purpose
-    tag. The store is filtered in place (callers who need the original intact
-    should pass a copy). With ``filtering`` off this is the w/o-filtering
-    ablation: batches come uniformly from the untouched store for the whole
-    run.
+    tag. The store is never edited: each filter pass keeps a new one, which
+    later batches come from and the result returns as ``store``. With
+    ``filtering`` off this is the w/o-filtering ablation: batches come
+    uniformly from ``store`` for the whole run.
     """
     state_dim, action_dim = _check_run(cfg, store)
     model = NoiseModel(state_dim, action_dim, cfg.diffusion_steps,
@@ -360,12 +359,8 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     gen = _Part.of(cfg, "policy", policy,
                    lambda s, a: policy_loss(policy, model.sched, s, draw))
 
-    metrics, reports = _run(cfg, store, rng, [den, gen], out_dir, filtering)
-
-    return TrainResult(
-        noise_model=model, policy=policy,
-        ema_noise_model=den.shadow, ema_policy=gen.shadow,
-        metrics=metrics, store=store, filter_reports=reports)
+    return TrainResult(model, policy, den.shadow, gen.shadow,
+                       *_run(cfg, store, rng, [den, gen], out_dir, filtering))
 
 
 def train_bc(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
@@ -379,7 +374,7 @@ def train_bc(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                           hidden=cfg.actor_hidden)
     part = _Part.of(cfg, "policy", baseline,
                     lambda s, a: bc_loss(baseline, s, a))
-    metrics, _ = _run(cfg, store, rng, [part], out_dir)
+    metrics = _run(cfg, store, rng, [part], out_dir)[0]
     return part.shadow, baseline, metrics
 
 

@@ -1,4 +1,5 @@
 import base64
+import configparser
 import contextlib
 import csv
 import dataclasses
@@ -296,7 +297,7 @@ def test_audit_report_is_the_filter_pass_report(run, tmp_path, threshold):
                     + [str(tmp_path / "audit.json")]) == 0
     exp = load_config(str(other))
     store = load_demos(str(out / "demos.jsonl"), include_rewards=True)
-    report = filter_dataset(
+    report, _ = filter_dataset(
         store, cli._load_actor(exp, str(out / "denoiser.json"), "denoiser"),
         cli._load_actor(exp, str(out / "generator.json"), "generator"),
         exp.train.filter)
@@ -552,13 +553,27 @@ def test_bad_config_value_names_its_line(tmp_path, capsys, text, bad):
 
 
 def test_print_config_holds_the_defaults(tmp_path, capsys):
+    # the text CI and scripts/quality.py start from sets every key, and
+    # every one outside [experiment] to the code's default, so a changed
+    # default cannot leave the printed config behind; [experiment] names
+    # a run and a seed of its own on purpose
     assert cli.main(["print-config"]) == 0
+    text = capsys.readouterr().out
+    parsed = configparser.ConfigParser()
+    parsed.read_string(text)
+    assert {section: set(parsed[section]) for section in parsed.sections()} \
+        == {section: set(keys) for section, keys in config_mod._SCHEMA.items()}
     path = tmp_path / "default.ini"
-    path.write_text(capsys.readouterr().out)
+    path.write_text(text)
     cfg = load_config(str(path))
-    assert cfg.env == make_env_spec("pointmass2d")
+    assert cfg.env == make_env_spec()
     assert cfg.data == DataConfig()
     assert cfg.train == TrainConfig()  # with [schedule] and [filter]
+    default = config_mod.ExperimentConfig()
+    assert (cfg.run_id, cfg.output_dir, cfg.seed) == (
+        "pointmass-default", "runs/pointmass-default", 7)
+    assert (default.run_id, default.output_dir, default.seed) == (
+        "run", "runs/run", 0)
 
 
 def test_unset_keys_take_the_dataclass_defaults(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -422,6 +423,43 @@ class TestDemoFile:
                            match=re.escape(f"{path}:{bad_line}:")):
             load_demos(str(path))
 
+    @pytest.mark.parametrize("levels,action,named", [
+        ([0.5, 0.7, 0.7, 0.7], 0.0,
+         "3: noise_level 0.7 differs from 0.5 earlier in trajectory 0"),
+        ([0.5] * 4, math.inf, "2: non-finite value in trajectory 0"),
+    ], ids=["level_on_line_3", "non_finite_on_line_2"])
+    def test_a_trajectory_names_its_earliest_fault(self, tmp_path, levels,
+                                                   action, named):
+        # step 2 repeats on line 5, after the fault each case puts earlier
+        header = {"kind": "header", "format_version": 1, "state_dim": 1,
+                  "action_dim": 1}
+        recs = [{"traj_id": 0, "step": step, "s": [0.0],
+                 "a": [action if line == 2 else 0.0], "r": 0.0,
+                 "terminal": False, "noise_level": level}
+                for line, step, level in zip((2, 3, 4, 5), (0, 1, 2, 2),
+                                             levels)]
+        path = tmp_path / "two.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n"
+                                for r in [header, *recs]))
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"{path}:{named}")):
+            load_demos(str(path))
+
+    def test_a_width_error_names_the_trajectory_s_first_line(self,
+                                                             tmp_path):
+        # step 1 comes first in the file, on line 2, and step 0 on line 3
+        header = {"kind": "header", "format_version": 1, "state_dim": 1,
+                  "action_dim": 1}
+        recs = [{"traj_id": 0, "step": step, "s": [0.0, 0.0], "a": [0.0],
+                 "r": 0.0, "terminal": False, "noise_level": 0.5}
+                for step in (1, 0)]
+        path = tmp_path / "wide.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n"
+                                for r in [header, *recs]))
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"{path}:2: trajectory 0 has states (2, 2)")):
+            load_demos(str(path))
+
     @pytest.mark.parametrize("steps", [[0, 1, 2, 3], [3, 0, 2, 1]],
                              ids=["in_order", "shuffled"])
     def test_trajectory_past_the_header_horizon_rejected(self, tmp_path,
@@ -774,19 +812,20 @@ class TestStoreCopy:
         assert max(parse_kept, hit_kept) <= 1.8e6, (parse_kept, hit_kept)
         generated = generate_demos(pm, default_expert(pm), [0.0, 1.0], 2,
                                    SeededRng(43))
-        filtered = generate_demos(pm, default_expert(pm), [0.5], 3,
-                                  SeededRng(44))
+        noisy = generate_demos(pm, default_expert(pm), [0.5], 3,
+                               SeededRng(44))
         # a denoiser that predicts the noise (1, 0) everywhere, and
         # references sigma_5 off the actions in every other 25-row segment:
         # those segments score step 5 and are kept, the others 0
         sched = build_schedule(10, 0.05, 0.6)
         model = SimpleNamespace(sched=sched, predict=lambda s, a, t:
                                 np.broadcast_to([1.0, 0.0], a.shape))
-        states, actions = filtered.states, filtered.actions
+        states, actions = noisy.states, noisy.actions
         steps = 5 * (np.arange(len(actions)) // 25 % 2)
         refs = actions + np.outer(sched.sigmas[steps], [1.0, 0.0])
-        filter_dataset(filtered, model, TablePolicy(states, refs),
-                       FilterConfig(min_demos=1, max_demo_len=25))
+        _, filtered = filter_dataset(noisy, model, TablePolicy(states, refs),
+                                     FilterConfig(min_demos=1,
+                                                  max_demo_len=25))
         assert np.array_equal(filtered.states, states[steps == 5])
         for store in (generated, parsed, hit, filtered):
             columns = (store.states, store.actions, store.rewards,

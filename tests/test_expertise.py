@@ -623,9 +623,9 @@ class TestFilterDataset:
     def test_all_high_steps_drop_nothing(self, sched):
         store, policy, model = _offset_store([0.5] * 6, sched)
         cfg = FilterConfig(min_demos=1, step_threshold=1, max_demo_len=100)
-        report = filter_dataset(store, model, policy, cfg)
+        report, kept = filter_dataset(store, model, policy, cfg)
         assert report.n_dropped == 0
-        assert store.num_trajectories == 6
+        assert kept.num_trajectories == 6
         assert all(r.predicted_step == sched.T for r in report.records)
 
     @pytest.mark.parametrize("min_demos, kept", [
@@ -635,34 +635,67 @@ class TestFilterDataset:
     def test_min_demos_floor_keeps_the_top_steps_and_ties(self, sched,
                                                           min_demos, kept):
         # threshold 8 is above every step, which would drop every segment:
-        # the pass keeps the min_demos highest steps and all their ties,
-        # commits them, and the next pass filters the smaller store again
+        # the pass keeps the min_demos highest steps and all their ties, in
+        # the store it returns, and the next pass filters that smaller store
         steps = [2, 5, 5, 0, 7, 5, 1, 3]
         store, policy, model = _step_store(steps, sched)
         cfg = FilterConfig(min_demos=min_demos, step_threshold=8,
                            max_demo_len=100)
-        report = filter_dataset(store, model, policy, cfg)
+        report, smaller = filter_dataset(store, model, policy, cfg)
         assert [r.predicted_step for r in report.records] == steps
         assert [r.predicted_step for r in report.records
                 if r.verdict == "keep"] == kept
-        assert store.num_trajectories == len(kept)
-        again = filter_dataset(store, model, policy, cfg)
+        assert smaller.num_trajectories == len(kept)
+        again, _ = filter_dataset(smaller, model, policy, cfg)
         assert again.n_before == len(kept)
         assert again.n_kept == len(kept)
 
     def test_drop_commits_reduced_store(self, sched):
         store, policy, model = _offset_store([0.0] * 5 + [0.5] * 7, sched)
         cfg = FilterConfig(min_demos=3, step_threshold=1, max_demo_len=100)
-        report = filter_dataset(store, model, policy, cfg)
+        report, kept = filter_dataset(store, model, policy, cfg)
         assert report.n_kept == 7 and report.n_dropped == 5
-        assert store.num_trajectories == 7
+        assert kept.num_trajectories == 7
         assert report.n_kept + report.n_dropped == report.n_before
+
+    def test_returns_a_new_store_of_the_kept_segments(self, sched):
+        # threshold 4 keeps the segments of steps 5, 5, 7 and 5: the pass
+        # returns a new store of exactly their rows, in store order, under
+        # the input's env, and leaves the input store as it was
+        steps = [2, 5, 5, 0, 7, 5, 1, 3]
+        store, policy, model = _step_store(steps, sched)
+        for tr in store.trajectories:
+            tr.noise_level = 0.125 * tr.traj_id
+        store = DemoStore(store.trajectories, env=make_env_spec())
+        columns = (store.states, store.actions, store.rewards,
+                   store.terminals)
+        before = [column.copy() for column in columns]
+        cfg = FilterConfig(min_demos=1, step_threshold=4, max_demo_len=100)
+        report, kept = filter_dataset(store, model, policy, cfg)
+        assert kept is not store and kept.env is store.env
+        assert [r.segment_id for r in report.records
+                if r.verdict == "keep"] == [1, 2, 4, 5]
+        assert [(tr.traj_id, tr.noise_level, len(tr))
+                for tr in kept.trajectories] == [
+            (tid, 0.125 * tid, 4) for tid in (1, 2, 4, 5)]
+        rows = np.concatenate([np.arange(4 * i, 4 * i + 4)
+                               for i in (1, 2, 4, 5)])
+        for got, column in zip((kept.states, kept.actions, kept.rewards,
+                                kept.terminals), before):
+            assert np.array_equal(got, column[rows])
+        assert all(tr.rewards is None for tr in kept.trajectories)
+        assert [tr.traj_id for tr in store.trajectories] == list(range(8))
+        assert all(now is then for now, then in zip(
+            (store.states, store.actions, store.rewards, store.terminals),
+            columns))
+        assert all(np.array_equal(now, then)
+                   for now, then in zip(columns, before))
 
     def test_never_empties_below_min_demos(self, sched):
         store, policy, model = _offset_store([0.0] * 8, sched)
         cfg = FilterConfig(min_demos=2, step_threshold=1, max_demo_len=100)
-        filter_dataset(store, model, policy, cfg)
-        assert store.num_trajectories >= 2
+        _, kept = filter_dataset(store, model, policy, cfg)
+        assert kept.num_trajectories >= 2
 
     @settings(max_examples=30, deadline=None)
     @given(lo=st.integers(0, 9), min_demos=st.integers(1, 6))
@@ -679,8 +712,8 @@ class TestFilterDataset:
                               max_demo_len=100)
         cfg_lo = FilterConfig(min_demos=min_demos, step_threshold=lo,
                               max_demo_len=100)
-        rep_hi = filter_dataset(store_hi, model, policy, cfg_hi)
-        rep_lo = filter_dataset(store_lo, model, policy, cfg_lo)
+        rep_hi, _ = filter_dataset(store_hi, model, policy, cfg_hi)
+        rep_lo, _ = filter_dataset(store_lo, model, policy, cfg_lo)
         kept_hi = {r.segment_id for r in rep_hi.records
                    if r.verdict == "keep"}
         kept_lo = {r.segment_id for r in rep_lo.records
@@ -715,19 +748,19 @@ class TestFilterDataset:
         policy = TablePolicy(traj.states, traj.actions + 0.5)
         model = _OffsetModel(traj.states, np.full((6, 2), 0.5), sched)
         cfg = FilterConfig(min_demos=1, step_threshold=1, max_demo_len=3)
-        report = filter_dataset(store, model, policy, cfg)
+        report, kept = filter_dataset(store, model, policy, cfg)
         assert report.n_before == 2
         # the pieces of a cut trajectory are numbered after the store's
         # largest id
         assert [r.segment_id for r in report.records] == [43, 44]
-        assert [tr.traj_id for tr in store.trajectories] == [43, 44]
-        assert all(tr.noise_level == 0.25 for tr in store.trajectories)
+        assert [tr.traj_id for tr in kept.trajectories] == [43, 44]
+        assert all(tr.noise_level == 0.25 for tr in kept.trajectories)
         assert all(r.parent_id == 42 for r in report.records)
 
     def test_passes_after_a_drop_name_the_original_ids(self, sched):
         # whole-trajectory segments keep their trajectory's id, so a pass
-        # after a commit names the trajectories of the first store, and so
-        # does the store the last pass leaves
+        # over a kept store names the trajectories of the first store, and
+        # so does the store the last pass keeps
         steps = [2, 5, 5, 0, 7, 5, 1, 3]
         store, policy, model = _step_store(steps, sched)
         for tr in store.trajectories:
@@ -739,7 +772,7 @@ class TestFilterDataset:
                                max_demo_len=100)] * 2]
         scored = list(levels)
         for cfg in cfgs:
-            report = filter_dataset(store, model, policy, cfg)
+            report, store = filter_dataset(store, model, policy, cfg)
             assert [r.parent_id for r in report.records] == scored
             assert all(r.segment_id == r.parent_id
                        and r.noise_level == levels[r.parent_id]
@@ -768,8 +801,8 @@ class TestReport:
     def test_report_serialization(self, sched, tmp_path):
         store, policy, model = _offset_store([0.0, 0.5, 0.7], sched)
         cfg = FilterConfig(min_demos=1, step_threshold=1, max_demo_len=100)
-        report = filter_dataset(store, model, policy, cfg,
-                                iteration=2500)
+        report, _ = filter_dataset(store, model, policy, cfg,
+                                   iteration=2500)
         path = str(tmp_path / "report.json")
         save_filter_report(report, path)
         payload = json.load(open(path))
@@ -785,7 +818,7 @@ class TestReport:
                                                             tmp_path):
         store, policy, model = _offset_store([0.0, 0.5, 0.7], sched)
         cfg = FilterConfig(min_demos=1, step_threshold=1, max_demo_len=100)
-        report = filter_dataset(store, model, policy, cfg, iteration=2500)
+        report, _ = filter_dataset(store, model, policy, cfg, iteration=2500)
         path = tmp_path / "report.json"
         save_filter_report(report, str(path))
         before = path.read_bytes()
@@ -811,7 +844,7 @@ def _level_report(sched, steps, levels):
     for tr, level in zip(store.trajectories, levels):
         tr.noise_level = level
     cfg = FilterConfig(min_demos=1, step_threshold=1, max_demo_len=100)
-    report = filter_dataset(store, model, policy, cfg, iteration=10)
+    report, _ = filter_dataset(store, model, policy, cfg, iteration=10)
     assert [r.predicted_step for r in report.records] == list(steps)
     return report
 

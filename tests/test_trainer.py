@@ -233,9 +233,9 @@ class TestTrainLoop:
         result = train(cfg, gauss_store, SeededRng(17), out_dir=out)
         _, _, bc_metrics = train_bc(cfg, gauss_store, SeededRng(18),
                                     out_dir=str(tmp_path / "bc"))
-        for path, metrics, seed, filtering in (
-                (out, result.metrics, 17, True),
-                (str(tmp_path / "bc"), bc_metrics, 18, False)):
+        for path, metrics, reports, seed, filtering in (
+                (out, result.metrics, result.filter_reports, 17, True),
+                (str(tmp_path / "bc"), bc_metrics, [], 18, False)):
             with open(os.path.join(path, "run.json")) as fh:
                 manifest = json.load(fh)
             assert set(manifest) == {
@@ -251,11 +251,12 @@ class TestTrainLoop:
             assert manifest["workers"] == 1   # no entry set a budget
             assert manifest["counters"] == metrics.counters
             assert manifest["wall_clock"] == metrics.wall_clock
-            assert manifest["filter_summaries"] == metrics.filter_summaries
+            assert manifest["filter_summaries"] == [
+                report.summary() for report in reports]
         assert set(result.metrics.wall_clock) == {"denoiser", "policy",
                                                   "ema", "filter"}
         assert len(manifest["filter_summaries"]) == 0  # BC never filters
-        assert len(result.metrics.filter_summaries) == 3
+        assert len(result.filter_reports) == 3
 
     def test_a_manifest_write_that_raises_keeps_the_old_run_json(
             self, gauss_store, tmp_path, monkeypatch):
@@ -284,6 +285,35 @@ class TestTrainLoop:
         assert result.metrics.counters["filter_passes"] == 0
         assert [tr.traj_id for tr in result.store.trajectories] == ids_before
         assert result.filter_reports == []
+
+    def test_dropping_passes_leave_the_given_store_as_it_was(self, tmp_path):
+        # threshold 10 is above every step and the floor keeps 5 and ties:
+        # the first two passes drop, and the run returns the store the
+        # last pass kept, while the store it was given keeps its columns,
+        # ids and env bit for bit
+        spec = make_env_spec("pointmass2d")
+        store = generate_demos(spec, default_expert(spec), [0.0, 0.5, 1.0],
+                               4, SeededRng(16))
+        columns = (store.states, store.actions, store.rewards,
+                   store.terminals)
+        before = [column.tobytes() for column in columns]
+        ids = [tr.traj_id for tr in store.trajectories]
+        cfg = tiny_cfg()
+        cfg.filter = FilterConfig(filter_every=10, min_demos=5,
+                                  step_threshold=10, max_demo_len=25)
+        result = train(cfg, store, SeededRng(18), str(tmp_path))
+        assert [r.n_dropped > 0 for r in result.filter_reports] == [
+            True, True, False]
+        last = result.filter_reports[-1]
+        assert result.store is not store
+        assert result.store.env is store.env is spec
+        assert [tr.traj_id for tr in result.store.trajectories] == [
+            r.segment_id for r in last.records if r.verdict == "keep"]
+        assert all(now is then for now, then in zip(
+            (store.states, store.actions, store.rewards, store.terminals),
+            columns))
+        assert [column.tobytes() for column in columns] == before
+        assert [tr.traj_id for tr in store.trajectories] == ids
 
     def test_filter_uses_ema_snapshots(self, gauss_store, tmp_path,
                                        monkeypatch):
