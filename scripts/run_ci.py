@@ -1,11 +1,11 @@
 """Run the CI workflow's steps on this machine.
 
-    python scripts/run_ci.py [--workflow .github/workflows/tests.yml]
+    python scripts/run_ci.py
 
-It runs every ``run:`` step that follows a job's Install step, in the
-workflow's order, from the repository root, each as its own ``bash -e``
-script, as the hosted runner runs a step that names no shell. Nothing is
-installed: a ``smile`` on PATH runs ``python -m smile`` with ``src`` on
+It runs every ``run:`` step of ``.github/workflows/tests.yml`` that follows
+a job's Install step, in the workflow's order, from the repository root,
+each as its own ``bash -e`` script, as the hosted runner runs a step that
+names no shell. Nothing is installed: a ``smile`` on PATH runs ``python -m smile`` with ``src`` on
 PYTHONPATH, and the steps' ``python`` is the interpreter that runs this
 script, as the hosted runner's is the one its setup step installed.
 RUNNER_TEMP is a fresh temporary directory, removed at the end, and
@@ -18,7 +18,6 @@ package: without it the script says so and exits with status 2.
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
@@ -27,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def run_steps(workflow: Path) -> list[tuple[str, str]]:
@@ -47,13 +47,9 @@ def write_shim(path: Path, command: str) -> None:
     path.chmod(0o755)
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workflow",
-                    default=str(ROOT / ".github" / "workflows" / "tests.yml"))
-    args = ap.parse_args(argv)
+def main(workflow: Path = WORKFLOW) -> int:
     try:
-        steps = run_steps(Path(args.workflow))
+        steps = run_steps(workflow)
     except ImportError:
         print("run_ci.py reads the workflow with PyYAML, which is not "
               "installed (it is no dependency of smile)", file=sys.stderr)

@@ -359,8 +359,13 @@ def train(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
     gen = _Part.of(cfg, "policy", policy,
                    lambda s, a: policy_loss(policy, model.sched, s, draw))
 
-    return TrainResult(model, policy, den.shadow, gen.shadow,
-                       *_run(cfg, store, rng, [den, gen], out_dir, filtering))
+    metrics, kept, reports = _run(cfg, store, rng, [den, gen], out_dir,
+                                  filtering)
+
+    return TrainResult(
+        noise_model=model, policy=policy,
+        ema_noise_model=den.shadow, ema_policy=gen.shadow,
+        metrics=metrics, store=kept, filter_reports=reports)
 
 
 def train_bc(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
@@ -374,7 +379,7 @@ def train_bc(cfg: TrainConfig, store: DemoStore, rng: SeededRng,
                           hidden=cfg.actor_hidden)
     part = _Part.of(cfg, "policy", baseline,
                     lambda s, a: bc_loss(baseline, s, a))
-    metrics = _run(cfg, store, rng, [part], out_dir)[0]
+    metrics, _, _ = _run(cfg, store, rng, [part], out_dir)
     return part.shadow, baseline, metrics
 
 

@@ -43,7 +43,7 @@ def test_runs_the_steps_after_install_and_stops_at_a_failure(tmp_path,
     workflow.write_text(WORKFLOW.format(exe=sys.executable))
     assert [name for name, _ in run_ci.run_steps(workflow)] == [
         "Shims and summary", "Fails", "Never runs"]
-    assert run_ci.main(["--workflow", str(workflow)]) == 1
+    assert run_ci.main(workflow) == 1
     out, err = capfd.readouterr()
     assert out.splitlines() == ["=== Shims and summary", "=== Fails",
                                 "=== step summary", "summary line"]
