@@ -20,14 +20,15 @@ def thread_budget() -> int:
     """The threads this process may use, read as OpenBLAS reads its own
     count: a positive OPENBLAS_NUM_THREADS, else a positive
     OMP_NUM_THREADS, else the usable cores; capped at the usable cores, as
-    OpenBLAS caps it. A value that is no positive integer counts as unset."""
+    OpenBLAS caps it. A value that is not a positive integer in ASCII
+    digits counts as unset."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
+        if value.isascii() and value.isdigit() and int(value) > 0:
             return min(int(value), cores)
     return cores
 

@@ -104,9 +104,10 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     demo_path = args.demos or _resolve(cfg, cfg.data.demo_file)
     # Training never sees rewards; they stay in the file for audits.
-    store = envs_mod.load_demos(demo_path, include_rewards=False)
-    _check_demos(cfg, demo_path, store)
-    store.env = cfg.env
+    loaded = envs_mod.load_demos(demo_path, include_rewards=False)
+    _check_demos(cfg, demo_path, loaded)
+    store = envs_mod.DemoStore(loaded.columns, loaded.rows, cfg.env,
+                               loaded.header_line)
     rng = SeededRng(derive_seed(cfg.seed, "train"))
 
     if args.bc_baseline:

@@ -201,34 +201,46 @@ def undiscounted_return(traj: Trajectory) -> float:
 class DemoStore:
     """Demonstration set held as one array per field, the rows of every
     trajectory in store order: ``states``, ``actions``, ``rewards`` (zeros
-    where a trajectory has none) and ``terminals``. Each of ``trajectories``
-    is a view of its rows of them.
+    where a trajectory has none) and ``terminals``, ``columns`` in that
+    order. Each of ``trajectories`` is a view of its rows of them, one per
+    (traj_id, length, noise_level, had_rewards) of ``rows`` (views).
 
     Batches drawn from the store carry only (state, action) pairs: rewards
-    never reach the optimizers. A store is built from ``trajectories``, in
-    order: one concatenation per column, and new views of it (a filter pass
-    hands in views of the rows it keeps, so each column is gathered once).
-    No method edits a built store; a filter pass builds a new one. A store
-    read from a demo file keeps the number of its header's line as
-    ``header_line``; any other store has None.
+    never reach the optimizers. A store is built once, from its columns and
+    rows (``DemoStore.of`` concatenates them from trajectories), and no code
+    edits it afterwards: its columns, and so all their views, are
+    read-only. A filter pass, a load without rewards and a run under
+    another env each build a new store. A store read from a demo file keeps
+    the number of its header's line as ``header_line``; any other has None.
     """
 
-    def __init__(self, trajectories: list[Trajectory],
-                 env: EnvSpec | None = None, header_line: int | None = None):
+    def __init__(self, columns, rows, env: EnvSpec | None = None,
+                 header_line: int | None = None):
         self.env = env
         self.header_line = header_line
-        ids = [tr.traj_id for tr in trajectories]
+        self.rows = tuple(map(tuple, rows))
+        ids = [row[0] for row in self.rows]
         if len(set(ids)) != len(ids):
             raise InvalidInputError("trajectory ids must be unique")
+        self.columns = tuple(columns)
+        self.states, self.actions, self.rewards, self.terminals = self.columns
+        for column in self.columns:
+            column.flags.writeable = False
+        self.trajectories = self.views(self.rows)
+
+    @classmethod
+    def of(cls, trajectories: list[Trajectory], env: EnvSpec | None = None,
+           header_line: int | None = None) -> DemoStore:
+        """The store of ``trajectories`` in order: one concatenation per
+        column, so a filter pass, which hands in views, gathers each once."""
         columns = zip(*((tr.states, tr.actions, np.zeros(len(tr))
                          if tr.rewards is None else tr.rewards, tr.terminals)
                         for tr in trajectories))
-        self.states, self.actions, self.rewards, self.terminals = (
-            [np.concatenate(column) for column in columns]
-            or [np.zeros((0, 0))] * 4)
-        self.trajectories = self.views([
-            (tr.traj_id, len(tr), tr.noise_level, tr.rewards is not None)
-            for tr in trajectories])
+        return cls([np.concatenate(column) for column in columns]
+                   or [np.zeros((0, 0))] * 4,
+                   [(tr.traj_id, len(tr), tr.noise_level,
+                     tr.rewards is not None) for tr in trajectories],
+                   env, header_line)
 
     def views(self, rows) -> list[Trajectory]:
         """One trajectory per (traj_id, length, noise_level, had_rewards)
@@ -327,7 +339,7 @@ def generate_demos(spec: EnvSpec, ctrl: ExpertController,
                 traj_id=len(trajectories), states=states, actions=actions,
                 rewards=rewards, terminals=terminals,
                 noise_level=float(level)))
-    return DemoStore(trajectories, env=spec)
+    return DemoStore.of(trajectories, env=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +436,10 @@ def _demo_lines(path: str, digest):
 
 
 def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
-    """Read a demo file. ``include_rewards=False`` strips rewards (every
-    trajectory's, and the store's column to zeros) so training paths cannot
-    touch them even by accident.
+    """Read a demo file into a store whose columns are read-only (DemoStore).
+    ``include_rewards=False`` returns a new store over the same states,
+    actions and terminals, with a zero rewards column and no trajectory's
+    rewards or return, so training paths cannot touch them even by accident.
 
     A byte that is not UTF-8, malformed JSON, a bad header (_header_env), a
     missing field, a traj_id or step that is not a JSON integer, a state or
@@ -438,11 +451,14 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
     trajectory each raise InvalidInputError naming path:line (a width error
     names the first line of its trajectory, a long one its first step past
     the horizon). A file with no transitions raises InvalidInputError naming
-    the path. Where a file has several faults, the first found is named:
-    each line's own (bytes, JSON, fields and their types) as the file is
-    read (_demo_lines), then each trajectory's, in the order of their first
-    lines, at the earliest line its checks find (widths and finite values
-    go unchecked beside an s, a or r that is not a number).
+    the path. Where a file has several faults, the earliest line is named,
+    with one exception: a fault of one line alone (bytes, JSON, fields and
+    their types) is raised as the file is read (_demo_lines), before any
+    trajectory is checked, because a trajectory checked on the lines read
+    so far can report a gap that a later line fills. Every trajectory's
+    checks run once the file is read, and the earliest line any of them
+    finds is named (widths and finite values go unchecked beside an s, a or
+    r that is not a number).
 
     Each parse that succeeds leaves the store it read, its four columns
     rewards and all, at ``path + ".store"``, keyed by sha256 over this
@@ -466,11 +482,13 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
         header, store = _parse_demos(path, digest)
         if regular:
             _write_copy(path, header, store, digest.digest())
-    if not include_rewards:
-        store.rewards[:] = 0.0
-        for tr in store.trajectories:
-            tr.rewards = tr.ret = None
-    return store
+    if include_rewards:
+        return store
+    return DemoStore(
+        (store.states, store.actions, np.zeros(store.transition_count),
+         store.terminals),
+        [(tid, length, level, False) for tid, length, level, _ in store.rows],
+        store.env, store.header_line)
 
 
 def _parse_demos(path: str, digest) -> tuple[dict, DemoStore]:
@@ -522,11 +540,11 @@ def _parse_demos(path: str, digest) -> tuple[dict, DemoStore]:
             raise InvalidInputError(
                 f"{path}:{no}: bad demo record: {exc!r}") from exc
     trajectories = []
+    faults = []   # (line, message) of each check that fails, in any trajectory
     for tid in list(rows):
         recs = rows.pop(tid)   # each file record is freed once it is read
         recs.sort(key=lambda rec: rec[0])
         steps, nos, states, actions, rewards, terminals, levels = zip(*recs)
-        faults = []   # (line, message) of each check that fails
         misplaced = np.asarray(steps) != np.arange(len(steps))
         if misplaced.any():
             i = int(np.argmax(misplaced))
@@ -564,13 +582,14 @@ def _parse_demos(path: str, digest) -> tuple[dict, DemoStore]:
                 elif not finite.all():
                     faults.append((int(min(np.asarray(nos)[~finite])),
                                    f"non-finite value in trajectory {tid}"))
-        if faults:
-            no, message = min(faults, key=lambda fault: fault[0])
-            raise InvalidInputError(f"{path}:{no}: {message}")
-        trajectories.append(Trajectory(
-            tid, states, actions, rewards if had_rewards else None,
-            np.asarray(terminals, dtype=bool), levels[0]))
-    return header, DemoStore(trajectories, env=env, header_line=head_no)
+        if not faults:
+            trajectories.append(Trajectory(
+                tid, states, actions, rewards if had_rewards else None,
+                np.asarray(terminals, dtype=bool), levels[0]))
+    if faults:
+        no, message = min(faults, key=lambda fault: fault[0])
+        raise InvalidInputError(f"{path}:{no}: {message}")
+    return header, DemoStore.of(trajectories, env, head_no)
 
 
 # ---------------------------------------------------------------------------
@@ -627,28 +646,23 @@ def _read_copy(path: str, source) -> DemoStore | None:
     n = sum(length for _, length, _, _ in rows)
     s, a = header["state_dim"], header["action_dim"]
     floats = np.frombuffer(data, "<f8", n * (s + a + 1), at)
-    store = DemoStore([], env=_header_env(path, header),
-                      header_line=meta["header_line"])
-    store.states = floats[:n * s].reshape(n, s)
-    store.actions = floats[n * s:n * (s + a)].reshape(n, a)
-    store.rewards = floats[n * (s + a):]
-    store.terminals = np.frombuffer(data, np.bool_, n, at + floats.nbytes)
-    store.trajectories = store.views(rows)
-    return store
+    return DemoStore(
+        (floats[:n * s].reshape(n, s), floats[n * s:n * (s + a)].reshape(n, a),
+         floats[n * (s + a):], np.frombuffer(data, np.bool_, n,
+                                             at + floats.nbytes)),
+        rows, _header_env(path, header), meta["header_line"])
 
 
 def _write_copy(path: str, header: dict, store: DemoStore, key: bytes):
     """Write the copy of ``store``, parsed from the file at ``path`` whose
     bytes have ``key``, beside it through ``atomic_write``; a directory it
     cannot write to gets none."""
-    rows = [[tr.traj_id, len(tr), tr.noise_level, tr.rewards is not None]
-            for tr in store.trajectories]
     meta = json.dumps({"header": header, "header_line": store.header_line,
-                       "trajectories": rows}).encode()
+                       "trajectories": store.rows}).encode()
     meta += b" " * (-len(meta) % 8)
     parts = [_COPY_MAGIC, key, len(meta).to_bytes(8, "little"), meta,
              *(column.astype("<f8", copy=False)
-               for column in (store.states, store.actions, store.rewards)),
+               for column in store.columns[:3]),
              store.terminals.view(np.uint8)]
     checksum = hashlib.sha256()
     try:

@@ -318,4 +318,4 @@ def filter_dataset(store: DemoStore, model, policy, cfg: FilterConfig,
     """
     records, kept_segments = score_dataset(store, model, policy, cfg)
     return (FilterReport(records, iteration=iteration),
-            DemoStore(kept_segments, env=store.env))
+            DemoStore.of(kept_segments, store.env))

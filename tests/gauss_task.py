@@ -136,4 +136,4 @@ def make_store(task: GaussianTask, rng: SeededRng, n_traj: int,
         trajectories.append(Trajectory(
             traj_id=tid, states=states, actions=actions, rewards=None,
             terminals=terminals))
-    return DemoStore(trajectories)
+    return DemoStore.of(trajectories)

@@ -279,7 +279,7 @@ class TestDemoStore:
         t0, t1 = store.trajectories
         t1.traj_id = t0.traj_id
         with pytest.raises(InvalidInputError):
-            DemoStore([t0, t1])
+            DemoStore.of([t0, t1])
 
     def test_sample_shapes_and_reward_free(self, pm):
         store = generate_demos(pm, default_expert(pm), [0.0], 2, SeededRng(1))
@@ -288,7 +288,7 @@ class TestDemoStore:
 
     def test_empty_sample_rejected(self):
         with pytest.raises(InvalidInputError):
-            DemoStore([]).sample(SeededRng(0), 4)
+            DemoStore.of([]).sample(SeededRng(0), 4)
 
 
 class TestDemoFile:
@@ -445,6 +445,21 @@ class TestDemoFile:
                            match=re.escape(f"{path}:{named}")):
             load_demos(str(path))
 
+    def test_the_earliest_fault_of_any_trajectory_is_named(self, tmp_path):
+        # trajectory 0 is on lines 2, 5 and 6 and repeats step 1 on line 6;
+        # trajectory 1 is on lines 3 and 4 and repeats step 0 on line 4
+        header = {"kind": "header", "format_version": 1, "state_dim": 1,
+                  "action_dim": 1}
+        recs = [{"traj_id": tid, "step": step, "s": [0.0], "a": [0.0],
+                 "r": 0.0, "terminal": False, "noise_level": 0.5}
+                for tid, step in ((0, 0), (1, 0), (1, 0), (0, 1), (0, 1))]
+        path = tmp_path / "six.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n"
+                                for r in [header, *recs]))
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"{path}:4: trajectory 1 has step 0 where step 1 belongs")):
+            load_demos(str(path))
+
     def test_a_width_error_names_the_trajectory_s_first_line(self,
                                                              tmp_path):
         # step 1 comes first in the file, on line 2, and step 0 on line 3
@@ -545,12 +560,13 @@ def demo_file(pm, tmp_path, case: str) -> str:
                            SeededRng(41))
     path = tmp_path / "demos.jsonl"
     if case == "envless_null_rewards":
-        store.env = None
-        store.trajectories[0].rewards = None
-        store.trajectories[3].rewards = None
+        store = DemoStore.of([
+            dataclasses.replace(tr, rewards=None) if i in (0, 3) else tr
+            for i, tr in enumerate(store.trajectories)])
     if case == "int_levels":
-        for tr in store.trajectories:
-            tr.noise_level = int(tr.noise_level)
+        store = DemoStore.of([
+            dataclasses.replace(tr, noise_level=int(tr.noise_level))
+            for tr in store.trajectories], store.env)
     save_demos(store, str(path), seed=41)
     if case == "crlf":
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
@@ -561,6 +577,22 @@ def demo_file(pm, tmp_path, case: str) -> str:
     if case == "blank_lines_first":   # the header on line 3
         path.write_bytes(b"\n \n" + path.read_bytes())
     return str(path)
+
+
+def filter_every_other_segment(store: DemoStore):
+    """(the store a filter pass over ``store`` keeps, a mask of its rows):
+    a denoiser that predicts the noise (1, 0) everywhere, and references
+    sigma_5 off the actions in every other 25-row segment, so those
+    segments score step 5 and are kept, the others 0."""
+    sched = build_schedule(10, 0.05, 0.6)
+    model = SimpleNamespace(sched=sched, predict=lambda s, a, t:
+                            np.broadcast_to([1.0, 0.0], a.shape))
+    steps = 5 * (np.arange(len(store.actions)) // 25 % 2)
+    refs = store.actions + np.outer(sched.sigmas[steps], [1.0, 0.0])
+    _, filtered = filter_dataset(store, model,
+                                 TablePolicy(store.states, refs),
+                                 FilterConfig(min_demos=1, max_demo_len=25))
+    return filtered, steps == 5
 
 
 class TestStoreCopy:
@@ -791,7 +823,7 @@ class TestStoreCopy:
                 rewards=rng.standard_normal(100), terminals=terminals,
                 noise_level=0.25 * (tid % 5)))
         path = str(tmp_path / "demos.jsonl")
-        save_demos(DemoStore(trajectories, env=make_env_spec()), path)
+        save_demos(DemoStore.of(trajectories, env=make_env_spec()), path)
         return path
 
     def test_a_hit_holds_a_fraction_of_the_parse_s_memory(self, tmp_path):
@@ -814,19 +846,8 @@ class TestStoreCopy:
                                    SeededRng(43))
         noisy = generate_demos(pm, default_expert(pm), [0.5], 3,
                                SeededRng(44))
-        # a denoiser that predicts the noise (1, 0) everywhere, and
-        # references sigma_5 off the actions in every other 25-row segment:
-        # those segments score step 5 and are kept, the others 0
-        sched = build_schedule(10, 0.05, 0.6)
-        model = SimpleNamespace(sched=sched, predict=lambda s, a, t:
-                                np.broadcast_to([1.0, 0.0], a.shape))
-        states, actions = noisy.states, noisy.actions
-        steps = 5 * (np.arange(len(actions)) // 25 % 2)
-        refs = actions + np.outer(sched.sigmas[steps], [1.0, 0.0])
-        _, filtered = filter_dataset(noisy, model, TablePolicy(states, refs),
-                                     FilterConfig(min_demos=1,
-                                                  max_demo_len=25))
-        assert np.array_equal(filtered.states, states[steps == 5])
+        filtered, kept = filter_every_other_segment(noisy)
+        assert np.array_equal(filtered.states, noisy.states[kept])
         for store in (generated, parsed, hit, filtered):
             columns = (store.states, store.actions, store.rewards,
                        store.terminals)
@@ -836,3 +857,39 @@ class TestStoreCopy:
                 for array, column in zip((tr.states, tr.actions, tr.rewards,
                                           tr.terminals), columns):
                     assert np.shares_memory(array, column)
+
+    def test_every_way_to_build_a_store_gives_read_only_columns(
+            self, pm, tmp_path, monkeypatch):
+        generated = generate_demos(pm, default_expert(pm), [0.0, 0.5], 3,
+                                   SeededRng(45))
+        path = str(tmp_path / "demos.jsonl")
+        save_demos(generated, path)
+        with monkeypatch.context() as m:
+            self.parse_only(m)
+            parsed, parsed_stripped = [load_demos(path, flag)
+                                       for flag in (True, False)]
+        read, hits = envs._read_copy, []
+        with monkeypatch.context() as m:
+            m.setattr(envs, "_parse_demos", None)   # a hit never parses
+            m.setattr(envs, "_read_copy",
+                      lambda *args: hits.append(read(*args)) or hits[-1])
+            hit, hit_stripped = [load_demos(path, flag)
+                                 for flag in (True, False)]
+        # a load without rewards builds a new store over the hit's arrays,
+        # and the hit's own rewards are left as the file has them
+        assert hits[0] is hit and hits[1] is not hit_stripped
+        for name in ("states", "actions", "terminals"):
+            assert getattr(hit_stripped, name) is getattr(hits[1], name)
+        assert np.array_equal(hits[1].rewards, generated.rewards)
+        for store in (parsed_stripped, hit_stripped):
+            assert not store.rewards.any()
+            assert all(tr.rewards is None and tr.ret is None
+                       for tr in store.trajectories)
+        filtered, _ = filter_every_other_segment(generated)
+        for store in (generated, parsed, hit, parsed_stripped, hit_stripped,
+                      filtered, DemoStore.of(generated.trajectories)):
+            columns = (store.states, store.actions, store.rewards,
+                       store.terminals)
+            assert not any(column.flags.writeable for column in columns)
+            with pytest.raises(ValueError, match="read-only"):
+                store.trajectories[0].states[0, 0] = 0.0

@@ -61,7 +61,7 @@ def predicted_step(model, policy, traj):
     """(predicted step, mean-Q curve) of one trajectory, scored by
     score_dataset as a store of one unsplit segment."""
     cfg = FilterConfig(min_demos=1, max_demo_len=10 ** 6)
-    records, _ = score_dataset(DemoStore([traj]), model, policy, cfg)
+    records, _ = score_dataset(DemoStore.of([traj]), model, policy, cfg)
     (rec,) = records
     return rec.predicted_step, np.asarray(rec.mean_q)
 
@@ -270,7 +270,7 @@ class TestQCurveClosedForm:
     DELTA = np.array([0.6, -0.4])         # a_ref = mu(s) + DELTA
 
     def score(self, sched, task, trajectories):
-        store = DemoStore(trajectories)
+        store = DemoStore.of(trajectories)
         states = store.states
         policy = TablePolicy(states, task.mu(states) + self.DELTA)
         records, _ = score_dataset(
@@ -339,7 +339,7 @@ class TestScoreDataset:
             states = task.sample_states(rng, 10)
             trajs.append(make_traj(states, task.sample_actions(rng, states),
                                    tid=tid))
-        store = DemoStore(trajs)
+        store = DemoStore.of(trajs)
         states, actions = store.states, store.actions
         oracle, table = OracleDenoiser(task, sched), TablePolicy(states,
                                                                  actions)
@@ -406,7 +406,7 @@ class TestScoreDatasetStoreIndependence:
         cfg = FilterConfig(min_demos=1)
         records, _ = score_dataset(store, model, policy, cfg)
         for tr in store.trajectories[::7]:
-            (alone,), _ = score_dataset(DemoStore([tr]), model, policy, cfg)
+            (alone,), _ = score_dataset(DemoStore.of([tr]), model, policy, cfg)
             (within,) = [r for r in records if r.parent_id == tr.traj_id]
             assert (alone.start, alone.stop, alone.predicted_step) == (
                 within.start, within.stop, within.predicted_step)
@@ -417,8 +417,8 @@ class TestScoreDatasetStoreIndependence:
         model, policy = real_nets(4, 2, 10)
         cfg = FilterConfig(min_demos=1)
         small = demo_store(5)
-        large = DemoStore([dataclasses.replace(tr, traj_id=i) for i, tr in
-                           enumerate(small.trajectories * 50)])
+        large = DemoStore.of([dataclasses.replace(tr, traj_id=i) for i, tr
+                              in enumerate(small.trajectories * 50)])
         peaks = [traced_peak(lambda: score_dataset(s, model, policy, cfg))
                  for s in (small, large)]
         assert peaks[1] <= 1.25 * peaks[0], peaks
@@ -435,7 +435,7 @@ def cut_store():
         rewards=np.concatenate([a.rewards, b.rewards]),
         terminals=np.concatenate([np.zeros(len(a), bool), b.terminals]),
         noise_level=a.noise_level)
-    return DemoStore([*trajs[:7], long])
+    return DemoStore.of([*trajs[:7], long])
 
 
 class _ThreadRecorder:
@@ -547,7 +547,8 @@ entrypoint()
     ({"OPENBLAS_NUM_THREADS": "x"}, "cores"),
     ({"OPENBLAS_NUM_THREADS": "64"}, 64),
     ({"OMP_NUM_THREADS": "1"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 1)])
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "²"}, "cores")])
 def test_the_entry_gives_the_thread_budget_to_workers_and_blas_one(
         env, budget):
     cores = len(os.sched_getaffinity(0))
@@ -596,7 +597,7 @@ def _offset_store(offsets, sched, n=4, dim=2, seed=0):
         trajs.append(make_traj(states, actions, tid=tid))
         refs.append(actions + off)
         vecs.append(np.full((n, dim), off))
-    store = DemoStore(trajs)
+    store = DemoStore.of(trajs)
     all_states = np.concatenate([t.states for t in trajs])
     policy = TablePolicy(all_states, np.concatenate(refs))
     model = _OffsetModel(all_states, np.concatenate(vecs), sched)
@@ -666,7 +667,7 @@ class TestFilterDataset:
         store, policy, model = _step_store(steps, sched)
         for tr in store.trajectories:
             tr.noise_level = 0.125 * tr.traj_id
-        store = DemoStore(store.trajectories, env=make_env_spec())
+        store = DemoStore.of(store.trajectories, env=make_env_spec())
         columns = (store.states, store.actions, store.rewards,
                    store.terminals)
         before = [column.copy() for column in columns]
@@ -733,8 +734,8 @@ class TestFilterDataset:
         kept = []
         for order in ([0, 1, 2, 3, 4, 5, 6, 7], [7, 6, 5, 4, 3, 2, 1, 0],
                       [3, 5, 0, 7, 2, 4, 6, 1], [1, 2, 5, 4, 0, 3, 6, 7]):
-            records, _ = score_dataset(DemoStore([trajs[i] for i in order]),
-                                       model, policy, cfg)
+            records, _ = score_dataset(
+                DemoStore.of([trajs[i] for i in order]), model, policy, cfg)
             kept.append(sorted(r.parent_id for r in records
                                if r.verdict == "keep"))
         assert kept[0] == ([0, 1, 2, 4, 5, 7] if threshold == 1
@@ -744,7 +745,7 @@ class TestFilterDataset:
     def test_segments_get_fresh_ids_and_provenance(self, sched):
         traj = make_traj(np.zeros((6, 2)), np.zeros((6, 2)), tid=42,
                          noise_level=0.25)
-        store = DemoStore([traj])
+        store = DemoStore.of([traj])
         policy = TablePolicy(traj.states, traj.actions + 0.5)
         model = _OffsetModel(traj.states, np.full((6, 2), 0.5), sched)
         cfg = FilterConfig(min_demos=1, step_threshold=1, max_demo_len=3)
@@ -785,7 +786,7 @@ class TestFilterDataset:
 
     def test_empty_store_rejected(self, sched):
         with pytest.raises(InvalidInputError):
-            filter_dataset(DemoStore([]), None, None, FilterConfig())
+            filter_dataset(DemoStore.of([]), None, None, FilterConfig())
 
     def test_bad_config_rejected(self, sched):
         store, policy, model = _offset_store([0.5], sched)

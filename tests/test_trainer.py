@@ -519,7 +519,7 @@ class TestTrainLoop:
     def test_empty_store_rejected(self, tmp_path):
         from smile.envs import DemoStore
         with pytest.raises(InvalidInputError):
-            train(tiny_cfg(), DemoStore([]), SeededRng(0), str(tmp_path))
+            train(tiny_cfg(), DemoStore.of([]), SeededRng(0), str(tmp_path))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -641,7 +641,7 @@ class TestAuditBins:
     def test_empty_store_rejected(self, sched):
         from smile.envs import DemoStore
         with pytest.raises(InvalidInputError):
-            audit_bins(DemoStore([]), [], 1.0)
+            audit_bins(DemoStore.of([]), [], 1.0)
 
     def test_missing_returns_rejected(self, sched):
         store, records = self._setup(sched)
