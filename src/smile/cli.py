@@ -94,8 +94,8 @@ def cmd_gen_data(args) -> int:
           f"({store.transition_count} transitions) to {path}")
     print("noise_level,episodes,mean_return")
     for level in dict.fromkeys(cfg.data.noise_levels):  # each level once
-        rets = [tr.ret for tr in store.trajectories
-                if tr.noise_level == level]
+        rets = [ret for (_, _, lv, _), ret in zip(store.rows, store.rets)
+                if lv == level]
         print(f"{level!r},{len(rets)},{float(np.mean(rets))!r}")
     return 0
 
@@ -139,7 +139,7 @@ def cmd_audit(args) -> int:
     cfg = load_config(args.config)
     store = envs_mod.load_demos(args.demos, include_rewards=True)
     _check_demos(cfg, args.demos, store)
-    if any(tr.ret is None for tr in store.trajectories):
+    if None in store.rets:
         raise ValidationError(
             f"demo file {args.demos} lacks rewards; audit needs returns")
     model = _load_actor(cfg, args.denoiser, "denoiser")

@@ -1,5 +1,5 @@
 """Synthetic continuous-control environments with analytic experts, the
-noisy-demonstration generator, trajectory containers, and demo file I/O.
+noisy-demonstration generator, the demo store, and demo file I/O.
 
 Two environments ship: a 2-D point mass (state = [px, py, vx, vy], action =
 planar acceleration) and a 1-D double integrator (state = [p, v]). Both use
@@ -11,8 +11,9 @@ Environments are value-semantic: stepping returns a fresh state, and the
 update broadcasts over leading batch axes, so parallel rollouts are just
 stacked states.
 
-A demo store (DemoStore) holds one array per field, and each trajectory is
-a view of its rows of them, so a transition is held once, whether the store
+A demo store (DemoStore) holds one array per field and one row per
+trajectory, and nothing else: a trajectory, and any segment of one, is a
+range of the columns' rows. So a transition is held once, whether the store
 was generated, parsed, read from its copy or kept by a filter pass.
 
 Demo files are JSON lines, the one input format. Parsing one takes most of
@@ -33,7 +34,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -151,16 +152,14 @@ class ExpertController:
     kd: float
 
 
-# Gains picked by a coarse grid search, which
+# (kp, kd), picked by a coarse grid search, which
 # tests/test_envs.py::TestExpert::test_gains_within_5pct_of_grid_best
-# re-runs; both environments share the dynamics so they share gains.
-DEFAULT_EXPERT_GAINS = {"pointmass2d": (9.0, 4.0),
-                        "double_integrator_1d": (9.0, 4.0)}
+# re-runs on each environment: they share the dynamics, so they share gains.
+EXPERT_GAINS = (9.0, 4.0)
 
 
 def default_expert(spec: EnvSpec) -> ExpertController:
-    kp, kd = DEFAULT_EXPERT_GAINS[spec.name]
-    return ExpertController(kp=kp, kd=kd)
+    return ExpertController(*EXPERT_GAINS)
 
 
 def expert_act(ctrl: ExpertController, spec: EnvSpec,
@@ -173,45 +172,27 @@ def expert_act(ctrl: ExpertController, spec: EnvSpec,
 
 
 # ---------------------------------------------------------------------------
-# Trajectories and the demo store
+# The demo store
 # ---------------------------------------------------------------------------
-
-@dataclass(slots=True)
-class Trajectory:
-    traj_id: int
-    states: np.ndarray            # (n, state_dim)
-    actions: np.ndarray           # (n, action_dim)
-    rewards: np.ndarray | None    # (n,) or None when stripped for training
-    terminals: np.ndarray         # (n,) bool
-    noise_level: float | None = None
-    ret: float | None = None      # undiscounted return; a store sets it
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-
-def undiscounted_return(traj: Trajectory) -> float:
-    """Plain reward sum (the gamma = 1 reporting convention)."""
-    if traj.rewards is None:
-        raise InvalidInputError(
-            f"trajectory {traj.traj_id} has no rewards stored")
-    return float(np.sum(traj.rewards))
-
 
 class DemoStore:
     """Demonstration set held as one array per field, the rows of every
     trajectory in store order: ``states``, ``actions``, ``rewards`` (zeros
     where a trajectory has none) and ``terminals``, ``columns`` in that
-    order. Each of ``trajectories`` is a view of its rows of them, one per
-    (traj_id, length, noise_level, had_rewards) of ``rows`` (views).
+    order. ``rows`` describes the trajectories, one (traj_id, length,
+    noise_level, had_rewards) each, and is their only description: the
+    rows of trajectory i are ``bounds[i]`` up to ``bounds[i + 1]`` of every
+    column, and its undiscounted return ``rets[i]`` is the plain sum of its
+    rewards, or None where it has none. A segment of it is a range of those
+    rows (expertise.segment_trajectories), never an object of its own.
 
     Batches drawn from the store carry only (state, action) pairs: rewards
     never reach the optimizers. A store is built once, from its columns and
-    rows (``DemoStore.of`` concatenates them from trajectories), and no code
-    edits it afterwards: its columns, and so all their views, are
-    read-only. A filter pass, a load without rewards and a run under
-    another env each build a new store. A store read from a demo file keeps
-    the number of its header's line as ``header_line``; any other has None.
+    rows (``DemoStore.of`` concatenates them from per-trajectory arrays),
+    and no code edits it afterwards: its columns are read-only. A filter
+    pass, a load without rewards and a run under another env each build a
+    new store. A store read from a demo file keeps the number of its
+    header's line as ``header_line``; any other has None.
     """
 
     def __init__(self, columns, rows, env: EnvSpec | None = None,
@@ -226,42 +207,31 @@ class DemoStore:
         self.states, self.actions, self.rewards, self.terminals = self.columns
         for column in self.columns:
             column.flags.writeable = False
-        self.trajectories = self.views(self.rows)
+        self.bounds = (0, *accumulate(row[1] for row in self.rows))
+        self.rets = tuple(
+            float(np.sum(self.rewards[start:stop])) if had_rewards else None
+            for (*_, had_rewards), start, stop in zip(
+                self.rows, self.bounds, self.bounds[1:]))
 
     @classmethod
-    def of(cls, trajectories: list[Trajectory], env: EnvSpec | None = None,
+    def of(cls, trajectories, env: EnvSpec | None = None,
            header_line: int | None = None) -> DemoStore:
-        """The store of ``trajectories`` in order: one concatenation per
-        column, so a filter pass, which hands in views, gathers each once."""
-        columns = zip(*((tr.states, tr.actions, np.zeros(len(tr))
-                         if tr.rewards is None else tr.rewards, tr.terminals)
-                        for tr in trajectories))
+        """The store of ``trajectories`` in order, each a ((traj_id,
+        noise_level), states, actions, rewards or None, terminals) tuple:
+        one concatenation per column."""
+        columns = zip(*((states, actions, np.zeros(len(states))
+                         if rewards is None else rewards, terminals)
+                        for _, states, actions, rewards, terminals
+                        in trajectories))
         return cls([np.concatenate(column) for column in columns]
                    or [np.zeros((0, 0))] * 4,
-                   [(tr.traj_id, len(tr), tr.noise_level,
-                     tr.rewards is not None) for tr in trajectories],
+                   [(tid, len(states), level, rewards is not None)
+                    for (tid, level), states, _, rewards, _ in trajectories],
                    env, header_line)
-
-    def views(self, rows) -> list[Trajectory]:
-        """One trajectory per (traj_id, length, noise_level, had_rewards)
-        row, each a view of the ``length`` rows after the last one's, with
-        rewards, and their sum as ``ret``, only where ``had_rewards``."""
-        trajectories, stop = [], 0
-        for tid, length, level, had_rewards in rows:
-            start, stop = stop, stop + length
-            tr = Trajectory(tid, *(column[start:stop] for column in (
-                self.states, self.actions, self.rewards, self.terminals)),
-                level)
-            if had_rewards:
-                tr.ret = undiscounted_return(tr)
-            else:
-                tr.rewards = None
-            trajectories.append(tr)
-        return trajectories
 
     @property
     def num_trajectories(self) -> int:
-        return len(self.trajectories)
+        return len(self.rows)
 
     @property
     def transition_count(self) -> int:
@@ -335,10 +305,8 @@ def generate_demos(spec: EnvSpec, ctrl: ExpertController,
                 x[:, 0] for x in rollout(spec, noisy_expert, spawn_rng, 1))
             terminals = np.zeros(spec.horizon, dtype=bool)
             terminals[-1] = True
-            trajectories.append(Trajectory(
-                traj_id=len(trajectories), states=states, actions=actions,
-                rewards=rewards, terminals=terminals,
-                noise_level=float(level)))
+            trajectories.append(((len(trajectories), float(level)),
+                                 states, actions, rewards, terminals))
     return DemoStore.of(trajectories, env=spec)
 
 
@@ -361,16 +329,17 @@ def save_demos(store: DemoStore, path: str, seed: int | None = None) -> None:
     }
     with atomic_write(path) as fh:
         fh.write(json.dumps(header) + "\n")
-        for tr in store.trajectories:
-            rewards = (tr.rewards.tolist() if tr.rewards is not None
-                       else [None] * len(tr))
+        for (tid, length, level, had_rewards), start, stop in zip(
+                store.rows, store.bounds, store.bounds[1:]):
+            rewards = (store.rewards[start:stop].tolist() if had_rewards
+                       else [None] * length)
             for i, (s, a, r, terminal) in enumerate(zip(
-                    tr.states.tolist(), tr.actions.tolist(), rewards,
-                    tr.terminals.tolist())):
+                    store.states[start:stop].tolist(),
+                    store.actions[start:stop].tolist(), rewards,
+                    store.terminals[start:stop].tolist())):
                 fh.write(json.dumps({
-                    "traj_id": tr.traj_id, "step": i, "s": s, "a": a, "r": r,
-                    "terminal": terminal, "noise_level": tr.noise_level})
-                    + "\n")
+                    "traj_id": tid, "step": i, "s": s, "a": a, "r": r,
+                    "terminal": terminal, "noise_level": level}) + "\n")
 
 
 def _numbers_only(*lists) -> bool:
@@ -583,9 +552,10 @@ def _parse_demos(path: str, digest) -> tuple[dict, DemoStore]:
                     faults.append((int(min(np.asarray(nos)[~finite])),
                                    f"non-finite value in trajectory {tid}"))
         if not faults:
-            trajectories.append(Trajectory(
-                tid, states, actions, rewards if had_rewards else None,
-                np.asarray(terminals, dtype=bool), levels[0]))
+            trajectories.append((
+                (tid, levels[0]), states, actions,
+                rewards if had_rewards else None,
+                np.asarray(terminals, dtype=bool)))
     if faults:
         no, message = min(faults, key=lambda fault: fault[0])
         raise InvalidInputError(f"{path}:{no}: {message}")
@@ -599,7 +569,7 @@ def _parse_demos(path: str, digest) -> tuple[dict, DemoStore]:
 # A copy is, in order: _COPY_MAGIC; the 32-byte key; the byte length of a
 # JSON text, as 8 little-endian bytes; that text, space-padded to a multiple
 # of 8 bytes, holding the file's header, its line and each trajectory's
-# [traj_id, length, noise_level, had_rewards] row (DemoStore.views); the
+# [traj_id, length, noise_level, had_rewards] row (DemoStore.rows); the
 # store's states, actions and rewards columns as little-endian float64; its
 # terminals column, one byte each; and the sha256 of everything before it.
 

@@ -9,22 +9,24 @@ the current policy and the segment's behavior policy: 0 means the policy is
 at least as good, larger means the segment is cleaner by that many steps.
 
 score_dataset is the one scoring path: it segments the store at terminals or
-max_demo_len and returns one record per segment, with its mean Q curve and
-predicted step. A segment's whole curve costs one policy call on its rows
-and one denoiser forward over T copies of them (q_curve_matrix). So no
-array larger than T * max_demo_len rows exists, whatever the store's size,
-and a segment's record depends only on its own rows and the two networks,
-not on the store around it. That makes segments independent work: they are
-scored on ``workers`` threads, each pulling the next segment from one
-shared counter, with the same bits as on one. ``workers`` is 1 unless the
-command-line entry (smile.__main__) sets it to the process's thread budget
-and pins BLAS to one thread.
+max_demo_len, each segment a (row, start, stop) range of one trajectory's
+rows of the store's columns, and returns one record per segment, with its
+mean Q curve and predicted step. A segment's whole curve costs one policy
+call on its rows and one denoiser forward over T copies of them
+(q_curve_matrix). So no array larger than T * max_demo_len rows exists,
+whatever the store's size, and a segment's record depends only on its own
+rows and the two networks, not on the store around it. That makes segments
+independent work: they are scored on ``workers`` threads, each pulling the
+next segment from one shared counter, with the same bits as on one.
+``workers`` is 1 unless the command-line entry (smile.__main__) sets it to
+the process's thread budget and pins BLAS to one thread.
 score_dataset also gives each segment its verdict, by one rule that does
 not look at store order: a segment is kept iff its step is above the step
 threshold or among the min_demos highest steps (ties with the last of them
 included). So every pass keeps at least min_demos segments, and no pass
-switches filtering off. filter_dataset builds the kept store; the audit's
-report and the return-bin audit (trainer.audit_bins) read the same records.
+switches filtering off. filter_dataset gathers the kept rows into a new
+store, through one index array for every column; the audit's report and the
+return-bin audit (trainer.audit_bins) read the same records.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import DemoStore, Trajectory
+from .envs import DemoStore
 from .errors import ConfigError, InvalidInputError
 from .mathcore import atomic_write
 
@@ -176,24 +178,27 @@ def q_curve_matrix(model, states: np.ndarray, targets: np.ndarray,
 # Segmentation and filtering
 # ---------------------------------------------------------------------------
 
-def segment_trajectories(trajectories: list[Trajectory],
-                         max_demo_len: int) -> list[tuple[Trajectory, int, int]]:
-    """Split trajectories at terminals or max_demo_len; yields
-    (parent, start, stop) index ranges in store order."""
+def segment_trajectories(store: DemoStore, max_demo_len: int
+                         ) -> list[tuple[int, int, int]]:
+    """Split the store's trajectories at terminals or max_demo_len; returns
+    a (row, start, stop) triple per segment, in store order: trajectory
+    ``row``'s steps start..stop - 1."""
     segments = []
-    for tr in trajectories:
+    for row, (first, end) in enumerate(zip(store.bounds, store.bounds[1:])):
         start = 0
-        for i in range(len(tr)):
-            if tr.terminals[i] or (i + 1 - start) >= max_demo_len:
-                segments.append((tr, start, i + 1))
+        for i, terminal in enumerate(store.terminals[first:end].tolist()):
+            if terminal or (i + 1 - start) >= max_demo_len:
+                segments.append((row, start, i + 1))
                 start = i + 1
-        if start < len(tr):
-            segments.append((tr, start, len(tr)))
+        if start < end - first:
+            segments.append((row, start, end - first))
     return segments
 
 
-def mean_q_curves(segments, model, policy) -> list[np.ndarray]:
-    """The mean Q curve of each (parent, start, stop) segment, in order.
+def mean_q_curves(store: DemoStore, segments, model,
+                  policy) -> list[np.ndarray]:
+    """The mean Q curve of each (row, start, stop) segment of ``store``, in
+    order.
 
     The calling thread and min(workers, number of segments) - 1 threads
     each take the next index from one shared counter, until none is left,
@@ -215,10 +220,12 @@ def mean_q_curves(segments, model, policy) -> list[np.ndarray]:
             for i in indices:
                 if i >= len(segments) or errors:
                     return
-                parent, start, stop = segments[i]
-                states = parent.states[start:stop]
+                row, start, stop = segments[i]
+                rows = slice(store.bounds[row] + start,
+                             store.bounds[row] + stop)
+                states = store.states[rows]
                 curves[i] = q_curve_matrix(
-                    model, states, parent.actions[start:stop],
+                    model, states, store.actions[rows],
                     policy.act(states)).mean(axis=1)
         except BaseException as exc:
             errors.append(exc)
@@ -240,8 +247,10 @@ def mean_q_curves(segments, model, policy) -> list[np.ndarray]:
 def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig):
     """Segment the store and score every segment without touching it.
 
-    Returns (records, kept_segments): per-segment reports with keep/drop
-    verdicts, and the segments that would remain. A segment that spans its
+    Returns (records, kept): per-segment reports with keep/drop verdicts,
+    and the (row, record) of each segment that would remain, in order. A
+    segment's return is the plain sum of its rewards, as a trajectory's is
+    (DemoStore.rets), or None where it has none. A segment that spans its
     trajectory keeps its id, so where none is cut (as at the defaults)
     every pass names the demo file's ids; the pieces of a cut one get fresh
     ids after the store's largest. With k = min(min_demos,
@@ -277,35 +286,33 @@ def score_dataset(store: DemoStore, model, policy, cfg: FilterConfig):
     """
     if store.num_trajectories == 0:
         raise InvalidInputError("cannot filter an empty store")
-    if any(len(tr) == 0 for tr in store.trajectories):
+    if any(length == 0 for _, length, _, _ in store.rows):
         raise InvalidInputError("cannot score an empty trajectory")
     cfg.validate(model.sched.T)
-    segments = segment_trajectories(store.trajectories, cfg.max_demo_len)
+    segments = segment_trajectories(store, cfg.max_demo_len)
 
-    curves = mean_q_curves(segments, model, policy)
+    curves = mean_q_curves(store, segments, model, policy)
     steps = [int(np.argmax(curve)) for curve in curves]
     k = min(cfg.min_demos, len(steps))
     cut = min(cfg.step_threshold, sorted(steps)[-k] - 1)
 
-    fresh = itertools.count(max(tr.traj_id for tr in store.trajectories) + 1)
-    # the segments tile the store in order, so each is a view of its rows
-    views = store.views([
-        (parent.traj_id if stop - start == len(parent) else next(fresh),
-         stop - start, parent.noise_level, parent.rewards is not None)
-        for parent, start, stop in segments])
+    fresh = itertools.count(max(row[0] for row in store.rows) + 1)
     records = []
-    kept_segments = []
-    for seg, (parent, start, stop), curve, step in zip(
-            views, segments, curves, steps):
-        keep = step > cut
-        if keep:
-            kept_segments.append(seg)
-        records.append(SegmentRecord(
-            segment_id=seg.traj_id, parent_id=parent.traj_id, start=start,
-            stop=stop, predicted_step=step, mean_q=curve.tolist(),
-            verdict="keep" if keep else "drop",
-            noise_level=seg.noise_level, ret=seg.ret))
-    return records, kept_segments
+    kept = []
+    for (row, start, stop), curve, step in zip(segments, curves, steps):
+        tid, length, level, had_rewards = store.rows[row]
+        first = store.bounds[row]
+        rec = SegmentRecord(
+            segment_id=tid if stop - start == length else next(fresh),
+            parent_id=tid, start=start, stop=stop, predicted_step=step,
+            mean_q=curve.tolist(), verdict="keep" if step > cut else "drop",
+            noise_level=level,
+            ret=float(np.sum(store.rewards[first + start:first + stop]))
+            if had_rewards else None)
+        records.append(rec)
+        if step > cut:
+            kept.append((row, rec))
+    return records, kept
 
 
 def filter_dataset(store: DemoStore, model, policy, cfg: FilterConfig,
@@ -316,6 +323,12 @@ def filter_dataset(store: DemoStore, model, policy, cfg: FilterConfig,
     min(min_demos, number of segments) of them. Nothing passed in is
     edited; callers hand in EMA snapshots of the models.
     """
-    records, kept_segments = score_dataset(store, model, policy, cfg)
+    records, kept = score_dataset(store, model, policy, cfg)
+    index = np.concatenate([
+        np.arange(store.bounds[row] + rec.start, store.bounds[row] + rec.stop)
+        for row, rec in kept])
     return (FilterReport(records, iteration=iteration),
-            DemoStore.of(kept_segments, store.env))
+            DemoStore([column[index] for column in store.columns],
+                      [(rec.segment_id, rec.stop - rec.start,
+                        rec.noise_level, store.rows[row][3])
+                       for row, rec in kept], store.env))

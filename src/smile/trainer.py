@@ -402,20 +402,18 @@ def audit_bins(store: DemoStore, records: list[SegmentRecord],
     """
     if store.num_trajectories == 0:
         raise InvalidInputError("cannot audit an empty store")
-    for tr in store.trajectories:
-        if tr.ret is None:
-            raise InvalidInputError(
-                f"trajectory {tr.traj_id} carries no return")
+    for (tid, *_), ret in zip(store.rows, store.rets):
+        if ret is None:
+            raise InvalidInputError(f"trajectory {tid} carries no return")
     q_sums, lengths = {}, {}
     for rec in records:
         n = rec.stop - rec.start
         q_sums[rec.parent_id] = (q_sums.get(rec.parent_id, 0.0)
                                  + n * np.asarray(rec.mean_q))
         lengths[rec.parent_id] = lengths.get(rec.parent_id, 0) + n
-    steps = np.asarray([int(np.argmax(q_sums[tr.traj_id]
-                                      / lengths[tr.traj_id]))
-                        for tr in store.trajectories])
-    rets = np.asarray([tr.ret for tr in store.trajectories])
+    steps = np.asarray([int(np.argmax(q_sums[tid] / lengths[tid]))
+                        for tid, *_ in store.rows])
+    rets = np.asarray(store.rets)
     lo = np.floor(rets.min() / width) * width
     hi = np.ceil(rets.max() / width) * width
     if hi <= lo:

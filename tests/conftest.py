@@ -128,6 +128,32 @@ def reference_q_curve_matrix(model, states, targets, refs, sched):
     return out
 
 
+def traj(states, actions, tid=0, level=None, rewards=None, terminals=None):
+    """One trajectory as DemoStore.of takes it, ((tid, level), states,
+    actions, rewards or None, terminals), from per-trajectory arrays: the
+    states and actions as float64 and, unless ``terminals`` is given, a
+    terminal at the last step only."""
+    states = np.asarray(states, dtype=np.float64)
+    if terminals is None:
+        terminals = np.arange(len(states)) == len(states) - 1
+    return ((tid, level), states, np.asarray(actions, dtype=np.float64),
+            None if rewards is None else np.asarray(rewards, dtype=np.float64),
+            np.asarray(terminals, dtype=bool))
+
+
+def trajs_of(store) -> list[tuple]:
+    """Each trajectory of ``store`` as DemoStore.of takes it (traj), its
+    arrays its rows of the store's columns, with None for the rewards of a
+    row without them: DemoStore.of(trajs_of(store), store.env) is a store
+    equal to ``store``."""
+    return [((tid, level),
+             *(column[start:stop] for column in store.columns[:2]),
+             store.rewards[start:stop] if had_rewards else None,
+             store.terminals[start:stop])
+            for (tid, _, level, had_rewards), start, stop in zip(
+                store.rows, store.bounds, store.bounds[1:])]
+
+
 def seal_checkpoint(payload: dict) -> dict:
     """Set a checkpoint payload's ``crc32`` to the CRC-32 of the canonical
     JSON (sorted keys) of its other keys, as the format defines it."""

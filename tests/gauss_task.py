@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from smile.envs import DemoStore, Trajectory
+from smile.envs import DemoStore
 from smile.mathcore import SeededRng
+
+from conftest import traj
 
 
 class GaussianTask:
@@ -130,10 +132,6 @@ def make_store(task: GaussianTask, rng: SeededRng, n_traj: int,
     trajectories = []
     for tid in range(n_traj):
         states = task.sample_states(rng, traj_len)
-        actions = task.sample_actions(rng, states)
-        terminals = np.zeros(traj_len, dtype=bool)
-        terminals[-1] = True
-        trajectories.append(Trajectory(
-            traj_id=tid, states=states, actions=actions, rewards=None,
-            terminals=terminals))
+        trajectories.append(traj(states, task.sample_actions(rng, states),
+                                 tid=tid))
     return DemoStore.of(trajectories)

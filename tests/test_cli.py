@@ -122,8 +122,8 @@ def test_gen_data_summarizes_each_level_once(tmp_path, capsys):
                                           ["1.0", "6"]]
     store = load_demos(str(tmp_path / "demos.jsonl"), include_rewards=True)
     for level, _, mean in table:
-        rets = [tr.ret for tr in store.trajectories
-                if tr.noise_level == float(level)]
+        rets = [ret for row, ret in zip(store.rows, store.rets)
+                if row[2] == float(level)]
         assert float(mean) == pytest.approx(np.mean(rets), rel=1e-12)
 
 

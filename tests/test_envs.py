@@ -15,16 +15,15 @@ from hypothesis import strategies as st
 
 import smile.envs as envs
 from smile.diffusion import build_schedule
-from smile.envs import (DemoStore, EnvState, Trajectory, default_expert,
-                        env_reset, env_step, expert_act, generate_demos,
-                        load_demos, make_env_spec, rollout,
-                        rollout_batch_returns, save_demos,
-                        undiscounted_return)
+from smile.envs import (DemoStore, EnvState, default_expert, env_reset,
+                        env_step, expert_act, generate_demos, load_demos,
+                        make_env_spec, rollout, rollout_batch_returns,
+                        save_demos)
 from smile.errors import ConfigError, EnvironmentFault, InvalidInputError
 from smile.expertise import FilterConfig, filter_dataset
 from smile.mathcore import SeededRng, derive_seed
 
-from conftest import traced_kept, traced_peak
+from conftest import traced_kept, traced_peak, traj, trajs_of
 from gauss_task import TablePolicy
 
 
@@ -116,9 +115,11 @@ class TestExpert:
         acts = expert_act(ctrl, pm, states)
         assert acts.min() >= pm.action_low and acts.max() <= pm.action_high
 
-    def test_gains_within_5pct_of_grid_best(self, pm):
+    @pytest.mark.parametrize("name", ["pointmass2d", "double_integrator_1d"])
+    def test_gains_within_5pct_of_grid_best(self, name):
         # coarse grid-search oracle over PD gains, scored above the
-        # random-policy floor
+        # random-policy floor; the two envs share their gains
+        pm = make_env_spec(name)
         rng = SeededRng(777)
         rand_rng = SeededRng(778)
 
@@ -183,14 +184,14 @@ class TestRollout:
     def test_one_episode_reproduces_level_zero_demo(self, pm):
         ctrl = default_expert(pm)
         rng = SeededRng(11)
-        traj = generate_demos(pm, ctrl, [0.0], 1, rng).trajectories[0]
+        store = generate_demos(pm, ctrl, [0.0], 1, rng)
         spawn = SeededRng(derive_seed(rng.seed, "demo-spawn:0"))
         states, actions, rewards = rollout(
             pm, lambda o: expert_act(ctrl, pm, o), spawn, 1)
-        assert traj.states.tobytes() == states[:, 0].tobytes()
-        assert traj.actions.tobytes() == actions[:, 0].tobytes()
-        assert traj.rewards.tobytes() == rewards[:, 0].tobytes()
-        assert traj.ret == float(rewards.sum())
+        assert store.states.tobytes() == states[:, 0].tobytes()
+        assert store.actions.tobytes() == actions[:, 0].tobytes()
+        assert store.rewards.tobytes() == rewards[:, 0].tobytes()
+        assert store.rets == (float(rewards.sum()),)
 
 
 class TestGenerateDemos:
@@ -200,24 +201,24 @@ class TestGenerateDemos:
                                SeededRng(6))
         assert store.num_trajectories == 50
         for lv in levels:
-            assert sum(1 for tr in store.trajectories
-                       if tr.noise_level == lv) == 10
+            assert sum(1 for row in store.rows if row[2] == lv) == 10
         assert store.transition_count == 50 * pm.horizon
 
     def test_level_zero_is_pure_expert(self, pm):
         ctrl = default_expert(pm)
         both = generate_demos(pm, ctrl, [0.0, 0.5], 3, SeededRng(7))
         only_zero = generate_demos(pm, ctrl, [0.0], 3, SeededRng(7))
-        for a, b in zip(only_zero.trajectories, both.trajectories[:3]):
-            assert np.array_equal(a.states, b.states)
-            assert np.array_equal(a.actions, b.actions)
+        n = only_zero.transition_count
+        assert only_zero.rows == both.rows[:3]
+        assert np.array_equal(only_zero.states, both.states[:n])
+        assert np.array_equal(only_zero.actions, both.actions[:n])
 
     def test_returns_decrease_with_level(self, pm):
         levels = [0.0, 0.25, 0.5, 0.75, 1.0]
         store = generate_demos(pm, default_expert(pm), levels, 10,
                                SeededRng(8))
-        means = [np.mean([tr.ret for tr in store.trajectories
-                          if tr.noise_level == lv]) for lv in levels]
+        means = [np.mean([ret for row, ret in zip(store.rows, store.rets)
+                          if row[2] == lv]) for lv in levels]
         # empirical degradation analogue: Spearman of level vs return <= -0.9
         from scipy.stats import spearmanr
         rho = spearmanr(levels, means).statistic
@@ -227,18 +228,17 @@ class TestGenerateDemos:
         levels = [0.0, 0.25, 0.5, 0.75, 1.0]
         store = generate_demos(di, default_expert(di), levels, 10,
                                SeededRng(9))
-        means = [np.mean([tr.ret for tr in store.trajectories
-                          if tr.noise_level == lv]) for lv in levels]
+        means = [np.mean([ret for row, ret in zip(store.rows, store.rets)
+                          if row[2] == lv]) for lv in levels]
         from scipy.stats import spearmanr
         assert spearmanr(levels, means).statistic <= -0.9
 
     def test_deterministic(self, pm):
         a = generate_demos(pm, default_expert(pm), [0.0, 0.5], 2, SeededRng(10))
         b = generate_demos(pm, default_expert(pm), [0.0, 0.5], 2, SeededRng(10))
-        for ta, tb in zip(a.trajectories, b.trajectories):
-            assert np.array_equal(ta.states, tb.states)
-            assert np.array_equal(ta.actions, tb.actions)
-            assert np.array_equal(ta.rewards, tb.rewards)
+        assert a.rows == b.rows
+        for x, y in zip(a.columns, b.columns):
+            assert np.array_equal(x, y)
 
     def test_negative_level_rejected(self, pm):
         with pytest.raises(InvalidInputError):
@@ -246,40 +246,67 @@ class TestGenerateDemos:
 
     def test_terminal_only_at_end(self, pm):
         store = generate_demos(pm, default_expert(pm), [0.0], 2, SeededRng(11))
-        for tr in store.trajectories:
-            assert not tr.terminals[:-1].any()
-            assert tr.terminals[-1]
+        assert (np.flatnonzero(store.terminals) + 1).tolist() == list(
+            store.bounds[1:])
 
 
 class TestReturns:
-    def _traj(self, rewards):
-        n = len(rewards)
-        return Trajectory(traj_id=0, states=np.zeros((n, 2)),
-                          actions=np.zeros((n, 1)),
-                          rewards=np.asarray(rewards, dtype=float),
-                          terminals=np.r_[np.zeros(n - 1, bool), True])
+    """A store's ``rets``: each trajectory's undiscounted return."""
+
+    @staticmethod
+    def rets(*rewards):
+        return DemoStore.of([
+            traj(np.zeros((len(r), 2)), np.zeros((len(r), 1)), tid=i,
+                 rewards=r) for i, r in enumerate(rewards)]).rets
 
     def test_zero_rewards(self):
-        assert undiscounted_return(self._traj([0.0, 0.0])) == 0.0
+        assert self.rets([0.0, 0.0]) == (0.0,)
 
     def test_undiscounted_is_plain_sum(self):
-        traj = self._traj([1.0, -2.0, 0.5])
-        assert undiscounted_return(traj) == pytest.approx(-0.5)
+        assert self.rets([1.0, -2.0, 0.5], [3.0]) == (
+            pytest.approx(-0.5), 3.0)
 
     def test_missing_rewards(self):
-        traj = self._traj([1.0])
-        traj.rewards = None
-        with pytest.raises(InvalidInputError):
-            undiscounted_return(traj)
+        store = DemoStore.of([traj(np.zeros((2, 2)), np.zeros((2, 1))),
+                              traj(np.zeros((1, 2)), np.zeros((1, 1)), tid=1,
+                                   rewards=[1.0])])
+        assert store.rets == (None, 1.0)
+
+    @pytest.mark.parametrize("copy", [False, True])
+    def test_returns_are_the_bits_of_each_episode_s_reward_sum(
+            self, pm, tmp_path, monkeypatch, copy):
+        # float(np.sum(r)) of the reward array each rollout returned, bit
+        # for bit, also for the store read back from its copy:
+        # np.add.reduceat over the column sums in another order and changes
+        # 27 of these 50 returns
+        episodes = []
+
+        def recording(*args):
+            out = rollout(*args)
+            episodes.append(out[2][:, 0])
+            return out
+
+        monkeypatch.setattr(envs, "rollout", recording)
+        store = generate_demos(pm, default_expert(pm),
+                               list(envs.DEFAULT_NOISE_LEVELS), 10,
+                               SeededRng(31))
+        if copy:
+            path = str(tmp_path / "demos.jsonl")
+            save_demos(store, path)
+            load_demos(path)                       # the parse writes it
+            monkeypatch.setattr(envs, "_parse_demos", None)
+            store = load_demos(path)
+        assert len(episodes) == len(store.rets) == 50
+        assert np.asarray(store.rets).tobytes() == np.asarray(
+            [float(np.sum(r)) for r in episodes]).tobytes()
 
 
 class TestDemoStore:
     def test_duplicate_ids_rejected(self, pm):
         store = generate_demos(pm, default_expert(pm), [0.0], 2, SeededRng(1))
-        t0, t1 = store.trajectories
-        t1.traj_id = t0.traj_id
-        with pytest.raises(InvalidInputError):
-            DemoStore.of([t0, t1])
+        first, second = store.rows
+        with pytest.raises(InvalidInputError, match="unique"):
+            DemoStore(store.columns, [first, (first[0], *second[1:])])
 
     def test_sample_shapes_and_reward_free(self, pm):
         store = generate_demos(pm, default_expert(pm), [0.0], 2, SeededRng(1))
@@ -299,13 +326,9 @@ class TestDemoFile:
         save_demos(store, path, seed=12)
         loaded = load_demos(path)
         assert loaded.env.name == pm.name
-        assert loaded.num_trajectories == store.num_trajectories
-        for a, b in zip(store.trajectories, loaded.trajectories):
-            assert np.array_equal(a.states, b.states)
-            assert np.array_equal(a.actions, b.actions)
-            assert np.array_equal(a.rewards, b.rewards)
-            assert np.array_equal(a.terminals, b.terminals)
-            assert a.noise_level == b.noise_level
+        assert (loaded.rows, loaded.rets) == (store.rows, store.rets)
+        for a, b in zip(store.columns, loaded.columns):
+            assert np.array_equal(a, b)
 
     def test_envless_store_roundtrips(self, pm, tmp_path):
         # save_demos writes a null env and horizon for a store without env
@@ -328,7 +351,10 @@ class TestDemoFile:
         save_demos(store, str(path))
         before = path.read_bytes()
         # not JSON: the save fails at the third trajectory's first line
-        store.trajectories[2].noise_level = object()
+        store = DemoStore(store.columns, [
+            (tid, n, object() if i == 2 else level, had_rewards)
+            for i, (tid, n, level, had_rewards) in enumerate(store.rows)],
+            store.env)
         with pytest.raises(TypeError):
             save_demos(store, str(path))
         assert path.read_bytes() == before
@@ -356,8 +382,8 @@ class TestDemoFile:
         path = str(tmp_path / "demos.jsonl")
         save_demos(store, path)
         stripped = load_demos(path, include_rewards=False)
-        assert all(tr.rewards is None for tr in stripped.trajectories)
-        assert all(tr.ret is None for tr in stripped.trajectories)
+        assert [row[3] for row in stripped.rows] == [False]
+        assert stripped.rets == (None,)
         assert not stripped.rewards.any()
 
     def test_peak_memory_below_four_times_the_file(self, pm, tmp_path):
@@ -378,12 +404,9 @@ class TestDemoFile:
         crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         a, b = load_demos(str(path)), load_demos(str(crlf))
         assert a.env == b.env
-        for x, y in zip(a.trajectories, b.trajectories):
-            for field in ("states", "actions", "rewards", "terminals"):
-                assert getattr(x, field).tobytes() == \
-                    getattr(y, field).tobytes()
-            assert (x.traj_id, x.noise_level, x.ret) == (
-                y.traj_id, y.noise_level, y.ret)
+        for x, y in zip(a.columns, b.columns, strict=True):
+            assert x.tobytes() == y.tobytes()
+        assert (a.rows, a.rets) == (b.rows, b.rets)
 
     def test_bad_byte_on_a_late_line_names_it(self, pm, tmp_path):
         store = generate_demos(pm, default_expert(pm), [0.3], 2,
@@ -529,21 +552,18 @@ class TestDemoFile:
             path = f"{tmp}/d{seed}_{n}.jsonl"
             save_demos(store, path, seed=seed)
             loaded = load_demos(path)
-        for a, b in zip(store.trajectories, loaded.trajectories):
-            assert np.array_equal(a.states, b.states)
-            assert np.array_equal(a.actions, b.actions)
-            assert np.array_equal(a.rewards, b.rewards)
+        assert loaded.rows == store.rows
+        for a, b in zip(store.columns, loaded.columns):
+            assert np.array_equal(a, b)
 
 
 def fingerprint(store: DemoStore):
-    """Every field of a loaded store, arrays as dtype, shape and bytes and
-    each noise level with its Python type."""
-    def array(a):
-        return None if a is None else (a.dtype.str, a.shape, a.tobytes())
-    return (store.env, array(store.states), array(store.actions),
-            [(tr.traj_id, type(tr.noise_level), tr.noise_level, tr.ret,
-              *map(array, (tr.states, tr.actions, tr.rewards, tr.terminals)))
-             for tr in store.trajectories], store.header_line)
+    """Every field of a loaded store, columns as dtype, shape and bytes and
+    each row with its noise level's Python type."""
+    return (store.env, [(a.dtype.str, a.shape, a.tobytes())
+                        for a in store.columns],
+            [(*row, type(row[2])) for row in store.rows], store.rets,
+            store.header_line)
 
 
 def outcome(path: str, include_rewards: bool = True):
@@ -561,12 +581,13 @@ def demo_file(pm, tmp_path, case: str) -> str:
     path = tmp_path / "demos.jsonl"
     if case == "envless_null_rewards":
         store = DemoStore.of([
-            dataclasses.replace(tr, rewards=None) if i in (0, 3) else tr
-            for i, tr in enumerate(store.trajectories)])
+            (row, states, actions, None if i in (0, 3) else rewards, ends)
+            for i, (row, states, actions, rewards, ends)
+            in enumerate(trajs_of(store))])
     if case == "int_levels":
-        store = DemoStore.of([
-            dataclasses.replace(tr, noise_level=int(tr.noise_level))
-            for tr in store.trajectories], store.env)
+        store = DemoStore.of([((tid, int(level)), *arrays)
+                              for (tid, level), *arrays in trajs_of(store)],
+                             store.env)
     save_demos(store, str(path), seed=41)
     if case == "crlf":
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
@@ -620,14 +641,17 @@ class TestStoreCopy:
             m.setattr(envs, "_parse_demos", None)   # a hit never parses
             hit = {flag: outcome(path, flag) for flag in (True, False)}
         assert hit == parsed
-        levels = {type(tr[2]) for tr in parsed[True][3]}
+        env, _, rows, rets, header_line = parsed[True]
+        levels = {type(row[2]) for row in rows}
         assert levels == ({int} if case == "int_levels" else {float})
-        assert parsed[True][4] == (3 if case == "blank_lines_first" else 1)
+        assert header_line == (3 if case == "blank_lines_first" else 1)
         if case == "envless_null_rewards":
-            assert parsed[True][0] is None
-            assert [tr[6] is None for tr in parsed[True][3]] == [
+            assert env is None
+            assert [ret is None for ret in rets] == [
+                not row[3] for row in rows] == [
                 True, False, False, True, False, False]
-        assert all(tr[3] is None and tr[6] is None for tr in parsed[False][3])
+        _, _, rows, rets, _ = parsed[False]
+        assert not any(row[3] for row in rows) and set(rets) == {None}
 
     def test_the_key_covers_the_loader_source_and_the_file_bytes(
             self, pm, tmp_path):
@@ -815,13 +839,10 @@ class TestStoreCopy:
         rng = SeededRng(42)
         trajectories = []
         for tid in range(250):
-            terminals = np.zeros(100, dtype=bool)
-            terminals[-1] = True
-            trajectories.append(Trajectory(
-                traj_id=tid, states=rng.standard_normal((100, 4)),
-                actions=rng.standard_normal((100, 2)),
-                rewards=rng.standard_normal(100), terminals=terminals,
-                noise_level=0.25 * (tid % 5)))
+            trajectories.append(traj(
+                rng.standard_normal((100, 4)), rng.standard_normal((100, 2)),
+                tid=tid, level=0.25 * (tid % 5),
+                rewards=rng.standard_normal(100)))
         path = str(tmp_path / "demos.jsonl")
         save_demos(DemoStore.of(trajectories, env=make_env_spec()), path)
         return path
@@ -852,11 +873,7 @@ class TestStoreCopy:
             columns = (store.states, store.actions, store.rewards,
                        store.terminals)
             assert all(column.flags.c_contiguous for column in columns)
-            assert sum(map(len, store.trajectories)) == len(store.states)
-            for tr in store.trajectories:
-                for array, column in zip((tr.states, tr.actions, tr.rewards,
-                                          tr.terminals), columns):
-                    assert np.shares_memory(array, column)
+            assert store.bounds[-1] == len(store.states)
 
     def test_every_way_to_build_a_store_gives_read_only_columns(
             self, pm, tmp_path, monkeypatch):
@@ -883,13 +900,13 @@ class TestStoreCopy:
         assert np.array_equal(hits[1].rewards, generated.rewards)
         for store in (parsed_stripped, hit_stripped):
             assert not store.rewards.any()
-            assert all(tr.rewards is None and tr.ret is None
-                       for tr in store.trajectories)
+            assert not any(row[3] for row in store.rows)
+            assert set(store.rets) == {None}
         filtered, _ = filter_every_other_segment(generated)
         for store in (generated, parsed, hit, parsed_stripped, hit_stripped,
-                      filtered, DemoStore.of(generated.trajectories)):
+                      filtered, DemoStore.of(trajs_of(generated))):
             columns = (store.states, store.actions, store.rewards,
                        store.terminals)
             assert not any(column.flags.writeable for column in columns)
             with pytest.raises(ValueError, match="read-only"):
-                store.trajectories[0].states[0, 0] = 0.0
+                store.states[0, 0] = 0.0

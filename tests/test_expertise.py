@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -15,8 +14,8 @@ from scipy import stats
 import smile
 import smile.expertise as expertise_mod
 from smile.diffusion import NoiseModel, diffuse
-from smile.envs import (DemoStore, Trajectory, default_expert,
-                        generate_demos, make_env_spec)
+from smile.envs import (DemoStore, default_expert, generate_demos,
+                        make_env_spec)
 from smile.errors import ConfigError, InvalidInputError
 from smile.expertise import (FilterConfig, filter_dataset, q_curve_matrix,
                              save_filter_report, score_dataset,
@@ -26,18 +25,9 @@ from smile.mathcore import SeededRng
 from smile.policy import GeneratorPolicy
 
 from conftest import (float32_rounding_bound, forward_stage_lengths,
-                      reference_q_curve_matrix, traced_peak)
+                      reference_q_curve_matrix, traced_peak, traj, trajs_of)
 from gauss_task import (GaussianTask, OracleDenoiser, TablePolicy,
                         expected_q_curve, q_row_variance)
-
-
-def make_traj(states, actions, tid=0, noise_level=None):
-    n = len(states)
-    terminals = np.zeros(n, dtype=bool)
-    terminals[-1] = True
-    return Trajectory(traj_id=tid, states=np.asarray(states, float),
-                      actions=np.asarray(actions, float), rewards=None,
-                      terminals=terminals, noise_level=noise_level)
 
 
 class _OffsetModel:
@@ -57,11 +47,11 @@ class _OffsetModel:
         return self.vecs[idx] / self.sched.sigmas[-1]
 
 
-def predicted_step(model, policy, traj):
-    """(predicted step, mean-Q curve) of one trajectory, scored by
-    score_dataset as a store of one unsplit segment."""
+def predicted_step(model, policy, demo):
+    """(predicted step, mean-Q curve) of one trajectory (conftest.traj),
+    scored by score_dataset as a store of one unsplit segment."""
     cfg = FilterConfig(min_demos=1, max_demo_len=10 ** 6)
-    records, _ = score_dataset(DemoStore.of([traj]), model, policy, cfg)
+    records, _ = score_dataset(DemoStore.of([demo]), model, policy, cfg)
     (rec,) = records
     return rec.predicted_step, np.asarray(rec.mean_q)
 
@@ -190,9 +180,9 @@ class TestPredictStep:
         oracle = OracleDenoiser(task, sched)
         states = task.sample_states(rng, 50)
         actions = task.mu(states)
-        traj = make_traj(states, actions)
+        demo = traj(states, actions)
         policy = TablePolicy(states, actions)
-        assert predicted_step(oracle, policy, traj)[0] == 0
+        assert predicted_step(oracle, policy, demo)[0] == 0
 
     @pytest.mark.parametrize("t", [3, 5, 7])
     def test_diffused_reference_recovers_step(self, sched, t):
@@ -206,9 +196,9 @@ class TestPredictStep:
             states = task.sample_states(rng, 300)
             a0 = task.sample_actions(rng, states)
             refs = diffuse(a0, t, sched, rng.standard_normal(a0.shape))
-            traj = make_traj(states, a0)
+            demo = traj(states, a0)
             policy = TablePolicy(states, refs)
-            step, curve = predicted_step(oracle, policy, traj)
+            step, curve = predicted_step(oracle, policy, demo)
             assert len(curve) == sched.T + 1
             hits += step == t
         assert hits >= 9
@@ -224,9 +214,9 @@ class TestPredictStep:
             states = task.sample_states(rng, 400)
             a0 = task.sample_actions(rng, states)
             noisy = diffuse(a0, 2, sched, rng.standard_normal(a0.shape))
-            traj = make_traj(states, noisy)
+            demo = traj(states, noisy)
             policy = TablePolicy(states, a0)
-            zeros += predicted_step(oracle, policy, traj)[0] == 0
+            zeros += predicted_step(oracle, policy, demo)[0] == 0
         assert zeros >= 9
 
     def test_noisier_reference_keep_direction(self, sched, rng):
@@ -237,25 +227,23 @@ class TestPredictStep:
         states = task.sample_states(rng, 400)
         a0 = task.sample_actions(rng, states)
         refs = diffuse(a0, 6, sched, rng.standard_normal(a0.shape))
-        traj = make_traj(states, a0)
-        step, _ = predicted_step(oracle, TablePolicy(states, refs), traj)
+        demo = traj(states, a0)
+        step, _ = predicted_step(oracle, TablePolicy(states, refs), demo)
         assert step > 0
 
     def test_empty_trajectory_rejected(self, sched):
-        traj = Trajectory(traj_id=0, states=np.zeros((0, 2)),
-                          actions=np.zeros((0, 2)), rewards=None,
-                          terminals=np.zeros(0, dtype=bool))
         with pytest.raises(InvalidInputError):
-            predicted_step(None, None, traj)
+            predicted_step(None, None, traj(np.zeros((0, 2)),
+                                            np.zeros((0, 2))))
 
     def test_tie_breaks_toward_smallest(self, sched, rng):
         # zero offset makes the whole curve flat: argmax must return 0
         states = rng.standard_normal((5, 2))
         actions = rng.standard_normal((5, 2))
-        traj = make_traj(states, actions)
+        demo = traj(states, actions)
         model = _OffsetModel(states, np.zeros((5, 2)), sched)
         policy = TablePolicy(states, actions)
-        assert predicted_step(model, policy, traj)[0] == 0
+        assert predicted_step(model, policy, demo)[0] == 0
 
 
 class TestQCurveClosedForm:
@@ -286,9 +274,9 @@ class TestQCurveClosedForm:
         for sigma_k in (0.1, 0.3, 0.6):
             for _ in range(2):
                 states = task.sample_states(rng, self.N)
-                trajectories.append(make_traj(
+                trajectories.append(traj(
                     states, task.sample_actions(rng, states, sigma_k),
-                    tid=len(trajectories), noise_level=sigma_k))
+                    tid=len(trajectories), level=sigma_k))
         for rec in self.score(sched, task, trajectories):
             sigma_k = rec.noise_level
             want = expected_q_curve(task, sched, sigma_k, self.DELTA)
@@ -310,8 +298,8 @@ class TestQCurveClosedForm:
         z = rng.standard_normal((self.N, 2))
         mu = task.mu(states)
         rec1, rec2 = self.score(sched, task, [
-            make_traj(states, mu + s1 * z, tid=0, noise_level=s1),
-            make_traj(states, mu + s2 * z, tid=1, noise_level=s2)])
+            traj(states, mu + s1 * z, tid=0, level=s1),
+            traj(states, mu + s2 * z, tid=1, level=s2)])
         d = task.action_dim
         closed = (expected_q_curve(task, sched, s1, self.DELTA)
                   - expected_q_curve(task, sched, s2, self.DELTA))
@@ -337,8 +325,8 @@ class TestScoreDataset:
         for tid in range(6):
             rng = SeededRng(21 + tid)
             states = task.sample_states(rng, 10)
-            trajs.append(make_traj(states, task.sample_actions(rng, states),
-                                   tid=tid))
+            trajs.append(traj(states, task.sample_actions(rng, states),
+                              tid=tid))
         store = DemoStore.of(trajs)
         states, actions = store.states, store.actions
         oracle, table = OracleDenoiser(task, sched), TablePolicy(states,
@@ -405,9 +393,10 @@ class TestScoreDatasetStoreIndependence:
         model, policy = real_nets(4, 2, 10)
         cfg = FilterConfig(min_demos=1)
         records, _ = score_dataset(store, model, policy, cfg)
-        for tr in store.trajectories[::7]:
-            (alone,), _ = score_dataset(DemoStore.of([tr]), model, policy, cfg)
-            (within,) = [r for r in records if r.parent_id == tr.traj_id]
+        for demo in trajs_of(store)[::7]:
+            (alone,), _ = score_dataset(DemoStore.of([demo]), model, policy,
+                                        cfg)
+            (within,) = [r for r in records if r.parent_id == demo[0][0]]
             assert (alone.start, alone.stop, alone.predicted_step) == (
                 within.start, within.stop, within.predicted_step)
             assert (np.asarray(alone.mean_q).tobytes()
@@ -417,8 +406,8 @@ class TestScoreDatasetStoreIndependence:
         model, policy = real_nets(4, 2, 10)
         cfg = FilterConfig(min_demos=1)
         small = demo_store(5)
-        large = DemoStore.of([dataclasses.replace(tr, traj_id=i) for i, tr
-                              in enumerate(small.trajectories * 50)])
+        large = DemoStore.of([((i, demo[0][1]), *demo[1:]) for i, demo
+                              in enumerate(trajs_of(small) * 50)])
         peaks = [traced_peak(lambda: score_dataset(s, model, policy, cfg))
                  for s in (small, large)]
         assert peaks[1] <= 1.25 * peaks[0], peaks
@@ -427,14 +416,11 @@ class TestScoreDatasetStoreIndependence:
 def cut_store():
     """Seven whole trajectories of 100 transitions and one of 200, which a
     max_demo_len of 100 cuts in two: 9 segments."""
-    trajs = demo_store(9).trajectories
-    a, b = trajs[7:]
-    long = Trajectory(
-        traj_id=7, states=np.concatenate([a.states, b.states]),
-        actions=np.concatenate([a.actions, b.actions]),
-        rewards=np.concatenate([a.rewards, b.rewards]),
-        terminals=np.concatenate([np.zeros(len(a), bool), b.terminals]),
-        noise_level=a.noise_level)
+    trajs = trajs_of(demo_store(9))
+    ((_, level), *a), (_, *b) = trajs[7:]
+    long = traj(*(np.concatenate(pair) for pair in zip(a[:2], b[:2])),
+                tid=7, level=level, rewards=np.concatenate([a[2], b[2]]),
+                terminals=np.r_[np.zeros(len(a[0]), bool), b[3]])
     return DemoStore.of([*trajs[:7], long])
 
 
@@ -478,11 +464,8 @@ class TestScoreDatasetWorkers:
             assert (np.asarray(a.mean_q).tobytes()
                     == np.asarray(b.mean_q).tobytes())
             assert {**vars(a), "mean_q": None} == {**vars(b), "mean_q": None}
-        for a, b in zip(kept, kept3, strict=True):
-            assert (a.traj_id, a.noise_level, a.ret) == (
-                b.traj_id, b.noise_level, b.ret)
-            for field in ("states", "actions", "rewards", "terminals"):
-                assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert [(row, vars(rec)) for row, rec in kept] == [
+            (row, vars(rec)) for row, rec in kept3]
 
     def test_eight_workers_lose_no_curve_under_fast_switching(
             self, monkeypatch):
@@ -508,9 +491,9 @@ class TestScoreDatasetWorkers:
             self, monkeypatch, failing):
         store = cut_store()
         _, policy = real_nets(4, 2, 10, seed=2)
-        (parent, start, _), = [seg for i, seg in enumerate(
-            segment_trajectories(store.trajectories, 100)) if i == failing]
-        recorder = _ThreadRecorder(policy, fail_at=parent.states[start])
+        row, start, _ = segment_trajectories(store, 100)[failing]
+        recorder = _ThreadRecorder(
+            policy, fail_at=store.states[store.bounds[row] + start])
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="the failing segment"):
             self.score(monkeypatch, 3, store, recorder)
@@ -566,53 +549,61 @@ def test_the_entry_gives_the_thread_budget_to_workers_and_blas_one(
     assert proc.stdout.splitlines()[-1] == f"{budget} 1"
 
 
+def _segments(max_demo_len, *terminals):
+    """segment_trajectories over a store of one trajectory per terminals
+    array."""
+    store = DemoStore.of([traj(np.zeros((len(ends), 2)),
+                               np.zeros((len(ends), 2)), tid=i,
+                               terminals=ends)
+                          for i, ends in enumerate(terminals)])
+    return segment_trajectories(store, max_demo_len)
+
+
 class TestSegmentation:
     def test_split_at_max_len(self):
-        traj = make_traj(np.zeros((25, 2)), np.zeros((25, 2)))
-        segs = segment_trajectories([traj], max_demo_len=10)
-        assert [(a, b) for _, a, b in segs] == [(0, 10), (10, 20), (20, 25)]
+        assert _segments(10, np.arange(25) == 24) == [
+            (0, 0, 10), (0, 10, 20), (0, 20, 25)]
 
     def test_split_at_terminals(self):
-        traj = make_traj(np.zeros((6, 2)), np.zeros((6, 2)))
-        traj.terminals[...] = False
-        traj.terminals[[2, 5]] = True
-        segs = segment_trajectories([traj], max_demo_len=100)
-        assert [(a, b) for _, a, b in segs] == [(0, 3), (3, 6)]
+        assert _segments(100, np.isin(np.arange(6), [2, 5])) == [
+            (0, 0, 3), (0, 3, 6)]
 
     def test_trailing_open_segment_kept(self):
-        traj = make_traj(np.zeros((7, 2)), np.zeros((7, 2)))
-        traj.terminals[...] = False
-        segs = segment_trajectories([traj], max_demo_len=4)
-        assert [(a, b) for _, a, b in segs] == [(0, 4), (4, 7)]
+        assert _segments(4, np.zeros(7, bool)) == [(0, 0, 4), (0, 4, 7)]
+
+    def test_ranges_count_from_their_own_trajectory_s_first_row(self):
+        assert _segments(4, np.arange(5) == 4, np.arange(7) == 6) == [
+            (0, 0, 4), (0, 4, 5), (1, 0, 4), (1, 4, 7)]
 
 
-def _offset_store(offsets, sched, n=4, dim=2, seed=0):
+def _offset_store(offsets, sched, n=4, dim=2, seed=0, levels=None):
     """Store + policy + model where segment i's whole-trajectory q-curve
-    peaks at T when offsets[i] != 0 and is flat (argmax 0) when 0."""
+    peaks at T when offsets[i] != 0 and is flat (argmax 0) when 0;
+    trajectory i has noise level levels[i] (None throughout by default)."""
     rng = SeededRng(seed)
+    levels = levels or [None] * len(offsets)
     trajs, refs, vecs = [], [], []
     for tid, off in enumerate(offsets):
         states = rng.standard_normal((n, dim))
         actions = rng.standard_normal((n, dim))
-        trajs.append(make_traj(states, actions, tid=tid))
+        trajs.append(traj(states, actions, tid=tid, level=levels[tid]))
         refs.append(actions + off)
         vecs.append(np.full((n, dim), off))
     store = DemoStore.of(trajs)
-    all_states = np.concatenate([t.states for t in trajs])
-    policy = TablePolicy(all_states, np.concatenate(refs))
-    model = _OffsetModel(all_states, np.concatenate(vecs), sched)
+    policy = TablePolicy(store.states, np.concatenate(refs))
+    model = _OffsetModel(store.states, np.concatenate(vecs), sched)
     return store, policy, model
 
 
-def _step_store(steps, sched, n=4, dim=2, seed=0):
+def _step_store(steps, sched, n=4, dim=2, seed=0, levels=None):
     """Store + policy + model where segment i's mean-Q curve peaks at
     steps[i] alone: its reference is the action plus 0.5, which the stub's
     noise walks back onto the action at exactly that step (0: no walk, a
     flat curve). Policy and model look rows up by state, so they score any
-    reordered or filtered copy of the store."""
+    reordered or filtered copy of the store. Levels as _offset_store's."""
     offsets = [0.0 if t == 0 else 0.5 for t in steps]
-    store, policy, _ = _offset_store(offsets, sched, n, dim, seed)
-    states = np.concatenate([tr.states for tr in store.trajectories])
+    store, policy, _ = _offset_store(offsets, sched, n, dim, seed, levels)
+    states = store.states
     vecs = np.repeat([0.0 if t == 0 else 0.5 * sched.sigmas[-1]
                       / sched.sigmas[t] for t in steps], n)
     model = _OffsetModel(states, np.repeat(vecs[:, None], dim, axis=1),
@@ -664,10 +655,9 @@ class TestFilterDataset:
         # returns a new store of exactly their rows, in store order, under
         # the input's env, and leaves the input store as it was
         steps = [2, 5, 5, 0, 7, 5, 1, 3]
-        store, policy, model = _step_store(steps, sched)
-        for tr in store.trajectories:
-            tr.noise_level = 0.125 * tr.traj_id
-        store = DemoStore.of(store.trajectories, env=make_env_spec())
+        store, policy, model = _step_store(
+            steps, sched, levels=[0.125 * tid for tid in range(8)])
+        store = DemoStore(store.columns, store.rows, make_env_spec())
         columns = (store.states, store.actions, store.rewards,
                    store.terminals)
         before = [column.copy() for column in columns]
@@ -676,16 +666,15 @@ class TestFilterDataset:
         assert kept is not store and kept.env is store.env
         assert [r.segment_id for r in report.records
                 if r.verdict == "keep"] == [1, 2, 4, 5]
-        assert [(tr.traj_id, tr.noise_level, len(tr))
-                for tr in kept.trajectories] == [
+        assert [(tid, level, n) for tid, n, level, _ in kept.rows] == [
             (tid, 0.125 * tid, 4) for tid in (1, 2, 4, 5)]
         rows = np.concatenate([np.arange(4 * i, 4 * i + 4)
                                for i in (1, 2, 4, 5)])
         for got, column in zip((kept.states, kept.actions, kept.rewards,
                                 kept.terminals), before):
             assert np.array_equal(got, column[rows])
-        assert all(tr.rewards is None for tr in kept.trajectories)
-        assert [tr.traj_id for tr in store.trajectories] == list(range(8))
+        assert not any(row[3] for row in kept.rows)
+        assert [row[0] for row in store.rows] == list(range(8))
         assert all(now is then for now, then in zip(
             (store.states, store.actions, store.rewards, store.terminals),
             columns))
@@ -730,7 +719,7 @@ class TestFilterDataset:
         store, policy, model = _step_store(steps, sched)
         cfg = FilterConfig(min_demos=3, step_threshold=threshold,
                            max_demo_len=100)
-        trajs = store.trajectories
+        trajs = trajs_of(store)
         kept = []
         for order in ([0, 1, 2, 3, 4, 5, 6, 7], [7, 6, 5, 4, 3, 2, 1, 0],
                       [3, 5, 0, 7, 2, 4, 6, 1], [1, 2, 5, 4, 0, 3, 6, 7]):
@@ -743,19 +732,18 @@ class TestFilterDataset:
         assert all(k == kept[0] for k in kept)
 
     def test_segments_get_fresh_ids_and_provenance(self, sched):
-        traj = make_traj(np.zeros((6, 2)), np.zeros((6, 2)), tid=42,
-                         noise_level=0.25)
-        store = DemoStore.of([traj])
-        policy = TablePolicy(traj.states, traj.actions + 0.5)
-        model = _OffsetModel(traj.states, np.full((6, 2), 0.5), sched)
+        store = DemoStore.of([traj(np.zeros((6, 2)), np.zeros((6, 2)),
+                                   tid=42, level=0.25)])
+        policy = TablePolicy(store.states, store.actions + 0.5)
+        model = _OffsetModel(store.states, np.full((6, 2), 0.5), sched)
         cfg = FilterConfig(min_demos=1, step_threshold=1, max_demo_len=3)
         report, kept = filter_dataset(store, model, policy, cfg)
         assert report.n_before == 2
         # the pieces of a cut trajectory are numbered after the store's
         # largest id
         assert [r.segment_id for r in report.records] == [43, 44]
-        assert [tr.traj_id for tr in kept.trajectories] == [43, 44]
-        assert all(tr.noise_level == 0.25 for tr in kept.trajectories)
+        assert [(tid, level) for tid, _, level, _ in kept.rows] == [
+            (43, 0.25), (44, 0.25)]
         assert all(r.parent_id == 42 for r in report.records)
 
     def test_passes_after_a_drop_name_the_original_ids(self, sched):
@@ -763,10 +751,9 @@ class TestFilterDataset:
         # over a kept store names the trajectories of the first store, and
         # so does the store the last pass keeps
         steps = [2, 5, 5, 0, 7, 5, 1, 3]
-        store, policy, model = _step_store(steps, sched)
-        for tr in store.trajectories:
-            tr.noise_level = 0.125 * tr.traj_id
-        levels = {tr.traj_id: tr.noise_level for tr in store.trajectories}
+        store, policy, model = _step_store(
+            steps, sched, levels=[0.125 * tid for tid in range(8)])
+        levels = {tid: level for tid, _, level, _ in store.rows}
         cfgs = [FilterConfig(min_demos=4, step_threshold=8,
                              max_demo_len=100),
                 *[FilterConfig(min_demos=1, step_threshold=6,
@@ -781,8 +768,8 @@ class TestFilterDataset:
             scored = [r.parent_id for r in report.records
                       if r.verdict == "keep"]
         assert scored == [4]
-        assert [(tr.traj_id, tr.noise_level)
-                for tr in store.trajectories] == [(4, 0.5)]
+        assert [(tid, level) for tid, _, level, _ in store.rows] == [
+            (4, 0.5)]
 
     def test_empty_store_rejected(self, sched):
         with pytest.raises(InvalidInputError):
@@ -841,9 +828,7 @@ class TestReport:
 def _level_report(sched, steps, levels):
     """A filter pass over a store whose segment i has predicted step
     steps[i] and noise level levels[i] (threshold 1, floor 1)."""
-    store, policy, model = _step_store(steps, sched)
-    for tr, level in zip(store.trajectories, levels):
-        tr.noise_level = level
+    store, policy, model = _step_store(steps, sched, levels=list(levels))
     cfg = FilterConfig(min_demos=1, step_threshold=1, max_demo_len=100)
     report, _ = filter_dataset(store, model, policy, cfg, iteration=10)
     assert [r.predicted_step for r in report.records] == list(steps)

@@ -9,8 +9,8 @@ import pytest
 
 import smile.trainer as trainer_mod
 from smile.diffusion import NoiseModel, denoiser_loss, diffuse
-from smile.envs import default_expert, expert_act, generate_demos, \
-    make_env_spec, rollout_batch_returns
+from smile.envs import DemoStore, default_expert, expert_act, \
+    generate_demos, make_env_spec, rollout_batch_returns
 from smile.errors import ConfigError, InvalidInputError, TrainingError
 from smile.expertise import FilterConfig, q_curve_matrix, score_dataset
 from smile.mathcore import FeedForwardNet, SeededRng, load_checkpoint
@@ -275,7 +275,7 @@ class TestTrainLoop:
         assert not any(name.endswith(".tmp") for name in os.listdir(out))
 
     def test_no_filter_leaves_store_untouched(self, gauss_store, tmp_path):
-        ids_before = [tr.traj_id for tr in gauss_store.trajectories]
+        rows_before = gauss_store.rows
         cfg = tiny_cfg()
         # passes that would run every 10 iterations with filtering on
         cfg.filter = FilterConfig(filter_every=10, min_demos=1,
@@ -283,7 +283,7 @@ class TestTrainLoop:
         result = train(cfg, gauss_store, SeededRng(11), str(tmp_path),
                        filtering=False)
         assert result.metrics.counters["filter_passes"] == 0
-        assert [tr.traj_id for tr in result.store.trajectories] == ids_before
+        assert result.store.rows == rows_before
         assert result.filter_reports == []
 
     def test_dropping_passes_leave_the_given_store_as_it_was(self, tmp_path):
@@ -297,7 +297,7 @@ class TestTrainLoop:
         columns = (store.states, store.actions, store.rewards,
                    store.terminals)
         before = [column.tobytes() for column in columns]
-        ids = [tr.traj_id for tr in store.trajectories]
+        rows = store.rows
         cfg = tiny_cfg()
         cfg.filter = FilterConfig(filter_every=10, min_demos=5,
                                   step_threshold=10, max_demo_len=25)
@@ -307,13 +307,13 @@ class TestTrainLoop:
         last = result.filter_reports[-1]
         assert result.store is not store
         assert result.store.env is store.env is spec
-        assert [tr.traj_id for tr in result.store.trajectories] == [
+        assert [row[0] for row in result.store.rows] == [
             r.segment_id for r in last.records if r.verdict == "keep"]
         assert all(now is then for now, then in zip(
             (store.states, store.actions, store.rewards, store.terminals),
             columns))
         assert [column.tobytes() for column in columns] == before
-        assert [tr.traj_id for tr in store.trajectories] == ids
+        assert store.rows == rows
 
     def test_filter_uses_ema_snapshots(self, gauss_store, tmp_path,
                                        monkeypatch):
@@ -517,7 +517,6 @@ class TestTrainLoop:
                                                                    0.9)
 
     def test_empty_store_rejected(self, tmp_path):
-        from smile.envs import DemoStore
         with pytest.raises(InvalidInputError):
             train(tiny_cfg(), DemoStore.of([]), SeededRng(0), str(tmp_path))
 
@@ -585,15 +584,25 @@ class TestEvaluate:
 
 
 class TestAuditBins:
+    @staticmethod
+    def with_rets(store, rets):
+        """``store`` with rewards that sum to ``rets``: each trajectory's
+        return on its first row, and zeros after it."""
+        rewards = np.zeros(store.transition_count)
+        rewards[list(store.bounds[:-1])] = rets
+        return DemoStore((store.states, store.actions, rewards,
+                          store.terminals),
+                         [(*row[:3], True) for row in store.rows])
+
     def _setup(self, sched, max_demo_len=100, refs=None):
         """Store with returns 0, 10, ..., 50 and score_dataset's records of
         it under an oracle denoiser and a table policy (default: the store's
         own actions)."""
         task = GaussianTask(seed=20, action_dim=2)
         rng = SeededRng(21)
-        store = make_store(task, rng, n_traj=6, traj_len=10)
-        for i, tr in enumerate(store.trajectories):
-            tr.ret = float(i * 10)
+        store = self.with_rets(make_store(task, rng, n_traj=6, traj_len=10),
+                               [0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
+        assert store.rets == (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
         states, actions = store.states, store.actions
         policy = TablePolicy(states, actions if refs is None else refs)
         records, _ = score_dataset(
@@ -609,7 +618,7 @@ class TestAuditBins:
 
     def test_empty_bins_absent(self, sched):
         store, records = self._setup(sched)
-        store.trajectories[-1].ret = 200.0
+        store = self.with_rets(store, [*store.rets[:-1], 200.0])
         rows = audit_bins(store, records, 50.0)
         # no returns in [50, 100) or [100, 150): those rows are absent, and
         # the last bin holds its right edge
@@ -632,21 +641,22 @@ class TestAuditBins:
         rows = audit_bins(store, records, 7.0)
         assert len(rows) == store.num_trajectories
         steps = [int(np.argmax(q_curve_matrix(
-                     oracle, tr.states, tr.actions,
-                     refs[10 * i:10 * i + 10]).mean(axis=1)))
-                 for i, tr in enumerate(store.trajectories)]
+                     oracle, store.states[a:b], store.actions[a:b],
+                     refs[a:b]).mean(axis=1)))
+                 for a, b in zip(store.bounds, store.bounds[1:])]
         assert [row["mean_step"] for row in rows] == steps
         assert len(set(steps)) > 1
 
     def test_empty_store_rejected(self, sched):
-        from smile.envs import DemoStore
         with pytest.raises(InvalidInputError):
             audit_bins(DemoStore.of([]), [], 1.0)
 
     def test_missing_returns_rejected(self, sched):
         store, records = self._setup(sched)
-        store.trajectories[0].ret = None
-        with pytest.raises(InvalidInputError):
+        store = DemoStore(store.columns, [(*row[:3], i > 0) for i, row
+                                          in enumerate(store.rows)])
+        assert store.rets[0] is None
+        with pytest.raises(InvalidInputError, match="no return"):
             audit_bins(store, records, 100.0)
 
     def test_bad_edges_rejected(self, sched):
@@ -655,8 +665,7 @@ class TestAuditBins:
         store, records = self._setup(sched)
         with pytest.raises(InvalidInputError, match="too fine"):
             audit_bins(store, records, 1e-15)
-        for tr in store.trajectories:
-            tr.ret += 1e6
+        store = self.with_rets(store, np.asarray(store.rets) + 1e6)
         with pytest.raises(InvalidInputError, match="too fine"):
             audit_bins(store, records, 1e-12)
 
@@ -673,8 +682,7 @@ class TestAuditBins:
             lo = np.floor(rets.min() / width) * width
             on_edge = lo + draws.integers(0, 4, len(rets)) * width
             rets = np.where(draws.random(len(rets)) < 0.5, on_edge, rets)
-            for tr, ret in zip(store.trajectories, rets):
-                tr.ret = float(ret)
+            store = self.with_rets(store, rets)
             lo = np.floor(rets.min() / width) * width
             hi = np.ceil(rets.max() / width) * width
             if hi <= lo:
@@ -704,8 +712,7 @@ class TestAuditBins:
             lo = np.floor(rets.min() / width) * width
             on_edge = lo + draws.integers(0, 4, n) * width
             rets = np.where(draws.random(n) < 0.5, on_edge, rets)
-            for tr, ret in zip(store.trajectories, rets):
-                tr.ret = float(ret)
+            store = self.with_rets(store, rets)
             rows = audit_bins(store, records, width)
             assert sum(row["count"] for row in rows) == n
             los = [row["bin_lo"] for row in rows]
@@ -719,10 +726,9 @@ class TestAuditBins:
     def test_fine_width_counts_every_return(self, sched, width):
         # 200 returns in [-23, 0], each counted once down to 10^-12
         task = GaussianTask(seed=20, action_dim=2)
-        store = make_store(task, SeededRng(21), n_traj=200, traj_len=2)
-        for tr, ret in zip(store.trajectories,
-                           np.random.default_rng(2).uniform(-23, 0, 200)):
-            tr.ret = float(ret)
+        store = self.with_rets(
+            make_store(task, SeededRng(21), n_traj=200, traj_len=2),
+            np.random.default_rng(2).uniform(-23, 0, 200))
         states, actions = store.states, store.actions
         records, _ = score_dataset(
             store, OracleDenoiser(task, sched), TablePolicy(states, actions),
