@@ -103,8 +103,10 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     demo_path = args.demos or _resolve(cfg, cfg.data.demo_file)
-    # Training never sees rewards; they stay in the file for audits.
-    loaded = envs_mod.load_demos(demo_path, include_rewards=False)
+    # Batches carry states and actions alone (DemoStore.sample), so the
+    # rewards only ride along: into the filter reports' returns and the
+    # filtered file, which an audit then reads.
+    loaded = envs_mod.load_demos(demo_path)
     _check_demos(cfg, demo_path, loaded)
     store = envs_mod.DemoStore(loaded.columns, loaded.rows, cfg.env,
                                loaded.header_line)
@@ -137,7 +139,7 @@ def cmd_audit(args) -> int:
         raise ValidationError(
             f"--bin-width must be positive and finite, got {width!r}")
     cfg = load_config(args.config)
-    store = envs_mod.load_demos(args.demos, include_rewards=True)
+    store = envs_mod.load_demos(args.demos)
     _check_demos(cfg, args.demos, store)
     if None in store.rets:
         raise ValidationError(

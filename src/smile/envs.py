@@ -1,11 +1,15 @@
 """Synthetic continuous-control environments with analytic experts, the
 noisy-demonstration generator, the demo store, and demo file I/O.
 
-Two environments ship: a 2-D point mass (state = [px, py, vx, vy], action =
-planar acceleration) and a 1-D double integrator (state = [p, v]). Both use
-the same damped double-integrator dynamics and a quadratic goal-tracking
-reward, so a proportional-derivative law toward the goal is a near-optimal
-expert and returns degrade smoothly as action noise grows.
+One environment ships, at three widths: a damped point mass of d axes,
+whose state is its d positions then its d velocities and whose action is
+its d accelerations. It is named double_integrator_1d at d = 1, pointmass2d
+at d = 2 and pointmass6d at d = 6, the action width of HalfCheetah and
+Walker2d (ENV_WIDTHS). Every axis has the same damped double-integrator
+dynamics, goal and spawn interval, and the reward tracks the goal
+quadratically, so one proportional-derivative law toward the goal is a
+near-optimal expert at every width, and returns degrade smoothly as action
+noise grows.
 
 Environments are value-semantic: stepping returns a fresh state, and the
 update broadcasts over leading batch axes, so parallel rollouts are just
@@ -33,7 +37,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, chain
 
 import numpy as np
@@ -49,57 +53,48 @@ DEFAULT_NOISE_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 # Environment specs and dynamics
 # ---------------------------------------------------------------------------
 
+# What every axis of every environment shares. dt = 0.1 keeps returns
+# sensitive to action noise: the integrator would low-pass-filter noise into
+# irrelevance at much smaller timesteps.
+ACTION_BOUND = 1.0   # actions are clipped to [-1, 1] on each axis
+DT = 0.1
+DAMPING = 0.05
+ACTION_COST = 0.01
+GOAL = 1.0           # the goal's coordinate on each axis
+SPAWN = 0.5          # spawn positions are uniform in [-0.5, 0.5] on each axis
+HORIZON = 100        # where the config names none
+
+# name -> action width; the width lives in the name, so it needs no key
+ENV_WIDTHS = {"double_integrator_1d": 1, "pointmass2d": 2, "pointmass6d": 6}
+
+
 @dataclass(frozen=True)
 class EnvSpec:
+    """The point mass of ``action_dim`` axes, run for ``horizon`` steps; its
+    state is the positions, then the velocities."""
+
     name: str
-    state_dim: int
     action_dim: int
-    action_low: float
-    action_high: float
     horizon: int
-    goal: tuple[float, ...]
-    dt: float
-    damping: float
-    action_cost: float
-    spawn_low: tuple[float, ...]
-    spawn_high: tuple[float, ...]
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}",
                               "horizon")
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if not np.isfinite([self.action_low, self.action_high]).all():
-            raise ConfigError("action bounds must be finite")
 
-
-# dt = 0.1 keeps returns sensitive to action noise: the integrator would
-# low-pass-filter noise into irrelevance at much smaller timesteps.
-_BASE_SPECS = {
-    "pointmass2d": EnvSpec(
-        name="pointmass2d", state_dim=4, action_dim=2,
-        action_low=-1.0, action_high=1.0, horizon=100,
-        goal=(1.0, 1.0), dt=0.1, damping=0.05, action_cost=0.01,
-        spawn_low=(-0.5, -0.5), spawn_high=(0.5, 0.5)),
-    "double_integrator_1d": EnvSpec(
-        name="double_integrator_1d", state_dim=2, action_dim=1,
-        action_low=-1.0, action_high=1.0, horizon=100,
-        goal=(1.0,), dt=0.1, damping=0.05, action_cost=0.01,
-        spawn_low=(-0.5,), spawn_high=(0.5,)),
-}
+    @property
+    def state_dim(self) -> int:
+        return 2 * self.action_dim
 
 
 def make_env_spec(name: str = "pointmass2d",
                   horizon: int | None = None) -> EnvSpec:
-    if name not in _BASE_SPECS:
+    if name not in ENV_WIDTHS:
         raise ConfigError(
-            f"unknown environment {name!r}; choices: {sorted(_BASE_SPECS)}",
+            f"unknown environment {name!r}; choices: {sorted(ENV_WIDTHS)}",
             "name")
-    spec = _BASE_SPECS[name]
-    if horizon is not None:
-        spec = replace(spec, horizon=horizon)
-    return spec
+    return EnvSpec(name, ENV_WIDTHS[name],
+                   HORIZON if horizon is None else horizon)
 
 
 @dataclass
@@ -112,8 +107,7 @@ def env_reset(spec: EnvSpec, rng: SeededRng, batch: int | None = None) -> EnvSta
     """Spawn with position uniform in the spawn region and zero velocity."""
     k = spec.action_dim
     shape = (k,) if batch is None else (batch, k)
-    pos = rng.uniform(np.asarray(spec.spawn_low), np.asarray(spec.spawn_high),
-                      shape)
+    pos = rng.uniform(-SPAWN, SPAWN, shape)
     return EnvState(obs=np.concatenate([pos, np.zeros(shape)], axis=-1), t=0)
 
 
@@ -125,17 +119,16 @@ def env_step(spec: EnvSpec, state: EnvState, action: np.ndarray):
     """
     k = spec.action_dim
     a = np.clip(np.asarray(action, dtype=np.float64),
-                spec.action_low, spec.action_high)
+                -ACTION_BOUND, ACTION_BOUND)
     pos = state.obs[..., :k]
     vel = state.obs[..., k:]
-    new_pos = pos + spec.dt * vel
-    new_vel = (1.0 - spec.damping) * vel + spec.dt * a
+    new_pos = pos + DT * vel
+    new_vel = (1.0 - DAMPING) * vel + DT * a
     obs = np.concatenate([new_pos, new_vel], axis=-1)
     if not np.all(np.isfinite(obs)):
         raise EnvironmentFault(f"non-finite state at step {state.t + 1}")
-    goal = np.asarray(spec.goal)
-    reward = (-((new_pos - goal) ** 2).sum(axis=-1)
-              - spec.action_cost * (a ** 2).sum(axis=-1))
+    reward = (-((new_pos - GOAL) ** 2).sum(axis=-1)
+              - ACTION_COST * (a ** 2).sum(axis=-1))
     new_t = state.t + 1
     return EnvState(obs=obs, t=new_t), reward, new_t >= spec.horizon
 
@@ -167,8 +160,8 @@ def expert_act(ctrl: ExpertController, spec: EnvSpec,
     k = spec.action_dim
     s = np.asarray(s, dtype=np.float64)
     pos, vel = s[..., :k], s[..., k:]
-    raw = ctrl.kp * (np.asarray(spec.goal) - pos) - ctrl.kd * vel
-    return np.clip(raw, spec.action_low, spec.action_high)
+    raw = ctrl.kp * (GOAL - pos) - ctrl.kd * vel
+    return np.clip(raw, -ACTION_BOUND, ACTION_BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +257,7 @@ def rollout(spec: EnvSpec, act_fn, rng: SeededRng, episodes: int):
     for t in range(spec.horizon):
         states[t] = state.obs
         actions[t] = np.clip(np.asarray(act_fn(state.obs), dtype=np.float64),
-                             spec.action_low, spec.action_high)
+                             -ACTION_BOUND, ACTION_BOUND)
         state, rewards[t], _ = env_step(spec, state, actions[t])
     return states, actions, rewards
 
@@ -369,10 +362,10 @@ def _header_env(where: str, header: dict) -> EnvSpec | None:
             f"integer >= 1")
     if name is None:
         return None
-    if not isinstance(name, str) or name not in _BASE_SPECS:
+    if not isinstance(name, str) or name not in ENV_WIDTHS:
         raise InvalidInputError(
             f"{where}: unknown environment {name!r}; choices: "
-            f"{sorted(_BASE_SPECS)}")
+            f"{sorted(ENV_WIDTHS)}")
     env = make_env_spec(name, horizon=horizon)
     if dims != (env.state_dim, env.action_dim):
         raise InvalidInputError(
@@ -408,7 +401,7 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
     """Read a demo file into a store whose columns are read-only (DemoStore).
     ``include_rewards=False`` returns a new store over the same states,
     actions and terminals, with a zero rewards column and no trajectory's
-    rewards or return, so training paths cannot touch them even by accident.
+    rewards or return.
 
     A byte that is not UTF-8, malformed JSON, a bad header (_header_env), a
     missing field, a traj_id or step that is not a JSON integer, a state or

@@ -22,7 +22,7 @@ import smile.cli as cli
 import smile.config as config_mod
 from smile.config import DataConfig, load_config
 from smile.diffusion import NoiseModel
-from smile.envs import load_demos, make_env_spec
+from smile.envs import ENV_WIDTHS, load_demos, make_env_spec
 from smile.errors import ValidationError
 from smile.expertise import filter_dataset, save_filter_report
 from smile.mathcore import (FeedForwardNet, SeededRng, derive_seed,
@@ -150,6 +150,57 @@ def test_audit_scores_once(run, monkeypatch):
     assert np.array_equal(np.concatenate(acted), states)
 
 
+def test_the_filtered_file_keeps_the_demo_rewards_and_audits(run, tmp_path):
+    # train reads the demo file with its rewards: the filtered file keeps
+    # each transition's r and the filter reports each segment's return, so
+    # an audit takes the filtered file
+    cfg, out = run
+
+    def rewards(path):
+        with open(path) as fh:
+            next(fh)
+            return {(rec["traj_id"], rec["step"]): rec["r"]
+                    for rec in map(json.loads, fh)}
+    demo = rewards(out / "demos.jsonl")
+    kept = rewards(out / "filtered_demos.jsonl")
+    assert kept and all(kept[key] == demo[key] for key in kept)
+    store = load_demos(str(out / "demos.jsonl"))
+    rets = dict(zip((row[0] for row in store.rows), store.rets))
+    for path in ("filter_report_000010.json", "filter_report_000020.json"):
+        for rec in json.load(open(out / path))["records"]:
+            assert rec["ret"] == rets[rec["segment_id"]], (path, rec)
+    argv = audit_argv(cfg, out, str(out / "filtered_demos.jsonl"))
+    argv[-1] = str(tmp_path / "audit.json")
+    assert cli.main(argv) == 0
+
+
+def test_training_reads_no_reward(run, tmp_path):
+    # the demo file with every r null trains to the same bytes and verdicts
+    cfg, out = run
+    with open(out / "demos.jsonl") as fh:
+        head, *records = fh.readlines()
+    demos = tmp_path / "demos.jsonl"
+    demos.write_text(head + "".join(
+        json.dumps({**json.loads(line), "r": None}) + "\n"
+        for line in records))
+    other = tmp_path / "null-r.ini"
+    write_config(other, tmp_path)
+    assert cli.main(["train", "--config", str(other), "--demos",
+                     str(demos)]) == 0
+    for name in ("metrics.csv", "denoiser.json", "generator.json"):
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+    for name in ("filter_report_000010.json", "filter_report_000020.json"):
+        verdicts = [[(rec["segment_id"], rec["verdict"])
+                     for rec in json.load(open(d / name))["records"]]
+                    for d in (out, tmp_path)]
+        assert verdicts[0] == verdicts[1]
+    # the filtered files differ in their r alone
+    kept = [[{**json.loads(line), "r": None}
+             for line in open(d / "filtered_demos.jsonl")]
+            for d in (out, tmp_path)]
+    assert kept[0] == kept[1]
+
+
 def test_bc_checkpoint_audits_and_benches(run, tmp_path):
     # `train --bc-baseline` writes its EMA snapshot to bc.json, which audit
     # and bench take as the generator
@@ -160,7 +211,7 @@ def test_bc_checkpoint_audits_and_benches(run, tmp_path):
                      "--bc-baseline"]) == 0
     loaded = load_checkpoint(str(tmp_path / "bc.json"))
     exp = load_config(bc_cfg)
-    store = load_demos(demos, include_rewards=False)
+    store = load_demos(demos)
     store.env = exp.env
     snap, _, _ = train_bc(exp.train, store,
                           SeededRng(derive_seed(exp.seed, "train")),
@@ -851,17 +902,18 @@ def test_checkpoint_of_another_env_exits_1(run, tmp_path, capsys, command,
 
 
 def test_demos_of_another_env_exit_1(run, tmp_path, capsys):
+    # the run's pointmass2d demo file under every other registered env
     cfg, out = run
-    other = tmp_path / "other.ini"
-    other.write_text(open(cfg).read()
-                     + "\n[env]\nname = double_integrator_1d\n")
     demos = str(out / "demos.jsonl")
-    for argv in (["train", "--config", str(other), "--demos", demos],
-                 audit_argv(str(other), out)):
-        assert cli.main(argv) == 1
-        assert capsys.readouterr().err == (
-            f"error: {demos}:1: demo file header env pointmass2d (horizon "
-            f"100) is not config env double_integrator_1d (horizon 100)\n")
+    for name in sorted(set(ENV_WIDTHS) - {"pointmass2d"}):
+        other = tmp_path / f"{name}.ini"
+        other.write_text(open(cfg).read() + f"\n[env]\nname = {name}\n")
+        for argv in (["train", "--config", str(other), "--demos", demos],
+                     audit_argv(str(other), out)):
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: {demos}:1: demo file header env pointmass2d "
+                f"(horizon 100) is not config env {name} (horizon 100)\n")
 
 
 def test_demos_of_another_horizon_exit_1(run, tmp_path, capsys):

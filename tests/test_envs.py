@@ -27,6 +27,10 @@ from conftest import traced_kept, traced_peak, traj, trajs_of
 from gauss_task import TablePolicy
 
 
+# every registered environment, one point mass at each width
+ENV_NAMES = sorted(envs.ENV_WIDTHS)
+
+
 @pytest.fixture
 def pm():
     return make_env_spec("pointmass2d")
@@ -64,17 +68,15 @@ class TestStep:
         assert r == pytest.approx(-((0.2 - 1) ** 2 + (-0.1 - 1) ** 2))
         assert not done
 
-    def test_hand_integrated_step(self):
-        # hand integration with dt=0.05, damping=0.05, goal=(1,1):
-        # pos' = (0,0) + 0.05*(1,0) = (0.05, 0)
-        # vel' = 0.95*(1,0) + 0.05*(0,0) = (0.95, 0)
-        # r = -((0.05-1)^2 + (0-1)^2) = -(0.9025 + 1) = -1.9025
-        spec = dataclasses.replace(make_env_spec("pointmass2d"),
-                                   dt=0.05, damping=0.05)
+    def test_hand_integrated_step(self, pm):
+        # hand integration with dt=0.1, damping=0.05, goal=(1,1):
+        # pos' = (0,0) + 0.1*(1,0) = (0.1, 0)
+        # vel' = 0.95*(1,0) + 0.1*(0,0) = (0.95, 0)
+        # r = -((0.1-1)^2 + (0-1)^2) = -(0.81 + 1) = -1.81
         state = EnvState(obs=np.array([0.0, 0.0, 1.0, 0.0]), t=0)
-        new, r, done = env_step(spec, state, np.zeros(2))
-        assert np.allclose(new.obs, [0.05, 0.0, 0.95, 0.0], atol=1e-15)
-        assert r == pytest.approx(-1.9025, abs=1e-12)
+        new, r, done = env_step(pm, state, np.zeros(2))
+        assert np.allclose(new.obs, [0.1, 0.0, 0.95, 0.0], atol=1e-15)
+        assert r == pytest.approx(-1.81, abs=1e-12)
 
     def test_reward_zero_at_goal(self, pm):
         state = EnvState(obs=np.array([1.0, 1.0, 0.0, 0.0]), t=0)
@@ -113,12 +115,13 @@ class TestExpert:
         rng = SeededRng(4)
         states = rng.standard_normal((100, 4)) * 3
         acts = expert_act(ctrl, pm, states)
-        assert acts.min() >= pm.action_low and acts.max() <= pm.action_high
+        assert acts.min() >= -envs.ACTION_BOUND
+        assert acts.max() <= envs.ACTION_BOUND
 
-    @pytest.mark.parametrize("name", ["pointmass2d", "double_integrator_1d"])
+    @pytest.mark.parametrize("name", ENV_NAMES)
     def test_gains_within_5pct_of_grid_best(self, name):
         # coarse grid-search oracle over PD gains, scored above the
-        # random-policy floor; the two envs share their gains
+        # random-policy floor; the envs share their dynamics, so their gains
         pm = make_env_spec(name)
         rng = SeededRng(777)
         rand_rng = SeededRng(778)
@@ -150,18 +153,21 @@ class TestExpert:
             # the last observation precedes the last action; re-step once
             state = EnvState(obs=states[-1, 0], t=0)
             state, _, _ = env_step(pm, state, actions[-1, 0])
-            reached += np.linalg.norm(state.obs[:2] - np.array(pm.goal)) < 0.05
+            reached += np.linalg.norm(state.obs[:2] - envs.GOAL) < 0.05
         assert reached >= 190
 
 
 class TestRollout:
-    def test_shapes_and_clipped_actions(self, di):
-        states, actions, rewards = rollout(
-            di, lambda o: np.full((len(o), 1), 3.0), SeededRng(8), 5)
-        assert states.shape == (di.horizon, 5, 2)
-        assert actions.shape == (di.horizon, 5, 1)
-        assert rewards.shape == (di.horizon, 5)
-        assert (actions == di.action_high).all()
+    def test_shapes_and_clipped_actions(self):
+        for name in ENV_NAMES:
+            spec = make_env_spec(name)
+            d = envs.ENV_WIDTHS[name]
+            states, actions, rewards = rollout(
+                spec, lambda o: np.full((len(o), d), 3.0), SeededRng(8), 5)
+            assert states.shape == (spec.horizon, 5, 2 * d), name
+            assert actions.shape == (spec.horizon, 5, d), name
+            assert rewards.shape == (spec.horizon, 5), name
+            assert (actions == envs.ACTION_BOUND).all(), name
 
     def test_batch_returns_are_reward_sums(self, pm):
         ctrl = default_expert(pm)
@@ -195,34 +201,47 @@ class TestRollout:
 
 
 class TestGenerateDemos:
-    def test_counts_and_provenance(self, pm):
-        levels = [0.0, 0.25, 0.5, 0.75, 1.0]
-        store = generate_demos(pm, default_expert(pm), levels, 10,
-                               SeededRng(6))
-        assert store.num_trajectories == 50
-        for lv in levels:
-            assert sum(1 for row in store.rows if row[2] == lv) == 10
-        assert store.transition_count == 50 * pm.horizon
+    """The tests that depend on the width loop over every registered
+    environment."""
 
-    def test_level_zero_is_pure_expert(self, pm):
-        ctrl = default_expert(pm)
-        both = generate_demos(pm, ctrl, [0.0, 0.5], 3, SeededRng(7))
-        only_zero = generate_demos(pm, ctrl, [0.0], 3, SeededRng(7))
-        n = only_zero.transition_count
-        assert only_zero.rows == both.rows[:3]
-        assert np.array_equal(only_zero.states, both.states[:n])
-        assert np.array_equal(only_zero.actions, both.actions[:n])
+    @staticmethod
+    def generate(name, levels, per_level, seed):
+        spec = make_env_spec(name)
+        return generate_demos(spec, default_expert(spec), levels, per_level,
+                              SeededRng(seed))
 
-    def test_returns_decrease_with_level(self, pm):
+    def test_counts_and_provenance(self):
         levels = [0.0, 0.25, 0.5, 0.75, 1.0]
-        store = generate_demos(pm, default_expert(pm), levels, 10,
-                               SeededRng(8))
-        means = [np.mean([ret for row, ret in zip(store.rows, store.rets)
-                          if row[2] == lv]) for lv in levels]
+        for name in ENV_NAMES:
+            store = self.generate(name, levels, 10, 6)
+            d = envs.ENV_WIDTHS[name]
+            assert store.num_trajectories == 50, name
+            for lv in levels:
+                assert sum(1 for row in store.rows if row[2] == lv) == 10
+            assert store.states.shape == (50 * store.env.horizon, 2 * d)
+            assert store.actions.shape == (50 * store.env.horizon, d)
+
+    def test_level_zero_is_pure_expert(self):
+        for name in ENV_NAMES:
+            both = self.generate(name, [0.0, 0.5], 3, 7)
+            only_zero = self.generate(name, [0.0], 3, 7)
+            n = only_zero.transition_count
+            assert only_zero.rows == both.rows[:3], name
+            assert np.array_equal(only_zero.states, both.states[:n]), name
+            assert np.array_equal(only_zero.actions, both.actions[:n]), name
+
+    def test_returns_decrease_with_level(self):
         # empirical degradation analogue: Spearman of level vs return <= -0.9
+        # (double_integrator_1d has the next test, at its own seed)
         from scipy.stats import spearmanr
-        rho = spearmanr(levels, means).statistic
-        assert rho <= -0.9
+        levels = [0.0, 0.25, 0.5, 0.75, 1.0]
+        for name in ENV_NAMES:
+            if name == "double_integrator_1d":
+                continue
+            store = self.generate(name, levels, 10, 8)
+            means = [np.mean([ret for row, ret in zip(store.rows, store.rets)
+                              if row[2] == lv]) for lv in levels]
+            assert spearmanr(levels, means).statistic <= -0.9, (name, means)
 
     def test_returns_decrease_on_double_integrator(self, di):
         levels = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -233,21 +252,23 @@ class TestGenerateDemos:
         from scipy.stats import spearmanr
         assert spearmanr(levels, means).statistic <= -0.9
 
-    def test_deterministic(self, pm):
-        a = generate_demos(pm, default_expert(pm), [0.0, 0.5], 2, SeededRng(10))
-        b = generate_demos(pm, default_expert(pm), [0.0, 0.5], 2, SeededRng(10))
-        assert a.rows == b.rows
-        for x, y in zip(a.columns, b.columns):
-            assert np.array_equal(x, y)
+    def test_deterministic(self):
+        for name in ENV_NAMES:
+            a = self.generate(name, [0.0, 0.5], 2, 10)
+            b = self.generate(name, [0.0, 0.5], 2, 10)
+            assert a.rows == b.rows, name
+            for x, y in zip(a.columns, b.columns):
+                assert np.array_equal(x, y), name
 
     def test_negative_level_rejected(self, pm):
         with pytest.raises(InvalidInputError):
             generate_demos(pm, default_expert(pm), [-0.1], 1, SeededRng(0))
 
-    def test_terminal_only_at_end(self, pm):
-        store = generate_demos(pm, default_expert(pm), [0.0], 2, SeededRng(11))
-        assert (np.flatnonzero(store.terminals) + 1).tolist() == list(
-            store.bounds[1:])
+    def test_terminal_only_at_end(self):
+        for name in ENV_NAMES:
+            store = self.generate(name, [0.0], 2, 11)
+            assert (np.flatnonzero(store.terminals) + 1).tolist() == list(
+                store.bounds[1:]), name
 
 
 class TestReturns:
