@@ -50,31 +50,13 @@ def _load_actor(cfg: ExperimentConfig, path: str, *roles: str):
     except (ValidationError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(
             f"checkpoint {path} does not fit its arch: {exc!r}") from exc
-    _check_dims(cfg, f"checkpoint {path}", actor.state_dim, actor.action_dim)
-    return actor
-
-
-def _check_demos(cfg: ExperimentConfig, path: str, store) -> None:
-    """``store``, read from the demo file at ``path``, must be of the
-    config's env: the one its header names, or where it names none, dims."""
-    env = store.env
-    if env is None:
-        _check_dims(cfg, f"demo file {path}", store.states.shape[1],
-                    store.actions.shape[1])
-    elif env != cfg.env:
-        raise ValidationError(
-            f"{path}:{store.header_line}: demo file header env {env.name} "
-            f"(horizon {env.horizon}) is not config env {cfg.env.name} "
-            f"(horizon {cfg.env.horizon})")
-
-
-def _check_dims(cfg: ExperimentConfig, what: str, state_dim, action_dim):
     env = cfg.env
-    if (state_dim, action_dim) != (env.state_dim, env.action_dim):
+    if (actor.state_dim, actor.action_dim) != (env.state_dim, env.action_dim):
         raise ValidationError(
-            f"{what} dims (state {state_dim}, action {action_dim}) do not "
-            f"match config env {env.name} dims (state {env.state_dim}, "
-            f"action {env.action_dim})")
+            f"checkpoint {path} dims (state {actor.state_dim}, action "
+            f"{actor.action_dim}) do not match config env {env.name} dims "
+            f"(state {env.state_dim}, action {env.action_dim})")
+    return actor
 
 
 def cmd_gen_data(args) -> int:
@@ -106,10 +88,7 @@ def cmd_train(args) -> int:
     # Batches carry states and actions alone (DemoStore.sample), so the
     # rewards only ride along: into the filter reports' returns and the
     # filtered file, which an audit then reads.
-    loaded = envs_mod.load_demos(demo_path)
-    _check_demos(cfg, demo_path, loaded)
-    store = envs_mod.DemoStore(loaded.columns, loaded.rows, cfg.env,
-                               loaded.header_line)
+    store = envs_mod.load_demos(demo_path, env=cfg.env)
     rng = SeededRng(derive_seed(cfg.seed, "train"))
 
     if args.bc_baseline:
@@ -139,8 +118,7 @@ def cmd_audit(args) -> int:
         raise ValidationError(
             f"--bin-width must be positive and finite, got {width!r}")
     cfg = load_config(args.config)
-    store = envs_mod.load_demos(args.demos)
-    _check_demos(cfg, args.demos, store)
+    store = envs_mod.load_demos(args.demos, env=cfg.env)
     if None in store.rets:
         raise ValidationError(
             f"demo file {args.demos} lacks rewards; audit needs returns")

@@ -183,15 +183,12 @@ class DemoStore:
     never reach the optimizers. A store is built once, from its columns and
     rows (``DemoStore.of`` concatenates them from per-trajectory arrays),
     and no code edits it afterwards: its columns are read-only. A filter
-    pass, a load without rewards and a run under another env each build a
-    new store. A store read from a demo file keeps the number of its
-    header's line as ``header_line``; any other has None.
+    pass and a load without rewards each build a new store. ``env`` is the
+    env the store's transitions were run in, or None where that is unknown.
     """
 
-    def __init__(self, columns, rows, env: EnvSpec | None = None,
-                 header_line: int | None = None):
+    def __init__(self, columns, rows, env: EnvSpec | None = None):
         self.env = env
-        self.header_line = header_line
         self.rows = tuple(map(tuple, rows))
         ids = [row[0] for row in self.rows]
         if len(set(ids)) != len(ids):
@@ -207,8 +204,7 @@ class DemoStore:
                 self.rows, self.bounds, self.bounds[1:]))
 
     @classmethod
-    def of(cls, trajectories, env: EnvSpec | None = None,
-           header_line: int | None = None) -> DemoStore:
+    def of(cls, trajectories, env: EnvSpec | None = None) -> DemoStore:
         """The store of ``trajectories`` in order, each a ((traj_id,
         noise_level), states, actions, rewards or None, terminals) tuple:
         one concatenation per column."""
@@ -220,7 +216,7 @@ class DemoStore:
                    or [np.zeros((0, 0))] * 4,
                    [(tid, len(states), level, rewards is not None)
                     for (tid, level), states, _, rewards, _ in trajectories],
-                   env, header_line)
+                   env)
 
     @property
     def num_trajectories(self) -> int:
@@ -344,12 +340,15 @@ def _numbers_only(*lists) -> bool:
         return False
 
 
-def _header_env(where: str, header: dict) -> EnvSpec | None:
-    """The env a demo file's header names, or None for its null ``env``
-    (an env-less store's file). The header's ``state_dim`` and
-    ``action_dim`` must be integers >= 1, and the env's own; its
-    ``horizon`` null or an integer >= 1. Anything else raises
-    InvalidInputError naming ``where``."""
+def _header_env(where: str, header: dict,
+                env: EnvSpec | None) -> EnvSpec | None:
+    """The env of a demo file whose header is ``header``, under the run's
+    ``env``: ``env`` where given, else the env the header names, or None
+    for its null ``env``. The header's ``state_dim`` and ``action_dim`` must
+    be integers >= 1 and the dims of the env it names, or of ``env`` where
+    it names none; its ``horizon`` null or an integer >= 1; and an env it
+    names ``env`` itself. Anything else raises InvalidInputError naming
+    ``where``."""
     name, horizon = header.get("env"), header.get("horizon")
     dims = (header.get("state_dim"), header.get("action_dim"))
     if not all(type(d) is int and d >= 1 for d in dims):
@@ -360,19 +359,25 @@ def _header_env(where: str, header: dict) -> EnvSpec | None:
         raise InvalidInputError(
             f"{where}: header horizon {horizon!r} is neither null nor an "
             f"integer >= 1")
-    if name is None:
-        return None
-    if not isinstance(name, str) or name not in ENV_WIDTHS:
-        raise InvalidInputError(
-            f"{where}: unknown environment {name!r}; choices: "
-            f"{sorted(ENV_WIDTHS)}")
-    env = make_env_spec(name, horizon=horizon)
-    if dims != (env.state_dim, env.action_dim):
+    named = None
+    if name is not None:
+        if not isinstance(name, str) or name not in ENV_WIDTHS:
+            raise InvalidInputError(
+                f"{where}: unknown environment {name!r}; choices: "
+                f"{sorted(ENV_WIDTHS)}")
+        named = make_env_spec(name, horizon=horizon)
+    spec = named or env
+    if spec and dims != (spec.state_dim, spec.action_dim):
         raise InvalidInputError(
             f"{where}: header dims (state {dims[0]}, action {dims[1]}) do "
-            f"not match env {name} dims (state {env.state_dim}, action "
-            f"{env.action_dim})")
-    return env
+            f"not match env {spec.name} dims (state {spec.state_dim}, action "
+            f"{spec.action_dim})")
+    if named and env and named != env:
+        raise InvalidInputError(
+            f"{where}: demo file header env {named.name} (horizon "
+            f"{named.horizon}) is not config env {env.name} (horizon "
+            f"{env.horizon})")
+    return env or named
 
 
 def _demo_lines(path: str, digest):
@@ -397,11 +402,16 @@ def _demo_lines(path: str, digest):
         raise InvalidInputError(f"cannot read demo file {path}: {exc}") from exc
 
 
-def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
+def load_demos(path: str, include_rewards: bool = True, *,
+               env: EnvSpec | None = None) -> DemoStore:
     """Read a demo file into a store whose columns are read-only (DemoStore).
     ``include_rewards=False`` returns a new store over the same states,
     actions and terminals, with a zero rewards column and no trajectory's
     rewards or return.
+
+    The header is checked against ``env``, the run's env, before the body
+    is read (_header_env), and the store returned is of ``env``; without
+    one, it is of the env the header names, or of None.
 
     A byte that is not UTF-8, malformed JSON, a bad header (_header_env), a
     missing field, a traj_id or step that is not a JSON integer, a state or
@@ -438,25 +448,26 @@ def load_demos(path: str, include_rewards: bool = True) -> DemoStore:
     # a pipe's bytes can be read once only, so they are parsed, never
     # hashed against a copy first
     regular = os.path.isfile(path)
-    store = _read_copy(path, source) if regular else None
+    store = _read_copy(path, source, env) if regular else None
     if store is None:
         digest = source.copy()
-        header, store = _parse_demos(path, digest)
+        header, head_no, store = _parse_demos(path, digest, env)
         if regular:
-            _write_copy(path, header, store, digest.digest())
+            _write_copy(path, header, head_no, store, digest.digest())
     if include_rewards:
         return store
     return DemoStore(
         (store.states, store.actions, np.zeros(store.transition_count),
          store.terminals),
         [(tid, length, level, False) for tid, length, level, _ in store.rows],
-        store.env, store.header_line)
+        store.env)
 
 
-def _parse_demos(path: str, digest) -> tuple[dict, DemoStore]:
-    """The header and store of the demo file at ``path`` (load_demos), with
-    rewards wherever the file has them; ``digest`` takes in every byte
-    read."""
+def _parse_demos(path: str, digest,
+                 env: EnvSpec | None) -> tuple[dict, int, DemoStore]:
+    """The header, its line and the store of the demo file at ``path`` under
+    the run's ``env`` (load_demos), with rewards wherever the file has
+    them; ``digest`` takes in every byte read."""
     lines = _demo_lines(path, digest)
     head_no, head = next(lines, (None, None))
     if head is None:
@@ -471,14 +482,11 @@ def _parse_demos(path: str, digest) -> tuple[dict, DemoStore]:
         raise InvalidInputError(
             f"demo file {path} has format_version "
             f"{header.get('format_version')}, expected {DEMO_FORMAT_VERSION}")
-    first = next(lines, None)
-    if first is None:
-        raise InvalidInputError(f"demo file {path} holds no transitions")
-    env = _header_env(f"{path}:{head_no}", header)
+    env = _header_env(f"{path}:{head_no}", header, env)
     dims = ((header["state_dim"],), (header["action_dim"],))
     horizon = header.get("horizon")
     rows: dict[int, list[tuple]] = {}
-    for no, ln in chain([first], lines):
+    for no, ln in lines:
         try:
             rec = json.loads(ln)
             tid, step = rec["traj_id"], rec["step"]
@@ -501,6 +509,8 @@ def _parse_demos(path: str, digest) -> tuple[dict, DemoStore]:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(
                 f"{path}:{no}: bad demo record: {exc!r}") from exc
+    if not rows:
+        raise InvalidInputError(f"demo file {path} holds no transitions")
     trajectories = []
     faults = []   # (line, message) of each check that fails, in any trajectory
     for tid in list(rows):
@@ -552,7 +562,7 @@ def _parse_demos(path: str, digest) -> tuple[dict, DemoStore]:
     if faults:
         no, message = min(faults, key=lambda fault: fault[0])
         raise InvalidInputError(f"{path}:{no}: {message}")
-    return header, DemoStore.of(trajectories, env, head_no)
+    return header, head_no, DemoStore.of(trajectories, env)
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +592,13 @@ def _source_hash():
         return hashlib.sha256(os.urandom(32))
 
 
-def _read_copy(path: str, source) -> DemoStore | None:
-    """The store the copy beside ``path`` holds, if its key is that of
-    ``path``'s bytes, hashed in 1 MiB blocks after ``source``, and its
-    checksum holds; None otherwise. The file is hashed before the copy is
-    read, so the hash's blocks and the copy are never held at once."""
+def _read_copy(path: str, source, env: EnvSpec | None) -> DemoStore | None:
+    """The store the copy beside ``path`` holds under the run's ``env``, if
+    its key is that of ``path``'s bytes, hashed in 1 MiB blocks after
+    ``source``, and its checksum holds; None otherwise. Its header is
+    checked at its line as the parse checks it, so a hit raises the same.
+    The file is hashed before the copy is read, so the hash's blocks and
+    the copy are never held at once."""
     try:
         with open(path + ".store", "rb") as copy:
             key = source.copy()
@@ -606,6 +618,7 @@ def _read_copy(path: str, source) -> DemoStore | None:
     at = 48 + int.from_bytes(data[40:48], "little")
     meta = json.loads(data[48:at])
     header, rows = meta["header"], meta["trajectories"]
+    env = _header_env(f"{path}:{meta['header_line']}", header, env)
     n = sum(length for _, length, _, _ in rows)
     s, a = header["state_dim"], header["action_dim"]
     floats = np.frombuffer(data, "<f8", n * (s + a + 1), at)
@@ -613,14 +626,15 @@ def _read_copy(path: str, source) -> DemoStore | None:
         (floats[:n * s].reshape(n, s), floats[n * s:n * (s + a)].reshape(n, a),
          floats[n * (s + a):], np.frombuffer(data, np.bool_, n,
                                              at + floats.nbytes)),
-        rows, _header_env(path, header), meta["header_line"])
+        rows, env)
 
 
-def _write_copy(path: str, header: dict, store: DemoStore, key: bytes):
+def _write_copy(path: str, header: dict, head_no: int, store: DemoStore,
+                key: bytes):
     """Write the copy of ``store``, parsed from the file at ``path`` whose
-    bytes have ``key``, beside it through ``atomic_write``; a directory it
-    cannot write to gets none."""
-    meta = json.dumps({"header": header, "header_line": store.header_line,
+    bytes have ``key`` and whose line ``head_no`` is ``header``, beside it
+    through ``atomic_write``; a directory it cannot write to gets none."""
+    meta = json.dumps({"header": header, "header_line": head_no,
                        "trajectories": store.rows}).encode()
     meta += b" " * (-len(meta) % 8)
     parts = [_COPY_MAGIC, key, len(meta).to_bytes(8, "little"), meta,

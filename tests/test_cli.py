@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import smile
 import smile.cli as cli
 import smile.config as config_mod
+import smile.envs as envs_mod
 from smile.config import DataConfig, load_config
 from smile.diffusion import NoiseModel
 from smile.envs import ENV_WIDTHS, load_demos, make_env_spec
@@ -901,22 +902,43 @@ def test_checkpoint_of_another_env_exits_1(run, tmp_path, capsys, command,
         f"config env pointmass2d dims (state 4, action 2)\n")
 
 
-def test_demos_of_another_env_exit_1(run, tmp_path, capsys):
+def refusals(argvs, demos, capsys, monkeypatch):
+    """Run each argv, which must exit 1, on the demo file at ``demos`` from
+    its ``.store`` copy (which the run fixture's train left), then with the
+    copy removed. Returns the stderr of each, which must be the same bytes
+    both ways; the parse that refuses the file writes no copy."""
+    copy = demos + ".store"
+    saved = open(copy, "rb").read()
+    errs = []
+    for argv in argvs:
+        with monkeypatch.context() as m:
+            m.setattr(envs_mod, "_parse_demos", None)   # a hit never parses
+            assert cli.main(argv) == 1
+        errs.append(capsys.readouterr().err)
+        os.remove(copy)
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == errs[-1]
+        assert not os.path.exists(copy)
+        open(copy, "wb").write(saved)
+    return errs
+
+
+def test_demos_of_another_env_exit_1(run, tmp_path, capsys, monkeypatch):
     # the run's pointmass2d demo file under every other registered env
     cfg, out = run
     demos = str(out / "demos.jsonl")
     for name in sorted(set(ENV_WIDTHS) - {"pointmass2d"}):
         other = tmp_path / f"{name}.ini"
         other.write_text(open(cfg).read() + f"\n[env]\nname = {name}\n")
-        for argv in (["train", "--config", str(other), "--demos", demos],
-                     audit_argv(str(other), out)):
-            assert cli.main(argv) == 1
-            assert capsys.readouterr().err == (
-                f"error: {demos}:1: demo file header env pointmass2d "
-                f"(horizon 100) is not config env {name} (horizon 100)\n")
+        errs = refusals([["train", "--config", str(other), "--demos", demos],
+                         audit_argv(str(other), out)], demos, capsys,
+                        monkeypatch)
+        assert errs == 2 * [
+            f"error: {demos}:1: demo file header env pointmass2d "
+            f"(horizon 100) is not config env {name} (horizon 100)\n"]
 
 
-def test_demos_of_another_horizon_exit_1(run, tmp_path, capsys):
+def test_demos_of_another_horizon_exit_1(run, tmp_path, capsys, monkeypatch):
     # the header names the run's env at horizon 100; a horizon-50 config
     # neither trains on the file nor audits it, and writes nothing
     cfg, out = run
@@ -924,13 +946,41 @@ def test_demos_of_another_horizon_exit_1(run, tmp_path, capsys):
     write_config(other, tmp_path / "h50")
     other.write_text(other.read_text() + "\n[env]\nhorizon = 50\n")
     demos = str(out / "demos.jsonl")
-    for argv in (["train", "--config", str(other), "--demos", demos],
-                 audit_argv(str(other), out)):
-        assert cli.main(argv) == 1
-        assert capsys.readouterr().err == (
-            f"error: {demos}:1: demo file header env pointmass2d (horizon "
-            f"100) is not config env pointmass2d (horizon 50)\n")
+    errs = refusals([["train", "--config", str(other), "--demos", demos],
+                     audit_argv(str(other), out)], demos, capsys, monkeypatch)
+    assert errs == 2 * [
+        f"error: {demos}:1: demo file header env pointmass2d (horizon "
+        f"100) is not config env pointmass2d (horizon 50)\n"]
     assert not (tmp_path / "h50").exists()
+
+
+def test_the_env_is_checked_before_the_body_is_read(run, tmp_path, capsys):
+    # a malformed line 3 under another env's config: the header's line is
+    # named, not line 3's; and a valid file under that config is refused
+    # before it is parsed to the end, so it gets no copy
+    cfg, out = run
+    lines = (out / "demos.jsonl").read_bytes().splitlines(keepends=True)
+    other = tmp_path / "di1d.ini"
+    write_config(other, tmp_path / "di1d")
+    other.write_text(other.read_text()
+                     + "\n[env]\nname = double_integrator_1d\n")
+    refused = (f"demo file header env pointmass2d (horizon 100) is not "
+               f"config env double_integrator_1d (horizon 100)\n")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"".join(
+        [*lines[:2], lines[2].replace(b'"step"', b'"stop"', 1), *lines[3:]]))
+    assert cli.main(["train", "--config", cfg, "--demos", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}:3: bad demo record")
+    valid = tmp_path / "valid.jsonl"
+    valid.write_bytes(b"".join(lines))
+    for path in (bad, valid):
+        for argv in (["train", "--config", str(other), "--demos", str(path)],
+                     audit_argv(str(other), out, str(path))):
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == f"error: {path}:1: {refused}"
+    assert sorted(os.listdir(tmp_path)) == ["bad.jsonl", "di1d.ini",
+                                            "valid.jsonl"]
 
 
 def test_envless_demos_are_checked_by_width(run, tmp_path, capsys):
@@ -950,8 +1000,8 @@ def test_envless_demos_are_checked_by_width(run, tmp_path, capsys):
                  audit_argv(str(other), out, str(demos))):
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == (
-            f"error: demo file {demos} dims (state 4, action 2) do not match "
-            f"config env double_integrator_1d dims (state 2, action 1)\n")
+            f"error: {demos}:1: header dims (state 4, action 2) do not match "
+            f"env double_integrator_1d dims (state 2, action 1)\n")
 
 
 @pytest.fixture(scope="module")
