@@ -150,6 +150,9 @@ class NoiseModel(FeedForwardNet):
         self.T = T
         super().__init__([state_dim + action_dim + T + 1, *hidden, action_dim],
                          rng, dtype=dtype)
+        # row t is the input [0, 0, STEP_INPUT * onehot(t)] of one state
+        self._steps = np.zeros((T + 1, self.widths[0]), dtype=dtype)
+        self._steps[:, state_dim + action_dim:] = STEP_INPUT * np.eye(T + 1)
 
     def arch(self) -> dict:
         return {"state_dim": self.state_dim, "action_dim": self.action_dim,
@@ -170,11 +173,19 @@ class NoiseModel(FeedForwardNet):
         vector for a single state at a scalar ``t``, else one row per state,
         at the scalar ``t`` or at one step per row."""
         if isinstance(t, int):
-            # the reverse sampler's single-state calls, one per step;
-            # checked without numpy's per-call overhead
+            # the reverse sampler's single-state calls, one per step:
+            # checked without numpy's per-call overhead (other inputs take
+            # the general path below), and built on a copy of the step's
+            # row, which holds its one-hot columns already
             if not 0 <= t <= self.T:
                 raise InvalidInputError(
                     f"diffusion step {t} outside 0..{self.T}")
+            if (getattr(s, "shape", None) == (self.state_dim,)
+                    and getattr(a_t, "shape", None) == (self.action_dim,)):
+                x = self._steps[t].copy()
+                x[:self.state_dim] = s
+                x[self.state_dim:self.state_dim + self.action_dim] = a_t
+                return x
             scalar = True
         else:
             t = _check_t(t, self.T)

@@ -380,6 +380,13 @@ def _header_env(where: str, header: dict,
     return env or named
 
 
+def _horizon(header: dict, env: EnvSpec | None) -> int | None:
+    """The most steps a trajectory of a demo file whose header is
+    ``header`` may have in a store of ``env`` (_header_env): that env's
+    horizon, or the header's where the store has no env."""
+    return env.horizon if env else header.get("horizon")
+
+
 def _demo_lines(path: str, digest):
     """(number, text) of each non-blank line of the file at ``path``, without
     its line end. The file is read and decoded one line at a time, never
@@ -418,7 +425,8 @@ def load_demos(path: str, include_rewards: bool = True, *,
     action of the wrong width, an s, a or r entry that is not a JSON number,
     a terminal that is not a JSON boolean, a non-finite number, a trajectory
     whose steps are not 0, 1, 2, ... (a repeat or a gap), a trajectory with
-    more steps than the header's horizon, a noise level that is neither
+    more steps than the horizon of the store's env, or of the header where
+    the store has no env (_horizon), a noise level that is neither
     null nor a finite number >= 0 and a noise level that varies within a
     trajectory each raise InvalidInputError naming path:line (a width error
     names the first line of its trajectory, a long one its first step past
@@ -484,7 +492,9 @@ def _parse_demos(path: str, digest,
             f"{header.get('format_version')}, expected {DEMO_FORMAT_VERSION}")
     env = _header_env(f"{path}:{head_no}", header, env)
     dims = ((header["state_dim"],), (header["action_dim"],))
-    horizon = header.get("horizon")
+    horizon = _horizon(header, env)
+    whose = ("the header's" if horizon == header.get("horizon")
+             else f"env {env.name}'s")
     rows: dict[int, list[tuple]] = {}
     for no, ln in lines:
         try:
@@ -525,7 +535,7 @@ def _parse_demos(path: str, digest,
                            f"step)"))
         if horizon is not None and len(steps) > horizon:
             faults.append((nos[horizon], f"trajectory {tid} has step "
-                           f"{horizon}, past the header's horizon {horizon}"))
+                           f"{horizon}, past {whose} horizon {horizon}"))
         if levels.count(levels[0]) != len(levels):
             faults.append(min(
                 (no, f"noise_level {lv} differs from {levels[0]} earlier "
@@ -597,8 +607,10 @@ def _read_copy(path: str, source, env: EnvSpec | None) -> DemoStore | None:
     its key is that of ``path``'s bytes, hashed in 1 MiB blocks after
     ``source``, and its checksum holds; None otherwise. Its header is
     checked at its line as the parse checks it, so a hit raises the same.
-    The file is hashed before the copy is read, so the hash's blocks and
-    the copy are never held at once."""
+    A copy with a trajectory longer than the store's horizon (_horizon), as
+    a load under no env or another one may write, is no hit: the parse names
+    that trajectory's line. The file is hashed before the copy is read, so
+    the hash's blocks and the copy are never held at once."""
     try:
         with open(path + ".store", "rb") as copy:
             key = source.copy()
@@ -619,6 +631,9 @@ def _read_copy(path: str, source, env: EnvSpec | None) -> DemoStore | None:
     meta = json.loads(data[48:at])
     header, rows = meta["header"], meta["trajectories"]
     env = _header_env(f"{path}:{meta['header_line']}", header, env)
+    horizon = _horizon(header, env)
+    if horizon is not None and any(row[1] > horizon for row in rows):
+        return None   # the parse names the line of the first step past it
     n = sum(length for _, length, _, _ in rows)
     s, a = header["state_dim"], header["action_dim"]
     floats = np.frombuffer(data, "<f8", n * (s + a + 1), at)

@@ -1004,6 +1004,43 @@ def test_envless_demos_are_checked_by_width(run, tmp_path, capsys):
             f"env double_integrator_1d dims (state 2, action 1)\n")
 
 
+def test_envless_demos_longer_than_the_horizon_exit_1(run, tmp_path, capsys):
+    # a null-env, null-horizon file of horizon-150 trajectories under a
+    # horizon-100 config: refused at the line of trajectory 0's step 100,
+    # the same bytes from the copy a load under no env left and from a
+    # parse, with nothing written
+    cfg, out = run
+    long_cfg = write_config(tmp_path / "h150.ini", tmp_path / "h150")
+    with open(long_cfg, "a") as fh:
+        fh.write("\n[env]\nhorizon = 150\n")
+    assert cli.main(["gen-data", "--config", long_cfg]) == 0
+    demos = tmp_path / "h150" / "demos.jsonl"
+    lines = demos.read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header.update(env=None, horizon=None)
+    demos.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    assert load_demos(str(demos)).rows[0][1] == 150
+    copy = open(f"{demos}.store", "rb").read()
+    short_cfg = write_config(tmp_path / "h100.ini", tmp_path / "h100")
+    audit = audit_argv(short_cfg, out, str(demos))
+    audit[-1] = str(tmp_path / "audit.json")
+    refused = (f"error: {demos}:102: trajectory 0 has step 100, past env "
+               f"pointmass2d's horizon 100\n")
+    for argv in (["train", "--config", short_cfg, "--demos", str(demos)],
+                 audit):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == refused
+        assert open(f"{demos}.store", "rb").read() == copy
+        os.remove(f"{demos}.store")
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == refused
+        assert not os.path.exists(f"{demos}.store")
+        open(f"{demos}.store", "wb").write(copy)
+    assert sorted(os.listdir(tmp_path)) == ["h100.ini", "h150", "h150.ini"]
+    assert sorted(os.listdir(tmp_path / "h150")) == ["demos.jsonl",
+                                                     "demos.jsonl.store"]
+
+
 @pytest.fixture(scope="module")
 def small_run(run, tmp_path_factory):
     """Small-network checkpoints for the run's env and a copy of its demo

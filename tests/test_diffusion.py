@@ -190,6 +190,9 @@ class TestStepTable:
                 assert single.shape == (2,)
                 x = self.onehot_input(model, s[i], a_t[i], t)[0]
                 assert single.tobytes() == model.forward(x).tobytes()
+                # lists take the general path, to the same bytes
+                listed = model.predict(list(s[i]), list(a_t[i]), t)
+                assert listed.tobytes() == single.tobytes()
 
     def test_scalar_step_matches_step_array(self, sched):
         for model in self.models(sched, 43):
@@ -210,7 +213,11 @@ class TestStepTable:
                           (np.zeros((2, 4)), np.zeros((2, 1)), 1),
                           (np.zeros((2, 3)), np.zeros((3, 2)), 1),
                           (np.zeros((2, 3)), np.zeros((2, 2)),
-                           np.array([1, 2, 3]))):
+                           np.array([1, 2, 3])),
+                          # a single state at an int step, the sampler's call
+                          (np.zeros(4), np.zeros(2), 1),
+                          (np.zeros(3), np.zeros(1), 1),
+                          (np.zeros(3), np.zeros((1, 2)), 1)):
             with pytest.raises(InvalidInputError):
                 model.predict(s, a_t, t)
         with pytest.raises(InvalidInputError):

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,9 +20,23 @@ from smile.mathcore import (EmaTracker, FeedForwardNet, OptimizerState,
 from smile.policy import GeneratorPolicy
 
 from conftest import (backward_stage_lengths, finite_difference_grads,
-                      float32_rounding_bound, reference_backward,
-                      reference_forward, reference_optimizer_step,
-                      relative_error, seal_checkpoint, small_net)
+                      float32_rounding_bound, forward_stage_lengths,
+                      reference_backward, reference_forward,
+                      reference_optimizer_step, relative_error,
+                      seal_checkpoint, small_net)
+
+
+def trained_looking_nets():
+    """A default float32 3x128 generator and 3x256 denoiser on pointmass2d,
+    with a drawn output layer and biases, as training leaves them, where a
+    drawn net has zeros."""
+    gen = GeneratorPolicy(4, 2, SeededRng(5))
+    den = NoiseModel(4, 2, 10, SeededRng(6))
+    for i, net in enumerate((gen, den)):
+        rng = SeededRng(7 + i)
+        for p in (net.weights[-1], *net.biases):
+            p[...] = 0.1 * rng.standard_normal(p.shape)
+    return gen, den
 
 
 class TestNetForward:
@@ -74,6 +90,61 @@ class TestNetForward:
         batch = net.forward(xs)
         for i in range(6):
             assert np.allclose(batch[i], net.forward(xs[i]))
+        # the vector path, one product [h, 1] @ [W; b] per layer, against
+        # the batch path at the default float32 generator and denoiser: a
+        # gemv against a gemm, each within float32 rounding of the other
+        gen, den = trained_looking_nets()
+        xs = SeededRng(8).standard_normal((20, 4))
+        a_t = SeededRng(9).standard_normal((20, 2))
+        t = SeededRng(10).integers(0, den.T + 1, size=20)
+        for net, batch, singles in (
+                (gen, gen.act(xs), [gen.act(x) for x in xs]),
+                (den, den.predict(xs, a_t, t),
+                 [den.predict(x, a, int(k)) for x, a, k in zip(xs, a_t, t)])):
+            assert net.flat.dtype == np.float32
+            bound = 2 * float32_rounding_bound(
+                forward_stage_lengths(net.widths))
+            for want, got in zip(batch, singles):
+                assert got.shape == want.shape == (2,)
+                assert (np.linalg.norm((got - want).astype(np.float64))
+                        <= bound * np.linalg.norm(want.astype(np.float64)))
+
+    def test_vector_path_is_per_thread(self):
+        # 4 threads call one network's vector path at once, each on its own
+        # states: every output has the bytes of the same call made alone
+        gen, den = trained_looking_nets()
+        rng = SeededRng(11)
+        calls = [[(gen.act, (x,)) for x in rng.standard_normal((50, 4))]
+                 + [(den.predict, (x, a, int(k))) for x, a, k in zip(
+                     rng.standard_normal((50, 4)),
+                     rng.standard_normal((50, 2)),
+                     rng.integers(0, den.T + 1, size=50))]
+                 for _ in range(4)]
+        alone = [[fn(*args).tobytes() for fn, args in thread_calls]
+                 for thread_calls in calls]
+        start = threading.Barrier(4)
+        got = [None] * 4
+
+        def work(i):
+            start.wait()
+            # 20 rounds of the thread's 100 calls, against the others'
+            got[i] = [[fn(*args).tobytes() for fn, args in calls[i]]
+                      for _ in range(20)]
+
+        threads = [threading.Thread(target=work, args=(i,), daemon=True)
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # threads switch inside every call
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i in range(4):
+            assert got[i] == 20 * [alone[i]]
 
     def test_deterministic(self):
         net = small_net([3, 5, 2], seed=5)
